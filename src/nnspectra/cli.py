@@ -66,8 +66,7 @@ def _spectrum_arg(path) -> Spectrum:
 
 def cmd_normalize(args) -> int:
     A = _matrix_arg(args.infile)
-    mode = args.mode or os.environ.get("SPECTRA_MODE", "auto")
-    result = to_constant_row_sums(A, mode=mode)
+    result = to_constant_row_sums(A, mode=args.mode)
     _dump_json(result.to_json(), args.out)
     return 0
 

@@ -741,9 +741,5 @@ def matrix_from_json(obj) -> RationalMatrix:
     return M
 
 
-def vector_to_json(v) -> dict:
-    return {"values": [format_rational(x) for x in v]}
-
-
 def vector_from_json(obj):
     return tuple(rat(x) for x in obj["values"])

@@ -629,21 +629,6 @@ def union_hypothesis_check(lam1, lam2) -> bool:
     return lam1 > 0 > lam2 >= -lam1 and lam1 + 2 * lam2 < 0
 
 
-def obstruction_witness_families(samples: int = 10000, seed: int = 0):
-    """All three scripted obstruction demonstrations, in one call.
-
-    (i) the Perron-up/eigenvalue-down collapse that leaves the
-    diagonalizable construction, (ii) the randomized search confirming the
-    impossible Jordan form of {1,1,-1,-1} never appears, and (iii) the
-    forced-decoupling algebra shown numerically on sampled instances.
-    """
-    return (
-        demo_guo_collapse(),
-        demo_union_obstruction(samples=samples, seed=seed),
-        demo_forced_coupling(samples=5, seed=seed + 1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # region sweep (CSV rows)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ rational).  The reduction walks the block structure:
 
   * an irreducible matrix is diagonally scaled by its positive eigenvector;
   * a block that couples into the already-normalized part is absorbed by a
-    lift through the inverse of (lambda1 I - A2) (an M-matrix inverse);
+    lift through the solution y of (lambda1 I - A2) y = A3 e;
   * a fully decoupled block is first coupled by an explicit shear built
     from a left eigenvector, then absorbed by the same lift.
 
@@ -17,6 +17,9 @@ are absorbed whole (after a scaling that pushes all their row sums strictly
 below lambda1), and layouts whose Perron block feeds earlier blocks are
 handled through an exact similarity with the transpose.  The simple-root
 hypothesis cannot be dropped: [[1,0],[1,1]] has no such B.
+
+Exact and float mode run the same absorb loop; a small backend class
+supplies the arithmetic that differs between Fraction and float64.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from .core import (
     RationalMatrix,
     char_poly,
     format_rational,
-    inverse,
     kernel,
-    permutation_matrix,
     poly_eval,
     rat,
     solve,
@@ -56,15 +57,14 @@ from .errors import (
     UnsupportedLayoutError,
 )
 from .structure import (
+    _perron_component,
+    _placement_order,
     adjacency,
     condensation_edges,
     is_irreducible,
     perron_data,
     strongly_connected_components,
 )
-
-def ONES(n):
-    return tuple(Fraction(1) for _ in range(n))
 
 
 @dataclass(frozen=True)
@@ -137,41 +137,13 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
         raise DimensionError("A3 must be (order A2) x (order A1)")
     if all(v == 0 for row in A3.entries() for v in row):
         raise DomainError("coupling block A3 is zero; use the lemma2 coupling path")
-    return _lift(A1, A2, A3, lam)
-
-
-def _lift(A1, A2, A3, lam):
-    n2 = A2.rows
-    M = RationalMatrix.identity(n2).scale(lam) - A2
-    try:
-        Minv = inverse(M)
-    except SingularMatrixError:
-        raise SpectralDominanceError(
-            "rho(A2) >= %s; (lambda I - A2) is singular" % format_rational(lam)
-        )
-    # exact dominance certificate: for irreducible A2 >= 0 the inverse of
-    # (lambda I - A2) is positive iff rho(A2) < lambda
-    if not Minv.is_positive:
-        raise SpectralDominanceError(
-            "(lambda I - A2)^-1 is not positive, so rho(A2) >= %s"
-            % format_rational(lam)
-        )
-    a3e = A3.mat_vec(ONES(A3.cols))
-    y = Minv.mat_vec(a3e)
-    if any(v <= 0 for v in y):
-        raise SpectraError(
-            "internal invariant violation: lifted eigenvector tail is not positive"
-        )
-    Yinv_A3 = RationalMatrix(
-        [[v / y[i] for v in A3.row(i)] for i in range(n2)]
-    )
-    Yinv_A2_Y = A2.diag_conjugate(y)
-    zeros = RationalMatrix.zeros(A1.rows, n2)
-    B = RationalMatrix.from_blocks([[A1, zeros], [Yinv_A3, Yinv_A2_Y]])
+    n1, n = A1.rows, A1.rows + A2.rows
+    M = RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]])
+    Y, Yinv = _lift_factor(_ExactOps, M, n, n1, n, n1, lam)
+    B = Yinv @ M @ Y
     if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
         raise CertificationError("lift produced a matrix outside CS form")
-    x = ONES(A1.rows) + tuple(y)
-    return x, B
+    return tuple(Y[i, i] for i in range(n)), B
 
 
 def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
@@ -211,17 +183,14 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     zmax = max(z)
     z = tuple(v / zmax for v in z)
     n1, n2 = A1.rows, A2.rows
-    shear = [[Fraction(1) if i == j else Fraction(0) for j in range(n1 + n2)] for i in range(n1 + n2)]
-    for i in range(n2):
-        for j in range(n1):
-            shear[n1 + i][j] = -z[j]
-    S = RationalMatrix(shear)
+    S, _ = _shear_factor(_ExactOps, n1 + n2, n1, n1 + n2, z)
     coeff = lam - rho2
     A3 = RationalMatrix([[coeff * zj for zj in z] for _ in range(n2)])
     return S, A3
 
 
 def _left_eigenvector_exact(B, lam):
+    """Nonnegative left eigenvector of B at lam, normalized to max entry 1."""
     basis = kernel(B.transpose() - RationalMatrix.identity(B.rows).scale(lam))
     if len(basis) != 1:
         raise DomainError(
@@ -233,10 +202,11 @@ def _left_eigenvector_exact(B, lam):
         raise SpectraError("internal invariant violation: mixed-sign left eigenvector")
     if all(v <= 0 for v in z):
         z = tuple(-v for v in z)
-    return z
+    zmax = max(z)
+    return tuple(v / zmax for v in z)
 
 
-def _right_eigenvector_exact(B, lam, require_positive=True):
+def _right_eigenvector_exact(B, lam):
     basis = kernel(B - RationalMatrix.identity(B.rows).scale(lam))
     if len(basis) != 1:
         raise SpectraError(
@@ -245,7 +215,7 @@ def _right_eigenvector_exact(B, lam, require_positive=True):
     x = basis[0]
     if all(v <= 0 for v in x):
         x = tuple(-v for v in x)
-    if require_positive and any(v <= 0 for v in x):
+    if any(v <= 0 for v in x):
         raise SpectraError("internal invariant violation: eigenvector not positive")
     # clear denominators for readable transcripts; scaling cancels in D^-1 A D
     den = 1
@@ -299,51 +269,35 @@ def perron_root_exact(A: RationalMatrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Plan:
-    components: list  # vertex lists
-    edges: set  # (u, w): block u couples into block w
-    perron: int
-    order: list  # absorb order: list of ("block", ci) / ("cluster", [ci...])
-    permutation: list
+def _plan_layout(A, perron_component):
+    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
 
-
-def _plan_layout(A: RationalMatrix, lam):
-    """Absorb plan for exact mode; None when the Perron chain leaks outward."""
+    perron_component(A, components) names the component carrying the Perron
+    root.  Each range is (kind, payload, start, stop) in permuted
+    coordinates, kind "block" (payload a component index) or "cluster"
+    (payload a list of them); the Perron block comes first.
+    """
     adj = adjacency(A)
     comps = strongly_connected_components(adj)
     edges = condensation_edges(adj, comps)
-    perron = None
-    for ci, comp in enumerate(comps):
-        block = A.submatrix(comp, comp)
-        if poly_eval(char_poly(block), lam) == 0:
-            perron = ci
-            break
-    if perron is None:
+    return _plan_from_graph(comps, edges, perron_component(A, comps))
+
+
+def _root_component(lam):
+    """Exact Perron-component choice: the first block whose char poly vanishes at lam."""
+
+    def pick(A, comps):
+        for ci, comp in enumerate(comps):
+            if poly_eval(char_poly(A.submatrix(comp, comp)), lam) == 0:
+                return ci
         raise SpectraError("internal error: no block carries the Perron root")
-    return _plan_from_graph(comps, edges, perron)
 
-
-def _plan_layout_float(arr):
-    adj = [[bool(x > 0) for x in row] for row in arr.tolist()]
-    comps = strongly_connected_components(adj)
-    edges = condensation_edges(adj, comps)
-    radii = []
-    for comp in comps:
-        sub = arr[np.ix_(comp, comp)]
-        radii.append(float(np.max(np.abs(np.linalg.eigvals(sub)))))
-    rho = max(radii)
-    perron = min(
-        ci for ci in range(len(comps)) if radii[ci] >= rho - 1e-9 * max(1.0, rho)
-    )
-    return _plan_from_graph(comps, edges, perron)
+    return pick
 
 
 def _plan_from_graph(comps, edges, perron):
     in_neighbors = {ci: set() for ci in range(len(comps))}
-    out_targets = {ci: set() for ci in range(len(comps))}
     for u, w in edges:
-        out_targets[u].add(w)
         in_neighbors[w].add(u)
 
     reach = {perron}
@@ -358,20 +312,16 @@ def _plan_from_graph(comps, edges, perron):
     if any(u in reach and w not in reach for u, w in edges):
         return None  # the Perron chain feeds an unreachable block
 
-    order = [("block", perron)]
-    placed = {perron}
-    pending = [ci for ci in sorted(reach - {perron}, key=lambda c: comps[c][0])]
-    while pending:
-        ready = [u for u in pending if out_targets[u] <= placed]
-        nxt = min(ready, key=lambda c: comps[c][0])
-        order.append(("block", nxt))
-        placed.add(nxt)
-        pending.remove(nxt)
+    def first(ci):
+        return comps[ci][0]
+
+    groups = [("block", perron)] + [
+        ("block", ci) for ci in _placement_order(reach - {perron}, edges, first)
+    ]
 
     outside = [ci for ci in range(len(comps)) if ci not in reach]
     seen = set()
-    clusters = []
-    for start in sorted(outside, key=lambda c: comps[c][0]):
+    for start in sorted(outside, key=first):
         if start in seen:
             continue
         group = {start}
@@ -383,29 +333,224 @@ def _plan_from_graph(comps, edges, perron):
                     group.add(v)
                     frontier.append(v)
         seen |= group
-        sub_placed = set()
-        ordered = []
-        members = sorted(group, key=lambda c: comps[c][0])
-        while members:
-            ready = [u for u in members if (out_targets[u] & group) <= sub_placed]
-            nxt = min(ready, key=lambda c: comps[c][0])
-            ordered.append(nxt)
-            sub_placed.add(nxt)
-            members.remove(nxt)
+        ordered = _placement_order(group, edges, first)
         if len(ordered) == 1:
-            clusters.append(("block-isolated", ordered[0]))
+            groups.append(("block", ordered[0]))
         else:
-            clusters.append(("cluster", ordered))
-    order.extend(clusters)
+            groups.append(("cluster", ordered))
 
     perm = []
-    for kind, payload in order:
+    ranges = []
+    for kind, payload in groups:
+        start = len(perm)
+        for ci in payload if kind == "cluster" else [payload]:
+            perm.extend(comps[ci])
+        ranges.append((kind, payload, start, len(perm)))
+    return perm, ranges
+
+
+# ---------------------------------------------------------------------------
+# the absorb loop, shared by exact and float mode
+# ---------------------------------------------------------------------------
+
+
+class _ExactOps:
+    """Fraction arithmetic for the absorb loop."""
+
+    one = Fraction(1)
+    matrix = RationalMatrix
+    diagonal = RationalMatrix.diagonal
+
+    @staticmethod
+    def sub(M, rows, cols):
+        return M.submatrix(rows, cols)
+
+    @staticmethod
+    def row_sums(M):
+        return M.row_sums()
+
+    @staticmethod
+    def nonzero(M):
+        return any(v != 0 for row in M.entries() for v in row)
+
+    @staticmethod
+    def solve_shifted(lam, K, rhs):
+        """y with (lam I - K) y = rhs, or None when the system is singular."""
+        try:
+            y = solve(
+                RationalMatrix.identity(K.rows).scale(lam) - K, RationalMatrix.column(rhs)
+            )
+        except SingularMatrixError:
+            return None
+        return [y[i, 0] for i in range(K.rows)]
+
+    @staticmethod
+    def perron_vector(block, lam):
+        """Positive eigenvector of an irreducible block at lam; at its own
+        spectral radius when lam is None."""
+        if lam is None:
+            lam, _quot = perron_root_exact(block)
+            if lam is None:
+                raise ModeError(
+                    "a diagonal block has an irrational spectral radius; "
+                    "rerun in float mode"
+                )
+        return _right_eigenvector_exact(block, lam)
+
+    left_vector = staticmethod(_left_eigenvector_exact)
+
+
+class _FloatOps:
+    """float64 arithmetic for the absorb loop (tolerance 1e-13 on zero tests)."""
+
+    one = 1.0
+    matrix = staticmethod(np.array)
+    diagonal = staticmethod(np.diag)
+
+    @staticmethod
+    def sub(M, rows, cols):
+        return M[np.ix_(rows, cols)]
+
+    @staticmethod
+    def row_sums(M):
+        return M.sum(axis=1)
+
+    @staticmethod
+    def nonzero(M):
+        return bool(np.any(M > 1e-13))
+
+    @staticmethod
+    def solve_shifted(lam, K, rhs):
+        try:
+            return np.linalg.solve(lam * np.eye(K.shape[0]) - K, rhs)
+        except np.linalg.LinAlgError:
+            return None
+
+    @staticmethod
+    def perron_vector(block, lam):
+        return perron_data(FloatMatrix(block))[1]
+
+    @staticmethod
+    def left_vector(B, lam):
+        return _left_vec_float(B, lam)
+
+
+def _diagonal_factor(ops, n, a, vec):
+    """D = diag(1,...,1, vec, 1,...,1) with vec from index a, and D^-1."""
+    d = [ops.one] * n
+    d[a : a + len(vec)] = vec
+    return ops.diagonal(d), ops.diagonal([1 / v for v in d])
+
+
+def _shear_factor(ops, n, a, b, z):
+    """T = I + E where every row of E[a:b, :len(z)] is -z, and T^-1 = I - E.
+
+    E^2 = 0 because a >= len(z), which gives the inverse in closed form.
+    """
+
+    def build(sign):
+        rows = [[ops.one if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(a, b):
+            rows[i][: len(z)] = [-sign * v for v in z]
+        return ops.matrix(rows)
+
+    return build(1), build(-1)
+
+
+def _dominated_solution(ops, K, lam, rhs, what):
+    """Positive y with (lam I - K) y = rhs; SpectralDominanceError otherwise.
+
+    For rhs >= 0 nonzero and K irreducible (or rhs > 0), a positive y exists
+    iff rho(K) < lam (subinvariance, Berman-Plemmons Thm 2.1.11).
+    """
+    y = ops.solve_shifted(lam, K, rhs)
+    if y is None:
+        raise SpectralDominanceError("%s: (lambda1 I - K) is singular" % what)
+    if not all(v > 0 for v in y):
+        raise SpectralDominanceError(
+            "%s: (lambda1 I - K) y = b has no positive solution, so rho(K) >= "
+            "lambda1" % what
+        )
+    return y
+
+
+def _lift_factor(ops, M, n, a, b, bound, lam):
+    """Lemma 1 as a diagonal similarity: absorb block [a, b) of M into [0, bound).
+
+    With A2 = M[a:b, a:b] and A3 = M[a:b, :bound] (the part [0, bound) already
+    in CS_lam form), y solves (lam I - A2) y = A3 e and the factor is
+    diag(1,...,1, y, 1,...,1).
+    """
+    rows = range(a, b)
+    A3e = ops.row_sums(ops.sub(M, rows, range(bound)))
+    y = _dominated_solution(ops, ops.sub(M, rows, rows), lam, A3e, "lift")
+    return _diagonal_factor(ops, n, a, y)
+
+
+def _absorb(ops, A, lam, plan, transcript):
+    """Scale, couple and lift the planned blocks of A into CS_lam form.
+
+    Returns (B, S, factors).  Every step conjugates M <- T^-1 M T by a
+    diagonal or shear factor T whose inverse is known in closed form.
+    """
+    perm, ranges = plan
+    n = len(perm)
+    M = ops.sub(A, perm, perm)
+    S = ops.matrix(
+        [[ops.one if i == perm[j] else 0 for j in range(n)] for i in range(n)]
+    )
+    factors = [S]
+    transcript.append(RowSumStep("permutation", {"order": list(perm)}))
+
+    def conjugate(factor, kind, detail):
+        nonlocal M, S
+        T, Tinv = factor
+        M = Tinv @ M @ T
+        S = S @ T
+        factors.append(T)
+        transcript.append(RowSumStep(kind, detail))
+
+    # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
+    for i, (kind, payload, a, b) in enumerate(ranges):
+        if kind == "cluster" or b - a == 1:
+            continue
+        block = ops.sub(M, range(a, b), range(a, b))
+        x = ops.perron_vector(block, lam if i == 0 else None)
+        label = "perron" if i == 0 else "component-%d" % payload
+        conjugate(
+            _diagonal_factor(ops, n, a, x),
+            "block-scaling",
+            {"block": label, "range": [a, b]},
+        )
+
+    # 2. absorb blocks in plan order
+    bound = ranges[0][3]
+    for kind, payload, a, b in ranges[1:]:
+        rows = range(a, b)
+        suffix = ""
         if kind == "cluster":
-            for ci in payload:
-                perm.extend(comps[ci])
-        else:
-            perm.extend(comps[payload])
-    return _Plan(comps, edges, perron, order, perm)
+            ones = [ops.one] * (b - a)
+            d = _dominated_solution(ops, ops.sub(M, rows, rows), lam, ones, "cluster")
+            conjugate(
+                _diagonal_factor(ops, n, a, d),
+                "cluster-scaling",
+                {"range": [a, b], "components": list(payload)},
+            )
+            suffix = "-general"
+        if kind == "cluster" or not ops.nonzero(ops.sub(M, rows, range(bound))):
+            z = ops.left_vector(ops.sub(M, range(bound), range(bound)), lam)
+            conjugate(
+                _shear_factor(ops, n, a, b, z),
+                "lemma2-coupling" + suffix,
+                {"range": [a, b], "coupled-into": [0, bound]},
+            )
+        conjugate(
+            _lift_factor(ops, M, n, a, b, bound, lam),
+            "lemma1-lift" + suffix,
+            {"range": [a, b], "absorbed-into": [0, bound]},
+        )
+        bound = b
+    return M, S, factors
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +562,7 @@ def _resolve_mode(mode):
     if mode is None:
         mode = os.environ.get("SPECTRA_MODE", "auto")
     if mode not in ("exact", "float", "auto"):
-        raise DomainError("mode must be 'exact' or 'float'")
+        raise DomainError("mode must be 'exact', 'float' or 'auto'")
     return mode
 
 
@@ -425,21 +570,21 @@ def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
     """Similarity-transform A into nonnegative constant-row-sum form.
 
     Exact mode needs the Perron root (and the spectral radius of every
-    irreducible diagonal block it scales) to be rational; float mode mirrors
-    the construction in doubles with verification tolerance 1e-9.
+    irreducible diagonal block it scales) to be rational; float mode runs
+    the same construction in doubles with verification tolerance 1e-9.
     """
     mode = _resolve_mode(mode)
-    if not isinstance(A, RationalMatrix):
-        if mode == "exact":
-            raise ModeError("exact mode needs a RationalMatrix input")
-        return _to_cs_float(A, np.asarray(A.array, dtype=float))
     if not A.is_square:
         raise DimensionError("input must be square")
     if not A.is_nonnegative:
         raise DomainError("input has a negative entry")
+    if not isinstance(A, RationalMatrix):
+        if mode == "exact":
+            raise ModeError("exact mode needs a RationalMatrix input")
+        return _to_cs_float(np.asarray(A.array, dtype=float))
 
     if mode == "float":
-        return _to_cs_float(A, to_float(A).array)
+        return _to_cs_float(to_float(A).array)
 
     lam, _quot = perron_root_exact(A)
     if lam is None:
@@ -447,13 +592,13 @@ def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
             raise ModeError(
                 "the Perron root appears irrational; rerun in float mode"
             )
-        return _to_cs_float(A, to_float(A).array)
+        return _to_cs_float(to_float(A).array)
     try:
         return _to_cs_exact(A, lam)
     except ModeError:
         if mode == "exact":
             raise
-        return _to_cs_float(A, to_float(A).array)
+        return _to_cs_float(to_float(A).array)
 
 
 def _check_simple_float(arr, tol=1e-9):
@@ -493,154 +638,12 @@ def _to_cs_exact(A: RationalMatrix, lam) -> RowSumResult:
         _verify_exact(A, B, S, lam)
         return RowSumResult(B, S, transcript, "exact", lam, factors=[S])
 
-    plan = _plan_layout(A, lam)
+    plan = _plan_layout(A, _root_component(lam))
     if plan is None:
         return _via_transpose(A, lam)
-
-    P = permutation_matrix(plan.permutation)
-    M = P @ A @ P.transpose()
-    S = P.transpose()
-    factors = [P.transpose()]
-    transcript.append(
-        RowSumStep("permutation", {"order": list(plan.permutation)})
-    )
-
-    # per-block ranges in the permuted coordinates, following plan.order
-    ranges = []
-    pos = 0
-    for kind, payload in plan.order:
-        if kind == "cluster":
-            size = sum(len(plan.components[ci]) for ci in payload)
-        else:
-            size = len(plan.components[payload])
-        ranges.append((kind, payload, pos, pos + size))
-        pos += size
-
-    def conjugate(T):
-        nonlocal M, S
-        M = solve(T, M @ T)
-        S = S @ T
-        factors.append(T)
-
-    def scale_block(a, b, vec, kind, label):
-        d = [Fraction(1)] * n
-        for i, v in enumerate(vec):
-            d[a + i] = v
-        conjugate(RationalMatrix.diagonal(d))
-        transcript.append(
-            RowSumStep(kind, {"block": label, "range": [a, b]})
-        )
-
-    # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
-    for kind, payload, a, b in ranges:
-        if kind == "cluster":
-            continue
-        block = M.submatrix(range(a, b), range(a, b))
-        if b - a == 1:
-            continue
-        if payload == plan.perron:
-            x = _right_eigenvector_exact(block, lam)
-            scale_block(a, b, x, "block-scaling", "perron")
-        else:
-            rho_b = _block_rho_exact(block)
-            if rho_b is None:
-                raise ModeError(
-                    "a diagonal block has an irrational spectral radius; "
-                    "rerun in float mode"
-                )
-            x = _right_eigenvector_exact(block, rho_b)
-            scale_block(a, b, x, "block-scaling", "component-%d" % payload)
-
-    # 2. absorb blocks in plan order
-    bound = ranges[0][3]
-    for kind, payload, a, b in ranges[1:]:
-        if kind == "cluster":
-            _cluster_scale(M, a, b, lam, conjugate, transcript, payload)
-            _shear_couple(M, a, b, bound, lam, conjugate, transcript, True)
-            _absorb_lift(
-                M, a, b, bound, lam, conjugate, transcript, "lemma1-lift-general"
-            )
-        else:
-            coupling = M.submatrix(range(a, b), range(0, bound))
-            coupled = any(v != 0 for row in coupling.entries() for v in row)
-            if not coupled:
-                _shear_couple(M, a, b, bound, lam, conjugate, transcript, False)
-            _absorb_lift(M, a, b, bound, lam, conjugate, transcript, "lemma1-lift")
-        bound = b
-
-    B = M
+    B, S, factors = _absorb(_ExactOps, A, lam, plan, transcript)
     _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam, factors=factors)
-
-
-def _block_rho_exact(block: RationalMatrix):
-    coeffs = char_poly(block)
-    arr = to_float(block).array
-    ev = np.linalg.eigvals(arr)
-    rho = float(np.max(np.abs(ev))) if ev.size else 0.0
-    return _rationalize_root(coeffs, rho)
-
-
-def _absorb_lift(M, a, b, bound, lam, conjugate, transcript, label):
-    A2 = M.submatrix(range(a, b), range(a, b))
-    A3 = M.submatrix(range(a, b), range(0, bound))
-    n = M.rows
-    Mat = RationalMatrix.identity(b - a).scale(lam) - A2
-    try:
-        y = solve(Mat, RationalMatrix.column(A3.mat_vec(ONES(bound))))
-    except SingularMatrixError:
-        raise SpectralDominanceError("a diagonal block has spectral radius >= lambda1")
-    yv = [y[i, 0] for i in range(b - a)]
-    if any(v <= 0 for v in yv):
-        raise SpectraError("internal invariant violation: lift vector not positive")
-    d = [Fraction(1)] * n
-    for i, v in enumerate(yv):
-        d[a + i] = v
-    conjugate(RationalMatrix.diagonal(d))
-    transcript.append(
-        RowSumStep(label, {"range": [a, b], "absorbed-into": [0, bound]})
-    )
-
-
-def _shear_couple(M, a, b, bound, lam, conjugate, transcript, general):
-    B_cur = M.submatrix(range(0, bound), range(0, bound))
-    z = _left_eigenvector_exact(B_cur, lam)
-    zmax = max(z)
-    z = tuple(v / zmax for v in z)
-    n = M.rows
-    shear = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(a, b):
-        for j in range(bound):
-            shear[i][j] = -z[j]
-    conjugate(RationalMatrix(shear))
-    transcript.append(
-        RowSumStep(
-            "lemma2-coupling" + ("-general" if general else ""),
-            {"range": [a, b], "coupled-into": [0, bound]},
-        )
-    )
-
-
-def _cluster_scale(M, a, b, lam, conjugate, transcript, members):
-    K = M.submatrix(range(a, b), range(a, b))
-    Mat = RationalMatrix.identity(b - a).scale(lam) - K
-    try:
-        d = solve(Mat, RationalMatrix.column(ONES(b - a)))
-    except SingularMatrixError:
-        raise SpectralDominanceError("cluster spectral radius >= lambda1")
-    dv = [d[i, 0] for i in range(b - a)]
-    if any(v <= 0 for v in dv):
-        raise SpectralDominanceError("cluster scaling vector not positive")
-    n = M.rows
-    full = [Fraction(1)] * n
-    for i, v in enumerate(dv):
-        full[a + i] = v
-    conjugate(RationalMatrix.diagonal(full))
-    transcript.append(
-        RowSumStep(
-            "cluster-scaling", {"range": [a, b], "components": list(members)}
-        )
-    )
 
 
 def _verify_exact(A, B, S, lam):
@@ -696,7 +699,7 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
 
 def _via_transpose(A: RationalMatrix, lam) -> RowSumResult:
     At = A.transpose()
-    if _plan_layout(At, lam) is None:
+    if _plan_layout(At, _root_component(lam)) is None:
         raise UnsupportedLayoutError(
             "the reducible layout entangles the Perron block in both "
             "directions; this reduction is not implemented"
@@ -720,7 +723,7 @@ def _via_transpose(A: RationalMatrix, lam) -> RowSumResult:
 _FLOAT_TOL = 1e-9
 
 
-def _to_cs_float(A, arr) -> RowSumResult:
+def _to_cs_float(arr) -> RowSumResult:
     n = arr.shape[0]
     if n > 1:
         _check_simple_float(arr)
@@ -751,79 +754,16 @@ def _to_cs_float(A, arr) -> RowSumResult:
             FloatMatrix(B), FloatMatrix(S), transcript, "float", _rho, factors=[S]
         )
 
-    plan = _plan_layout_float(arr)
+    plan = _plan_layout(FloatMatrix(arr), _perron_component)
     if plan is None:
         raise UnsupportedLayoutError(
             "float mode handles irreducible matrices and the chain/cluster "
             "layouts of the exact mode; this input is outside both"
         )
-
-    perm = plan.permutation
-    P = np.eye(n)[perm, :]
-    M = P @ arr @ P.T
-    S = P.T.copy()
-    factors = [P.T.copy()]
-    transcript.append(RowSumStep("permutation", {"order": list(perm)}))
-
-    ranges = []
-    pos = 0
-    for kind, payload in plan.order:
-        size = (
-            sum(len(plan.components[ci]) for ci in payload)
-            if kind == "cluster"
-            else len(plan.components[payload])
-        )
-        ranges.append((kind, payload, pos, pos + size))
-        pos += size
-
-    def conj(T):
-        nonlocal M, S
-        M = np.linalg.solve(T, M @ T)
-        S = S @ T
-        factors.append(T)
-
-    for kind, payload, a, b in ranges:
-        if kind == "cluster" or b - a == 1:
-            continue
-        block = M[a:b, a:b]
-        _rho_b, x = perron_data(FloatMatrix(block))
-        d = np.ones(n)
-        d[a:b] = x
-        conj(np.diag(d))
-        transcript.append(RowSumStep("block-scaling", {"range": [a, b]}))
-
-    bound = ranges[0][3]
-    for kind, payload, a, b in ranges[1:]:
-        coupled = bool(np.any(M[a:b, :bound] > 1e-13))
-        if kind == "cluster":
-            d = np.linalg.solve(lam * np.eye(b - a) - M[a:b, a:b], np.ones(b - a))
-            full = np.ones(n)
-            full[a:b] = d
-            conj(np.diag(full))
-            transcript.append(RowSumStep("cluster-scaling", {"range": [a, b]}))
-            coupled = False
-        if not coupled:
-            z = _left_vec_float(M[:bound, :bound], lam)
-            T = np.eye(n)
-            T[a:b, :bound] = -z[None, :]
-            conj(T)
-            transcript.append(
-                RowSumStep("lemma2-coupling", {"range": [a, b]})
-            )
-        y = np.linalg.solve(
-            lam * np.eye(b - a) - M[a:b, a:b], M[a:b, :bound] @ np.ones(bound)
-        )
-        if np.min(y) <= 0:
-            raise SpectraError("float lift vector not positive")
-        full = np.ones(n)
-        full[a:b] = y
-        conj(np.diag(full))
-        transcript.append(RowSumStep("lemma1-lift", {"range": [a, b]}))
-        bound = b
-
-    _verify_float(arr, M, S, lam)
+    B, S, factors = _absorb(_FloatOps, arr, lam, plan, transcript)
+    _verify_float(arr, B, S, lam)
     return RowSumResult(
-        FloatMatrix(M), FloatMatrix(S), transcript, "float", lam, factors=factors
+        FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, factors=factors
     )
 
 

@@ -21,12 +21,8 @@ from .errors import DimensionError, DomainError, IterationError
 def _check_nonnegative_square(A):
     if not A.is_square:
         raise DimensionError("digraph structure needs a square matrix")
-    if isinstance(A, RationalMatrix):
-        if not A.is_nonnegative:
-            raise DomainError("matrix has a negative entry")
-    else:
-        if not A.is_nonnegative:
-            raise DomainError("matrix has a negative entry")
+    if not A.is_nonnegative:
+        raise DomainError("matrix has a negative entry")
 
 
 def adjacency(A) -> list:
@@ -119,13 +115,6 @@ class FrobeniusForm:
         return len(self.block_ranges)
 
 
-def _block_radius(block: RationalMatrix) -> float:
-    arr = to_float(block).array
-    if arr.shape[0] == 1:
-        return float(arr[0, 0])
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))
-
-
 def condensation_edges(adj, components):
     """Set of (u, w) block edges u -> w, u != w, from vertex-level adjacency."""
     comp_of = {}
@@ -141,6 +130,35 @@ def condensation_edges(adj, components):
     return edges
 
 
+def _perron_component(A, components) -> int:
+    """Index of the component with the largest spectral radius (float estimate).
+
+    Radii within 1e-9 * max(1, rho) of the largest count as tied; the lowest
+    index wins.
+    """
+    arr = to_float(A).array if isinstance(A, RationalMatrix) else A.array
+    radii = [
+        float(np.max(np.abs(np.linalg.eigvals(arr[np.ix_(comp, comp)]))))
+        for comp in components
+    ]
+    rho = max(radii)
+    return min(ci for ci, r in enumerate(radii) if r >= rho - 1e-9 * max(1.0, rho))
+
+
+def _placement_order(members, edges, key) -> list:
+    """Order the components `members` so that each comes after every member it
+    couples into (edge u -> w places w first); among the ready ones the
+    smallest key goes next."""
+    targets = {u: {w for x, w in edges if x == u and w in members} for u in members}
+    order = []
+    placed = set()
+    while len(order) < len(members):
+        nxt = min((u for u in members if u not in placed and targets[u] <= placed), key=key)
+        order.append(nxt)
+        placed.add(nxt)
+    return order
+
+
 def frobenius_normal_form(A: RationalMatrix) -> FrobeniusForm:
     """Permute A to block lower triangular form with irreducible diagonal blocks.
 
@@ -153,15 +171,7 @@ def frobenius_normal_form(A: RationalMatrix) -> FrobeniusForm:
     adj = adjacency(A)
     comps = strongly_connected_components(adj)
     edges = condensation_edges(adj, comps)
-    k = len(comps)
-
-    radii = [
-        _block_radius(A.submatrix(comp, comp)) for comp in comps
-    ]
-    rho = max(radii)
-    perron_comp = min(
-        i for i in range(k) if radii[i] >= rho - 1e-9 * max(1.0, rho)
-    )
+    perron_comp = _perron_component(A, comps)
     touched = set()
     for u, w in edges:
         touched.add(u)
@@ -176,23 +186,9 @@ def frobenius_normal_form(A: RationalMatrix) -> FrobeniusForm:
             cls = 2
         return (cls, comps[ci][0])
 
-    # Kahn: a component is placeable once all of its targets are placed.
-    out_targets = {ci: set() for ci in range(k)}
-    for u, w in edges:
-        out_targets[u].add(w)
-    placed = []
-    placed_set = set()
-    remaining = set(range(k))
-    while remaining:
-        ready = [ci for ci in remaining if out_targets[ci] <= placed_set]
-        nxt = min(ready, key=priority)
-        placed.append(nxt)
-        placed_set.add(nxt)
-        remaining.remove(nxt)
-
     perm = []
     ranges = []
-    for ci in placed:
+    for ci in _placement_order(set(range(len(comps))), edges, priority):
         start = len(perm)
         perm.extend(comps[ci])
         ranges.append((start, len(perm)))
@@ -255,12 +251,3 @@ def perron_data(A: FloatMatrix, tol: float = 1e-12, max_iter: int = 100000):
     if residual > 10 * tol * max(1.0, abs(rho)):
         raise IterationError("residual %.3e exceeds tolerance" % residual)
     return rho, x
-
-
-def left_perron_data(A, tol: float = 1e-12, max_iter: int = 100000):
-    """perron_data of the transpose: rho and a positive left eigenvector."""
-    if isinstance(A, RationalMatrix):
-        arr = to_float(A).array
-    else:
-        arr = A.array
-    return perron_data(FloatMatrix(arr.T.copy()), tol=tol, max_iter=max_iter)

@@ -177,6 +177,12 @@ def planted_reducible(rng: random.Random, layout: str):
 def random_realization_with_rational_spectrum(rng: random.Random):
     """Random nonnegative matrix (n <= 8) with known rational spectrum and a
     verified-simple rational Perron root, scrambled by similarity."""
+    A, spectrum, _layout = random_layout_realization(rng)
+    return A, spectrum
+
+
+def random_layout_realization(rng: random.Random):
+    """random_realization_with_rational_spectrum plus the name of the planted layout."""
     layout = rng.choice(["irreducible", "chain", "isolated", "mixed", "cluster", "bottom"])
     if layout == "irreducible":
         A, values = suleimanova_companion(rng, rng.randint(2, 6))
@@ -192,7 +198,7 @@ def random_realization_with_rational_spectrum(rng: random.Random):
         # keep the diagonal scramble only; a permutation is harmless but the
         # planted transpose shape is easier to eyeball in failures
         A = A.diag_conjugate(random_positive_diagonal(rng, A.rows))
-    return A, spectrum
+    return A, spectrum, layout
 
 
 def random_invertible(rng: random.Random, n: int, span: int = 2) -> RationalMatrix:

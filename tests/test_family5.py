@@ -292,11 +292,3 @@ class TestDemos:
     def test_hypothesis_arithmetic(self):
         assert union_hypothesis_check(1, -1)
         assert not union_hypothesis_check(2, -1)  # 2 + 2*(-1) = 0, not < 0
-
-    def test_wrapper_returns_all_three(self):
-        from nnspectra.family5 import obstruction_witness_families
-
-        guo, union, forced = obstruction_witness_families(samples=120, seed=7)
-        assert guo.original_member
-        assert union.forbidden_hits == 0
-        assert len(forced.instances) == 5

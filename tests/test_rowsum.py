@@ -1,12 +1,16 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from nnspectra.core import RationalMatrix, char_poly, solve
+from nnspectra.cli import dispatch
+from nnspectra.core import FloatMatrix, RationalMatrix, char_poly, solve, to_float
 from nnspectra.errors import (
     CouplingError,
+    DimensionError,
     DomainError,
     ModeError,
     PerronNotSimple,
@@ -22,6 +26,7 @@ from nnspectra.rowsum import (
 )
 
 from conftest import (
+    random_layout_realization,
     random_realization_with_rational_spectrum,
     scramble,
     suleimanova_companion,
@@ -249,15 +254,63 @@ class TestToConstantRowSums:
         assert to_constant_row_sums(RationalMatrix([[0]]), mode="exact").B == RationalMatrix([[0]])
         assert to_constant_row_sums(RationalMatrix([[5]]), mode="exact").lam == 5
 
-    def test_spectra_mode_env_default(self, monkeypatch):
+    def test_float_input_validated(self):
+        with pytest.raises(DomainError):
+            to_constant_row_sums(FloatMatrix(np.array([[-1.0]])))
+        with pytest.raises(DimensionError):
+            to_constant_row_sums(FloatMatrix(np.ones((2, 3))))
+
+    def test_spectra_mode_env_default(self, monkeypatch, tmp_path):
         A = RationalMatrix([[0, 2], [1, 0]])  # irrational Perron root
         monkeypatch.setenv("SPECTRA_MODE", "exact")
         with pytest.raises(ModeError):
             to_constant_row_sums(A)
         monkeypatch.setenv("SPECTRA_MODE", "float")
         assert to_constant_row_sums(A).mode == "float"
+        infile, out = tmp_path / "A.json", tmp_path / "out.json"
+        infile.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]}))
+        assert dispatch(["normalize", "--in", str(infile), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["mode"] == "float"
+        monkeypatch.setenv("SPECTRA_MODE", "fast")
+        with pytest.raises(DomainError):
+            to_constant_row_sums(A)
         monkeypatch.delenv("SPECTRA_MODE")
         assert to_constant_row_sums(A).mode == "float"  # auto falls back
+
+
+# sha256 over the first 60 exact results of random_realization_with_rational_spectrum
+# (seed 2024); pins B, S, lambda and the transcript across changes to the loop
+EXACT_GOLDEN_SHA256 = "10307a8c7338059dbcdd5e6c15b45ad8e907046c487aeeb98e29e34bc79dee8a"
+
+
+def test_exact_results_match_golden_digest():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        A, _ = random_realization_with_rational_spectrum(rng)
+        blob = to_constant_row_sums(A, mode="exact").to_json()
+        digest.update(json.dumps(blob, sort_keys=True).encode())
+    assert digest.hexdigest() == EXACT_GOLDEN_SHA256
+
+
+def test_float_mode_follows_exact_mode():
+    rng = random.Random(2031)
+    layouts = set()
+    for _ in range(72):
+        A, _, layout = random_layout_realization(rng)
+        layouts.add(layout)
+        if layout == "bottom":
+            with pytest.raises(UnsupportedLayoutError):
+                to_constant_row_sums(A, mode="float")
+            continue
+        exact = to_constant_row_sums(A, mode="exact")
+        approx = to_constant_row_sums(A, mode="float")
+        B = to_float(exact.B).array
+        norm = max(1.0, float(np.max(np.sum(np.abs(B), axis=1))))
+        assert np.max(np.abs(approx.B.array - B)) <= 1e-9 * norm
+        assert approx.transcript[0].kind == "float-mode"
+        assert [s.kind for s in approx.transcript[1:]] == [s.kind for s in exact.transcript]
+    assert layouts == {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
 
 
 class TestSimilarityToTranspose:

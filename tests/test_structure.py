@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nnspectra.core import (
+    FloatMatrix,
     RationalMatrix,
     char_poly,
     permutation_matrix,
@@ -15,7 +16,6 @@ from nnspectra.errors import DomainError, IterationError
 from nnspectra.structure import (
     frobenius_normal_form,
     is_irreducible,
-    left_perron_data,
     perron_data,
     strongly_connected_components,
 )
@@ -162,8 +162,8 @@ class TestPerronData:
             A = RationalMatrix(
                 [[F(rng.randint(1, 5), 2) for _ in range(3)] for _ in range(3)]
             )
-            rho, z = left_perron_data(A)
             arr = to_float(A).array
+            rho, z = perron_data(FloatMatrix(arr.T))
             assert np.max(np.abs(arr.T @ z - rho * z)) <= 1e-9 * max(1.0, rho)
 
     def test_nonconvergence_budget(self):
