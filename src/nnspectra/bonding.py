@@ -35,6 +35,7 @@ from .errors import (
 )
 from .jcfcert import (
     JordanSpec,
+    jordan_spec,
     rational_spectrum_of,
     segre_from_weyr,
     verify_certificate,
@@ -177,8 +178,6 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
     spec_b = rational_spectrum_of(B)
     if spec_a is None or spec_b is None:
         return None
-    from .jcfcert import jordan_spec
-
     ja = jordan_spec(A, spec_a)
     jb = jordan_spec(B, spec_b)
     claim = bonded_jordan_claim(ja, jb, c)

@@ -3,8 +3,9 @@
 Subcommands: normalize, guo-shift, bond, realize5, region, verify,
 jordan-forms, demo.  All rationals on the command line use "p/q" or decimal
 strings and are parsed exactly.  Exit codes: 0 success, 1 usage or domain
-error, 2 certificate failure.  Artifacts contain no timestamps, so repeated
-runs on the same inputs are byte-identical.
+error, 2 a failed certificate or no certificate (`bond` writes a "reason"
+when it cannot certify).  Artifacts contain no timestamps, so repeated runs
+on the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -109,10 +110,13 @@ def cmd_bond(args) -> int:
         "result": matrix_to_json(C),
         "certificate": cert.to_json() if cert is not None else None,
     }
+    if cert is None:
+        out["reason"] = (
+            "no exact certificate: the spectrum of A or B was not recovered over Q"
+        )
+        sys.stderr.write(out["reason"] + "\n")
     _dump_json(out, args.out)
-    if cert is not None and not cert.verdict:
-        return 2
-    return 0
+    return 0 if cert is not None and cert.verdict else 2
 
 
 def cmd_realize5(args) -> int:

@@ -9,6 +9,7 @@ sampling.  Decimal strings such as "2.52" are parsed as exact rationals
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,15 +24,32 @@ from .errors import (
 
 Rational = Fraction
 
+# decimal exponents are bounded like digit strings: by the interpreter's
+# default int/str conversion limit
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)$", re.IGNORECASE)
+
 
 def rat(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or string ("3", "11/2", "2.52")."""
+    """Parse an exact rational from int, Fraction, or string ("3", "11/2", "2.52").
+
+    Malformed strings, zero denominators, over-long digit strings and decimal
+    exponents beyond _MAX_EXPONENT raise DomainError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        try:
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+                raise ValueError("decimal exponent beyond +-%d" % _MAX_EXPONENT)
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            raise DomainError("cannot parse %r as a rational: %s" % (shown, exc)) from None
     if isinstance(value, float):
         raise DomainError(
             "refusing to coerce float %r; pass a string or Fraction for exactness" % value
@@ -314,69 +332,76 @@ def from_float(F: FloatMatrix, denominator_bound: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def exact_rank(A: RationalMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+def _integer_row(row):
+    """Clear a rational row to integers: (integer entries, lcm of the denominators)."""
+    lcm = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (lcm // v.denominator) for v in row], lcm
 
-    Rows are cleared to integers first (positive row scalings preserve rank).
-    Pivot rule: columns left to right, first row with a nonzero entry.
+
+def _eliminate(rows, pivot_cols):
+    """Fraction-free (Bareiss) forward elimination of rational rows.
+
+    Rows are cleared to integers first.  Pivot rule: columns left to right
+    among the first `pivot_cols`, first row with a nonzero entry; each update
+    divides exactly by the previous pivot.  Stops once every row has a pivot.
+    Returns (integer echelon rows, pivot columns, sign of the row swaps,
+    product of the row scalings).
     """
-    m = []
-    for row in A.entries():
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        m.append([int(v * lcm) for v in row])
-    rows, cols = A.rows, A.cols
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][c] != 0:
-                pivot_row = r
-                break
+    cleared = [_integer_row(row) for row in rows]
+    m = [ints for ints, _ in cleared]
+    scale = math.prod(lcm for _, lcm in cleared)
+    pivots = []
+    sign = prev = 1
+    for c in range(pivot_cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
-        if pivot_row != rank:
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][c]
-        for r in range(rank + 1, rows):
-            for cc in range(c + 1, cols):
-                m[r][cc] = (m[r][cc] * piv - m[r][c] * m[rank][cc]) // prev
-            m[r][c] = 0
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        piv, rest = m[r][c], m[r][c + 1 :]
+        for row in m[r + 1 :]:
+            f = row[c]
+            row[c + 1 :] = [(v * piv - f * w) // prev for v, w in zip(row[c + 1 :], rest)]
+            row[c] = 0
         prev = piv
-        rank += 1
-        if rank == rows:
+        pivots.append(c)
+        if len(pivots) == len(m):
             break
-    return rank
+    return m, pivots, sign, scale
+
+
+def _back_substitute(m, pivots, col):
+    """Pivot-column values of the x that solves the echelon rows m against column `col`.
+
+    The last pivot d is the determinant of the pivot system, so d x is an
+    integer vector (Cramer's rule) and every division below is exact.
+    """
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row = m[i]
+        acc = d * row[col]
+        for k in range(i + 1, len(pivots)):
+            acc -= row[pivots[k]] * y[k]
+        y[i] = acc // row[pivots[i]]
+    return [Fraction(v, d) for v in y]
+
+
+def exact_rank(A: RationalMatrix) -> int:
+    """Rank over Q: the number of pivots of the fraction-free elimination."""
+    return len(_eliminate(A.entries(), A.cols)[1])
 
 
 def determinant(A: RationalMatrix) -> Fraction:
     if not A.is_square:
         raise DimensionError("determinant of non-square matrix")
-    n = A.rows
-    m = [list(row) for row in A.entries()]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        piv = m[c][c]
-        det *= piv
-        for r in range(c + 1, n):
-            if m[r][c] == 0:
-                continue
-            f = m[r][c] / piv
-            for cc in range(c, n):
-                m[r][cc] -= f * m[c][cc]
-    return det
+    m, pivots, sign, scale = _eliminate(A.entries(), A.cols)
+    if len(pivots) < A.rows:
+        return Fraction(0)
+    # the last Bareiss pivot is the determinant of the swapped, integer-cleared rows
+    return Fraction(sign * m[-1][-1], scale)
 
 
 def solve(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
@@ -386,25 +411,12 @@ def solve(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     if A.rows != B.rows:
         raise DimensionError("right-hand side height mismatch")
     n = A.rows
-    m = [list(ra) + list(rb) for ra, rb in zip(A.entries(), B.entries())]
-    width = n + B.cols
-    for c in range(n):
-        pivot_row = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("singular system")
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-        piv = m[c][c]
-        m[c] = [v / piv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-    return RationalMatrix([row[n:width] for row in m])
+    rows = [ra + rb for ra, rb in zip(A.entries(), B.entries())]
+    m, pivots, _, _ = _eliminate(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("singular system")
+    columns = [_back_substitute(m, pivots, n + j) for j in range(B.cols)]
+    return RationalMatrix(list(zip(*columns)))
 
 
 def inverse(A: RationalMatrix) -> RationalMatrix:
@@ -413,37 +425,14 @@ def inverse(A: RationalMatrix) -> RationalMatrix:
 
 def kernel(A: RationalMatrix):
     """Basis of the right null space, deterministic (one vector per free column)."""
-    rows, cols = A.rows, A.cols
-    m = [list(row) for row in A.entries()]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for rr in range(r, rows):
-            if m[rr][c] != 0:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [v - f * w for v, w in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots, _, _ = _eliminate(A.entries(), A.cols)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
+    for fc in (c for c in range(A.cols) if c not in pivots):
+        # 1 at the free column, minus its reduced echelon entry at each pivot
+        vec = [Fraction(0)] * A.cols
         vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -m[pr][fc]
+        for pc, value in zip(pivots, _back_substitute(m, pivots, fc)):
+            vec[pc] = -value
         basis.append(tuple(vec))
     return basis
 

@@ -21,6 +21,7 @@ from .core import (
     char_poly,
     exact_rank,
     format_rational,
+    matrix_to_json,
     poly_from_roots,
     poly_sub,
     poly_to_string,
@@ -155,8 +156,6 @@ class RealizationCertificate:
     checks: tuple = field(default_factory=tuple)
 
     def to_json(self):
-        from .core import matrix_to_json
-
         return {
             "schema": 1,
             "verdict": "pass" if self.verdict else "fail",

@@ -24,7 +24,6 @@ supplies the arithmetic that differs between Fraction and float64.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -35,9 +34,12 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
+    _integer_row,
     char_poly,
+    determinant,
     format_rational,
     kernel,
+    matrix_to_json,
     poly_eval,
     rat,
     solve,
@@ -86,8 +88,6 @@ class RowSumResult:
     factors: list = None  # similarity factors, in order; their product is S
 
     def to_json(self):
-        from .core import matrix_to_json
-
         if self.mode == "exact":
             return {
                 "schema": 1,
@@ -218,10 +218,8 @@ def _right_eigenvector_exact(B, lam):
     if any(v <= 0 for v in x):
         raise SpectraError("internal invariant violation: eigenvector not positive")
     # clear denominators for readable transcripts; scaling cancels in D^-1 A D
-    den = 1
-    for v in x:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return tuple(v * den for v in x)
+    ints, _ = _integer_row(x)
+    return tuple(Fraction(v) for v in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +675,6 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
 
     def as_matrix(vec):
         return RationalMatrix([[vec[i * n + j] for j in range(n)] for i in range(n)])
-
-    from .core import determinant
 
     for v in basis:
         X = as_matrix(v)

@@ -37,6 +37,14 @@ class TestNormalize:
         infile = write("W.json", {"rows": 2, "cols": 2, "entries": [["1", "0"], ["1", "1"]]})
         assert dispatch(["normalize", "--in", infile, "--mode", "exact"]) == 1
 
+    def test_zero_denominator_entry_is_domain_error(self, workdir, capsys):
+        tmp, write = workdir
+        infile = write("Z.json", {"rows": 2, "cols": 2, "entries": [["1/0", "2"], ["2", "0"]]})
+        assert dispatch(["normalize", "--in", infile]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'1/0'" in err
+        assert "Traceback" not in err
+
 
 class TestGuoShift:
     def test_uniform_eps(self, workdir):
@@ -82,6 +90,20 @@ class TestBond:
         C = matrix_from_json(blob["result"])
         assert C.rows == 3
         assert blob["certificate"]["verdict"] == "pass"
+
+    def test_irrational_factor_gives_reason_and_exit_2(self, workdir, capsys):
+        # A has an irreducible cubic characteristic polynomial, so no exact
+        # spectrum and no certificate; the bond itself still succeeds
+        tmp, write = workdir
+        a = write("a.json", matrix_to_json(RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])))
+        b = write("b.json", CIRC)
+        out = str(tmp / "c.json")
+        assert dispatch(["bond", "--a", a, "--b", b, "--c", "2", "--out", out]) == 2
+        blob = json.loads(open(out).read())
+        assert matrix_from_json(blob["result"]).rows == 4
+        assert blob["certificate"] is None
+        assert blob["reason"].startswith("no exact certificate")
+        assert capsys.readouterr().err == blob["reason"] + "\n"
 
 
 class TestRealize5:

@@ -10,6 +10,7 @@ from nnspectra.core import (
     Spectrum,
     char_poly,
     companion_matrix,
+    determinant,
     exact_rank,
     from_float,
     inverse,
@@ -26,7 +27,12 @@ from nnspectra.core import (
     synthetic_div,
     to_float,
 )
-from nnspectra.errors import DimensionError, DomainError, ReconstructionError
+from nnspectra.errors import (
+    DimensionError,
+    DomainError,
+    ReconstructionError,
+    SingularMatrixError,
+)
 
 from conftest import random_invertible
 
@@ -69,6 +75,22 @@ class TestRationalParsing:
     def test_float_rejected(self):
         with pytest.raises(DomainError):
             rat(0.1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["abc", "1" * 5000, "1/0", "1e5000"],
+        ids=["malformed", "5000-digits", "zero-denominator", "exponent-5000"],
+    )
+    def test_bad_or_oversized_string_is_domain_error(self, text):
+        with pytest.raises(DomainError) as err:
+            rat(text)
+        assert text[:20] in str(err.value)
+
+    def test_exponent_bound_is_symmetric_and_inclusive(self):
+        assert rat("1e4300") == 10**4300
+        assert rat("1e-4300") == F(1, 10**4300)
+        with pytest.raises(DomainError):
+            rat("1e-4301")
 
 
 class TestCharPoly:
@@ -153,6 +175,97 @@ class TestExactRank:
                 [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
             )
             assert exact_rank(A) + len(kernel(A)) == cols
+
+
+def _to_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in A.entries()]
+    )
+
+
+def _from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def _random_entry(rng, density=1.0):
+    return F(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < density else F(0)
+
+
+def _random_matrix(rng, rows, cols):
+    """Dense, sparse, or planted low rank U V with inner dimension 0..3."""
+    kind = rng.choice(("dense", "sparse", "planted"))
+    if kind == "planted":
+        k = rng.randint(0, 3)
+        U = [[_random_entry(rng) for _ in range(k)] for _ in range(rows)]
+        V = [[_random_entry(rng) for _ in range(cols)] for _ in range(k)]
+        return RationalMatrix(
+            [
+                [sum((U[i][t] * V[t][j] for t in range(k)), F(0)) for j in range(cols)]
+                for i in range(rows)
+            ]
+        )
+    density = 1.0 if kind == "dense" else 0.4
+    return RationalMatrix(
+        [[_random_entry(rng, density) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _differential_matrices(seed):
+    """For every shape 1..7 x 1..7: the zero matrix, then seven random ones."""
+    rng = random.Random(seed)
+    for rows in range(1, 8):
+        for cols in range(1, 8):
+            yield RationalMatrix.zeros(rows, cols)
+            for _ in range(7):
+                yield _random_matrix(rng, rows, cols)
+
+
+class TestEliminationAgainstSympy:
+    """rank, determinant, kernel and solve share one elimination; each is
+    compared exactly with sympy's independent implementation."""
+
+    def test_rank_determinant_kernel(self):
+        pytest.importorskip("sympy")
+        for A in _differential_matrices(seed=41):
+            S = _to_sympy(A)
+            assert exact_rank(A) == S.rank()
+            assert kernel(A) == [
+                tuple(_from_sympy(x) for x in v) for v in S.nullspace()
+            ]
+            if A.is_square:
+                assert determinant(A) == _from_sympy(S.det())
+
+    def test_solve_multi_column(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(43)
+        solved = singular = 0
+        for n in range(1, 8):
+            for _ in range(40):
+                A = _random_matrix(rng, n, n)
+                width = rng.randint(2, 3)
+                B = RationalMatrix([[_random_entry(rng) for _ in range(width)] for _ in range(n)])
+                S = _to_sympy(A)
+                if S.det() == 0:
+                    with pytest.raises(SingularMatrixError):
+                        solve(A, B)
+                    singular += 1
+                    continue
+                expected = S.LUsolve(_to_sympy(B))
+                assert [list(row) for row in solve(A, B).entries()] == [
+                    [_from_sympy(expected[i, j]) for j in range(width)] for i in range(n)
+                ]
+                solved += 1
+        assert solved >= 100 and singular >= 20
+
+    def test_non_square_dimension_errors(self):
+        A = RationalMatrix.zeros(2, 3)
+        with pytest.raises(DimensionError):
+            determinant(A)
+        with pytest.raises(DimensionError):
+            solve(A, RationalMatrix.zeros(2, 1))
+        with pytest.raises(DimensionError):
+            solve(RationalMatrix.identity(2), RationalMatrix.zeros(3, 1))
 
 
 class TestFloatBridge:
