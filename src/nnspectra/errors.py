@@ -81,7 +81,7 @@ class ConstructionUnavailableError(SpectraError):
     """No construction implemented for this input (documented limitation)."""
 
 
-class SpectrumMismatchError(SpectraError):
+class SpectrumMismatchError(DomainError):
     """A characteristic polynomial does not split over the claimed spectrum."""
 
     def __init__(self, message, residual=None):

@@ -623,12 +623,6 @@ def demo_forced_coupling(samples: int = 5, seed: int = 1) -> ForcedCouplingDemo:
     return ForcedCouplingDemo(instances=instances)
 
 
-def union_hypothesis_check(lam1, lam2) -> bool:
-    """The obstruction hypothesis lam1 > 0 > lam2 >= -lam1, lam1 + 2 lam2 < 0."""
-    lam1, lam2 = rat(lam1), rat(lam2)
-    return lam1 > 0 > lam2 >= -lam1 and lam1 + 2 * lam2 < 0
-
-
 # ---------------------------------------------------------------------------
 # region sweep (CSV rows)
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Weyr sequences are cumulative nullities w_k = dim ker (A - lambda I)^k,
 computed with exact ranks; the conjugate partition of their increments is
 the Segre characteristic (Jordan block sizes).  Everything here certifies
-matrices with rational spectra; irrational spectra only get a float-mode
-estimate that is clearly marked non-certifying.
+matrices with rational spectra; irrational spectra are not certified.
 """
 
 from __future__ import annotations
@@ -269,28 +268,3 @@ def rational_spectrum_of(A: RationalMatrix, denominator_bound: int = 10**6):
         return None
     return Spectrum.from_values(candidates)
 
-
-def weyr_sequence_float(F, lam: float, tol: float = 1e-8) -> tuple:
-    """Non-certifying float Weyr estimate via SVD rank with threshold tol.
-
-    Only for irrational/complex spectra; exact certification is impossible
-    here and results must be labelled accordingly by callers.
-    """
-    arr = np.asarray(F.array if hasattr(F, "array") else F, dtype=float)
-    n = arr.shape[0]
-    M = arr - lam * np.eye(n)
-    out = []
-    P = M.copy()
-    prev = 0
-    for _ in range(n):
-        s = np.linalg.svd(P, compute_uv=False)
-        rank = int(np.sum(s > tol * max(1.0, float(s[0]) if len(s) else 1.0)))
-        nullity = n - rank
-        if nullity == prev:
-            break
-        out.append(nullity)
-        prev = nullity
-        if nullity == n:
-            break
-        P = P @ M
-    return tuple(out)

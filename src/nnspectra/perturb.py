@@ -34,7 +34,7 @@ from .errors import (
     PerronNotSimple,
 )
 from .jcfcert import jordan_spec, verify_certificate
-from .rowsum import constant_row_sum_value, to_constant_row_sums
+from .rowsum import _to_cs_exact, constant_row_sum_value
 
 
 def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
@@ -109,33 +109,31 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     Composite of the constant-row-sum reduction and the uniform rank-one
     shift q = (eps/n) e.  Returns (A_eps, certificate) where A_eps is
     nonnegative in CS_(lambda1+eps) with the Perron root moved and every
-    other Jordan block unchanged (certified exactly for rational spectra).
+    other Jordan block unchanged.
+
+    The input is certified once, by jordan_spec (char poly against the
+    spectrum, then Weyr ranks); lambda1 is read from that certified spectrum,
+    never re-derived from floats; the output is certified once, by
+    verify_certificate.  B + (eps/n) e e^T needs no check in between: B >= 0
+    and eps >= 0 keep it nonnegative, and lambda1 + eps exceeds every other
+    eigenvalue, so it collides with none.
     """
     eps = rat(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     if not A.is_nonnegative:
         raise DomainError("A must be nonnegative")
-    if poly_sub(char_poly(A), spectrum.char_poly()) != [Fraction(0)]:
-        raise DomainError("A does not realize the claimed spectrum")
+    jordan_before = jordan_spec(A, spectrum)
     lam1 = spectrum.perron
     # algebraic simplicity is all the shift needs; a modulus tie with a
     # negative eigenvalue (e.g. {2, -2}) is fine
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    jordan_before = jordan_spec(A, spectrum)
-    result = to_constant_row_sums(A, mode="exact")
-    B = result.B
-    if eps == 0:
-        shifted = B
-        claimed_spectrum = spectrum
-    else:
-        n = B.rows
-        q = [eps / n] * n
-        shifted = rank_one_shift(B, q)
-        claimed_spectrum = spectrum.replace_perron(spectrum.perron + eps)
-
+    B = _to_cs_exact(A, lam1).B
+    q = eps / B.rows
+    shifted = RationalMatrix([[v + q for v in row] for row in B.entries()])
+    claimed_spectrum = spectrum.replace_perron(lam1 + eps)
     claimed_jordan = JordanSpec.from_map(
         [
             (lam1 + eps if v == lam1 else v, sizes)

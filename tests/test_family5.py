@@ -25,7 +25,6 @@ from nnspectra.family5 import (
     region_rows,
     torre_realizable,
     torre_realizable_point,
-    union_hypothesis_check,
 )
 
 
@@ -288,7 +287,3 @@ class TestDemos:
         demo = demo_forced_coupling(samples=8, seed=5)
         for inst in demo.instances:
             assert inst["sum_is_zero"] == inst["C_is_zero"]
-
-    def test_hypothesis_arithmetic(self):
-        assert union_hypothesis_check(1, -1)
-        assert not union_hypothesis_check(2, -1)  # 2 + 2*(-1) = 0, not < 0

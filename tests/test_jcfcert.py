@@ -20,7 +20,6 @@ from nnspectra.jcfcert import (
     segre_from_weyr,
     verify_certificate,
     weyr_sequence,
-    weyr_sequence_float,
 )
 
 from conftest import random_invertible, random_jordan_spec
@@ -174,12 +173,3 @@ class TestRationalSpectrumOf:
     def test_irrational_returns_none(self):
         A = RationalMatrix([[0, 2], [1, 0]])  # roots +-sqrt(2)
         assert rational_spectrum_of(A) is None
-
-
-class TestFloatWeyr:
-    def test_marked_estimate_matches_exact_on_rational_input(self):
-        spec = JordanSpec.from_map({F(2): [2, 1]})
-        J = spec.jordan_matrix()
-        from nnspectra.core import to_float
-
-        assert weyr_sequence_float(to_float(J), 2.0) == weyr_sequence(J, 2)

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from nnspectra.core import (
+    JordanSpec,
     RationalMatrix,
     Spectrum,
     char_poly,
+    companion_matrix,
+    poly_from_roots,
     poly_mul,
     synthetic_div,
 )
@@ -16,10 +21,11 @@ from nnspectra.errors import (
     NonnegativityLossError,
     PerronNotSimple,
 )
-from nnspectra.jcfcert import weyr_sequence
+from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
 from nnspectra.perturb import rank_one_shift, ur_shift
+from nnspectra.rowsum import to_constant_row_sums
 
-from conftest import random_cs_matrix
+from conftest import random_cs_matrix, scramble, suleimanova_companion
 
 
 CIRC = RationalMatrix([[0, 2], [2, 0]])
@@ -90,9 +96,6 @@ class TestRankOneShift:
 
 class TestShiftCertification:
     def test_shifted_jcf_verifies_on_100_random_trials(self):
-        from nnspectra.core import JordanSpec
-        from nnspectra.jcfcert import jordan_spec, verify_certificate
-
         rng = random.Random(67)
         for _ in range(100):
             B, values = random_cs_matrix(rng, rng.randint(2, 4))
@@ -166,3 +169,68 @@ class TestUrShift:
         A = RationalMatrix([[2, 0], [0, 2]])
         with pytest.raises(PerronNotSimple):
             ur_shift(A, Spectrum.from_values([2, 2]), 1)
+
+    def test_rational_root_beyond_float_reconstruction(self):
+        # lambda = (10^13+1)/10^13 sits 1e-13 above 1, so a float estimate
+        # rationalizes to a non-root; the certified spectrum supplies it exactly
+        lam = F(10**13 + 1, 10**13)
+        A = RationalMatrix([[lam / 3, 4 * lam / 3], [lam / 6, 2 * lam / 3]])
+        shifted, cert = ur_shift(A, Spectrum.from_values([lam, 0]), F(1, 3))
+        assert cert.to_json()["verdict"] == "pass"
+        assert shifted.row_sums() == (lam + F(1, 3),) * 2
+        assert cert.claimed_jordan.is_diagonal
+
+
+# sha256 over the certificates of 40 seeded ur_shift calls (seed 2041): random
+# CS matrices (n = 2..5) and scrambled companions (n = 4..6), eps cycling over
+# 0, 1/3, 2; pins the shifted matrix, spectrum, Jordan claim and check list
+UR_SHIFT_GOLDEN_SHA256 = "88934d7b26e450f0681c92aea50c9bce92454b1d528a616903bbd5ee4d405e03"
+
+
+def test_ur_shift_matches_golden_digest():
+    rng = random.Random(2041)
+    digest = hashlib.sha256()
+    for i in range(40):
+        if i % 2:
+            C, values = suleimanova_companion(rng, rng.randint(4, 6))
+            A = scramble(rng, C)
+        else:
+            A, values = random_cs_matrix(rng, rng.randint(2, 5))
+        eps = (F(0), F(1, 3), F(2))[i % 3]
+        _shifted, cert = ur_shift(A, Spectrum.from_values(values), eps)
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == UR_SHIFT_GOLDEN_SHA256
+
+
+def test_shift_properties_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fraction = st.builds(F, st.integers(1, 6), st.integers(1, 3))
+    eps = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(
+        mus=st.lists(fraction, min_size=1, max_size=4),
+        gap=st.builds(F, st.integers(0, 8), st.integers(1, 2)),
+        eps1=eps,
+        eps2=eps,
+    )
+    def check(mus, gap, eps1, eps2):
+        # Suleimanova companions are irreducible; their CS forms stay so
+        values = [sum(mus) + gap] + [-m for m in mus]
+        C = companion_matrix(poly_from_roots(values))
+        A = to_constant_row_sums(C, mode="exact").B
+        spectrum = Spectrum.from_values(values)
+        lam = spectrum.perron
+        shifted, cert = ur_shift(A, spectrum, eps1)
+        assert shifted.is_nonnegative
+        assert shifted.row_sums() == (lam + eps1,) * A.rows
+        assert cert.to_json()["verdict"] == "pass"
+        before = jordan_spec(A, spectrum).blocks
+        assert cert.claimed_jordan == JordanSpec.from_map(
+            [(lam + eps1 if v == lam else v, sizes) for v, sizes in before]
+        )
+        twice, _ = ur_shift(shifted, cert.claimed_spectrum, eps2)
+        assert twice == ur_shift(A, spectrum, eps1 + eps2)[0]
+
+    check()
