@@ -106,10 +106,6 @@ class RationalMatrix:
         return cls([[e] for e in entries])
 
     @classmethod
-    def row_vector(cls, entries) -> "RationalMatrix":
-        return cls([list(entries)])
-
-    @classmethod
     def from_blocks(cls, grid) -> "RationalMatrix":
         """Assemble from a 2-D grid of conforming RationalMatrix blocks."""
         data = []
@@ -149,10 +145,6 @@ class RationalMatrix:
     @property
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for r in self._data for v in r)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(v > 0 for r in self._data for v in r)
 
     def __eq__(self, other):
         return (
@@ -571,12 +563,6 @@ class Spectrum:
             else:
                 pairs.append((v, 1))
         return cls(tuple(pairs))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Spectrum":
-        return cls.from_values(
-            [v for v, mult in pairs for _ in range(int(mult))]
-        )
 
     def values(self):
         return tuple(v for v, m in self.pairs for _ in range(m))

@@ -250,20 +250,23 @@ def verify_certificate(
 # helpers
 # ---------------------------------------------------------------------------
 
+_DENOMINATOR_BOUND = 10**6
 
-def rational_spectrum_of(A: RationalMatrix, denominator_bound: int = 10**6):
+
+def rational_spectrum_of(A: RationalMatrix):
     """Spectrum of A when its char poly splits over Q, else None.
 
-    Float eigenvalues are rationalized and the factorization is re-verified
-    exactly, so a returned Spectrum is always correct; a None only means the
-    reconstruction heuristic failed (e.g. huge denominators or complex pairs).
+    Float eigenvalues are rationalized with denominators up to 10^6 and the
+    factorization is re-verified exactly, so a returned Spectrum is always
+    correct; a None only means the reconstruction heuristic failed (e.g.
+    huge denominators or complex pairs).
     """
     ev = np.linalg.eigvals(to_float(A).array)
     if np.max(np.abs(ev.imag)) > 1e-7:
         return None
     candidates = []
     for x in sorted(ev.real.tolist(), reverse=True):
-        candidates.append(Fraction(x).limit_denominator(denominator_bound))
+        candidates.append(Fraction(x).limit_denominator(_DENOMINATOR_BOUND))
     if poly_sub(char_poly(A), poly_from_roots(candidates)) != [Fraction(0)]:
         return None
     return Spectrum.from_values(candidates)

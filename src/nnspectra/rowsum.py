@@ -18,6 +18,13 @@ below lambda1), and layouts whose Perron block feeds earlier blocks are
 handled through an exact similarity with the transpose.  The simple-root
 hypothesis cannot be dropped: [[1,0],[1,1]] has no such B.
 
+Both modes start from one pass over the strongly connected components of
+A.  In exact mode it computes each diagonal block's char poly once; as
+det(xI - A) is their product, lambda1 (certified by the caller, or the float
+estimate of rho(A) rationalized against the block polys) is simple iff
+exactly one block poly vanishes there, simply, and that block is the Perron
+block.  The transpose path and the other blocks' radii reuse the same data.
+
 Exact and float mode run the same absorb loop; a small backend class
 supplies the arithmetic that differs between Fraction and float64.
 """
@@ -59,13 +66,11 @@ from .errors import (
     UnsupportedLayoutError,
 )
 from .structure import (
+    _components,
     _perron_component,
     _placement_order,
-    adjacency,
-    condensation_edges,
     is_irreducible,
     perron_data,
-    strongly_connected_components,
 )
 
 
@@ -223,77 +228,55 @@ def _right_eigenvector_exact(B, lam):
 
 
 # ---------------------------------------------------------------------------
-# Perron root identification
+# the component pass: lambda1, its simplicity and its block
 # ---------------------------------------------------------------------------
 
 _DENOMINATOR_LADDER = (1, 10, 100, 10**4, 10**6, 10**9, 10**12)
 
 
-def _rationalize_root(coeffs, estimate: float):
+def _float_radius(arr):
+    """Spectral radius of a float64 array from its eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvals(arr))))
+
+
+def perron_root_exact(polys, estimate: float):
+    """The first rational near estimate, down the denominator ladder, that
+    is a root of one of polys; None when there is none (float mode
+    territory)."""
     for bound in _DENOMINATOR_LADDER:
         cand = Fraction(estimate).limit_denominator(bound)
-        if poly_eval(coeffs, cand) == 0:
+        if any(poly_eval(p, cand) == 0 for p in polys):
             return cand
     return None
 
 
-def perron_root_exact(A: RationalMatrix):
-    """(lambda1, remaining char poly) with lambda1 certified a simple root.
+def _perron_block(polys, lam):
+    """Index of the one diagonal block that carries lam as a simple root.
 
-    Returns (None, None) when the Perron root resists rational
-    reconstruction (float mode territory).  Raises PerronNotSimple when the
-    reconstructed root has multiplicity greater than one.
+    det(xI - A) is the product of the block char polys, so lam is a simple
+    eigenvalue of A iff exactly one block poly vanishes at lam, and that
+    one only simply.
     """
-    coeffs = char_poly(A)
-    ev = np.linalg.eigvals(to_float(A).array)
-    rho = float(np.max(np.abs(ev))) if ev.size else 0.0
-    lam = _rationalize_root(coeffs, rho)
-    if lam is None:
-        return None, None
-    quotient, rem = synthetic_div(coeffs, lam)
-    if rem != 0:
-        raise SpectraError("internal error: reconstructed root fails to divide")
-    if poly_eval(quotient, lam) == 0:
+    carriers = [ci for ci, p in enumerate(polys) if poly_eval(p, lam) == 0]
+    if not carriers:
+        raise SpectraError("internal error: no block carries the Perron root")
+    quotient, _rem = synthetic_div(polys[carriers[0]], lam)
+    if len(carriers) > 1 or poly_eval(quotient, lam) == 0:
         raise PerronNotSimple(
             "Perron root %s has algebraic multiplicity >= 2; the reduction to "
             "constant row sums requires a simple Perron root (witness class: "
             "[[1,0],[1,1]])" % format_rational(lam)
         )
-    return lam, quotient
-
-
-# ---------------------------------------------------------------------------
-# reducible layout planning
-# ---------------------------------------------------------------------------
-
-
-def _plan_layout(A, perron_component):
-    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
-
-    perron_component(A, components) names the component carrying the Perron
-    root.  Each range is (kind, payload, start, stop) in permuted
-    coordinates, kind "block" (payload a component index) or "cluster"
-    (payload a list of them); the Perron block comes first.
-    """
-    adj = adjacency(A)
-    comps = strongly_connected_components(adj)
-    edges = condensation_edges(adj, comps)
-    return _plan_from_graph(comps, edges, perron_component(A, comps))
-
-
-def _root_component(lam):
-    """Exact Perron-component choice: the first block whose char poly vanishes at lam."""
-
-    def pick(A, comps):
-        for ci, comp in enumerate(comps):
-            if poly_eval(char_poly(A.submatrix(comp, comp)), lam) == 0:
-                return ci
-        raise SpectraError("internal error: no block carries the Perron root")
-
-    return pick
+    return carriers[0]
 
 
 def _plan_from_graph(comps, edges, perron):
+    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
+
+    Each range is (kind, payload, start, stop) in permuted coordinates, kind
+    "block" (payload a component index) or "cluster" (payload a list of
+    them); the Perron block comes first.
+    """
     in_neighbors = {ci: set() for ci in range(len(comps))}
     for u, w in edges:
         in_neighbors[w].add(u)
@@ -353,11 +336,15 @@ def _plan_from_graph(comps, edges, perron):
 
 
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop."""
+    """Fraction arithmetic for the absorb loop; polys are the char polys of
+    the diagonal blocks, by component index."""
 
     one = Fraction(1)
     matrix = RationalMatrix
     diagonal = RationalMatrix.diagonal
+
+    def __init__(self, polys):
+        self.polys = polys
 
     @staticmethod
     def sub(M, rows, cols):
@@ -382,12 +369,12 @@ class _ExactOps:
             return None
         return [y[i, 0] for i in range(K.rows)]
 
-    @staticmethod
-    def perron_vector(block, lam):
-        """Positive eigenvector of an irreducible block at lam; at its own
-        spectral radius when lam is None."""
+    def perron_vector(self, block, lam, ci):
+        """Positive eigenvector of the irreducible block of component ci at
+        lam; at its own spectral radius when lam is None."""
         if lam is None:
-            lam, _quot = perron_root_exact(block)
+            estimate = _float_radius(to_float(block).array)
+            lam = perron_root_exact([self.polys[ci]], estimate)
             if lam is None:
                 raise ModeError(
                     "a diagonal block has an irrational spectral radius; "
@@ -425,7 +412,7 @@ class _FloatOps:
             return None
 
     @staticmethod
-    def perron_vector(block, lam):
+    def perron_vector(block, lam, ci):
         return perron_data(FloatMatrix(block))[1]
 
     @staticmethod
@@ -513,7 +500,7 @@ def _absorb(ops, A, lam, plan, transcript):
         if kind == "cluster" or b - a == 1:
             continue
         block = ops.sub(M, range(a, b), range(a, b))
-        x = ops.perron_vector(block, lam if i == 0 else None)
+        x = ops.perron_vector(block, lam if i == 0 else None, payload)
         label = "perron" if i == 0 else "component-%d" % payload
         conjugate(
             _diagonal_factor(ops, n, a, x),
@@ -583,78 +570,88 @@ def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
 
     if mode == "float":
         return _to_cs_float(to_float(A).array)
-
-    lam, _quot = perron_root_exact(A)
-    if lam is None:
-        if mode == "exact":
-            raise ModeError(
-                "the Perron root appears irrational; rerun in float mode"
-            )
-        return _to_cs_float(to_float(A).array)
     try:
-        return _to_cs_exact(A, lam)
+        return _to_cs_exact(A)
     except ModeError:
         if mode == "exact":
             raise
         return _to_cs_float(to_float(A).array)
 
 
-def _check_simple_float(arr, tol=1e-9):
-    ev = np.linalg.eigvals(arr)
-    rho = float(np.max(np.abs(ev))) if ev.size else 0.0
-    close = np.sum(np.abs(ev - rho) <= tol * max(1.0, rho))
-    if close != 1:
-        raise PerronNotSimple(
-            "Perron root %.12g is not numerically simple (%d eigenvalues within "
-            "1e-9)" % (rho, int(close))
-        )
+def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
+    """Exact CS form of A from one pass over its diagonal blocks.
 
+    lam is lambda1 when the caller has certified it, simple; otherwise the
+    float estimate of rho(A) is rationalized against the block char polys.
+    A certified lam on an irreducible A needs no char poly at all.
+    """
+    if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
+        one = RationalMatrix.identity(1)
+        _verify_exact(A, A, one, A[0, 0])
+        return RowSumResult(A, one, [], "exact", A[0, 0], factors=[one])
 
-def _to_cs_exact(A: RationalMatrix, lam) -> RowSumResult:
-    n = A.rows
+    comps, edges = _components(A)
+    polys, perron = None, 0
+    if lam is None or len(comps) > 1:
+        polys = [char_poly(A.submatrix(c, c)) for c in comps]
+        if lam is None:
+            lam = perron_root_exact(polys, _float_radius(to_float(A).array))
+            if lam is None:
+                raise ModeError(
+                    "the Perron root appears irrational; rerun in float mode"
+                )
+        perron = _perron_block(polys, lam)
+
     transcript = []
-    if n == 1:
-        return RowSumResult(
-            A,
-            RationalMatrix.identity(1),
-            transcript,
-            "exact",
-            A[0, 0],
-            factors=[RationalMatrix.identity(1)],
-        )
-
-    if is_irreducible(A):
+    plan = _plan_from_graph(comps, edges, perron) if len(comps) > 1 else None
+    if len(comps) == 1:
         x = _right_eigenvector_exact(A, lam)
-        B = A.diag_conjugate(x)
-        S = RationalMatrix.diagonal(x)
+        B, S = A.diag_conjugate(x), RationalMatrix.diagonal(x)
+        factors = [S]
         transcript.append(
             RowSumStep(
                 "diagonal-scaling",
                 {"scope": "global", "vector": [format_rational(v) for v in x]},
             )
         )
-        _verify_exact(A, B, S, lam)
-        return RowSumResult(B, S, transcript, "exact", lam, factors=[S])
-
-    plan = _plan_layout(A, _root_component(lam))
-    if plan is None:
-        return _via_transpose(A, lam)
-    B, S, factors = _absorb(_ExactOps, A, lam, plan, transcript)
+    elif plan is not None:
+        B, S, factors = _absorb(_ExactOps(polys), A, lam, plan, transcript)
+    else:
+        # the Perron block feeds an earlier block: reduce A^T instead, with
+        # the components numbered as Tarjan numbers them on A^T
+        At = A.transpose()
+        comps_t, edges_t = _components(At)
+        plan = _plan_from_graph(comps_t, edges_t, comps_t.index(comps[perron]))
+        if plan is None:
+            raise UnsupportedLayoutError(
+                "the reducible layout entangles the Perron block in both "
+                "directions; this reduction is not implemented"
+            )
+        transcript.append(
+            RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
+        )
+        ops = _ExactOps([polys[comps.index(c)] for c in comps_t])
+        B, S, factors = _absorb(ops, At, lam, plan, transcript)
+        X = similarity_to_transpose(A)
+        S, factors = X @ S, [X] + factors
     _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam, factors=factors)
 
 
 def _verify_exact(A, B, S, lam):
+    """B >= 0 in CS_lam form, and S invertible with A S = S B."""
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
     if any(s != lam for s in B.row_sums()):
         raise CertificationError("result is not in CS form")
-    if solve(S, A @ S) != B:
+    if A @ S != S @ B:
         raise CertificationError("similarity verification failed")
+    if determinant(S) == 0:
+        raise CertificationError("similarity matrix is singular")
 
 
 # ---------------------------------------------------------------------------
-# transpose fallback
+# transpose similarity
 # ---------------------------------------------------------------------------
 
 
@@ -693,25 +690,6 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
     raise SpectraError("internal error: no invertible transpose similarity found")
 
 
-def _via_transpose(A: RationalMatrix, lam) -> RowSumResult:
-    At = A.transpose()
-    if _plan_layout(At, _root_component(lam)) is None:
-        raise UnsupportedLayoutError(
-            "the reducible layout entangles the Perron block in both "
-            "directions; this reduction is not implemented"
-        )
-    inner = _to_cs_exact(At, lam)
-    X = similarity_to_transpose(A)
-    S = X @ inner.S
-    transcript = [
-        RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
-    ] + list(inner.transcript)
-    _verify_exact(A, inner.B, S, lam)
-    return RowSumResult(
-        inner.B, S, transcript, "exact", lam, factors=[X] + list(inner.factors)
-    )
-
-
 # ---------------------------------------------------------------------------
 # float pipeline
 # ---------------------------------------------------------------------------
@@ -719,17 +697,26 @@ def _via_transpose(A: RationalMatrix, lam) -> RowSumResult:
 _FLOAT_TOL = 1e-9
 
 
+def _check_simple_float(arr):
+    """rho(arr); PerronNotSimple unless it is the only eigenvalue within 1e-9 of rho."""
+    ev = np.linalg.eigvals(arr)
+    rho = float(np.max(np.abs(ev)))
+    close = np.sum(np.abs(ev - rho) <= _FLOAT_TOL * max(1.0, rho))
+    if close != 1:
+        raise PerronNotSimple(
+            "Perron root %.12g is not numerically simple (%d eigenvalues within "
+            "1e-9)" % (rho, int(close))
+        )
+    return rho
+
+
 def _to_cs_float(arr) -> RowSumResult:
-    n = arr.shape[0]
-    if n > 1:
-        _check_simple_float(arr)
     transcript = [
         RowSumStep("float-mode", {"note": "floating arithmetic; tolerance 1e-9"})
     ]
-    if n == 1:
-        F = FloatMatrix(arr)
+    if arr.shape[0] == 1:
         return RowSumResult(
-            F,
+            FloatMatrix(arr),
             FloatMatrix(np.eye(1)),
             transcript,
             "float",
@@ -737,40 +724,38 @@ def _to_cs_float(arr) -> RowSumResult:
             factors=[np.eye(1)],
         )
 
-    ev = np.linalg.eigvals(arr)
-    lam = float(np.max(np.abs(ev)))
-
-    if is_irreducible(FloatMatrix(arr)):
-        _rho, x = perron_data(FloatMatrix(arr))
+    lam = _check_simple_float(arr)
+    F = FloatMatrix(arr)
+    comps, edges = _components(F)
+    if len(comps) == 1:
+        lam, x = perron_data(F)
         B = arr / x[:, None] * x[None, :]
         S = np.diag(x)
+        factors = [S]
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
-        _verify_float(arr, B, S, _rho)
-        return RowSumResult(
-            FloatMatrix(B), FloatMatrix(S), transcript, "float", _rho, factors=[S]
-        )
-
-    plan = _plan_layout(FloatMatrix(arr), _perron_component)
-    if plan is None:
-        raise UnsupportedLayoutError(
-            "float mode handles irreducible matrices and the chain/cluster "
-            "layouts of the exact mode; this input is outside both"
-        )
-    B, S, factors = _absorb(_FloatOps, arr, lam, plan, transcript)
+    else:
+        plan = _plan_from_graph(comps, edges, _perron_component(F, comps))
+        if plan is None:
+            raise UnsupportedLayoutError(
+                "float mode handles irreducible matrices and the chain/cluster "
+                "layouts of the exact mode; this input is outside both"
+            )
+        B, S, factors = _absorb(_FloatOps, arr, lam, plan, transcript)
     _verify_float(arr, B, S, lam)
     return RowSumResult(
         FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, factors=factors
     )
 
 
-def _left_vec_float(B, lam, iters=200000, tol=1e-13):
+def _left_vec_float(B, lam):
+    """Nonnegative left eigenvector of B at lam by power iteration on B^T + I."""
     n = B.shape[0]
     shifted = B.T + np.eye(n)
     z = np.ones(n)
-    for _ in range(iters):
+    for _ in range(200000):
         y = shifted @ z
         y = y / np.max(y)
-        if np.max(np.abs(y - z)) <= tol:
+        if np.max(np.abs(y - z)) <= 1e-13:
             z = y
             break
         z = y

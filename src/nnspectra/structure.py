@@ -130,6 +130,13 @@ def condensation_edges(adj, components):
     return edges
 
 
+def _components(A):
+    """(strongly connected components, condensation edges) of A's digraph."""
+    adj = adjacency(A)
+    comps = strongly_connected_components(adj)
+    return comps, condensation_edges(adj, comps)
+
+
 def _perron_component(A, components) -> int:
     """Index of the component with the largest spectral radius (float estimate).
 
@@ -168,9 +175,7 @@ def frobenius_normal_form(A: RationalMatrix) -> FrobeniusForm:
     to the smallest original vertex index.
     """
     _check_nonnegative_square(A)
-    adj = adjacency(A)
-    comps = strongly_connected_components(adj)
-    edges = condensation_edges(adj, comps)
+    comps, edges = _components(A)
     perron_comp = _perron_component(A, comps)
     touched = set()
     for u, w in edges:

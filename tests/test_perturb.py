@@ -25,7 +25,12 @@ from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
 from nnspectra.perturb import rank_one_shift, ur_shift
 from nnspectra.rowsum import to_constant_row_sums
 
-from conftest import random_cs_matrix, scramble, suleimanova_companion
+from conftest import (
+    random_cs_matrix,
+    random_layout_realization,
+    scramble,
+    suleimanova_companion,
+)
 
 
 CIRC = RationalMatrix([[0, 2], [2, 0]])
@@ -179,6 +184,30 @@ class TestUrShift:
         assert cert.to_json()["verdict"] == "pass"
         assert shifted.row_sums() == (lam + F(1, 3),) * 2
         assert cert.claimed_jordan.is_diagonal
+
+    def test_every_reducible_layout(self):
+        # the certified lambda1 locates the Perron block of each planted layout,
+        # the transpose layout ("bottom") included
+        rng = random.Random(83)
+        layouts = set()
+        for i in range(30):
+            A, spectrum, layout = random_layout_realization(rng)
+            layouts.add(layout)
+            eps = (F(0), F(1, 3), F(2))[i % 3]
+            shifted, cert = ur_shift(A, spectrum, eps)
+            assert cert.to_json()["verdict"] == "pass"
+            assert shifted.row_sums() == (spectrum.perron + eps,) * A.rows
+        assert layouts == {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+
+    @pytest.mark.parametrize(
+        "entries", [[["L", 0], [1, 0]], [[0, 0], [1, "L"]]], ids=["chain", "transpose"]
+    )
+    def test_reducible_root_beyond_float_reconstruction(self, entries):
+        lam = F(10**13 + 1, 10**13)
+        A = RationalMatrix([[lam if v == "L" else v for v in row] for row in entries])
+        shifted, cert = ur_shift(A, Spectrum.from_values([lam, 0]), F(1, 3))
+        assert cert.to_json()["verdict"] == "pass"
+        assert shifted.row_sums() == (lam + F(1, 3),) * 2
 
 
 # sha256 over the certificates of 40 seeded ur_shift calls (seed 2041): random

@@ -9,6 +9,7 @@ import pytest
 from nnspectra.cli import dispatch
 from nnspectra.core import FloatMatrix, RationalMatrix, char_poly, solve, to_float
 from nnspectra.errors import (
+    CertificationError,
     CouplingError,
     DimensionError,
     DomainError,
@@ -19,6 +20,7 @@ from nnspectra.errors import (
 )
 from nnspectra.jcfcert import jordan_spec
 from nnspectra.rowsum import (
+    _verify_exact,
     lemma1_lift,
     lemma2_coupling,
     similarity_to_transpose,
@@ -254,6 +256,16 @@ class TestToConstantRowSums:
         assert to_constant_row_sums(RationalMatrix([[0]]), mode="exact").B == RationalMatrix([[0]])
         assert to_constant_row_sums(RationalMatrix([[5]]), mode="exact").lam == 5
 
+    def test_one_by_one_beyond_float_reconstruction(self):
+        # the entry sits 1e-13 above 1, so no float estimate rationalizes to
+        # it; the Perron root of a 1x1 matrix is its entry
+        A = RationalMatrix([["10000000000001/10000000000000"]])
+        for mode in ("exact", "auto"):
+            result = to_constant_row_sums(A, mode=mode)
+            assert result.mode == "exact"
+            assert result.lam == F(10**13 + 1, 10**13)
+            assert result.B == A
+
     def test_float_input_validated(self):
         with pytest.raises(DomainError):
             to_constant_row_sums(FloatMatrix(np.array([[-1.0]])))
@@ -291,6 +303,13 @@ def test_exact_results_match_golden_digest():
         blob = to_constant_row_sums(A, mode="exact").to_json()
         digest.update(json.dumps(blob, sort_keys=True).encode())
     assert digest.hexdigest() == EXACT_GOLDEN_SHA256
+
+
+def test_verify_exact_rejects_singular_similarity():
+    # S = 0 satisfies A S = S B for every B, so the check must also ask det S != 0
+    B = RationalMatrix([[1, 2], [3, 0]])
+    with pytest.raises(CertificationError):
+        _verify_exact(B, B, RationalMatrix.zeros(2, 2), F(3))
 
 
 def test_float_mode_follows_exact_mode():
