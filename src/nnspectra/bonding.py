@@ -9,7 +9,9 @@ has the Jordan form of A together with the Jordan form of B minus one 1x1
 block at c, where u and v are left/right eigenvectors of B at c normalized
 to u^T v = 1.  Characteristic polynomials satisfy
 char(C) * (x - c) = char(A) * char(B) exactly, and C is nonnegative whenever
-A, B, u, v are.
+A, B, u, v are.  smigoc_bond only builds C; bond_certificate checks it:
+with a certificate when both factors have rational spectra, and with the
+characteristic identity when they do not.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .jcfcert import (
     JordanSpec,
-    jordan_spec,
+    _jordan_of,
     rational_spectrum_of,
     segre_from_weyr,
     verify_certificate,
@@ -77,7 +79,8 @@ def smigoc_bond(
     u and v are computed from B when omitted (only when the eigenspace at c
     is one-dimensional).  Supplied vectors are verified exactly:
     B^T u = c u, B v = c v, u^T v = 1; with auto_normalize the pairing is
-    rescaled instead of rejected.
+    rescaled instead of rejected.  C itself is not checked here; that is
+    bond_certificate's job.
     """
     if not A.is_square or not B.is_square:
         raise DimensionError("A and B must be square")
@@ -133,11 +136,6 @@ def smigoc_bond(
             [[v[i] * b_row[j] for j in range(n - 1)] for i in range(m)]
         )
         C = RationalMatrix.from_blocks([[A1, upper_right], [lower_left, B]])
-
-    lhs = poly_mul(char_poly(C), [Fraction(1), -c])
-    rhs = poly_mul(char_poly(A), char_poly(B))
-    if poly_sub(lhs, rhs) != [Fraction(0)]:
-        raise CertificationError("bond failed the exact characteristic identity")
     return C
 
 
@@ -172,15 +170,21 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
     """Certify C's spectrum and Jordan structure when both factors split over Q.
 
     Returns a RealizationCertificate, or None when either factor has an
-    irrational spectrum (no exact certification possible).
+    irrational spectrum (no exact certification possible); C then still has
+    to satisfy char(C) * (x - c) = char(A) * char(B) exactly, or
+    CertificationError is raised.  rational_spectrum_of has checked each
+    factor's char poly exactly, so only their Weyr sequences are computed.
     """
+    c = rat(c)
     spec_a = rational_spectrum_of(A)
     spec_b = rational_spectrum_of(B)
     if spec_a is None or spec_b is None:
+        lhs = poly_mul(char_poly(C), [Fraction(1), -c])
+        rhs = poly_mul(char_poly(A), char_poly(B))
+        if poly_sub(lhs, rhs) != [Fraction(0)]:
+            raise CertificationError("bond failed the exact characteristic identity")
         return None
-    ja = jordan_spec(A, spec_a)
-    jb = jordan_spec(B, spec_b)
-    claim = bonded_jordan_claim(ja, jb, c)
+    claim = bonded_jordan_claim(_jordan_of(A, spec_a), _jordan_of(B, spec_b), c)
     values = list(spec_a.values()) + list(spec_b.values())
-    values.remove(rat(c))
+    values.remove(c)
     return verify_certificate(C, Spectrum.from_values(values), claim)

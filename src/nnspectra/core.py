@@ -615,6 +615,14 @@ class Spectrum:
         return cls.from_values(obj["values"])
 
 
+def _block_size(value) -> int:
+    """A Jordan block size: a positive integer; bools, floats and fractions are refused."""
+    size = None if isinstance(value, (bool, float)) else rat(value)
+    if size is None or size.denominator != 1 or size < 1:
+        raise DomainError("block sizes must be positive integers (got %r)" % (value,))
+    return size.numerator
+
+
 @dataclass(frozen=True)
 class JordanSpec:
     """Segre data: eigenvalue -> weakly decreasing Jordan block sizes."""
@@ -626,8 +634,8 @@ class JordanSpec:
         items = []
         for value, sizes in mapping.items() if isinstance(mapping, dict) else mapping:
             v = rat(value)
-            szs = tuple(sorted((int(s) for s in sizes), reverse=True))
-            if not szs or any(s < 1 for s in szs):
+            szs = tuple(sorted((_block_size(s) for s in sizes), reverse=True))
+            if not szs:
                 raise DomainError("block sizes must be positive")
             items.append((v, szs))
         items.sort(key=lambda kv: kv[0])

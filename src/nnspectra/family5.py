@@ -26,10 +26,8 @@ from fractions import Fraction
 from .core import (
     RationalMatrix,
     Spectrum,
-    char_poly,
     format_rational,
     poly_from_roots,
-    poly_sub,
     rat,
     rational_sqrt,
 )
@@ -359,7 +357,9 @@ def companion4(gamma_coeffs, d1):
 
     A(d1) = [[0,1,0,0],[d1,0,1,0],[2d1-k3,0,0,1],
              [-d1^2+(4-k2)d1-2k3-k4, 0, -k2-d1, 2]]
-    with char poly exactly the input quartic and diagonal (0,0,0,2).
+    with char poly exactly the input quartic and diagonal (0,0,0,2).  The
+    entries are checked for sign only; diagonalizable_realization certifies
+    the bonded 5x5 result, which would expose a wrong char poly here.
     """
     d1 = rat(d1)
     k2, k3, k4 = _quartic_coeffs(gamma_coeffs)
@@ -378,9 +378,6 @@ def companion4(gamma_coeffs, d1):
             [a, 0, d3, 2],
         ]
     )
-    expected = [Fraction(1), Fraction(-2), k2, k3, k4]
-    if poly_sub(char_poly(A), expected) != [Fraction(0)]:
-        raise SpectraError("internal error: A(d1) char poly mismatch")
     params = CompanionParams(d1=d1, d3=d3, b=b, a=a, feasible=feasible_d1(gamma_coeffs))
     return A, params
 

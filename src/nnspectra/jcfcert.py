@@ -4,6 +4,11 @@ Weyr sequences are cumulative nullities w_k = dim ker (A - lambda I)^k,
 computed with exact ranks; the conjugate partition of their increments is
 the Segre characteristic (Jordan block sizes).  Everything here certifies
 matrices with rational spectra; irrational spectra are not certified.
+
+This module is the one place that checks a matrix against a spectral claim:
+jordan_spec and verify_certificate share one char-poly residual and one Weyr
+sequence per claimed eigenvalue.  Constructions whose result is certified
+here (the degree-5 realization, bonding) do not check those facts again.
 """
 
 from __future__ import annotations
@@ -67,32 +72,39 @@ def segre_from_weyr(weyr) -> tuple:
     return tuple(sorted(sizes, reverse=True))
 
 
+def _residual(A: RationalMatrix, spectrum: Spectrum):
+    """char_poly(A) minus the claimed spectrum's polynomial; [0] on a match."""
+    return poly_sub(char_poly(A), spectrum.char_poly())
+
+
+def _weyr_pass(A: RationalMatrix, spectrum: Spectrum):
+    """One Weyr sequence of A per claimed eigenvalue, in the spectrum's order."""
+    return [(value, weyr_sequence(A, value)) for value, _ in spectrum.pairs]
+
+
+def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
+    """The Weyr half of jordan_spec, for a spectrum already checked exactly
+    against char_poly(A): each sequence then stabilizes at its eigenvalue's
+    multiplicity, so the block sizes partition it."""
+    return JordanSpec.from_map(
+        [(value, segre_from_weyr(weyr)) for value, weyr in _weyr_pass(A, spectrum)]
+    )
+
+
 def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     """Exact Jordan structure of A, given its (rational) spectrum.
 
     Raises SpectrumMismatchError when char_poly(A) does not split exactly
     over the supplied spectrum.
     """
-    actual = char_poly(A)
-    claimed = spectrum.char_poly()
-    residual = poly_sub(actual, claimed)
+    residual = _residual(A, spectrum)
     if residual != [Fraction(0)]:
         raise SpectrumMismatchError(
             "characteristic polynomial does not match the claimed spectrum; "
             "residual: %s" % poly_to_string(residual),
             residual=residual,
         )
-    blocks = []
-    for value, mult in spectrum.pairs:
-        weyr = weyr_sequence(A, value)
-        sizes = segre_from_weyr(weyr)
-        if sum(sizes) != mult:
-            raise SpectrumMismatchError(
-                "Weyr sequence at %s stabilized at %d, expected multiplicity %d"
-                % (format_rational(value), sum(sizes), mult)
-            )
-        blocks.append((value, sizes))
-    return JordanSpec.from_map(blocks)
+    return _jordan_of(A, spectrum)
 
 
 def integer_partitions(m: int):
@@ -171,77 +183,51 @@ def verify_certificate(
     """Run the full exact check suite; failures are verdicts, never errors."""
     checks = []
 
-    nonneg = matrix.is_nonnegative
-    checks.append(
-        CheckRecord(
-            "nonnegativity",
-            nonneg,
-            "all entries >= 0" if nonneg else "a negative entry is present",
-        )
-    )
+    def record(name, ok, passed, failed):
+        checks.append(CheckRecord(name, ok, passed if ok else failed))
 
-    actual = char_poly(matrix)
-    claimed_poly = claimed_spectrum.char_poly()
-    residual = poly_sub(actual, claimed_poly)
-    char_ok = residual == [Fraction(0)]
-    checks.append(
-        CheckRecord(
-            "char-poly",
-            char_ok,
-            "char poly matches spectrum exactly"
-            if char_ok
-            else "residual: %s" % poly_to_string(residual),
-        )
+    record(
+        "nonnegativity",
+        matrix.is_nonnegative,
+        "all entries >= 0",
+        "a negative entry is present",
     )
-
-    jordan_matches_spectrum = (
-        claimed_jordan.spectrum().pairs == claimed_spectrum.pairs
+    residual = _residual(matrix, claimed_spectrum)
+    record(
+        "char-poly",
+        residual == [Fraction(0)],
+        "char poly matches spectrum exactly",
+        "residual: %s" % poly_to_string(residual),
     )
-    checks.append(
-        CheckRecord(
-            "jordan-vs-spectrum",
-            jordan_matches_spectrum,
-            "claimed Jordan blocks partition the claimed multiplicities"
-            if jordan_matches_spectrum
-            else "claimed Jordan blocks do not match the spectrum multiplicities",
-        )
+    record(
+        "jordan-vs-spectrum",
+        claimed_jordan.spectrum().pairs == claimed_spectrum.pairs,
+        "claimed Jordan blocks partition the claimed multiplicities",
+        "claimed Jordan blocks do not match the spectrum multiplicities",
     )
-
-    weyr_all_ok = True
-    for value, _mult in claimed_spectrum.pairs:
+    for value, got in _weyr_pass(matrix, claimed_spectrum):
+        label = format_rational(value)
         expected = claimed_jordan.weyr_at(value)
-        got = weyr_sequence(matrix, value)
-        ok = got == expected
-        weyr_all_ok = weyr_all_ok and ok
-        checks.append(
-            CheckRecord(
-                "weyr@%s" % format_rational(value),
-                ok,
-                "weyr %s" % (got,)
-                if ok
-                else "weyr %s, claimed %s" % (got, expected),
-            )
+        record(
+            "weyr@" + label,
+            got == expected,
+            "weyr %s" % (got,),
+            "weyr %s, claimed %s" % (got, expected),
         )
         derived = segre_from_weyr(got)
-        ok2 = derived == claimed_jordan.sizes_at(value)
-        weyr_all_ok = weyr_all_ok and ok2
-        checks.append(
-            CheckRecord(
-                "segre@%s" % format_rational(value),
-                ok2,
-                "block sizes %s" % (derived,)
-                if ok2
-                else "block sizes %s, claimed %s"
-                % (derived, claimed_jordan.sizes_at(value)),
-            )
+        sizes = claimed_jordan.sizes_at(value)
+        record(
+            "segre@" + label,
+            derived == sizes,
+            "block sizes %s" % (derived,),
+            "block sizes %s, claimed %s" % (derived, sizes),
         )
 
-    verdict = nonneg and char_ok and jordan_matches_spectrum and weyr_all_ok
     return RealizationCertificate(
         matrix=matrix,
         claimed_spectrum=claimed_spectrum,
         claimed_jordan=claimed_jordan,
-        verdict=verdict,
+        verdict=all(check.passed for check in checks),
         checks=tuple(checks),
     )
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from nnspectra.core import (
     solve,
 )
 from nnspectra.errors import (
+    CertificationError,
     CornerMismatchError,
     DomainError,
     NormalizationError,
@@ -197,6 +200,28 @@ class TestRandomizedBonds:
             assert C.is_nonnegative
 
 
+def _corrupted(C):
+    rows = [list(row) for row in C.entries()]
+    rows[0][0] += 1
+    return RationalMatrix(rows)
+
+
+class TestBondCertificate:
+    def test_irrational_factor_checked_by_identity(self):
+        A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])  # irrational spectrum
+        C = smigoc_bond(A, B2, 2)
+        assert bond_certificate(A, B2, 2, C) is None
+        with pytest.raises(CertificationError):
+            bond_certificate(A, B2, 2, _corrupted(C))
+
+    def test_rational_factors_corrupted_bond_fails(self):
+        A = A_of_d1("11/2", F(-171, 25), F(212, 25), F(308, 25))
+        cert = bond_certificate(A, B2, 2, _corrupted(smigoc_bond(A, B2, 2, U2, V2)))
+        assert not cert.verdict
+        failed = [check.name for check in cert.checks if not check.passed]
+        assert "char-poly" in failed
+
+
 class TestBondedJordanClaim:
     def test_union_minus_one_unit_block(self):
         ja = JordanSpec.from_map({F(2): [1], F(-1): [2]})
@@ -211,3 +236,31 @@ class TestBondedJordanClaim:
         jb = JordanSpec.from_map({F(2): [2]})
         with pytest.raises(DomainError):
             bonded_jordan_claim(ja, jb, 2)
+
+
+# sha256 over diagonalizable_realization certificates on region_grid(family,
+# 1/10) for families t and tprime (a typed refusal contributes its class name),
+# then over bond_certificate JSON for 40 seeded triangular bonds (seed 4243);
+# pins matrices, spectra, Jordan claims and the full check lists
+REALIZE5_BOND_GOLDEN_SHA256 = "38e41dbde28681679ee290e52f637687ec41760dece40eb2805674ec391a0cc2"
+
+
+def test_realize5_and_bond_certificates_match_golden_digest():
+    from nnspectra.errors import SpectraError
+    from nnspectra.family5 import diagonalizable_realization, make_point, region_grid
+
+    digest = hashlib.sha256()
+    for family in ("t", "tprime"):
+        for t0, t in region_grid(family, F(1, 10)):
+            try:
+                cert = diagonalizable_realization(make_point(family, t0, t))
+            except SpectraError as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    rng = random.Random(4243)
+    for trial in range(40):
+        A, B, c, u, v = _random_triangular_bond_instance(rng, upper=trial % 2 == 0)
+        cert = bond_certificate(A, B, c, smigoc_bond(A, B, c, u, v))
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == REALIZE5_BOND_GOLDEN_SHA256

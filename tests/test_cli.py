@@ -166,6 +166,15 @@ class TestVerify:
         j2 = write("j2.json", {"blocks": [["1", [2]]]})
         assert dispatch(["verify", "--matrix", m, "--spectrum", s, "--jordan", j2]) == 0
 
+    @pytest.mark.parametrize("size", [1.5, True])
+    def test_jordan_block_size_not_truncated(self, workdir, capsys, size):
+        tmp, write = workdir
+        m = write("m.json", {"rows": 1, "cols": 1, "entries": [["1"]]})
+        s = write("s.json", {"values": ["1"]})
+        j = write("j.json", {"blocks": [["1", [size]]]})
+        assert dispatch(["verify", "--matrix", m, "--spectrum", s, "--jordan", j]) == 1
+        assert "block sizes must be positive integers" in capsys.readouterr().err
+
 
 class TestJordanForms:
     def test_enumeration(self, workdir):

@@ -376,6 +376,12 @@ class TestJordanSpec:
         j = JordanSpec.from_map({F(-2): [2, 1], F(1, 2): [1]})
         assert JordanSpec.from_json(j.to_json()) == j
 
+    def test_block_size_must_be_a_positive_integer(self):
+        for size in (1.5, True, "3/2", F(1, 2), 0):
+            with pytest.raises(DomainError):
+                JordanSpec.from_map({F(1): [size]})
+        assert JordanSpec.from_map({F(1): ["2", F(1)]}).sizes_at(1) == (2, 1)
+
 
 class TestPolySub:
     def test_residual_zero(self):
