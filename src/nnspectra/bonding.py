@@ -39,18 +39,8 @@ from .jcfcert import (
     JordanSpec,
     _jordan_of,
     rational_spectrum_of,
-    segre_from_weyr,
     verify_certificate,
-    weyr_sequence,
 )
-
-
-def _count_unit_blocks(B: RationalMatrix, c) -> int:
-    weyr = weyr_sequence(B, c)
-    if not weyr:
-        return 0
-    sizes = segre_from_weyr(weyr)
-    return sum(1 for s in sizes if s == 1)
 
 
 def _eigenvectors_at(B: RationalMatrix, c):
@@ -60,8 +50,8 @@ def _eigenvectors_at(B: RationalMatrix, c):
     left = kernel(shifted.transpose())
     if len(right) != 1 or len(left) != 1:
         raise DomainError(
-            "the eigenspace of B at %s is not one-dimensional; supply u and v "
-            "explicitly" % format_rational(c)
+            "the eigenspace of B at %s has dimension %d, not 1; supply u and v "
+            "explicitly" % (format_rational(c), len(right))
         )
     return left[0], right[0]
 
@@ -79,7 +69,9 @@ def smigoc_bond(
     u and v are computed from B when omitted (only when the eigenspace at c
     is one-dimensional).  Supplied vectors are verified exactly:
     B^T u = c u, B v = c v, u^T v = 1; with auto_normalize the pairing is
-    rescaled instead of rejected.  C itself is not checked here; that is
+    rescaled instead of rejected.  A zero pairing is a DomainError: left and
+    right eigenvectors at c pair to nonzero only through a 1x1 Jordan block,
+    the one the bond consumes.  C itself is not checked here; that is
     bond_certificate's job.
     """
     if not A.is_square or not B.is_square:
@@ -91,10 +83,6 @@ def smigoc_bond(
             "A's corner entry %s does not equal c = %s"
             % (format_rational(A[n - 1, n - 1]), format_rational(c))
         )
-    if _count_unit_blocks(B, c) < 1:
-        raise DomainError(
-            "B needs at least one 1x1 Jordan block at %s" % format_rational(c)
-        )
     internal = u is None or v is None
     if internal:
         u0, v0 = _eigenvectors_at(B, c)
@@ -104,16 +92,16 @@ def smigoc_bond(
     v = tuple(rat(x) for x in v)
     if len(u) != m or len(v) != m:
         raise DimensionError("u and v must have length %d" % m)
-    if any(x != 0 for x in _sub(B.transpose().mat_vec(u), _scale(u, c))):
+    if B.transpose().mat_vec(u) != tuple(c * x for x in u):
         raise DomainError("u is not a left eigenvector of B at c")
-    if any(x != 0 for x in _sub(B.mat_vec(v), _scale(v, c))):
+    if B.mat_vec(v) != tuple(c * x for x in v):
         raise DomainError("v is not a right eigenvector of B at c")
     pairing = sum((a * b for a, b in zip(u, v)), Fraction(0))
     if pairing != 1:
         if pairing == 0:
-            raise NormalizationError(
-                "u^T v = 0; this pairing cannot be normalized (the shared "
-                "block at c is not 1x1 for these vectors)"
+            raise DomainError(
+                "u^T v = 0: these eigenvectors meet no 1x1 Jordan block of B at "
+                "%s, and B needs one" % format_rational(c)
             )
         if not (auto_normalize or internal):
             raise NormalizationError(
@@ -137,14 +125,6 @@ def smigoc_bond(
         )
         C = RationalMatrix.from_blocks([[A1, upper_right], [lower_left, B]])
     return C
-
-
-def _sub(xs, ys):
-    return tuple(x - y for x, y in zip(xs, ys))
-
-
-def _scale(xs, c):
-    return tuple(c * x for x in xs)
 
 
 def bonded_jordan_claim(

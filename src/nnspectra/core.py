@@ -205,11 +205,6 @@ class RationalMatrix:
     def T(self) -> "RationalMatrix":
         return self.transpose()
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionError("trace of non-square matrix")
-        return sum(self._data[i][i] for i in range(self.rows))
-
     def row_sums(self):
         return tuple(sum(r) for r in self._data)
 
@@ -430,19 +425,23 @@ def kernel(A: RationalMatrix):
 
 
 def char_poly(A: RationalMatrix):
-    """Coefficients of det(xI - A), monic, descending powers (Faddeev-LeVerrier)."""
+    """Coefficients of det(xI - A), monic, descending powers.
+
+    Interpolated through det(kI - A), k = 0..n: n + 1 determinants and one
+    Vandermonde system, all on the one fraction-free elimination.
+    """
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = A.rows
-    coeffs = [Fraction(1)]
-    M = RationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        Mk = A @ M
-        ck = -Mk.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            M = Mk + RationalMatrix.identity(n).scale(ck)
-    return coeffs
+    rows, values = A.entries(), []
+    for k in range(n + 1):
+        shifted = [[(k if i == j else 0) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        values.append(determinant(RationalMatrix(shifted)))
+    # integer rows straight to the elimination: solve()'s wrappers raise peak RSS
+    ints, scale = _integer_row(values)
+    system = [[k**p for p in range(n, -1, -1)] + [ints[k]] for k in range(n + 1)]
+    m, pivots, _, _ = _eliminate(system, n + 1)
+    return [c / scale for c in _back_substitute(m, pivots, n + 1)]
 
 
 # ---------------------------------------------------------------------------

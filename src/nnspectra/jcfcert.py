@@ -1,13 +1,13 @@
 """Exact Jordan-structure computation and certificate verification.
 
 Weyr sequences are cumulative nullities w_k = dim ker (A - lambda I)^k,
-computed with exact ranks; the conjugate partition of their increments is
-the Segre characteristic (Jordan block sizes).  Everything here certifies
+exact ranks of integer powers; the conjugate partition of their increments
+is the Segre characteristic (Jordan block sizes).  Everything here certifies
 matrices with rational spectra; irrational spectra are not certified.
 
 This module is the one place that checks a matrix against a spectral claim:
 jordan_spec and verify_certificate share one char-poly residual and one Weyr
-sequence per claimed eigenvalue.  Constructions whose result is certified
+sequence per claimed eigenvalue, both eliminations.  Constructions certified
 here (the degree-5 realization, bonding) do not check those facts again.
 """
 
@@ -22,6 +22,7 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
+    _integer_row,
     char_poly,
     exact_rank,
     format_rational,
@@ -38,27 +39,31 @@ from .errors import DimensionError, SpectrumMismatchError
 def weyr_sequence(A: RationalMatrix, lam) -> tuple:
     """Cumulative Weyr sequence of A at lam, up to stabilization.
 
-    Returns () when lam is not an eigenvalue.  Powers of (A - lam I) are
-    built incrementally and the loop short-circuits once the nullity stops
-    growing (it then equals the algebraic multiplicity).
+    Returns () when lam is not an eigenvalue.  N = d (A - lam I) is cleared
+    to integers once, and rank(N^k) = rank((A - lam I)^k), so the powers are
+    integer products ranked by exact_rank.  The loop stops once the nullity
+    stops growing (it then equals the algebraic multiplicity).
     """
     if not A.is_square:
         raise DimensionError("Weyr sequence needs a square matrix")
     lam = rat(lam)
     n = A.rows
-    M = A - RationalMatrix.identity(n).scale(lam)
+    shifted = [v - lam if i == j else v for i, r in enumerate(A.entries()) for j, v in enumerate(r)]
+    flat, _ = _integer_row(shifted)
+    N = [flat[i * n : (i + 1) * n] for i in range(n)]
+    columns = list(zip(*N))
     out = []
-    P = M
+    P = N
     prev = 0
     for _ in range(n):
-        nullity = n - exact_rank(P)
+        nullity = n - exact_rank(RationalMatrix(P))
         if nullity == prev:
             break
         out.append(nullity)
         prev = nullity
         if nullity == n:
             break
-        P = P @ M
+        P = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in P]
     return tuple(out)
 
 

@@ -47,7 +47,6 @@ from .core import (
     format_rational,
     kernel,
     matrix_to_json,
-    poly_eval,
     rat,
     solve,
     synthetic_div,
@@ -239,13 +238,31 @@ def _float_radius(arr):
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
 
+def _split_at(p, c):
+    """(m, taylor): the multiplicity m of c as a root of p, and the Taylor
+    coefficients at c of p / (x - c)^m, lowest first (the successive
+    synthetic_div remainders)."""
+    taylor = []
+    while p:
+        p, rem = synthetic_div(p, c)
+        taylor.append(rem)
+    m = next(i for i, t in enumerate(taylor) if t != 0)
+    return m, taylor[m:]
+
+
 def perron_root_exact(polys, estimate: float):
-    """The first rational near estimate, down the denominator ladder, that
-    is a root of one of polys; None when there is none (float mode
-    territory)."""
+    """The spectral radius of the matrix whose diagonal blocks have char
+    polys polys, when it is rational; None otherwise (float mode territory).
+
+    Down the ladder, a rational c near estimate is taken when it is a root of
+    some poly and, with the factors (x - c) divided out, every poly has
+    positive Taylor coefficients at c, so no poly has a real root above c
+    (Descartes' rule).  rho passes: every other root z has Re(z - rho) < 0.
+    """
     for bound in _DENOMINATOR_LADDER:
         cand = Fraction(estimate).limit_denominator(bound)
-        if any(poly_eval(p, cand) == 0 for p in polys):
+        splits = [_split_at(p, cand) for p in polys]
+        if any(m for m, _ in splits) and all(t > 0 for _, taylor in splits for t in taylor):
             return cand
     return None
 
@@ -253,21 +270,19 @@ def perron_root_exact(polys, estimate: float):
 def _perron_block(polys, lam):
     """Index of the one diagonal block that carries lam as a simple root.
 
-    det(xI - A) is the product of the block char polys, so lam is a simple
-    eigenvalue of A iff exactly one block poly vanishes at lam, and that
-    one only simply.
+    det(xI - A) is the product of the block char polys, so the multiplicity
+    of lam in A is the sum of its multiplicities in the blocks.
     """
-    carriers = [ci for ci, p in enumerate(polys) if poly_eval(p, lam) == 0]
-    if not carriers:
+    mults = [_split_at(p, lam)[0] for p in polys]
+    if sum(mults) == 0:
         raise SpectraError("internal error: no block carries the Perron root")
-    quotient, _rem = synthetic_div(polys[carriers[0]], lam)
-    if len(carriers) > 1 or poly_eval(quotient, lam) == 0:
+    if sum(mults) > 1:
         raise PerronNotSimple(
             "Perron root %s has algebraic multiplicity >= 2; the reduction to "
             "constant row sums requires a simple Perron root (witness class: "
             "[[1,0],[1,1]])" % format_rational(lam)
         )
-    return carriers[0]
+    return mults.index(1)
 
 
 def _plan_from_graph(comps, edges, perron):

@@ -94,6 +94,15 @@ class TestHypothesisChecks:
         with pytest.raises(DomainError):
             smigoc_bond(A, B, 2)
 
+    def test_zero_pairing_names_the_missing_unit_block(self):
+        A = RationalMatrix([[1, 1], [2, 2]])
+        B = RationalMatrix([[2, 1], [0, 2]])
+        for vectors in ((), ((F(0), F(1)), (F(1), F(0)))):
+            with pytest.raises(DomainError, match="no 1x1 Jordan block of B at 2"):
+                smigoc_bond(A, B, 2, *vectors, auto_normalize=True)
+        with pytest.raises(DomainError, match="eigenspace of B at 2 has dimension 0"):
+            smigoc_bond(A, RationalMatrix([[3, 0], [0, 3]]), 2)
+
     def test_unnormalized_pair_rejected_then_autofixed(self):
         A = RationalMatrix([[1, 1], [2, 2]])
         u_bad = (F(1), F(1))  # u^T v = 2

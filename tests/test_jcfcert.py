@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -7,7 +9,9 @@ from nnspectra.core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
+    char_poly,
     companion_matrix,
+    format_rational,
     poly_from_roots,
     solve,
 )
@@ -22,7 +26,13 @@ from nnspectra.jcfcert import (
     weyr_sequence,
 )
 
-from conftest import random_invertible, random_jordan_spec
+from conftest import (
+    random_invertible,
+    random_jordan_spec,
+    scramble,
+    suleimanova_companion,
+)
+from test_core import _from_sympy, _random_entry, _to_sympy
 
 
 class TestWeyr:
@@ -173,3 +183,100 @@ class TestRationalSpectrumOf:
     def test_irrational_returns_none(self):
         A = RationalMatrix([[0, 2], [1, 0]])  # roots +-sqrt(2)
         assert rational_spectrum_of(A) is None
+
+
+def _wrong_claims(rng, spec):
+    """The claim with one eigenvalue moved by 1, and (when some block has
+    size >= 2) the claim with one block split into sizes s - 1 and 1."""
+    blocks = [(v, list(sizes)) for v, sizes in spec.blocks]
+    moved_at = rng.randrange(len(blocks))
+    moved = {}
+    for k, (v, sizes) in enumerate(blocks):
+        moved.setdefault(v + 1 if k == moved_at else v, []).extend(sizes)
+    claims = [JordanSpec.from_map(moved.items())]
+    splittable = [k for k, (_, sizes) in enumerate(blocks) if sizes[0] >= 2]
+    if splittable:
+        k = rng.choice(splittable)
+        v, sizes = blocks[k]
+        blocks[k] = (v, [sizes[0] - 1, 1] + sizes[1:])
+        claims.append(JordanSpec.from_map(blocks))
+    return claims
+
+
+# sha256 over verify_certificate(...).to_json() and the jordan_spec result (or
+# the SpectrumMismatchError message and residual) for 60 seeded matrices
+# (seed 2043): planted S^-1 J S (n = 2..7) and scrambled Suleimanova
+# companions (n = 2..6), each against its true claim and the wrong claims of
+# _wrong_claims; pins the residual text of failing char-poly records
+CERTIFICATE_GOLDEN_SHA256 = "b4feadc2aa828c569a1f2bdcbf3e8dfff9bceaa3e47ee1a837dca03ec61704e9"
+
+
+def test_certificates_and_jordan_specs_match_golden_digest():
+    rng = random.Random(2043)
+    digest = hashlib.sha256()
+    for i in range(60):
+        if i % 3 == 2:
+            C, values = suleimanova_companion(rng, rng.randint(2, 6))
+            A = scramble(rng, C)
+            spec = jordan_spec(A, Spectrum.from_values(values))
+        else:
+            spec = random_jordan_spec(rng, rng.randint(2, 7))
+            S = random_invertible(rng, spec.order)
+            A = solve(S, spec.jordan_matrix() @ S)
+        for claim in [spec] + _wrong_claims(rng, spec):
+            cert = verify_certificate(A, claim.spectrum(), claim)
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+            try:
+                result = jordan_spec(A, claim.spectrum()).to_json()
+            except SpectrumMismatchError as exc:
+                result = [str(exc), [format_rational(c) for c in exc.residual]]
+            digest.update(json.dumps(result, sort_keys=True).encode())
+    assert digest.hexdigest() == CERTIFICATE_GOLDEN_SHA256
+
+
+def _sympy_weyr(S, lam):
+    """n - rank((S - lam I)^k) for k = 1, 2, ... while it grows."""
+    n = S.rows
+    M = S - lam * S.eye(n)
+    out, P = [], M
+    for _ in range(n):
+        nullity = n - P.rank()
+        if nullity == (out[-1] if out else 0):
+            break
+        out.append(nullity)
+        P = P * M
+    return tuple(out)
+
+
+class TestKernelsAgainstSympy:
+    """char_poly and weyr_sequence, both built on the one elimination, are
+    compared exactly with sympy's charpoly and rank on dense, sparse and
+    planted S^-1 J S matrices of order 1..7."""
+
+    def test_char_poly_and_weyr_sequence(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(47)
+        checked = 0
+        for n in range(1, 8):
+            for trial in range(30):
+                kind = ("dense", "sparse", "planted")[trial % 3]
+                if kind == "planted":
+                    spec = random_jordan_spec(rng, n)
+                    S = random_invertible(rng, spec.order)
+                    A = solve(S, spec.jordan_matrix() @ S)
+                else:
+                    density = 1.0 if kind == "dense" else 0.3
+                    A = RationalMatrix(
+                        [[_random_entry(rng, density) for _ in range(n)] for _ in range(n)]
+                    )
+                SA = _to_sympy(A)
+                poly = SA.charpoly(x)
+                assert char_poly(A) == [_from_sympy(c) for c in poly.all_coeffs()]
+                roots = poly.ground_roots()  # the rational eigenvalues
+                outside = 1 + sum(abs(v) for row in A.entries() for v in row)
+                for lam in [_from_sympy(r) for r in roots] + [outside]:
+                    expected = _sympy_weyr(SA, sympy.Rational(lam.numerator, lam.denominator))
+                    assert weyr_sequence(A, lam) == expected
+                    checked += 1
+        assert checked >= 500

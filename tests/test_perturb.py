@@ -209,6 +209,14 @@ class TestUrShift:
         assert cert.to_json()["verdict"] == "pass"
         assert shifted.row_sums() == (lam + F(1, 3),) * 2
 
+    def test_non_perron_block_radius_below_a_ladder_rung(self):
+        # the lower block has radius 12/5 and also the eigenvalue 2, which
+        # the first rung of the denominator ladder would take for its radius
+        A = RationalMatrix([[3, 0, 0], [1, "11/5", "1/5"], [0, "1/5", "11/5"]])
+        shifted, cert = ur_shift(A, Spectrum.from_values([3, F(12, 5), 2]), F(1, 3))
+        assert cert.to_json()["verdict"] == "pass"
+        assert shifted.row_sums() == (F(10, 3),) * 3
+
 
 # sha256 over the certificates of 40 seeded ur_shift calls (seed 2041): random
 # CS matrices (n = 2..5) and scrambled companions (n = 4..6), eps cycling over

@@ -266,6 +266,26 @@ class TestToConstantRowSums:
             assert result.lam == F(10**13 + 1, 10**13)
             assert result.B == A
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [["11/5", "1/5"], ["1/5", "11/5"]],
+            [["12/5", 0], [1, 2]],
+            [[2, 0], [1, "12/5"]],
+            [["12/5", 0], [0, 2]],
+        ],
+        ids=["irreducible", "chain", "transpose", "isolated"],
+    )
+    def test_ladder_skips_a_smaller_eigenvalue(self, entries):
+        # rho = 12/5 rationalizes to 2 at denominator 1, and 2 is another
+        # eigenvalue; the ladder must not stop there
+        A = RationalMatrix(entries)
+        for mode in ("exact", "auto"):
+            result = to_constant_row_sums(A, mode=mode)
+            assert result.mode == "exact"
+            assert result.lam == F(12, 5)
+            assert result.B.is_nonnegative and result.B.row_sums() == (F(12, 5),) * 2
+
     def test_float_input_validated(self):
         with pytest.raises(DomainError):
             to_constant_row_sums(FloatMatrix(np.array([[-1.0]])))
