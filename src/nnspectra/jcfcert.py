@@ -2,8 +2,12 @@
 
 Weyr sequences are cumulative nullities w_k = dim ker (A - lambda I)^k,
 exact ranks of integer powers; the conjugate partition of their increments
-is the Segre characteristic (Jordan block sizes).  Everything here certifies
-matrices with rational spectra; irrational spectra are not certified.
+is the Segre characteristic (Jordan block sizes).  Once char_poly(A) has
+matched a spectrum exactly, each eigenvalue's multiplicity fixes where its
+sequence ends, and only the ranks that leaves open are computed: none at a
+simple eigenvalue, at most one per eigenvalue of a nonderogatory matrix.
+Everything here certifies matrices with rational spectra; irrational
+spectra are not certified.
 
 This module is the one place that checks a matrix against a spectral claim:
 jordan_spec and verify_certificate share one char-poly residual and one Weyr
@@ -36,16 +40,30 @@ from .core import (
 from .errors import DimensionError, SpectrumMismatchError
 
 
-def weyr_sequence(A: RationalMatrix, lam) -> tuple:
+def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
     """Cumulative Weyr sequence of A at lam, up to stabilization.
 
     Returns () when lam is not an eigenvalue.  N = d (A - lam I) is cleared
     to integers once, and rank(N^k) = rank((A - lam I)^k), so the powers are
     integer products ranked by exact_rank.  The loop stops once the nullity
     stops growing (it then equals the algebraic multiplicity).
+
+    multiplicity is the algebraic multiplicity m of lam, passed only by
+    callers that have just matched char_poly(A) exactly against a spectrum
+    in which lam has multiplicity m.  The sequence then ends exactly at m,
+    and its increments w_k - w_(k-1) count the Jordan blocks of size >= k,
+    so they never increase.  Three rules skip ranks without changing the
+    result:
+      1. m = 1: the sequence is (1,), with no rank at all;
+      2. a nullity that reaches m ends the sequence, without the rank of
+         the next power that would only confirm it;
+      3. an increment of 1 forces every later increment to be 1 as well,
+         so nullity + 1, ..., m follow without ranks.
     """
     if not A.is_square:
         raise DimensionError("Weyr sequence needs a square matrix")
+    if multiplicity == 1:
+        return (1,)
     lam = rat(lam)
     n = A.rows
     shifted = [v - lam if i == j else v for i, r in enumerate(A.entries()) for j, v in enumerate(r)]
@@ -60,6 +78,9 @@ def weyr_sequence(A: RationalMatrix, lam) -> tuple:
         if nullity == prev:
             break
         out.append(nullity)
+        if multiplicity is not None and (nullity == multiplicity or nullity == prev + 1):
+            out.extend(range(nullity + 1, multiplicity + 1))
+            break
         prev = nullity
         if nullity == n:
             break
@@ -82,9 +103,16 @@ def _residual(A: RationalMatrix, spectrum: Spectrum):
     return poly_sub(char_poly(A), spectrum.char_poly())
 
 
-def _weyr_pass(A: RationalMatrix, spectrum: Spectrum):
-    """One Weyr sequence of A per claimed eigenvalue, in the spectrum's order."""
-    return [(value, weyr_sequence(A, value)) for value, _ in spectrum.pairs]
+def _weyr_pass(A: RationalMatrix, spectrum: Spectrum, checked: bool):
+    """One Weyr sequence of A per claimed eigenvalue, in the spectrum's order.
+
+    checked says that char_poly(A) matches the spectrum exactly, so each
+    pair's multiplicity may cut its sequence short (see weyr_sequence).
+    """
+    return [
+        (value, weyr_sequence(A, value, m if checked else None))
+        for value, m in spectrum.pairs
+    ]
 
 
 def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
@@ -92,7 +120,7 @@ def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     against char_poly(A): each sequence then stabilizes at its eigenvalue's
     multiplicity, so the block sizes partition it."""
     return JordanSpec.from_map(
-        [(value, segre_from_weyr(weyr)) for value, weyr in _weyr_pass(A, spectrum)]
+        [(value, segre_from_weyr(weyr)) for value, weyr in _weyr_pass(A, spectrum, True)]
     )
 
 
@@ -210,7 +238,8 @@ def verify_certificate(
         "claimed Jordan blocks partition the claimed multiplicities",
         "claimed Jordan blocks do not match the spectrum multiplicities",
     )
-    for value, got in _weyr_pass(matrix, claimed_spectrum):
+    # a failing char poly keeps the full towers, and with them the details
+    for value, got in _weyr_pass(matrix, claimed_spectrum, residual == [Fraction(0)]):
         label = format_rational(value)
         expected = claimed_jordan.weyr_at(value)
         record(

@@ -352,14 +352,16 @@ def _plan_from_graph(comps, edges, perron):
 
 class _ExactOps:
     """Fraction arithmetic for the absorb loop; polys are the char polys of
-    the diagonal blocks, by component index."""
+    the diagonal blocks, by component index, and spectrum is the certified
+    spectrum of the whole matrix, or None."""
 
     one = Fraction(1)
     matrix = RationalMatrix
     diagonal = RationalMatrix.diagonal
 
-    def __init__(self, polys):
+    def __init__(self, polys, spectrum):
         self.polys = polys
+        self.spectrum = spectrum
 
     @staticmethod
     def sub(M, rows, cols):
@@ -386,8 +388,16 @@ class _ExactOps:
 
     def perron_vector(self, block, lam, ci):
         """Positive eigenvector of the irreducible block of component ci at
-        lam; at its own spectral radius when lam is None."""
-        if lam is None:
+        lam; at its own spectral radius when lam is None.
+
+        With a certified spectrum that radius is exact: every root of the
+        block's poly is a spectrum value, and the radius of an irreducible
+        nonnegative block is its largest real eigenvalue (Perron-Frobenius).
+        """
+        if lam is None and self.spectrum is not None:
+            poly = self.polys[ci]
+            lam = next(v for v, _ in self.spectrum.pairs if synthetic_div(poly, v)[1] == 0)
+        elif lam is None:
             estimate = _float_radius(to_float(block).array)
             lam = perron_root_exact([self.polys[ci]], estimate)
             if lam is None:
@@ -593,12 +603,15 @@ def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
         return _to_cs_float(to_float(A).array)
 
 
-def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
+def _to_cs_exact(A: RationalMatrix, spectrum=None) -> RowSumResult:
     """Exact CS form of A from one pass over its diagonal blocks.
 
-    lam is lambda1 when the caller has certified it, simple; otherwise the
-    float estimate of rho(A) is rationalized against the block char polys.
-    A certified lam on an irreducible A needs no char poly at all.
+    spectrum is given when the caller has matched char_poly(A) against it
+    exactly and checked that its Perron value lambda1 is simple; lambda1 and
+    the radius of every block scaled are then read from it.  Otherwise the
+    float estimate of rho(A), and of each block's radius, is rationalized
+    against the block char polys.  A certified spectrum on an irreducible A
+    needs no char poly at all.
     """
     if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
         one = RationalMatrix.identity(1)
@@ -607,6 +620,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
 
     comps, edges = _components(A)
     polys, perron = None, 0
+    lam = None if spectrum is None else spectrum.perron
     if lam is None or len(comps) > 1:
         polys = [char_poly(A.submatrix(c, c)) for c in comps]
         if lam is None:
@@ -630,7 +644,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             )
         )
     elif plan is not None:
-        B, S, factors = _absorb(_ExactOps(polys), A, lam, plan, transcript)
+        B, S, factors = _absorb(_ExactOps(polys, spectrum), A, lam, plan, transcript)
     else:
         # the Perron block feeds an earlier block: reduce A^T instead, with
         # the components numbered as Tarjan numbers them on A^T
@@ -645,7 +659,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         transcript.append(
             RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
         )
-        ops = _ExactOps([polys[comps.index(c)] for c in comps_t])
+        ops = _ExactOps([polys[comps.index(c)] for c in comps_t], spectrum)
         B, S, factors = _absorb(ops, At, lam, plan, transcript)
         X = similarity_to_transpose(A)
         S, factors = X @ S, [X] + factors

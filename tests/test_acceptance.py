@@ -11,6 +11,7 @@ import os
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_criterion_1_first_reconstruction(tmp_path):
         ["realize5", "--family", "t", "--t0", "1", "--t", "4/5", "--d1", "11/2", "--out", out]
     )
     assert rc == 0
-    blob = json.loads(open(out).read())
+    blob = json.loads(Path(out).read_text())
     C = matrix_from_json(blob["certificate"]["matrix"])
     assert C == C55_EXPECTED
     # the 4x4 stage, rebuilt directly
@@ -109,7 +110,7 @@ def test_criterion_2_second_reconstruction(tmp_path):
         ["realize5", "--family", "tprime", "--t0", "1/2", "--t", "3/10", "--d1", "9", "--out", out]
     )
     assert rc == 0
-    blob = json.loads(open(out).read())
+    blob = json.loads(Path(out).read_text())
     C = matrix_from_json(blob["certificate"]["matrix"])
     for value in (F(433, 100), F(227, 100), F(499, 100)):
         assert any(v == value for row in C.entries() for v in row)
@@ -261,11 +262,14 @@ def _run_all_commands(base, tag):
     s_circ = os.path.join(base, "s.json")
     qfile = os.path.join(base, "q.json")
     if tag == "run1":
-        json.dump({"rows": 2, "cols": 2, "entries": [["0", "2"], ["2", "0"]]}, open(m_circ, "w"))
-        json.dump({"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]}, open(m_tri, "w"))
-        json.dump({"rows": 2, "cols": 2, "entries": [["1", "1"], ["2", "2"]]}, open(m_a, "w"))
-        json.dump({"values": ["2", "-2"]}, open(s_circ, "w"))
-        json.dump({"values": ["1/4", "1/4"]}, open(qfile, "w"))
+        for path, blob in [
+            (m_circ, {"rows": 2, "cols": 2, "entries": [["0", "2"], ["2", "0"]]}),
+            (m_tri, {"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]}),
+            (m_a, {"rows": 2, "cols": 2, "entries": [["1", "1"], ["2", "2"]]}),
+            (s_circ, {"values": ["2", "-2"]}),
+            (qfile, {"values": ["1/4", "1/4"]}),
+        ]:
+            Path(path).write_text(json.dumps(blob))
     outputs = {
         "normalize.json": ["normalize", "--in", m_tri, "--mode", "exact"],
         "guo.json": ["guo-shift", "--in", m_circ, "--q", qfile, "--spectrum", s_circ],

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ class TestNormalize:
         infile = write("A.json", {"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]})
         out = str(tmp / "out.json")
         assert dispatch(["normalize", "--in", infile, "--mode", "exact", "--out", out]) == 0
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         assert blob["mode"] == "exact"
         assert blob["lambda"] == "3"
         assert matrix_from_json(blob["B"]).row_sums() == (3, 3)
@@ -56,7 +57,7 @@ class TestGuoShift:
             ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum, "--out", out]
         )
         assert rc == 0
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         assert matrix_from_json(blob["result"]) == RationalMatrix(
             [["1/2", "5/2"], ["5/2", "1/2"]]
         )
@@ -86,7 +87,7 @@ class TestBond:
         out = str(tmp / "c.json")
         rc = dispatch(["bond", "--a", a, "--b", b, "--c", "2", "--out", out])
         assert rc == 0
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         C = matrix_from_json(blob["result"])
         assert C.rows == 3
         assert blob["certificate"]["verdict"] == "pass"
@@ -99,7 +100,7 @@ class TestBond:
         b = write("b.json", CIRC)
         out = str(tmp / "c.json")
         assert dispatch(["bond", "--a", a, "--b", b, "--c", "2", "--out", out]) == 2
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         assert matrix_from_json(blob["result"]).rows == 4
         assert blob["certificate"] is None
         assert blob["reason"].startswith("no exact certificate")
@@ -114,7 +115,7 @@ class TestRealize5:
             ["realize5", "--family", "t", "--t0", "1", "--t", "4/5", "--d1", "11/2", "--out", out]
         )
         assert rc == 0
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         assert blob["certificate"]["verdict"] == "pass"
         assert blob["list"] == ["14/5", "11/5", "-1", "-2", "-2"]
 
@@ -128,7 +129,7 @@ class TestRegionCsv:
         out = str(tmp / "r.csv")
         rc = dispatch(["region", "--family", "t", "--grid-step", "1/10", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "t0,t,torre,boundary_member,symmetric"
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
@@ -138,7 +139,7 @@ class TestRegionCsv:
         tmp, _ = workdir
         out = str(tmp / "r50.csv")
         assert dispatch(["region", "--family", "t", "--grid-step", "1/50", "--out", out]) == 0
-        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
         at_one = {r[1]: (r[2], r[3]) for r in rows if r[0] == "1"}
         assert at_one["39/50"] == ("0", "0")
         assert at_one["4/5"] == ("1", "1")
@@ -182,7 +183,7 @@ class TestJordanForms:
         s = write("s.json", {"values": ["14/5", "11/5", "-1", "-2", "-2"]})
         out = str(tmp / "forms.json")
         assert dispatch(["jordan-forms", "--spectrum", s, "--out", out]) == 0
-        blob = json.loads(open(out).read())
+        blob = json.loads(Path(out).read_text())
         assert blob["count"] == 2
 
 
@@ -194,7 +195,7 @@ class TestDemo:
         names = sorted(os.listdir(out_dir))
         assert "report.md" in names
         assert "realization_first.json" in names
-        union = json.loads(open(os.path.join(out_dir, "demo_union_search.json")).read())
+        union = json.loads(Path(os.path.join(out_dir, "demo_union_search.json")).read_text())
         assert union["forbidden_jordan_hits"] == 0
 
 

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from nnspectra import jcfcert
 from nnspectra.core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
     char_poly,
     companion_matrix,
+    exact_rank,
     format_rational,
     poly_from_roots,
     solve,
@@ -61,6 +63,40 @@ class TestWeyr:
                 w = weyr_sequence(J, value)
                 assert all(a < b for a, b in zip(w, w[1:]))
                 assert w[-1] == sum(sizes)
+
+    def test_multiplicity_gives_the_full_tower(self):
+        # planted S^-1 J S plus the derogatory J3+J1+J1 (increments 3, 1, 1),
+        # J2+J2 and J3+J2, where an increment of 1 ends no ranking early
+        rng = random.Random(12)
+        specs = [random_jordan_spec(rng, rng.randint(1, 7)) for _ in range(25)]
+        specs += [
+            JordanSpec.from_map({F(2): [3, 1, 1]}),
+            JordanSpec.from_map({F(-1): [2, 2], F(3): [1]}),
+            JordanSpec.from_map({F(1, 2): [3, 2], F(0): [1]}),
+        ]
+        for spec in specs:
+            S = random_invertible(rng, spec.order)
+            A = solve(S, spec.jordan_matrix() @ S)
+            for value, m in spec.spectrum().pairs:
+                assert weyr_sequence(A, value, m) == weyr_sequence(A, value)
+                assert weyr_sequence(A, value, m) == spec.weyr_at(value)
+
+    @pytest.mark.parametrize("values, ranks", [([9, -1, -2, -3], 0), ([9, -1, -2, -2], 1)])
+    def test_checked_companion_ranks_once_per_repeated_eigenvalue(
+        self, monkeypatch, values, ranks
+    ):
+        # a scrambled companion is nonderogatory: a simple eigenvalue needs no
+        # rank, a repeated one needs rank(A - lam I) only
+        C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
+        calls = []
+
+        def spy(M):
+            calls.append(M.rows)
+            return exact_rank(M)
+
+        monkeypatch.setattr(jcfcert, "exact_rank", spy)
+        jordan_spec(C, Spectrum.from_values(values))
+        assert len(calls) == ranks
 
 
 class TestSegreWeyrConjugacy:
@@ -156,6 +192,17 @@ class TestVerifyCertificate:
         assert not cert.verdict
         failing = [c.name for c in cert.checks if not c.passed]
         assert any(name.startswith("weyr@") for name in failing)
+
+    def test_failing_char_poly_keeps_the_full_tower(self):
+        # the char poly (x - 1)^2 fails the claim {2, 1}, so the claimed
+        # multiplicity 1 of the eigenvalue 1 must not cut its tower short
+        A = RationalMatrix([[1, 1], [0, 1]])
+        spectrum = Spectrum.from_values([1, 2])
+        diag = JordanSpec.from_map([(v, [1]) for v, _ in spectrum.pairs])
+        cert = verify_certificate(A, spectrum, diag)
+        record = next(c for c in cert.checks if c.name == "weyr@1")
+        assert not record.passed
+        assert record.detail == "weyr (1, 2), claimed (1,)"
 
     def test_fail_is_verdict_not_error(self):
         A = RationalMatrix([[0, 1], [0, 0]])

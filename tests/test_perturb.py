@@ -22,10 +22,12 @@ from nnspectra.errors import (
     PerronNotSimple,
 )
 from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
+from nnspectra import rowsum
 from nnspectra.perturb import rank_one_shift, ur_shift
 from nnspectra.rowsum import to_constant_row_sums
 
 from conftest import (
+    planted_reducible,
     random_cs_matrix,
     random_layout_realization,
     scramble,
@@ -208,6 +210,30 @@ class TestUrShift:
         shifted, cert = ur_shift(A, Spectrum.from_values([lam, 0]), F(1, 3))
         assert cert.to_json()["verdict"] == "pass"
         assert shifted.row_sums() == (lam + F(1, 3),) * 2
+
+    @pytest.mark.parametrize("layout", ["chain", "mixed", "isolated", "cluster", "bottom"])
+    def test_block_radii_come_from_the_certified_spectrum(self, monkeypatch, layout):
+        # no float estimate of any block's radius: the certified spectrum holds
+        # every root of every block poly
+        calls = []
+
+        def spy(name):
+            real = getattr(rowsum, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            return counted
+
+        for name in ("_float_radius", "perron_root_exact"):
+            monkeypatch.setattr(rowsum, name, spy(name))
+        rng = random.Random(3)
+        for _ in range(5):
+            A, values = planted_reducible(rng, layout)
+            _shifted, cert = ur_shift(A, Spectrum.from_values(values), F(1, 3))
+            assert cert.verdict
+        assert calls == []
 
     def test_non_perron_block_radius_below_a_ladder_rung(self):
         # the lower block has radius 12/5 and also the eigenvalue 2, which
