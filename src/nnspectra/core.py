@@ -33,11 +33,16 @@ _EXPONENT = re.compile(r"e([-+]?[0-9_]+)$", re.IGNORECASE)
 def rat(value) -> Fraction:
     """Parse an exact rational from int, Fraction, or string ("3", "11/2", "2.52").
 
-    Malformed strings, zero denominators, over-long digit strings and decimal
-    exponents beyond _MAX_EXPONENT raise DomainError.
+    Floats, bools, malformed strings, zero denominators, over-long digit
+    strings and decimal exponents beyond _MAX_EXPONENT raise DomainError.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise DomainError(
+            "refusing to coerce %s %r; pass a string or Fraction for exactness"
+            % (type(value).__name__, value)
+        )
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -50,10 +55,6 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             shown = text if len(text) <= 40 else text[:37] + "..."
             raise DomainError("cannot parse %r as a rational: %s" % (shown, exc)) from None
-    if isinstance(value, float):
-        raise DomainError(
-            "refusing to coerce float %r; pass a string or Fraction for exactness" % value
-        )
     raise DomainError("cannot interpret %r as a rational" % (value,))
 
 
@@ -427,21 +428,21 @@ def kernel(A: RationalMatrix):
 def char_poly(A: RationalMatrix):
     """Coefficients of det(xI - A), monic, descending powers.
 
-    Interpolated through det(kI - A), k = 0..n: n + 1 determinants and one
-    Vandermonde system, all on the one fraction-free elimination.
+    Rows cleared once, N = D A with D the row lcms; the integer determinants
+    det(kD - N) = det(D) det(kI - A), k = 0..n, and one Vandermonde system go
+    straight to the one fraction-free elimination.
     """
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = A.rows
-    rows, values = A.entries(), []
+    cleared, system = [_integer_row(row) for row in A.entries()], []
     for k in range(n + 1):
-        shifted = [[(k if i == j else 0) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
-        values.append(determinant(RationalMatrix(shifted)))
-    # integer rows straight to the elimination: solve()'s wrappers raise peak RSS
-    ints, scale = _integer_row(values)
-    system = [[k**p for p in range(n, -1, -1)] + [ints[k]] for k in range(n + 1)]
+        shifted = [[(k * d if i == j else 0) - v for j, v in enumerate(r)] for i, (r, d) in enumerate(cleared)]
+        m, _, sign, _ = _eliminate(shifted, n)  # a singular shift ends in a zero row
+        system.append([k**p for p in range(n, -1, -1)] + [sign * m[-1][-1]])
     m, pivots, _, _ = _eliminate(system, n + 1)
-    return [c / scale for c in _back_substitute(m, pivots, n + 1)]
+    det_d = math.prod(d for _, d in cleared)
+    return [c / det_d for c in _back_substitute(m, pivots, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +612,7 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
-        return cls.from_values(obj["values"])
+        return cls.from_values(_json_list(obj, "values"))
 
 
 def _block_size(value) -> int:
@@ -699,7 +700,10 @@ class JordanSpec:
 
     @classmethod
     def from_json(cls, obj) -> "JordanSpec":
-        return cls.from_map([(v, sizes) for v, sizes in obj["blocks"]])
+        blocks = _json_list(obj, "blocks")
+        if not all(isinstance(b, list) and len(b) == 2 and isinstance(b[1], list) for b in blocks):
+            raise DomainError("JSON field 'blocks' must list [eigenvalue, [sizes...]] pairs")
+        return cls.from_map(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +719,18 @@ def matrix_to_json(A: RationalMatrix) -> dict:
     }
 
 
+def _json_list(obj, field):
+    """obj[field] of a JSON object, which must be a list."""
+    value = obj.get(field) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise DomainError("JSON input needs an object whose field %r is a list" % field)
+    return value
+
+
 def matrix_from_json(obj) -> RationalMatrix:
-    entries = obj["entries"]
+    entries = _json_list(obj, "entries")
+    if not all(isinstance(row, list) for row in entries):
+        raise DomainError("JSON field 'entries' must be a list of rows")
     M = RationalMatrix(entries)
     if M.rows != obj.get("rows", M.rows) or M.cols != obj.get("cols", M.cols):
         raise DomainError("declared shape disagrees with entry grid")
@@ -724,4 +738,4 @@ def matrix_from_json(obj) -> RationalMatrix:
 
 
 def vector_from_json(obj):
-    return tuple(rat(x) for x in obj["values"])
+    return tuple(rat(x) for x in _json_list(obj, "values"))

@@ -208,3 +208,41 @@ class TestUsageErrors:
 
     def test_missing_file(self, workdir):
         assert dispatch(["normalize", "--in", "/nonexistent/x.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "reader, bad, named",
+        [
+            ("matrix", {"entries": 5}, "'entries'"),
+            ("matrix", {"entries": [5]}, "'entries'"),
+            ("matrix", [1], "'entries'"),
+            ("matrix", {"entries": [[True]]}, "bool True"),
+            ("spectrum", [1], "'values'"),
+            ("spectrum", {"values": 5}, "'values'"),
+            ("spectrum", {"values": [True]}, "bool True"),
+            ("q", {"values": 5}, "'values'"),
+            ("q", {"values": [True, False]}, "bool True"),
+            ("jordan", {"blocks": 5}, "'blocks'"),
+            ("jordan", {"blocks": [["2", 1]]}, "'blocks'"),
+        ],
+        ids=[
+            "entries-int", "entries-row-int", "matrix-list", "entries-bool",
+            "spectrum-list", "values-int", "values-bool",
+            "q-values-int", "q-values-bool",
+            "blocks-int", "blocks-sizes-int",
+        ],
+    )
+    def test_malformed_json_is_a_typed_error(self, workdir, capsys, reader, bad, named):
+        tmp, write = workdir
+        path = write("bad.json", bad)
+        m = write("m.json", {"rows": 1, "cols": 1, "entries": [["1"]]})
+        s = write("s.json", {"values": ["1"]})
+        argv = {
+            "matrix": ["normalize", "--in", path],
+            "spectrum": ["verify", "--matrix", m, "--spectrum", path],
+            "q": ["guo-shift", "--in", write("B.json", CIRC), "--q", path],
+            "jordan": ["verify", "--matrix", m, "--spectrum", s, "--jordan", path],
+        }[reader]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err

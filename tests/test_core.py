@@ -76,6 +76,11 @@ class TestRationalParsing:
         with pytest.raises(DomainError):
             rat(0.1)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected(self, value):
+        with pytest.raises(DomainError, match="bool"):
+            rat(value)
+
     @pytest.mark.parametrize(
         "text",
         ["abc", "1" * 5000, "1/0", "1e5000"],

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nnspectra import jcfcert
+from nnspectra import core, jcfcert
 from nnspectra.core import (
     JordanSpec,
     RationalMatrix,
@@ -97,6 +97,28 @@ class TestWeyr:
         monkeypatch.setattr(jcfcert, "exact_rank", spy)
         jordan_spec(C, Spectrum.from_values(values))
         assert len(calls) == ranks
+
+
+class TestCharPolyRoute:
+    def test_one_integer_route_into_the_elimination(self, monkeypatch):
+        # both halves hand integer rows to _eliminate: no matrix is built and
+        # no determinant taken on the way
+        values = [9, -1, -2, -2, F(1, 3)]
+        C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
+        calls, init, det = [], RationalMatrix.__init__, core.determinant
+
+        def matrix_spy(self, data):
+            calls.append("RationalMatrix")
+            init(self, data)
+
+        def determinant_spy(M):
+            calls.append("determinant")
+            return det(M)
+
+        monkeypatch.setattr(RationalMatrix, "__init__", matrix_spy)
+        monkeypatch.setattr(core, "determinant", determinant_spy)
+        assert char_poly(C) == poly_from_roots(values)
+        assert calls == []
 
 
 class TestSegreWeyrConjugacy:
