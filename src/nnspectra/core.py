@@ -9,6 +9,7 @@ sampling.  Decimal strings such as "2.52" are parsed as exact rationals
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -428,21 +429,26 @@ def kernel(A: RationalMatrix):
 def char_poly(A: RationalMatrix):
     """Coefficients of det(xI - A), monic, descending powers.
 
-    Rows cleared once, N = D A with D the row lcms; the integer determinants
-    det(kD - N) = det(D) det(kI - A), k = 0..n, and one Vandermonde system go
-    straight to the one fraction-free elimination.
+    Berkowitz's division-free algorithm on N = d A, d the lcm of all the
+    denominators: bordering the leading r x r block M by the column s, the
+    row rho and the corner a multiplies its char poly by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -rho s, -rho M s, ...,
+    -rho M^(r-1) s).  Coefficient k of det(xI - N) is d^k times that of A.
     """
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    n = A.rows
-    cleared, system = [_integer_row(row) for row in A.entries()], []
-    for k in range(n + 1):
-        shifted = [[(k * d if i == j else 0) - v for j, v in enumerate(r)] for i, (r, d) in enumerate(cleared)]
-        m, _, sign, _ = _eliminate(shifted, n)  # a singular shift ends in a zero row
-        system.append([k**p for p in range(n, -1, -1)] + [sign * m[-1][-1]])
-    m, pivots, _, _ = _eliminate(system, n + 1)
-    det_d = math.prod(d for _, d in cleared)
-    return [c / det_d for c in _back_substitute(m, pivots, n + 1)]
+    rows = A.entries()
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    N = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    c = [1]
+    for r, row in enumerate(N):
+        t, v = [1, -row[r]], [N[i][r] for i in range(r)]
+        for k in range(r):
+            t.append(-sum(map(operator.mul, row, v)))
+            if k < r - 1:
+                v = [sum(map(operator.mul, N[i], v)) for i in range(r)]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return [Fraction(ck, d**k) for k, ck in enumerate(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +476,13 @@ def poly_eval(p, x):
 
 
 def poly_from_roots(roots):
-    p = [Fraction(1)]
-    for r in roots:
-        p = poly_mul(p, [Fraction(1), -rat(r)])
-    return p
+    """prod (x - r): the integer factors (q x - p) of r = p/q, divided once by prod q."""
+    coeffs, scale = [1], 1
+    for r in map(rat, roots):
+        p, q = r.numerator, r.denominator
+        coeffs = [a * q - b * p for a, b in zip(coeffs + [0], [0] + coeffs)]
+        scale *= q
+    return [Fraction(c, scale) for c in coeffs]
 
 
 def synthetic_div(p, r):
@@ -731,6 +740,10 @@ def matrix_from_json(obj) -> RationalMatrix:
     entries = _json_list(obj, "entries")
     if not all(isinstance(row, list) for row in entries):
         raise DomainError("JSON field 'entries' must be a list of rows")
+    for field in ("rows", "cols"):
+        shape = obj.get(field, 0)
+        if isinstance(shape, bool) or not isinstance(shape, int):
+            raise DomainError("JSON field %r must be an integer, not %r" % (field, shape))
     M = RationalMatrix(entries)
     if M.rows != obj.get("rows", M.rows) or M.cols != obj.get("cols", M.cols):
         raise DomainError("declared shape disagrees with entry grid")

@@ -10,8 +10,9 @@ Everything here certifies matrices with rational spectra; irrational
 spectra are not certified.
 
 This module is the one place that checks a matrix against a spectral claim:
-jordan_spec and verify_certificate share one char-poly residual and one Weyr
-sequence per claimed eigenvalue, both eliminations.  Constructions certified
+jordan_spec and verify_certificate share one char-poly residual (Berkowitz
+over the integers) and one Weyr sequence per claimed eigenvalue (ranks by the
+fraction-free elimination).  Constructions certified
 here (the degree-5 realization, bonding) do not check those facts again.
 """
 

@@ -246,3 +246,13 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, shape", [("rows", True), ("cols", 1.0), ("rows", "1")])
+    def test_declared_shape_must_be_an_integer(self, workdir, capsys, field, shape):
+        # 1 == True == 1.0, so an equality check alone lets these through
+        tmp, write = workdir
+        path = write("bad.json", {"rows": 1, "cols": 1, "entries": [["2"]], field: shape})
+        assert dispatch(["normalize", "--in", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err
+        assert "Traceback" not in err

@@ -101,7 +101,7 @@ class TestWeyr:
 
 class TestCharPolyRoute:
     def test_one_integer_route_into_the_elimination(self, monkeypatch):
-        # both halves hand integer rows to _eliminate: no matrix is built and
+        # char_poly works on the cleared integer rows: no matrix is built and
         # no determinant taken on the way
         values = [9, -1, -2, -2, F(1, 3)]
         C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
@@ -117,6 +117,30 @@ class TestCharPolyRoute:
 
         monkeypatch.setattr(RationalMatrix, "__init__", matrix_spy)
         monkeypatch.setattr(core, "determinant", determinant_spy)
+        assert char_poly(C) == poly_from_roots(values)
+        assert calls == []
+
+    def test_berkowitz_needs_no_elimination_and_no_poly_mul(self, monkeypatch):
+        # char_poly is division-free over the cleared integers and
+        # poly_from_roots multiplies integer factors: neither eliminates,
+        # builds a matrix or multiplies Fraction polynomials
+        values = [9, -1, -2, -2, F(1, 3)]
+        C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
+        calls, init = [], RationalMatrix.__init__
+
+        def matrix_spy(self, data):
+            calls.append("RationalMatrix")
+            init(self, data)
+
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError("%s called" % name)
+
+            return call
+
+        monkeypatch.setattr(RationalMatrix, "__init__", matrix_spy)
+        monkeypatch.setattr(core, "_eliminate", forbidden("_eliminate"))
+        monkeypatch.setattr(core, "poly_mul", forbidden("poly_mul"))
         assert char_poly(C) == poly_from_roots(values)
         assert calls == []
 
@@ -349,3 +373,47 @@ class TestKernelsAgainstSympy:
                     assert weyr_sequence(A, lam) == expected
                     checked += 1
         assert checked >= 500
+
+
+class TestCharPolyAgainstSympyAtLargerOrders:
+    """char_poly at orders 8..14, where each entry has its own denominator so
+    the global lcm d exceeds every row lcm, and poly_from_roots against the
+    expansion of prod (x - r)."""
+
+    def test_char_poly(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(53)
+
+        def entry(density):
+            if rng.random() >= density:
+                return F(0)
+            return F(rng.randint(-99, 99), rng.randint(1, 40))
+
+        matrices = [RationalMatrix([[F(-7, 3)]]), RationalMatrix.zeros(9, 9)]
+        matrices.append(
+            RationalMatrix([[entry(1.0) if j >= i else 0 for j in range(11)] for i in range(11)])
+        )
+        for n in range(8, 15):
+            for density in (1.0, 1.0, 0.3, 0.3):
+                matrices.append(RationalMatrix([[entry(density) for _ in range(n)] for _ in range(n)]))
+        for A in matrices:
+            expected = _to_sympy(A).charpoly(x).all_coeffs()
+            assert char_poly(A) == [_from_sympy(c) for c in expected]
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [],
+            [F(3), F(3), F(3), F(-1, 2), F(-1, 2)],
+            [F(-5), F(-7, 4), F(-1, 9), F(0)],
+            [F(123457, 999983), F(-654321, 100003), F(1, 250001), F(123457, 999983)],
+        ],
+        ids=["empty", "repeated", "negative", "six-digit-denominators"],
+    )
+    def test_poly_from_roots(self, roots):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        product = sympy.Mul(*[x - sympy.Rational(r.numerator, r.denominator) for r in roots])
+        expected = sympy.Poly(product, x).all_coeffs()
+        assert poly_from_roots(roots) == [_from_sympy(c) for c in expected]
