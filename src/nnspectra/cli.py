@@ -31,8 +31,8 @@ from .core import (
     vector_from_json,
 )
 from .errors import DomainError, SpectraError
-from .jcfcert import enumerate_jordan_forms, verify_certificate
-from .perturb import rank_one_shift, rank_one_shift_collision_check
+from .jcfcert import enumerate_jordan_forms, jordan_spec, verify_certificate
+from .perturb import rank_one_shift
 from .rowsum import constant_row_sum_value, to_constant_row_sums
 
 SCHEMA_VERSION = 1
@@ -60,6 +60,13 @@ def _spectrum_arg(path) -> Spectrum:
     return Spectrum.from_json(_load_json(path))
 
 
+def _positive_int(text) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, not %s" % text)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -83,8 +90,7 @@ def cmd_guo_shift(args) -> int:
     else:
         raise DomainError("guo-shift needs --eps or --q")
     if args.spectrum:
-        spectrum = _spectrum_arg(args.spectrum)
-        rank_one_shift_collision_check(B, q, spectrum)
+        jordan_spec(B, _spectrum_arg(args.spectrum))  # the claim must be char_poly(B)
     shifted = rank_one_shift(B, q)
     out = {
         "schema": SCHEMA_VERSION,
@@ -334,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="CS matrix JSON")
     p.add_argument("--eps", default=None, help="uniform shift p/q (q = eps/n * e)")
     p.add_argument("--q", dest="qfile", default=None, help="explicit q vector JSON")
-    p.add_argument("--spectrum", default=None, help="spectrum JSON for collision check")
+    p.add_argument(
+        "--spectrum", default=None, help="spectrum JSON of B, checked exactly against char_poly(B)"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_guo_shift)
 
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run the scripted demonstrations end to end")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 

@@ -295,7 +295,6 @@ class CompanionParams:
     d3: Fraction
     b: Fraction
     a: Fraction
-    feasible: FeasibleInterval
 
 
 def _quartic_coeffs(gamma_coeffs):
@@ -378,8 +377,7 @@ def companion4(gamma_coeffs, d1):
             [a, 0, d3, 2],
         ]
     )
-    params = CompanionParams(d1=d1, d3=d3, b=b, a=a, feasible=feasible_d1(gamma_coeffs))
-    return A, params
+    return A, CompanionParams(d1=d1, d3=d3, b=b, a=a)
 
 
 def _auto_d1(gamma_coeffs, interval: FeasibleInterval) -> Fraction:

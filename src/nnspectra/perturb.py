@@ -88,21 +88,6 @@ def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
     return result
 
 
-def rank_one_shift_collision_check(B: RationalMatrix, q, spectrum: Spectrum):
-    """Exact collision check of lambda1 + sum(q) against a supplied spectrum."""
-    lam = constant_row_sum_value(B)
-    if lam is None:
-        raise DomainError("B is not in constant-row-sum form")
-    sigma = sum((rat(v) for v in q), Fraction(0))
-    shifted = lam + sigma
-    for value, _mult in spectrum.pairs:
-        if value != lam and value == shifted:
-            raise CollisionError(
-                "shifted Perron root %s collides with eigenvalue %s"
-                % (format_rational(shifted), format_rational(value))
-            )
-
-
 def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     """Increase the Perron root of a certified realization by eps >= 0.
 

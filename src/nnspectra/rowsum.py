@@ -9,7 +9,10 @@ rational).  The reduction walks the block structure:
   * a block that couples into the already-normalized part is absorbed by a
     lift through the solution y of (lambda1 I - A2) y = A3 e;
   * a fully decoupled block is first coupled by an explicit shear built
-    from a left eigenvector, then absorbed by the same lift.
+    from a left eigenvector, then absorbed by the same lift.  The part
+    absorbed so far stays block lower triangular with the scaled Perron
+    block first, so its left eigenvector at lambda1 is the Perron block's,
+    padded with zeros: it is computed once, on that block, per reduction.
 
 Two documented extensions widen the reducible layouts accepted beyond the
 plain chain-plus-isolated picture: mutually decoupled *clusters* of blocks
@@ -24,6 +27,9 @@ det(xI - A) is their product, lambda1 (certified by the caller, or the float
 estimate of rho(A) rationalized against the block polys) is simple iff
 exactly one block poly vanishes there, simply, and that block is the Perron
 block.  The transpose path and the other blocks' radii reuse the same data.
+In float mode it takes one np.linalg.eigvals per diagonal block: lambda1 is
+the largest modulus, it must be the only eigenvalue of A within 1e-9 of
+itself, and the block that holds that eigenvalue is the Perron block.
 
 Exact and float mode run the same absorb loop; a small backend class
 supplies the arithmetic that differs between Fraction and float64.
@@ -66,7 +72,6 @@ from .errors import (
 )
 from .structure import (
     _components,
-    _perron_component,
     _placement_order,
     is_irreducible,
     perron_data,
@@ -442,7 +447,13 @@ class _FloatOps:
 
     @staticmethod
     def left_vector(B, lam):
-        return _left_vec_float(B, lam)
+        """Left Perron vector of the irreducible block B, max entry 1,
+        checked against lam."""
+        z = perron_data(FloatMatrix(B.T))[1]
+        resid = float(np.max(np.abs(B.T @ z - lam * z)))
+        if resid > 1e-8 * max(1.0, abs(lam)):
+            raise SpectraError("left eigenvector residual %.3e" % resid)
+        return z
 
 
 def _diagonal_factor(ops, n, a, vec):
@@ -533,8 +544,10 @@ def _absorb(ops, A, lam, plan, transcript):
             {"block": label, "range": [a, b]},
         )
 
-    # 2. absorb blocks in plan order
-    bound = ranges[0][3]
+    # 2. absorb blocks in plan order; M[:p, :p], the scaled Perron block,
+    # stays as it is, and its left vector serves every coupling
+    bound = p = ranges[0][3]
+    z = None
     for kind, payload, a, b in ranges[1:]:
         rows = range(a, b)
         suffix = ""
@@ -548,7 +561,8 @@ def _absorb(ops, A, lam, plan, transcript):
             )
             suffix = "-general"
         if kind == "cluster" or not ops.nonzero(ops.sub(M, rows, range(bound))):
-            z = ops.left_vector(ops.sub(M, range(bound), range(bound)), lam)
+            if z is None:
+                z = ops.left_vector(ops.sub(M, range(p), range(p)), lam)
             conjugate(
                 _shear_factor(ops, n, a, b, z),
                 "lemma2-coupling" + suffix,
@@ -726,19 +740,6 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
 _FLOAT_TOL = 1e-9
 
 
-def _check_simple_float(arr):
-    """rho(arr); PerronNotSimple unless it is the only eigenvalue within 1e-9 of rho."""
-    ev = np.linalg.eigvals(arr)
-    rho = float(np.max(np.abs(ev)))
-    close = np.sum(np.abs(ev - rho) <= _FLOAT_TOL * max(1.0, rho))
-    if close != 1:
-        raise PerronNotSimple(
-            "Perron root %.12g is not numerically simple (%d eigenvalues within "
-            "1e-9)" % (rho, int(close))
-        )
-    return rho
-
-
 def _to_cs_float(arr) -> RowSumResult:
     transcript = [
         RowSumStep("float-mode", {"note": "floating arithmetic; tolerance 1e-9"})
@@ -753,9 +754,18 @@ def _to_cs_float(arr) -> RowSumResult:
             factors=[np.eye(1)],
         )
 
-    lam = _check_simple_float(arr)
     F = FloatMatrix(arr)
     comps, edges = _components(F)
+    # one eigenvalue pass over the diagonal blocks: lambda1 = rho(A) must be
+    # the only eigenvalue within 1e-9 of rho, and its block is the Perron block
+    eigs = [np.linalg.eigvals(arr[np.ix_(c, c)]) for c in comps]
+    lam = max(float(np.max(np.abs(ev))) for ev in eigs)
+    close = [int(np.sum(np.abs(ev - lam) <= _FLOAT_TOL * max(1.0, lam))) for ev in eigs]
+    if sum(close) != 1:
+        raise PerronNotSimple(
+            "Perron root %.12g is not numerically simple (%d eigenvalues within "
+            "1e-9)" % (lam, sum(close))
+        )
     if len(comps) == 1:
         lam, x = perron_data(F)
         B = arr / x[:, None] * x[None, :]
@@ -763,7 +773,7 @@ def _to_cs_float(arr) -> RowSumResult:
         factors = [S]
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
-        plan = _plan_from_graph(comps, edges, _perron_component(F, comps))
+        plan = _plan_from_graph(comps, edges, close.index(1))
         if plan is None:
             raise UnsupportedLayoutError(
                 "float mode handles irreducible matrices and the chain/cluster "
@@ -774,26 +784,6 @@ def _to_cs_float(arr) -> RowSumResult:
     return RowSumResult(
         FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, factors=factors
     )
-
-
-def _left_vec_float(B, lam):
-    """Nonnegative left eigenvector of B at lam by power iteration on B^T + I."""
-    n = B.shape[0]
-    shifted = B.T + np.eye(n)
-    z = np.ones(n)
-    for _ in range(200000):
-        y = shifted @ z
-        y = y / np.max(y)
-        if np.max(np.abs(y - z)) <= 1e-13:
-            z = y
-            break
-        z = y
-    z = np.clip(z, 0.0, None)
-    z = z / np.max(z)
-    resid = float(np.max(np.abs(B.T @ z - lam * z)))
-    if resid > 1e-8 * max(1.0, abs(lam)):
-        raise SpectraError("left eigenvector iteration residual %.3e" % resid)
-    return z
 
 
 def _verify_float(arr, B, S, lam):

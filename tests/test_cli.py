@@ -62,6 +62,30 @@ class TestGuoShift:
             [["1/2", "5/2"], ["5/2", "1/2"]]
         )
 
+    @pytest.mark.parametrize(
+        "values", [["2", "5"], ["2", "-2", "1"]], ids=["wrong-value", "three-values"]
+    )
+    def test_spectrum_claim_checked(self, workdir, capsys, values):
+        tmp, write = workdir
+        infile = write("B.json", CIRC)
+        assert dispatch(["guo-shift", "--in", infile, "--eps", "3"]) == 0
+        capsys.readouterr()
+        spectrum = write("s.json", {"values": values})
+        argv = ["guo-shift", "--in", infile, "--eps", "3", "--spectrum", spectrum]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "does not match the claimed spectrum" in err
+        assert "collides" not in err
+
+    def test_right_claim_with_colliding_q(self, workdir, capsys):
+        tmp, write = workdir
+        infile = write("B.json", CIRC)
+        spectrum = write("s.json", CIRC_SPECTRUM)
+        qfile = write("q.json", {"values": ["-2", "-2"]})  # lambda1 + sum(q) = -2
+        argv = ["guo-shift", "--in", infile, "--q", qfile, "--spectrum", spectrum]
+        assert dispatch(argv) == 1
+        assert "collides with another eigenvalue" in capsys.readouterr().err
+
     def test_explicit_q_with_negativity_loss(self, workdir):
         tmp, write = workdir
         infile = write("B.json", CIRC)
@@ -133,6 +157,12 @@ class TestRegionCsv:
         assert lines[0] == "t0,t,torre,boundary_member,symmetric"
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
+    def test_pm_family_grid(self, workdir):
+        tmp, _ = workdir
+        out = str(tmp / "pm.csv")
+        assert dispatch(["region", "--family", "pm", "--grid-step", "1", "--out", out]) == 0
+        assert Path(out).read_text().splitlines()[1:] == ["0,1,1,1,1", "0,2,1,1,1", "0,3,1,1,1"]
+
     def test_member_boundary_at_t0_one_row(self, workdir):
         # at grid step 1/50 the t0 = 1 rows flip membership at the
         # 0.7877... threshold: t = 39/50 is out, t = 4/5 is in
@@ -197,6 +227,14 @@ class TestDemo:
         assert "realization_first.json" in names
         union = json.loads(Path(os.path.join(out_dir, "demo_union_search.json")).read_text())
         assert union["forbidden_jordan_hits"] == 0
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_must_be_positive(self, workdir, capsys, samples):
+        tmp, _ = workdir
+        out_dir = tmp / "demo"
+        assert dispatch(["demo", "--out-dir", str(out_dir), "--samples", samples]) == 1
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestUsageErrors:

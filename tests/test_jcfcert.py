@@ -342,9 +342,9 @@ def _sympy_weyr(S, lam):
 
 
 class TestKernelsAgainstSympy:
-    """char_poly and weyr_sequence, both built on the one elimination, are
-    compared exactly with sympy's charpoly and rank on dense, sparse and
-    planted S^-1 J S matrices of order 1..7."""
+    """char_poly (Berkowitz over the integers) and weyr_sequence (ranks by
+    the one elimination) are compared exactly with sympy's charpoly and rank
+    on dense, sparse and planted S^-1 J S matrices of order 1..7."""
 
     def test_char_poly_and_weyr_sequence(self):
         sympy = pytest.importorskip("sympy")

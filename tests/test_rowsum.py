@@ -18,6 +18,7 @@ from nnspectra.errors import (
     SpectralDominanceError,
     UnsupportedLayoutError,
 )
+from nnspectra import rowsum
 from nnspectra.jcfcert import jordan_spec
 from nnspectra.rowsum import (
     _verify_exact,
@@ -286,6 +287,33 @@ class TestToConstantRowSums:
             assert result.lam == F(12, 5)
             assert result.B.is_nonnegative and result.B.row_sums() == (F(12, 5),) * 2
 
+    def test_float_one_by_one(self):
+        blob = to_constant_row_sums(RationalMatrix([[5]]), mode="float").to_json()
+        assert blob["lambda"] == "5.0"
+        assert blob["B"] == [["5.0"]] and blob["S"] == [["1.0"]]
+        assert [s["kind"] for s in blob["transcript"]] == ["float-mode"]
+
+    def test_float_matrix_input(self):
+        A = FloatMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))  # rho = sqrt(2)
+        for mode in ("auto", "float"):
+            result = to_constant_row_sums(A, mode=mode)
+            assert result.mode == "float"
+            assert np.max(np.abs(result.B.array.sum(axis=1) - np.sqrt(2))) <= 1e-12
+        with pytest.raises(ModeError, match="exact mode needs a RationalMatrix input"):
+            to_constant_row_sums(A, mode="exact")
+
+    @pytest.mark.parametrize(
+        "witness, rho",
+        [([[1, 0], [1, 1]], 1), ([[2, 0, 0], [0, 2, 0], [2, 0, 1]], 2)],
+        ids=["jordan", "double"],
+    )
+    def test_float_mode_rejects_witnesses(self, witness, rho):
+        with pytest.raises(PerronNotSimple) as info:
+            to_constant_row_sums(RationalMatrix(witness), mode="float")
+        assert str(info.value) == (
+            "Perron root %d is not numerically simple (2 eigenvalues within 1e-9)" % rho
+        )
+
     def test_float_input_validated(self):
         with pytest.raises(DomainError):
             to_constant_row_sums(FloatMatrix(np.array([[-1.0]])))
@@ -350,6 +378,83 @@ def test_float_mode_follows_exact_mode():
         assert approx.transcript[0].kind == "float-mode"
         assert [s.kind for s in approx.transcript[1:]] == [s.kind for s in exact.transcript]
     assert layouts == {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+
+
+def _layout_inputs(layouts, count):
+    rng = random.Random(2031)
+    picked = []
+    while len(picked) < count:
+        A, _, layout = random_layout_realization(rng)
+        if layout in layouts:
+            picked.append((layout, A))
+    return picked
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_left_vector_taken_once_from_perron_block(monkeypatch, mode):
+    ops = rowsum._ExactOps if mode == "exact" else rowsum._FloatOps
+    calls, plans = [], []
+    real_left, real_plan = ops.left_vector, rowsum._plan_from_graph
+
+    def left_spy(B, lam):
+        calls.append((B, lam))
+        return real_left(B, lam)
+
+    def plan_spy(*args):
+        plan = real_plan(*args)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(ops, "left_vector", staticmethod(left_spy))
+    monkeypatch.setattr(rowsum, "_plan_from_graph", plan_spy)
+    seen, most = set(), 0
+    for layout, A in _layout_inputs({"isolated", "cluster", "mixed"}, 36):
+        calls.clear()
+        plans.clear()
+        result = to_constant_row_sums(A, mode=mode)
+        couplings = sum(s.kind.startswith("lemma2-coupling") for s in result.transcript)
+        most = max(most, couplings)
+        assert len(calls) == (1 if couplings else 0)
+        if calls:
+            seen.add(layout)
+            (B, lam), p = calls[0], plans[-1][1][0][3]
+            if mode == "exact":
+                assert (B.rows, B.cols) == (p, p)
+                assert B.row_sums() == (lam,) * p  # the scaled Perron block
+            else:
+                assert B.shape == (p, p)
+                assert np.max(np.abs(B.sum(axis=1) - lam)) <= 1e-9 * lam
+    assert seen == {"isolated", "cluster", "mixed"}
+    assert most >= 2
+
+
+def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
+    used = []
+    real_shear = rowsum._shear_factor
+
+    def shear_spy(ops, n, a, b, z):
+        used.append(z)
+        return real_shear(ops, n, a, b, z)
+
+    monkeypatch.setattr(rowsum, "_shear_factor", shear_spy)
+    checked = 0
+    for _, A in _layout_inputs({"isolated", "cluster", "mixed", "bottom"}, 40):
+        used.clear()
+        result = to_constant_row_sums(A, mode="exact")
+        steps = iter(used)
+        S = RationalMatrix.identity(A.rows)
+        # transcript step i applies factor i: M = S^-1 A S before it
+        for step, factor in zip(result.transcript, result.factors):
+            if step.kind.startswith("lemma2-coupling"):
+                bound = step.detail["coupled-into"][1]
+                M = solve(S, A @ S)
+                leading = M.submatrix(range(bound), range(bound))
+                z = next(steps)
+                padded = tuple(z) + (F(0),) * (bound - len(z))
+                assert padded == rowsum._left_eigenvector_exact(leading, result.lam)
+                checked += 1
+            S = S @ factor
+    assert checked >= 20
 
 
 class TestSimilarityToTranspose:
