@@ -31,7 +31,7 @@ from .core import (
     vector_from_json,
 )
 from .errors import DomainError, SpectraError
-from .jcfcert import enumerate_jordan_forms, jordan_spec, verify_certificate
+from .jcfcert import _match_spectrum, enumerate_jordan_forms, verify_certificate
 from .perturb import rank_one_shift
 from .rowsum import constant_row_sum_value, to_constant_row_sums
 
@@ -90,7 +90,7 @@ def cmd_guo_shift(args) -> int:
     else:
         raise DomainError("guo-shift needs --eps or --q")
     if args.spectrum:
-        jordan_spec(B, _spectrum_arg(args.spectrum))  # the claim must be char_poly(B)
+        _match_spectrum(B, _spectrum_arg(args.spectrum))  # the claim must be char_poly(B)
     shifted = rank_one_shift(B, q)
     out = {
         "schema": SCHEMA_VERSION,

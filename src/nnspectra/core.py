@@ -295,7 +295,14 @@ class FloatMatrix:
 
 
 def to_float(A: RationalMatrix) -> FloatMatrix:
-    return FloatMatrix([[float(v) for v in row] for row in A.entries()])
+    """A in float64; DomainError names an entry beyond the float range."""
+    rows = A.entries()
+    try:
+        return FloatMatrix([[float(v) for v in row] for row in rows])
+    except OverflowError:
+        # float() overflows on the entry of largest modulus first
+        _, i, j = max((abs(v), i, j) for i, row in enumerate(rows) for j, v in enumerate(row))
+        raise DomainError("entry (%d,%d) is beyond the float64 range" % (i, j)) from None
 
 
 def from_float(F: FloatMatrix, denominator_bound: int) -> RationalMatrix:

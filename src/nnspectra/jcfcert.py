@@ -125,12 +125,8 @@ def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     )
 
 
-def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
-    """Exact Jordan structure of A, given its (rational) spectrum.
-
-    Raises SpectrumMismatchError when char_poly(A) does not split exactly
-    over the supplied spectrum.
-    """
+def _match_spectrum(A: RationalMatrix, spectrum: Spectrum) -> None:
+    """SpectrumMismatchError unless char_poly(A) splits exactly over spectrum."""
     residual = _residual(A, spectrum)
     if residual != [Fraction(0)]:
         raise SpectrumMismatchError(
@@ -138,6 +134,15 @@ def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
             "residual: %s" % poly_to_string(residual),
             residual=residual,
         )
+
+
+def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
+    """Exact Jordan structure of A, given its (rational) spectrum.
+
+    Raises SpectrumMismatchError when char_poly(A) does not split exactly
+    over the supplied spectrum.
+    """
+    _match_spectrum(A, spectrum)
     return _jordan_of(A, spectrum)
 
 

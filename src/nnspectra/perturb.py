@@ -97,12 +97,12 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     other Jordan block unchanged.
 
     The input is certified once, by jordan_spec (char poly against the
-    spectrum, then Weyr ranks); lambda1 and the radius of every diagonal
-    block the reduction scales are read from that certified spectrum, never
-    re-derived from floats; the output is certified once, by
-    verify_certificate.  B + (eps/n) e e^T needs no check in between: B >= 0
-    and eps >= 0 keep it nonnegative, and lambda1 + eps exceeds every other
-    eigenvalue, so it collides with none.
+    spectrum, then Weyr ranks); lambda1 is read from that certified spectrum,
+    and the radius of every other diagonal block the reduction scales comes
+    from the reduction's own exact routine, never from floats; the output is
+    certified once, by verify_certificate.  B + (eps/n) e e^T needs no check
+    in between: B >= 0 and eps >= 0 keep it nonnegative, and lambda1 + eps
+    exceeds every other eigenvalue, so it collides with none.
     """
     eps = rat(eps)
     if eps < 0:
@@ -116,7 +116,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    B = _to_cs_exact(A, spectrum).B
+    B = _to_cs_exact(A, lam1).B
     q = eps / B.rows
     shifted = RationalMatrix([[v + q for v in row] for row in B.entries()])
     claimed_spectrum = spectrum.replace_perron(lam1 + eps)

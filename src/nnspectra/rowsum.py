@@ -22,11 +22,12 @@ handled through an exact similarity with the transpose.  The simple-root
 hypothesis cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
-A.  In exact mode it computes each diagonal block's char poly once; as
-det(xI - A) is their product, lambda1 (certified by the caller, or the float
-estimate of rho(A) rationalized against the block polys) is simple iff
-exactly one block poly vanishes there, simply, and that block is the Perron
-block.  The transpose path and the other blocks' radii reuse the same data.
+A.  In exact mode it computes each diagonal block's char poly once, and
+perron_root_exact finds every block's spectral radius from it exactly, by a
+bisection over the integers with no float anywhere; lambda1 is the largest
+(or certified by the caller).  As det(xI - A) is the product of the block
+polys, lambda1 is simple iff exactly one block poly vanishes there, simply,
+and that block is the Perron block.  The transpose path reuses the same data.
 In float mode it takes one np.linalg.eigvals per diagonal block: lambda1 is
 the largest modulus, it must be the only eigenvalue of A within 1e-9 of
 itself, and the block that holds that eigenvalue is the Perron block.
@@ -37,6 +38,7 @@ supplies the arithmetic that differs between Fraction and float64.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -55,7 +57,6 @@ from .core import (
     matrix_to_json,
     rat,
     solve,
-    synthetic_div,
     to_float,
 )
 from .errors import (
@@ -235,41 +236,49 @@ def _right_eigenvector_exact(B, lam):
 # the component pass: lambda1, its simplicity and its block
 # ---------------------------------------------------------------------------
 
-_DENOMINATOR_LADDER = (1, 10, 100, 10**4, 10**6, 10**9, 10**12)
+def _taylor(q, m):
+    """The Taylor coefficients of the poly q at m, lowest first: the
+    successive remainders of synthetic division by (x - m)."""
+    while q:
+        acc, quotient = 0, []
+        for c in q:
+            acc = acc * m + c
+            quotient.append(acc)
+        q = quotient[:-1]
+        yield acc
 
 
-def _float_radius(arr):
-    """Spectral radius of a float64 array from its eigenvalues."""
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))
+def perron_root_exact(blocks, polys):
+    """(lambda1, radii): the spectral radius of each irreducible nonnegative
+    block, and of the matrix with these diagonal blocks; None where irrational.
 
-
-def _split_at(p, c):
-    """(m, taylor): the multiplicity m of c as a root of p, and the Taylor
-    coefficients at c of p / (x - c)^m, lowest first (the successive
-    synthetic_div remainders)."""
-    taylor = []
-    while p:
-        p, rem = synthetic_div(p, c)
-        taylor.append(rem)
-    m = next(i for i, t in enumerate(taylor) if t != 0)
-    return m, taylor[m:]
-
-
-def perron_root_exact(polys, estimate: float):
-    """The spectral radius of the matrix whose diagonal blocks have char
-    polys polys, when it is rational; None otherwise (float mode territory).
-
-    Down the ladder, a rational c near estimate is taken when it is a root of
-    some poly and, with the factors (x - c) divided out, every poly has
-    positive Taylor coefficients at c, so no poly has a real root above c
-    (Descartes' rule).  rho passes: every other root z has Re(z - rho) < 0.
+    With d the lcm of the blocks' denominators, q(y) = d^n p(d^-1 y) is monic
+    over Z for each block poly p, so rho is rational iff d rho is an integer.
+    Every root z of q has Re z <= d rho (Perron-Frobenius), so the Taylor
+    coefficients of q = prod (y - z) at an integer m are all >= 0 iff no real
+    root lies above m, iff m >= d rho.  rho lies between the larger of the
+    smallest row sum and the largest diagonal entry, and the largest row
+    sum; bisection over d times that range finds m = ceil(d rho), and
+    rho = m / d iff q(m) = 0.  lambda1 is the largest rho.
     """
-    for bound in _DENOMINATOR_LADDER:
-        cand = Fraction(estimate).limit_denominator(bound)
-        splits = [_split_at(p, cand) for p in polys]
-        if any(m for m, _ in splits) and all(t > 0 for _, taylor in splits for t in taylor):
-            return cand
-    return None
+    d = math.lcm(*(v.denominator for B in blocks for row in B.entries() for v in row))
+    radii, ceilings = [], []
+    for B, p in zip(blocks, polys):
+        q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
+        sums = [int(d * s) for s in B.row_sums()]
+        lo = max(min(sums), max(int(d * B[i, i]) for i in range(B.rows)))
+        hi = max(sums)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if all(t >= 0 for t in _taylor(q, mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        ceilings.append(lo)
+        radii.append(Fraction(lo, d) if next(_taylor(q, lo)) == 0 else None)
+    top = max(ceilings)
+    lam = next((r for r, m in zip(radii, ceilings) if m == top and r is not None), None)
+    return lam, radii
 
 
 def _perron_block(polys, lam):
@@ -278,7 +287,7 @@ def _perron_block(polys, lam):
     det(xI - A) is the product of the block char polys, so the multiplicity
     of lam in A is the sum of its multiplicities in the blocks.
     """
-    mults = [_split_at(p, lam)[0] for p in polys]
+    mults = [next(i for i, t in enumerate(_taylor(p, lam)) if t) for p in polys]
     if sum(mults) == 0:
         raise SpectraError("internal error: no block carries the Perron root")
     if sum(mults) > 1:
@@ -356,17 +365,15 @@ def _plan_from_graph(comps, edges, perron):
 
 
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop; polys are the char polys of
-    the diagonal blocks, by component index, and spectrum is the certified
-    spectrum of the whole matrix, or None."""
+    """Fraction arithmetic for the absorb loop; radii are the spectral radii
+    of the diagonal blocks, by component index, None where irrational."""
 
     one = Fraction(1)
     matrix = RationalMatrix
     diagonal = RationalMatrix.diagonal
 
-    def __init__(self, polys, spectrum):
-        self.polys = polys
-        self.spectrum = spectrum
+    def __init__(self, radii):
+        self.radii = radii
 
     @staticmethod
     def sub(M, rows, cols):
@@ -393,18 +400,9 @@ class _ExactOps:
 
     def perron_vector(self, block, lam, ci):
         """Positive eigenvector of the irreducible block of component ci at
-        lam; at its own spectral radius when lam is None.
-
-        With a certified spectrum that radius is exact: every root of the
-        block's poly is a spectrum value, and the radius of an irreducible
-        nonnegative block is its largest real eigenvalue (Perron-Frobenius).
-        """
-        if lam is None and self.spectrum is not None:
-            poly = self.polys[ci]
-            lam = next(v for v, _ in self.spectrum.pairs if synthetic_div(poly, v)[1] == 0)
-        elif lam is None:
-            estimate = _float_radius(to_float(block).array)
-            lam = perron_root_exact([self.polys[ci]], estimate)
+        lam; at its own spectral radius when lam is None."""
+        if lam is None:
+            lam = self.radii[ci]
             if lam is None:
                 raise ModeError(
                     "a diagonal block has an irrational spectral radius; "
@@ -617,15 +615,13 @@ def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
         return _to_cs_float(to_float(A).array)
 
 
-def _to_cs_exact(A: RationalMatrix, spectrum=None) -> RowSumResult:
+def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     """Exact CS form of A from one pass over its diagonal blocks.
 
-    spectrum is given when the caller has matched char_poly(A) against it
-    exactly and checked that its Perron value lambda1 is simple; lambda1 and
-    the radius of every block scaled are then read from it.  Otherwise the
-    float estimate of rho(A), and of each block's radius, is rationalized
-    against the block char polys.  A certified spectrum on an irreducible A
-    needs no char poly at all.
+    lam is given when the caller has certified lambda1 = rho(A) as a simple
+    eigenvalue; an irreducible A then needs no char poly at all.  Otherwise,
+    and for every block the reduction scales, perron_root_exact finds the
+    radius exactly from the block char polys.
     """
     if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
         one = RationalMatrix.identity(1)
@@ -633,16 +629,15 @@ def _to_cs_exact(A: RationalMatrix, spectrum=None) -> RowSumResult:
         return RowSumResult(A, one, [], "exact", A[0, 0], factors=[one])
 
     comps, edges = _components(A)
-    polys, perron = None, 0
-    lam = None if spectrum is None else spectrum.perron
+    radii, perron = None, 0
     if lam is None or len(comps) > 1:
-        polys = [char_poly(A.submatrix(c, c)) for c in comps]
+        blocks = [A.submatrix(c, c) for c in comps]
+        polys = [char_poly(B) for B in blocks]
+        rho, radii = perron_root_exact(blocks, polys)
         if lam is None:
-            lam = perron_root_exact(polys, _float_radius(to_float(A).array))
-            if lam is None:
-                raise ModeError(
-                    "the Perron root appears irrational; rerun in float mode"
-                )
+            if rho is None:
+                raise ModeError("the Perron root appears irrational; rerun in float mode")
+            lam = rho
         perron = _perron_block(polys, lam)
 
     transcript = []
@@ -658,7 +653,7 @@ def _to_cs_exact(A: RationalMatrix, spectrum=None) -> RowSumResult:
             )
         )
     elif plan is not None:
-        B, S, factors = _absorb(_ExactOps(polys, spectrum), A, lam, plan, transcript)
+        B, S, factors = _absorb(_ExactOps(radii), A, lam, plan, transcript)
     else:
         # the Perron block feeds an earlier block: reduce A^T instead, with
         # the components numbered as Tarjan numbers them on A^T
@@ -673,7 +668,7 @@ def _to_cs_exact(A: RationalMatrix, spectrum=None) -> RowSumResult:
         transcript.append(
             RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
         )
-        ops = _ExactOps([polys[comps.index(c)] for c in comps_t], spectrum)
+        ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
         B, S, factors = _absorb(ops, At, lam, plan, transcript)
         X = similarity_to_transpose(A)
         S, factors = X @ S, [X] + factors

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nnspectra import jcfcert
 from nnspectra.cli import dispatch
 from nnspectra.core import RationalMatrix, matrix_from_json, matrix_to_json
 
@@ -46,6 +47,25 @@ class TestNormalize:
         assert err.startswith("error: ") and "'1/0'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    def test_entry_beyond_float_range_is_domain_error(self, workdir, capsys, mode):
+        # the Perron root of [[10^4000, 1], [1, 1]] is irrational, so auto mode
+        # tries float mode after the exact attempt
+        tmp, write = workdir
+        infile = write("big.json", {"rows": 2, "cols": 2, "entries": [["1e4000", "1"], ["1", "1"]]})
+        assert dispatch(["normalize", "--in", infile, "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: entry (0,0) is beyond the float64 range\n"
+
+    def test_entry_beyond_float_range_in_exact_mode(self, workdir):
+        tmp, write = workdir
+        infile = write("big.json", {"rows": 2, "cols": 2, "entries": [["1e4000", "0"], ["1", "1"]]})
+        out = str(tmp / "out.json")
+        assert dispatch(["normalize", "--in", infile, "--mode", "exact", "--out", out]) == 0
+        blob = json.loads(Path(out).read_text())
+        assert blob["lambda"] == str(10**4000)
+        assert matrix_from_json(blob["B"]).row_sums() == (10**4000,) * 2
+
 
 class TestGuoShift:
     def test_uniform_eps(self, workdir):
@@ -76,6 +96,17 @@ class TestGuoShift:
         err = capsys.readouterr().err
         assert "does not match the claimed spectrum" in err
         assert "collides" not in err
+
+    def test_spectrum_claim_runs_no_weyr_pass(self, workdir, monkeypatch):
+        # guo-shift needs only the char-poly match, not the Jordan structure
+        calls = []
+        monkeypatch.setattr(jcfcert, "weyr_sequence", lambda *args: calls.append(args))
+        tmp, write = workdir
+        infile = write("B.json", CIRC)
+        spectrum = write("s.json", CIRC_SPECTRUM)
+        argv = ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum]
+        assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
+        assert calls == []
 
     def test_right_claim_with_colliding_q(self, workdir, capsys):
         tmp, write = workdir

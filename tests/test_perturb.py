@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nnspectra.core import (
@@ -17,17 +18,16 @@ from nnspectra.core import (
 )
 from nnspectra.errors import (
     CollisionError,
+    DimensionError,
     DomainError,
     NonnegativityLossError,
     PerronNotSimple,
 )
 from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
-from nnspectra import rowsum
 from nnspectra.perturb import rank_one_shift, ur_shift
 from nnspectra.rowsum import to_constant_row_sums
 
 from conftest import (
-    planted_reducible,
     random_cs_matrix,
     random_layout_realization,
     scramble,
@@ -39,6 +39,14 @@ CIRC = RationalMatrix([[0, 2], [2, 0]])
 
 
 class TestRankOneShift:
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError, match="B must be square"):
+            rank_one_shift(RationalMatrix([[1, 1]]), [0, 0])
+
+    def test_q_length_checked(self):
+        with pytest.raises(DimensionError, match="q must have length 2"):
+            rank_one_shift(CIRC, [1])
+
     def test_zero_q_is_identity(self):
         assert rank_one_shift(CIRC, [0, 0]) == CIRC
 
@@ -164,6 +172,10 @@ class TestUrShift:
                 [spectrum.perron + eps] * B.rows
             )
 
+    def test_negative_input_rejected(self):
+        with pytest.raises(DomainError, match="A must be nonnegative"):
+            ur_shift(RationalMatrix([[2, -1], [0, 1]]), Spectrum.from_values([2, 1]), 1)
+
     def test_spectrum_mismatch_rejected(self):
         with pytest.raises(DomainError):
             ur_shift(CIRC, Spectrum.from_values([3, -2]), 1)
@@ -211,27 +223,28 @@ class TestUrShift:
         assert cert.to_json()["verdict"] == "pass"
         assert shifted.row_sums() == (lam + F(1, 3),) * 2
 
-    @pytest.mark.parametrize("layout", ["chain", "mixed", "isolated", "cluster", "bottom"])
-    def test_block_radii_come_from_the_certified_spectrum(self, monkeypatch, layout):
-        # no float estimate of any block's radius: the certified spectrum holds
-        # every root of every block poly
+    @pytest.mark.parametrize(
+        "layout", ["irreducible", "chain", "isolated", "mixed", "cluster", "bottom"]
+    )
+    def test_no_float_eigenvalues_on_the_exact_path(self, monkeypatch, layout):
+        # lambda1 and every block radius come from exact arithmetic, under
+        # ur_shift and in exact-mode normalization alike
         calls = []
+        real = np.linalg.eigvals
 
-        def spy(name):
-            real = getattr(rowsum, name)
+        def counted(a):
+            calls.append(a)
+            return real(a)
 
-            def counted(*args):
-                calls.append(name)
-                return real(*args)
-
-            return counted
-
-        for name in ("_float_radius", "perron_root_exact"):
-            monkeypatch.setattr(rowsum, name, spy(name))
-        rng = random.Random(3)
-        for _ in range(5):
-            A, values = planted_reducible(rng, layout)
-            _shifted, cert = ur_shift(A, Spectrum.from_values(values), F(1, 3))
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        rng, seen = random.Random(3), 0
+        while seen < 5:
+            A, spectrum, got = random_layout_realization(rng)
+            if got != layout:
+                continue
+            seen += 1
+            assert to_constant_row_sums(A, mode="exact").lam == spectrum.perron
+            _shifted, cert = ur_shift(A, spectrum, F(1, 3))
             assert cert.verdict
         assert calls == []
 

@@ -28,6 +28,7 @@ from nnspectra.rowsum import (
     to_constant_row_sums,
 )
 
+from test_core import _from_sympy, _to_sympy
 from conftest import (
     random_layout_realization,
     random_realization_with_rational_spectrum,
@@ -98,6 +99,21 @@ class TestLemma1Lift:
                 RationalMatrix([[1]]),
             )
 
+    @pytest.mark.parametrize(
+        "A1, A2, A3, error, message",
+        [
+            ([[1, 2], [0, 1]], [[1]], [[1, 1]], DomainError, "A1 is not in constant-row-sum form"),
+            ([[2]], [[-1]], [[1]], DomainError, "blocks must be nonnegative"),
+            ([[3]], [[1, 0], [0, 1]], [[1], [1]], DomainError, "A2 must be irreducible"),
+            ([[3]], [[1]], [[1, 1]], DimensionError, "A3 must be"),
+            ([[2]], [[2]], [[1]], SpectralDominanceError, r"lift: \(lambda1 I - K\) is singular"),
+        ],
+        ids=["a1-not-cs", "negative-block", "reducible-a2", "a3-shape", "singular-lift"],
+    )
+    def test_refusals(self, A1, A2, A3, error, message):
+        with pytest.raises(error, match=message):
+            lemma1_lift(RationalMatrix(A1), RationalMatrix(A2), RationalMatrix(A3))
+
 
 def _random_cs_block(rng, n, lam):
     """Random nonnegative n x n with every row summing to lam exactly."""
@@ -156,6 +172,23 @@ class TestLemma2Coupling:
     def test_negative_z_rejected(self):
         with pytest.raises(DomainError):
             lemma2_coupling(RationalMatrix([[2]]), RationalMatrix([[1]]), z=[-1])
+
+    @pytest.mark.parametrize(
+        "A1, A2, z, error, message",
+        [
+            ([[1, 2], [0, 1]], [[1]], None, DomainError, "A1 is not in constant-row-sum form"),
+            ([[3]], [[1, 2], [1, 0]], None, DomainError, "A2 is not in constant-row-sum form"),
+            ([[3]], [[1, 0], [0, 1]], None, DomainError, "A2 must be irreducible"),
+            ([[1]], [[2]], [1], SpectralDominanceError, r"rho\(A2\) exceeds lambda1"),
+            ([[2]], [[1]], [1, 1], DimensionError, "z has wrong length"),
+            ([[2]], [[1]], [0], DomainError, "z is zero"),
+            ([[1, 1], [2, 0]], [[1]], [1, 1], DomainError, "z is not a left eigenvector"),
+        ],
+        ids=["a1-not-cs", "a2-not-cs", "reducible-a2", "dominance", "z-length", "z-zero", "z-not-left"],
+    )
+    def test_refusals(self, A1, A2, z, error, message):
+        with pytest.raises(error, match=message):
+            lemma2_coupling(RationalMatrix(A1), RationalMatrix(A2), z=z)
 
 
 def _is_irreducible_safe(A):
@@ -286,6 +319,36 @@ class TestToConstantRowSums:
             assert result.mode == "exact"
             assert result.lam == F(12, 5)
             assert result.B.is_nonnegative and result.B.row_sums() == (F(12, 5),) * 2
+
+    @pytest.mark.parametrize(
+        "entries, rho",
+        [
+            ([[F(1, 10000019), F(1, 3)], [F(1, 3), F(1, 10000019)]], F(10000022, 30000057)),
+            ([[3, 0, 0], [1, "H", "H"], [0, "H", "H"]], F(3)),
+            ([["H", "H", 0], ["H", "H", 0], [0, 1, 3]], F(3)),
+            ([["L", 0], [1, F(1, 2)]], F(10**13 + 1, 10**13)),
+            ([[F(1, 2), 0], [1, "L"]], F(10**13 + 1, 10**13)),
+        ],
+        ids=["irreducible", "block-radius", "block-radius-transpose", "chain", "transpose"],
+    )
+    def test_rational_radius_far_from_short_fractions(self, entries, rho):
+        # H = (10^13+1)/(2 10^13), so the lower block of the second layout has
+        # the rational radius 2H; L sits 1e-13 above 1
+        named = {"H": F(10**13 + 1, 2 * 10**13), "L": F(10**13 + 1, 10**13)}
+        A = RationalMatrix([[named.get(v, v) for v in row] for row in entries])
+        for mode in ("exact", "auto"):
+            result = to_constant_row_sums(A, mode=mode)
+            assert result.mode == "exact"
+            assert result.lam == rho
+            assert result.B.is_nonnegative and result.B.row_sums() == (rho,) * A.rows
+            assert solve(result.S, A @ result.S) == result.B
+
+    def test_irrational_block_radius(self):
+        A = RationalMatrix([[3, 0, 0], [1, 0, 2], [0, 1, 0]])  # lower block: sqrt(2)
+        with pytest.raises(ModeError, match="a diagonal block has an irrational spectral radius"):
+            to_constant_row_sums(A, mode="exact")
+        result = to_constant_row_sums(A, mode="auto")
+        assert result.mode == "float" and result.lam == 3.0
 
     def test_float_one_by_one(self):
         blob = to_constant_row_sums(RationalMatrix([[5]]), mode="float").to_json()
@@ -455,6 +518,46 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
                 checked += 1
             S = S @ factor
     assert checked >= 20
+
+
+def _irreducible_sample(rng, i):
+    """An irreducible nonnegative matrix of order 1..5: every third one in CS
+    form and diagonally conjugated (a rational radius, assorted
+    denominators), the rest random (mostly irrational radii)."""
+    n = rng.randint(1, 5)
+    if i % 3 == 0:
+        lam = F(rng.randint(1, 40), rng.choice([1, 3, 10**6 + 3, 10**13]))
+        d = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+        return _random_cs_block(rng, n, lam).diag_conjugate(d)
+    rows = [[F(rng.randint(0, 6), rng.randint(1, 4)) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        rows[k][(k + 1) % n] += 1  # a Hamiltonian cycle keeps it irreducible
+    return RationalMatrix(rows)
+
+
+def test_perron_root_exact_against_sympy():
+    # independent oracle: the largest real root of sympy's char poly, a
+    # Rational exactly when it is rational; pairs of blocks check lambda1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2053)
+    tops = []
+    while len(tops) < 300:
+        A = _irreducible_sample(rng, len(tops))
+        if not _is_irreducible_safe(A):
+            continue
+        top = sympy.real_roots(_to_sympy(A).charpoly(x).as_expr())[-1]
+        lam, radii = rowsum.perron_root_exact([A], [char_poly(A)])
+        assert radii == [lam]
+        assert lam == (_from_sympy(top) if top.is_Rational else None)
+        if tops:
+            P, top_p = tops[-1]
+            pair, _ = rowsum.perron_root_exact([P, A], [char_poly(P), char_poly(A)])
+            high = max(top, top_p)
+            assert pair == (_from_sympy(high) if high.is_Rational else None)
+        tops.append((A, top))
+    assert sum(top.is_Rational for _, top in tops) >= 100
+    assert sum(not top.is_Rational for _, top in tops) >= 100
 
 
 class TestSimilarityToTranspose:
