@@ -118,7 +118,7 @@ def cmd_bond(args) -> int:
     }
     if cert is None:
         out["reason"] = (
-            "no exact certificate: the spectrum of A or B was not recovered over Q"
+            "no exact certificate: the char poly of A or B does not split over Q"
         )
         sys.stderr.write(out["reason"] + "\n")
     _dump_json(out, args.out)

@@ -13,6 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -492,15 +493,37 @@ def poly_from_roots(roots):
     return [Fraction(c, scale) for c in coeffs]
 
 
+def _taylor(q, m):
+    """The Taylor coefficients of the poly q at m, lowest first: the
+    successive remainders of synthetic division by (x - m)."""
+    while q:
+        acc, quotient = 0, []
+        for c in q:
+            acc = acc * m + c
+            quotient.append(acc)
+        q = quotient[:-1]
+        yield acc
+
+
+def _root_ceiling(q, lo, hi):
+    """The least integer m in [lo, hi] at which all Taylor coefficients of q
+    are >= 0, by bisection: the test is monotone in m.  It is ceil(r) when
+    the root r of q of largest real part is real (and ceil(r) in [lo, hi]):
+    for m >= r each factor y + m - z of q(y + m), or conjugate pair, has
+    coefficients >= 0, and for m < r q(y + m) has the positive root r - m."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if all(t >= 0 for t in _taylor(q, mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def synthetic_div(p, r):
-    """Divide by (x - r): returns (quotient, remainder)."""
-    r = rat(r)
-    out = []
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * r + c
-        out.append(acc)
-    return out[:-1], out[-1]
+    """Divide by (x - r), r an int or Fraction: returns (quotient, remainder)."""
+    *quotient, remainder = accumulate(p, lambda acc, c: acc * r + c)
+    return quotient, remainder
 
 
 def poly_sub(p, q):

@@ -6,8 +6,8 @@ is the Segre characteristic (Jordan block sizes).  Once char_poly(A) has
 matched a spectrum exactly, each eigenvalue's multiplicity fixes where its
 sequence ends, and only the ranks that leaves open are computed: none at a
 simple eigenvalue, at most one per eigenvalue of a nonderogatory matrix.
-Everything here certifies matrices with rational spectra; irrational
-spectra are not certified.
+Everything here certifies matrices with rational spectra, which
+rational_spectrum_of tells apart exactly; irrational spectra are not certified.
 
 This module is the one place that checks a matrix against a spectral claim:
 jordan_spec and verify_certificate share one char-poly residual (Berkowitz
@@ -18,25 +18,24 @@ here (the degree-5 realization, bonding) do not check those facts again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
     _integer_row,
+    _root_ceiling,
     char_poly,
     exact_rank,
     format_rational,
     matrix_to_json,
-    poly_from_roots,
     poly_sub,
     poly_to_string,
     rat,
-    to_float,
+    synthetic_div,
 )
 from .errors import DimensionError, SpectrumMismatchError
 
@@ -144,6 +143,27 @@ def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     """
     _match_spectrum(A, spectrum)
     return _jordan_of(A, spectrum)
+
+
+def rational_spectrum_of(A: RationalMatrix):
+    """Spectrum of A when its char poly p splits over Q, else None.
+
+    q(y) = d^n p(y/d) = det(yI - dA), d the lcm of A's denominators, is monic
+    over Z, so p splits over Q iff q has n integer roots.  Such a q is
+    real-rooted, so _root_ceiling from the Cauchy bound finds its largest
+    root m; q(m) = 0 is checked, y - m divided out, and the next root sought <= m.
+    """
+    d = math.lcm(*(v.denominator for row in A.entries() for v in row))
+    q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(char_poly(A))]
+    bound = 1 + max(map(abs, q))
+    roots, m = [], bound
+    while len(q) > 1:
+        m = _root_ceiling(q, -bound, m)
+        q, remainder = synthetic_div(q, m)
+        if remainder:
+            return None
+        roots.append(Fraction(m, d))
+    return Spectrum.from_values(roots)
 
 
 def integer_partitions(m: int):
@@ -270,30 +290,3 @@ def verify_certificate(
         verdict=all(check.passed for check in checks),
         checks=tuple(checks),
     )
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-_DENOMINATOR_BOUND = 10**6
-
-
-def rational_spectrum_of(A: RationalMatrix):
-    """Spectrum of A when its char poly splits over Q, else None.
-
-    Float eigenvalues are rationalized with denominators up to 10^6 and the
-    factorization is re-verified exactly, so a returned Spectrum is always
-    correct; a None only means the reconstruction heuristic failed (e.g.
-    huge denominators or complex pairs).
-    """
-    ev = np.linalg.eigvals(to_float(A).array)
-    if np.max(np.abs(ev.imag)) > 1e-7:
-        return None
-    candidates = []
-    for x in sorted(ev.real.tolist(), reverse=True):
-        candidates.append(Fraction(x).limit_denominator(_DENOMINATOR_BOUND))
-    if poly_sub(char_poly(A), poly_from_roots(candidates)) != [Fraction(0)]:
-        return None
-    return Spectrum.from_values(candidates)
-

@@ -50,6 +50,8 @@ from .core import (
     FloatMatrix,
     RationalMatrix,
     _integer_row,
+    _root_ceiling,
+    _taylor,
     char_poly,
     determinant,
     format_rational,
@@ -236,30 +238,17 @@ def _right_eigenvector_exact(B, lam):
 # the component pass: lambda1, its simplicity and its block
 # ---------------------------------------------------------------------------
 
-def _taylor(q, m):
-    """The Taylor coefficients of the poly q at m, lowest first: the
-    successive remainders of synthetic division by (x - m)."""
-    while q:
-        acc, quotient = 0, []
-        for c in q:
-            acc = acc * m + c
-            quotient.append(acc)
-        q = quotient[:-1]
-        yield acc
-
-
 def perron_root_exact(blocks, polys):
     """(lambda1, radii): the spectral radius of each irreducible nonnegative
     block, and of the matrix with these diagonal blocks; None where irrational.
 
     With d the lcm of the blocks' denominators, q(y) = d^n p(d^-1 y) is monic
     over Z for each block poly p, so rho is rational iff d rho is an integer.
-    Every root z of q has Re z <= d rho (Perron-Frobenius), so the Taylor
-    coefficients of q = prod (y - z) at an integer m are all >= 0 iff no real
-    root lies above m, iff m >= d rho.  rho lies between the larger of the
-    smallest row sum and the largest diagonal entry, and the largest row
-    sum; bisection over d times that range finds m = ceil(d rho), and
-    rho = m / d iff q(m) = 0.  lambda1 is the largest rho.
+    Every root z of q has Re z <= d rho (Perron-Frobenius), and rho lies
+    between the larger of the smallest row sum and the largest diagonal
+    entry, and the largest row sum; so _root_ceiling over d times that range
+    finds m = ceil(d rho), and rho = m / d iff q(m) = 0.  lambda1 is the
+    largest rho.
     """
     d = math.lcm(*(v.denominator for B in blocks for row in B.entries() for v in row))
     radii, ceilings = [], []
@@ -267,15 +256,9 @@ def perron_root_exact(blocks, polys):
         q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
         sums = [int(d * s) for s in B.row_sums()]
         lo = max(min(sums), max(int(d * B[i, i]) for i in range(B.rows)))
-        hi = max(sums)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if all(t >= 0 for t in _taylor(q, mid)):
-                hi = mid
-            else:
-                lo = mid + 1
-        ceilings.append(lo)
-        radii.append(Fraction(lo, d) if next(_taylor(q, lo)) == 0 else None)
+        m = _root_ceiling(q, lo, max(sums))
+        ceilings.append(m)
+        radii.append(Fraction(m, d) if next(_taylor(q, m)) == 0 else None)
     top = max(ceilings)
     lam = next((r for r, m in zip(radii, ceilings) if m == top and r is not None), None)
     return lam, radii

@@ -230,6 +230,23 @@ class TestBondCertificate:
         failed = [check.name for check in cert.checks if not check.passed]
         assert "char-poly" in failed
 
+    def test_jordan_block_factor_certified(self):
+        # B = X^-1 (J3(1) + [2]) X: its spectrum {2, 1, 1, 1} is found exactly,
+        # though float eigenvalues split the triple root 1 into a complex pair
+        X = RationalMatrix([[3, 0, 3, 0], [-3, -1, 1, 0], [0, 3, 3, -1], [0, -1, 1, -2]])
+        J = JordanSpec.from_map({F(1): [3], F(2): [1]}).jordan_matrix()
+        B = solve(X, J @ X)
+        A = RationalMatrix([[2]])
+        cert = bond_certificate(A, B, 2, smigoc_bond(A, B, 2))
+        assert cert is not None
+        checks = {check.name: check for check in cert.checks}
+        assert checks["char-poly"].passed
+        assert checks["weyr@1"].passed and checks["segre@1"].passed
+        assert checks["segre@1"].detail == "block sizes (3,)"
+        assert cert.claimed_jordan.sizes_at(1) == (3,)
+        # B has negative entries, so the verdict fails on nonnegativity alone
+        assert [check.name for check in cert.checks if not check.passed] == ["nonnegativity"]
+
 
 class TestBondedJordanClaim:
     def test_union_minus_one_unit_block(self):

@@ -277,6 +277,44 @@ class TestRationalSpectrumOf:
         A = RationalMatrix([[0, 2], [1, 0]])  # roots +-sqrt(2)
         assert rational_spectrum_of(A) is None
 
+    def test_against_sympy_factor_list(self):
+        """A Spectrum comes back exactly when sympy factors the char poly
+        into linear factors, and then holds sympy's roots: 250 planted
+        S^-1 J S, each with a Jordan block of size >= 2 and half of them
+        shifted to denominators above 10^6, and 100 random dense matrices."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(1301)
+        planted = []
+        while len(planted) < 250:
+            spec = random_jordan_spec(rng, rng.randint(2, 6))
+            if max(sizes[0] for _, sizes in spec.blocks) < 2:
+                continue
+            if len(planted) % 2:
+                shift = F(rng.randint(1, 10**7), rng.choice([1000003, 10**12 + 39]))
+                spec = JordanSpec.from_map([(v + shift, sizes) for v, sizes in spec.blocks])
+            S = random_invertible(rng, spec.order)
+            planted.append((solve(S, spec.jordan_matrix() @ S), spec.spectrum()))
+        dense = [
+            RationalMatrix([[_random_entry(rng) for _ in range(n)] for _ in range(n)])
+            for n in [rng.randint(1, 6) for _ in range(100)]
+        ]
+        assert max(v.denominator for _, spectrum in planted for v in spectrum.values()) > 10**6
+        split = 0
+        for A, known in planted + [(A, None) for A in dense]:
+            _, factors = sympy.factor_list(_to_sympy(A).charpoly(x).as_expr(), x)
+            coeffs = [(sympy.Poly(f, x).all_coeffs(), m) for f, m in factors]
+            got = rational_spectrum_of(A)
+            if all(len(c) == 2 for c, _ in coeffs):
+                roots = [_from_sympy(-c0 / c1) for (c1, c0), m in coeffs for _ in range(m)]
+                assert got == Spectrum.from_values(roots)
+                assert known is None or got == known
+                split += 1
+            else:
+                assert got is None and known is None
+        # every planted input splits; most dense ones have irrational or complex roots
+        assert 250 <= split <= 300
+
 
 def _wrong_claims(rng, spec):
     """The claim with one eigenvalue moved by 1, and (when some block has
