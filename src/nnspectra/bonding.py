@@ -38,7 +38,7 @@ from .errors import (
 from .jcfcert import (
     JordanSpec,
     _jordan_of,
-    rational_spectrum_of,
+    _spectrum_from_poly,
     verify_certificate,
 )
 
@@ -152,15 +152,17 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
     Returns a RealizationCertificate, or None when either factor has an
     irrational spectrum (no exact certification possible); C then still has
     to satisfy char(C) * (x - c) = char(A) * char(B) exactly, or
-    CertificationError is raised.  rational_spectrum_of has checked each
-    factor's char poly exactly, so only their Weyr sequences are computed.
+    CertificationError is raised.  Each factor's char poly is computed once
+    and serves both the split test and the identity; the split test has
+    matched it exactly, so only the factors' Weyr sequences are computed.
     """
     c = rat(c)
-    spec_a = rational_spectrum_of(A)
-    spec_b = rational_spectrum_of(B)
+    poly_a, poly_b = char_poly(A), char_poly(B)
+    spec_a = _spectrum_from_poly(A, poly_a)
+    spec_b = _spectrum_from_poly(B, poly_b)
     if spec_a is None or spec_b is None:
         lhs = poly_mul(char_poly(C), [Fraction(1), -c])
-        rhs = poly_mul(char_poly(A), char_poly(B))
+        rhs = poly_mul(poly_a, poly_b)
         if poly_sub(lhs, rhs) != [Fraction(0)]:
             raise CertificationError("bond failed the exact characteristic identity")
         return None

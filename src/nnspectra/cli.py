@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import DomainError, SpectraError
 from .jcfcert import _match_spectrum, enumerate_jordan_forms, verify_certificate
-from .perturb import rank_one_shift
+from .perturb import _rank_one_shift
 from .rowsum import constant_row_sum_value, to_constant_row_sums
 
 SCHEMA_VERSION = 1
@@ -89,9 +89,9 @@ def cmd_guo_shift(args) -> int:
         q = tuple(eps / B.rows for _ in range(B.rows))
     else:
         raise DomainError("guo-shift needs --eps or --q")
-    if args.spectrum:
-        _match_spectrum(B, _spectrum_arg(args.spectrum))  # the claim must be char_poly(B)
-    shifted = rank_one_shift(B, q)
+    # the claim must be char_poly(B), which the shift then reuses
+    coeffs = _match_spectrum(B, _spectrum_arg(args.spectrum)) if args.spectrum else None
+    shifted = _rank_one_shift(B, q, coeffs)
     out = {
         "schema": SCHEMA_VERSION,
         "lambda": format_rational(lam),

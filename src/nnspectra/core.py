@@ -216,20 +216,6 @@ class RationalMatrix:
             raise DimensionError("vector length %d != cols %d" % (len(v), self.cols))
         return tuple(_dot(row, v) for row in self._data)
 
-    def diag_conjugate(self, d) -> "RationalMatrix":
-        """D^-1 A D for D = diag(d); requires every d_i nonzero."""
-        d = [rat(x) for x in d]
-        if len(d) != self.rows or not self.is_square:
-            raise DimensionError("diagonal length must match square matrix order")
-        if any(x == 0 for x in d):
-            raise DomainError("diagonal similarity needs nonzero entries")
-        return RationalMatrix(
-            [
-                [self._data[i][j] * d[j] / d[i] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def __repr__(self):
         body = "; ".join(
             " ".join(format_rational(v) for v in row) for row in self._data

@@ -98,9 +98,9 @@ def segre_from_weyr(weyr) -> tuple:
     return tuple(sorted(sizes, reverse=True))
 
 
-def _residual(A: RationalMatrix, spectrum: Spectrum):
-    """char_poly(A) minus the claimed spectrum's polynomial; [0] on a match."""
-    return poly_sub(char_poly(A), spectrum.char_poly())
+def _residual(p, spectrum: Spectrum):
+    """The char poly p minus the claimed spectrum's polynomial; [0] on a match."""
+    return poly_sub(p, spectrum.char_poly())
 
 
 def _weyr_pass(A: RationalMatrix, spectrum: Spectrum, checked: bool):
@@ -124,15 +124,18 @@ def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     )
 
 
-def _match_spectrum(A: RationalMatrix, spectrum: Spectrum) -> None:
-    """SpectrumMismatchError unless char_poly(A) splits exactly over spectrum."""
-    residual = _residual(A, spectrum)
+def _match_spectrum(A: RationalMatrix, spectrum: Spectrum):
+    """char_poly(A), which must split exactly over spectrum, or
+    SpectrumMismatchError."""
+    p = char_poly(A)
+    residual = _residual(p, spectrum)
     if residual != [Fraction(0)]:
         raise SpectrumMismatchError(
             "characteristic polynomial does not match the claimed spectrum; "
             "residual: %s" % poly_to_string(residual),
             residual=residual,
         )
+    return p
 
 
 def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
@@ -153,8 +156,13 @@ def rational_spectrum_of(A: RationalMatrix):
     real-rooted, so _root_ceiling from the Cauchy bound finds its largest
     root m; q(m) = 0 is checked, y - m divided out, and the next root sought <= m.
     """
+    return _spectrum_from_poly(A, char_poly(A))
+
+
+def _spectrum_from_poly(A: RationalMatrix, p):
+    """rational_spectrum_of(A), given its char poly p."""
     d = math.lcm(*(v.denominator for row in A.entries() for v in row))
-    q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(char_poly(A))]
+    q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
     bound = 1 + max(map(abs, q))
     roots, m = [], bound
     while len(q) > 1:
@@ -251,7 +259,7 @@ def verify_certificate(
         "all entries >= 0",
         "a negative entry is present",
     )
-    residual = _residual(matrix, claimed_spectrum)
+    residual = _residual(char_poly(matrix), claimed_spectrum)
     record(
         "char-poly",
         residual == [Fraction(0)],

@@ -47,6 +47,11 @@ def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
     a negative entry appears: nonnegativity is only guaranteed for suitable
     q, e.g. the uniform nonnegative one.
     """
+    return _rank_one_shift(B, q, None)
+
+
+def _rank_one_shift(B: RationalMatrix, q, coeffs):
+    """rank_one_shift, with coeffs = char_poly(B) when the caller has it."""
     if not B.is_square:
         raise DimensionError("B must be square")
     lam = constant_row_sum_value(B)
@@ -56,7 +61,8 @@ def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
     if len(q) != B.rows:
         raise DimensionError("q must have length %d" % B.rows)
 
-    coeffs = char_poly(B)
+    if coeffs is None:
+        coeffs = char_poly(B)
     quotient, rem = synthetic_div(coeffs, lam)
     if rem != 0:
         raise DomainError("row-sum value %s is not an eigenvalue" % format_rational(lam))

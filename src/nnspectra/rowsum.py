@@ -33,7 +33,12 @@ the largest modulus, it must be the only eigenvalue of A within 1e-9 of
 itself, and the block that holds that eigenvalue is the Perron block.
 
 Exact and float mode run the same absorb loop; a small backend class
-supplies the arithmetic that differs between Fraction and float64.
+supplies the arithmetic that differs between Fraction and float64.  Each
+step is a diagonal scaling or a shear, and each touches only a few rows and
+columns: the loop updates those rows and columns of the working matrix and
+of S in place, in O(n k) for a block of size k, and multiplies no n x n
+matrices.  The factors themselves are built only when read, from the
+recorded step parameters.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
+    _dot,
     _integer_row,
     _root_ceiling,
     _taylor,
@@ -97,7 +103,14 @@ class RowSumResult:
     transcript: list
     mode: str
     lam: object
-    factors: list = None  # similarity factors, in order; their product is S
+    steps: tuple = ()  # (op, *args) of each similarity factor, in order
+
+    @property
+    def factors(self):
+        """The similarity factors, in order; their product is S.  They are
+        built here, from the recorded steps, never on the way to B."""
+        ops = _ExactOps if self.mode == "exact" else _FloatOps
+        return [_factor(ops, self.B.rows, step) for step in self.steps]
 
     def to_json(self):
         if self.mode == "exact":
@@ -150,12 +163,16 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
     if all(v == 0 for row in A3.entries() for v in row):
         raise DomainError("coupling block A3 is zero; use the lemma2 coupling path")
     n1, n = A1.rows, A1.rows + A2.rows
-    M = RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]])
-    Y, Yinv = _lift_factor(_ExactOps, M, n, n1, n, n1, lam)
-    B = Yinv @ M @ Y
+    M, S = _ExactOps.start(
+        RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]]),
+        range(n),
+    )
+    y = _lift_factor(_ExactOps, M, n1, n, n1, lam)
+    _ExactOps.scale(M, S, n1, y)
+    B = RationalMatrix(M)
     if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
         raise CertificationError("lift produced a matrix outside CS form")
-    return tuple(Y[i, i] for i in range(n)), B
+    return (_ExactOps.one,) * n1 + tuple(y), B
 
 
 def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
@@ -195,7 +212,7 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     zmax = max(z)
     z = tuple(v / zmax for v in z)
     n1, n2 = A1.rows, A2.rows
-    S, _ = _shear_factor(_ExactOps, n1 + n2, n1, n1 + n2, z)
+    S = _shear_factor(_ExactOps, n1 + n2, n1, n1 + n2, z)
     coeff = lam - rho2
     A3 = RationalMatrix([[coeff * zj for zj in z] for _ in range(n2)])
     return S, A3
@@ -348,8 +365,9 @@ def _plan_from_graph(comps, edges, perron):
 
 
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop; radii are the spectral radii
-    of the diagonal blocks, by component index, None where irrational."""
+    """Fraction arithmetic for the absorb loop, on mutable rows of Fractions;
+    radii are the spectral radii of the diagonal blocks, by component index,
+    None where irrational."""
 
     one = Fraction(1)
     matrix = RationalMatrix
@@ -359,8 +377,20 @@ class _ExactOps:
         self.radii = radii
 
     @staticmethod
+    def start(A, perm):
+        """Mutable rows of M = P^T A P and of S = P, the permutation of perm."""
+        rows, zero, one = A.entries(), Fraction(0), Fraction(1)
+        M = [[rows[i][j] for j in perm] for i in perm]
+        S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
+        return M, S
+
+    @staticmethod
+    def finish(M, S):
+        return RationalMatrix(M), RationalMatrix(S)
+
+    @staticmethod
     def sub(M, rows, cols):
-        return M.submatrix(rows, cols)
+        return RationalMatrix([[M[i][j] for j in cols] for i in rows])
 
     @staticmethod
     def row_sums(M):
@@ -369,6 +399,33 @@ class _ExactOps:
     @staticmethod
     def nonzero(M):
         return any(v != 0 for row in M.entries() for v in row)
+
+    @staticmethod
+    def scale(M, S, a, vec):
+        """M <- D^-1 M D, S <- S D in place, for D = diag(1,...,1, vec, 1,...,1)
+        with vec from index a: rows [a, a+k) of M are divided by vec, and the
+        same columns of M and S are multiplied by it."""
+        cols = range(a, a + len(vec))
+        for i, v in zip(cols, vec):
+            M[i] = [x / v if x else x for x in M[i]]
+        for row in M + S:
+            for j, v in zip(cols, vec):
+                if row[j]:
+                    row[j] *= v
+
+    @staticmethod
+    def shear(M, S, a, b, z):
+        """M <- T^-1 M T, S <- S T in place, for T = I - u z^T with u the
+        indicator of rows [a, b) and z padded with zeros; a >= k = len(z),
+        so T^-1 = I + u z^T.  Rows [a, b) of M gain z^T M[:k]; then the first
+        k columns of M and of S lose (the sum of their columns [a, b)) z^T."""
+        w = [_dot(z, col) for col in zip(*M[: len(z)])]
+        for i in range(a, b):
+            M[i] = [x + y if y else x for x, y in zip(M[i], w)]
+        for row in M + S:
+            t = sum(row[a:b])
+            if t:
+                row[: len(z)] = [x - t * v if v else x for x, v in zip(row, z)]
 
     @staticmethod
     def solve_shifted(lam, K, rhs):
@@ -397,11 +454,24 @@ class _ExactOps:
 
 
 class _FloatOps:
-    """float64 arithmetic for the absorb loop (tolerance 1e-13 on zero tests)."""
+    """float64 arithmetic for the absorb loop, on numpy arrays (tolerance
+    1e-13 on zero tests)."""
 
     one = 1.0
     matrix = staticmethod(np.array)
     diagonal = staticmethod(np.diag)
+
+    @staticmethod
+    def start(A, perm):
+        """Copies of M = P^T A P and of S = P, the permutation of perm."""
+        n = len(perm)
+        S = np.zeros((n, n))
+        S[perm, range(n)] = 1.0
+        return A[np.ix_(perm, perm)], S
+
+    @staticmethod
+    def finish(M, S):
+        return M, S
 
     @staticmethod
     def sub(M, rows, cols):
@@ -414,6 +484,22 @@ class _FloatOps:
     @staticmethod
     def nonzero(M):
         return bool(np.any(M > 1e-13))
+
+    @staticmethod
+    def scale(M, S, a, vec):
+        """_ExactOps.scale on array slices."""
+        cols = slice(a, a + len(vec))
+        M[cols] /= vec[:, None]
+        M[:, cols] *= vec
+        S[:, cols] *= vec
+
+    @staticmethod
+    def shear(M, S, a, b, z):
+        """_ExactOps.shear on array slices."""
+        k = len(z)
+        M[a:b] += z @ M[:k]
+        M[:, :k] -= np.outer(M[:, a:b].sum(axis=1), z)
+        S[:, :k] -= np.outer(S[:, a:b].sum(axis=1), z)
 
     @staticmethod
     def solve_shifted(lam, K, rhs):
@@ -438,25 +524,38 @@ class _FloatOps:
 
 
 def _diagonal_factor(ops, n, a, vec):
-    """D = diag(1,...,1, vec, 1,...,1) with vec from index a, and D^-1."""
+    """D = diag(1,...,1, vec, 1,...,1) with vec from index a."""
     d = [ops.one] * n
     d[a : a + len(vec)] = vec
-    return ops.diagonal(d), ops.diagonal([1 / v for v in d])
+    return ops.diagonal(d)
 
 
 def _shear_factor(ops, n, a, b, z):
-    """T = I + E where every row of E[a:b, :len(z)] is -z, and T^-1 = I - E.
+    """T = I + E where every row of E[a:b, :len(z)] is -z."""
+    rows = [[ops.one if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(a, b):
+        rows[i][: len(z)] = [-v for v in z]
+    return ops.matrix(rows)
 
-    E^2 = 0 because a >= len(z), which gives the inverse in closed form.
-    """
 
-    def build(sign):
-        rows = [[ops.one if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(a, b):
-            rows[i][: len(z)] = [-sign * v for v in z]
-        return ops.matrix(rows)
+def _factor(ops, n, step):
+    """The n x n similarity factor of one recorded step (op, *args)."""
+    op, *args = step
+    if op == "matrix":
+        return args[0]
+    if op == "permutation":
+        (perm,) = args
+        return ops.matrix([[ops.one if i == p else 0 for p in perm] for i in range(n)])
+    if op == "scale":
+        return _diagonal_factor(ops, n, *args)
+    return _shear_factor(ops, n, *args)
 
-    return build(1), build(-1)
+
+def _diagonal_similarity(ops, A, x):
+    """(D^-1 A D, D) for D = diag(x), by one scale step."""
+    M, S = ops.start(A, range(len(x)))
+    ops.scale(M, S, 0, x)
+    return ops.finish(M, S)
 
 
 def _dominated_solution(ops, K, lam, rhs, what):
@@ -476,40 +575,38 @@ def _dominated_solution(ops, K, lam, rhs, what):
     return y
 
 
-def _lift_factor(ops, M, n, a, b, bound, lam):
+def _lift_factor(ops, M, a, b, bound, lam):
     """Lemma 1 as a diagonal similarity: absorb block [a, b) of M into [0, bound).
 
     With A2 = M[a:b, a:b] and A3 = M[a:b, :bound] (the part [0, bound) already
-    in CS_lam form), y solves (lam I - A2) y = A3 e and the factor is
-    diag(1,...,1, y, 1,...,1).
+    in CS_lam form), returns the y that solves (lam I - A2) y = A3 e; the
+    factor is diag(1,...,1, y, 1,...,1), applied by a scale step at a.
     """
     rows = range(a, b)
     A3e = ops.row_sums(ops.sub(M, rows, range(bound)))
-    y = _dominated_solution(ops, ops.sub(M, rows, rows), lam, A3e, "lift")
-    return _diagonal_factor(ops, n, a, y)
+    return _dominated_solution(ops, ops.sub(M, rows, rows), lam, A3e, "lift")
 
 
 def _absorb(ops, A, lam, plan, transcript):
     """Scale, couple and lift the planned blocks of A into CS_lam form.
 
-    Returns (B, S, factors).  Every step conjugates M <- T^-1 M T by a
-    diagonal or shear factor T whose inverse is known in closed form.
+    Returns (B, S, steps).  M starts as the permuted A and S as the
+    permutation.  A scale step divides the rows of one block of M by a
+    positive vector and multiplies the same columns of M and S by it; a
+    shear step adds a combination of the leading rows to the rows of one
+    block, then takes the block's column sum, times that combination, off
+    the leading columns of M and S.  Both update M and S in place; steps
+    records their parameters, from which RowSumResult.factors builds the
+    factors.
     """
     perm, ranges = plan
-    n = len(perm)
-    M = ops.sub(A, perm, perm)
-    S = ops.matrix(
-        [[ops.one if i == perm[j] else 0 for j in range(n)] for i in range(n)]
-    )
-    factors = [S]
+    M, S = ops.start(A, perm)
+    steps = [("permutation", perm)]
     transcript.append(RowSumStep("permutation", {"order": list(perm)}))
 
-    def conjugate(factor, kind, detail):
-        nonlocal M, S
-        T, Tinv = factor
-        M = Tinv @ M @ T
-        S = S @ T
-        factors.append(T)
+    def apply(op, args, kind, detail):
+        getattr(ops, op)(M, S, *args)
+        steps.append((op, *args))
         transcript.append(RowSumStep(kind, detail))
 
     # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
@@ -519,11 +616,7 @@ def _absorb(ops, A, lam, plan, transcript):
         block = ops.sub(M, range(a, b), range(a, b))
         x = ops.perron_vector(block, lam if i == 0 else None, payload)
         label = "perron" if i == 0 else "component-%d" % payload
-        conjugate(
-            _diagonal_factor(ops, n, a, x),
-            "block-scaling",
-            {"block": label, "range": [a, b]},
-        )
+        apply("scale", (a, x), "block-scaling", {"block": label, "range": [a, b]})
 
     # 2. absorb blocks in plan order; M[:p, :p], the scaled Perron block,
     # stays as it is, and its left vector serves every coupling
@@ -535,8 +628,9 @@ def _absorb(ops, A, lam, plan, transcript):
         if kind == "cluster":
             ones = [ops.one] * (b - a)
             d = _dominated_solution(ops, ops.sub(M, rows, rows), lam, ones, "cluster")
-            conjugate(
-                _diagonal_factor(ops, n, a, d),
+            apply(
+                "scale",
+                (a, d),
                 "cluster-scaling",
                 {"range": [a, b], "components": list(payload)},
             )
@@ -544,18 +638,20 @@ def _absorb(ops, A, lam, plan, transcript):
         if kind == "cluster" or not ops.nonzero(ops.sub(M, rows, range(bound))):
             if z is None:
                 z = ops.left_vector(ops.sub(M, range(p), range(p)), lam)
-            conjugate(
-                _shear_factor(ops, n, a, b, z),
+            apply(
+                "shear",
+                (a, b, z),
                 "lemma2-coupling" + suffix,
                 {"range": [a, b], "coupled-into": [0, bound]},
             )
-        conjugate(
-            _lift_factor(ops, M, n, a, b, bound, lam),
+        apply(
+            "scale",
+            (a, _lift_factor(ops, M, a, b, bound, lam)),
             "lemma1-lift" + suffix,
             {"range": [a, b], "absorbed-into": [0, bound]},
         )
         bound = b
-    return M, S, factors
+    return (*ops.finish(M, S), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +705,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
         one = RationalMatrix.identity(1)
         _verify_exact(A, A, one, A[0, 0])
-        return RowSumResult(A, one, [], "exact", A[0, 0], factors=[one])
+        return RowSumResult(A, one, [], "exact", A[0, 0], steps=[("matrix", one)])
 
     comps, edges = _components(A)
     radii, perron = None, 0
@@ -627,8 +723,8 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     plan = _plan_from_graph(comps, edges, perron) if len(comps) > 1 else None
     if len(comps) == 1:
         x = _right_eigenvector_exact(A, lam)
-        B, S = A.diag_conjugate(x), RationalMatrix.diagonal(x)
-        factors = [S]
+        B, S = _diagonal_similarity(_ExactOps, A, x)
+        steps = [("scale", 0, x)]
         transcript.append(
             RowSumStep(
                 "diagonal-scaling",
@@ -636,7 +732,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             )
         )
     elif plan is not None:
-        B, S, factors = _absorb(_ExactOps(radii), A, lam, plan, transcript)
+        B, S, steps = _absorb(_ExactOps(radii), A, lam, plan, transcript)
     else:
         # the Perron block feeds an earlier block: reduce A^T instead, with
         # the components numbered as Tarjan numbers them on A^T
@@ -652,11 +748,11 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
         )
         ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-        B, S, factors = _absorb(ops, At, lam, plan, transcript)
+        B, S, steps = _absorb(ops, At, lam, plan, transcript)
         X = similarity_to_transpose(A)
-        S, factors = X @ S, [X] + factors
+        S, steps = X @ S, [("matrix", X)] + steps
     _verify_exact(A, B, S, lam)
-    return RowSumResult(B, S, transcript, "exact", lam, factors=factors)
+    return RowSumResult(B, S, transcript, "exact", lam, steps=steps)
 
 
 def _verify_exact(A, B, S, lam):
@@ -729,7 +825,7 @@ def _to_cs_float(arr) -> RowSumResult:
             transcript,
             "float",
             float(arr[0, 0]),
-            factors=[np.eye(1)],
+            steps=[("matrix", np.eye(1))],
         )
 
     F = FloatMatrix(arr)
@@ -746,9 +842,8 @@ def _to_cs_float(arr) -> RowSumResult:
         )
     if len(comps) == 1:
         lam, x = perron_data(F)
-        B = arr / x[:, None] * x[None, :]
-        S = np.diag(x)
-        factors = [S]
+        B, S = _diagonal_similarity(_FloatOps, arr, x)
+        steps = [("scale", 0, x)]
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
         plan = _plan_from_graph(comps, edges, close.index(1))
@@ -757,11 +852,9 @@ def _to_cs_float(arr) -> RowSumResult:
                 "float mode handles irreducible matrices and the chain/cluster "
                 "layouts of the exact mode; this input is outside both"
             )
-        B, S, factors = _absorb(_FloatOps, arr, lam, plan, transcript)
+        B, S, steps = _absorb(_FloatOps, arr, lam, plan, transcript)
     _verify_float(arr, B, S, lam)
-    return RowSumResult(
-        FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, factors=factors
-    )
+    return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, steps=steps)
 
 
 def _verify_float(arr, B, S, lam):

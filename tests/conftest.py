@@ -57,6 +57,12 @@ def random_positive_diagonal(rng: random.Random, n: int):
     return [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
 
 
+def diag_conjugate(A: RationalMatrix, d) -> RationalMatrix:
+    """D^-1 A D for D = diag(d), d nonzero."""
+    n = A.rows
+    return RationalMatrix([[A[i, j] * d[j] / d[i] for j in range(n)] for i in range(n)])
+
+
 def random_permutation(rng: random.Random, n: int):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -69,7 +75,7 @@ def scramble(rng: random.Random, A: RationalMatrix) -> RationalMatrix:
     n = A.rows
     P = permutation_matrix(random_permutation(rng, n))
     M = P @ A @ P.transpose()
-    return M.diag_conjugate(random_positive_diagonal(rng, n))
+    return diag_conjugate(M, random_positive_diagonal(rng, n))
 
 
 def _random_coupling_block(rng: random.Random, rows: int, cols: int, nonzero=True):
@@ -197,7 +203,7 @@ def random_layout_realization(rng: random.Random):
     else:
         # keep the diagonal scramble only; a permutation is harmless but the
         # planted transpose shape is easier to eyeball in failures
-        A = A.diag_conjugate(random_positive_diagonal(rng, A.rows))
+        A = diag_conjugate(A, random_positive_diagonal(rng, A.rows))
     return A, spectrum, layout
 
 

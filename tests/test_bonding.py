@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nnspectra import bonding, jcfcert
 from nnspectra.bonding import bond_certificate, bonded_jordan_claim, smigoc_bond
 from nnspectra.core import (
     JordanSpec,
@@ -220,6 +221,23 @@ class TestBondCertificate:
         A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])  # irrational spectrum
         C = smigoc_bond(A, B2, 2)
         assert bond_certificate(A, B2, 2, C) is None
+        with pytest.raises(CertificationError):
+            bond_certificate(A, B2, 2, _corrupted(C))
+
+    def test_identity_reuses_the_factor_char_polys(self, monkeypatch):
+        # one char poly per matrix: A and B serve the split test and the identity
+        orders = []
+
+        def spy(M):
+            orders.append(M.rows)
+            return char_poly(M)
+
+        for module in (bonding, jcfcert):
+            monkeypatch.setattr(module, "char_poly", spy)
+        A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])
+        C = smigoc_bond(A, B2, 2)
+        assert bond_certificate(A, B2, 2, C) is None
+        assert orders == [3, 2, 4]
         with pytest.raises(CertificationError):
             bond_certificate(A, B2, 2, _corrupted(C))
 

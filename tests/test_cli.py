@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nnspectra import jcfcert
+from nnspectra import jcfcert, perturb
 from nnspectra.cli import dispatch
 from nnspectra.core import RationalMatrix, matrix_from_json, matrix_to_json
 
@@ -107,6 +107,25 @@ class TestGuoShift:
         argv = ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum]
         assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
         assert calls == []
+
+    def test_spectrum_claim_shares_the_char_poly_of_b(self, workdir, monkeypatch):
+        # char_poly runs once on B (the claim and the shift share it) and
+        # once on the shifted result
+        seen = []
+        real = jcfcert.char_poly
+
+        def spy(M):
+            seen.append(M)
+            return real(M)
+
+        for module in (jcfcert, perturb):
+            monkeypatch.setattr(module, "char_poly", spy)
+        tmp, write = workdir
+        infile = write("B.json", CIRC)
+        spectrum = write("s.json", CIRC_SPECTRUM)
+        argv = ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum]
+        assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
+        assert seen == [matrix_from_json(CIRC), RationalMatrix([["1/2", "5/2"], ["5/2", "1/2"]])]
 
     def test_right_claim_with_colliding_q(self, workdir, capsys):
         tmp, write = workdir

@@ -30,6 +30,7 @@ from nnspectra.rowsum import (
 
 from test_core import _from_sympy, _to_sympy
 from conftest import (
+    diag_conjugate,
     random_layout_realization,
     random_realization_with_rational_spectrum,
     scramble,
@@ -493,13 +494,13 @@ def test_left_vector_taken_once_from_perron_block(monkeypatch, mode):
 
 def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     used = []
-    real_shear = rowsum._shear_factor
+    real_shear = rowsum._ExactOps.shear
 
-    def shear_spy(ops, n, a, b, z):
+    def shear_spy(M, S, a, b, z):
         used.append(z)
-        return real_shear(ops, n, a, b, z)
+        return real_shear(M, S, a, b, z)
 
-    monkeypatch.setattr(rowsum, "_shear_factor", shear_spy)
+    monkeypatch.setattr(rowsum._ExactOps, "shear", staticmethod(shear_spy))
     checked = 0
     for _, A in _layout_inputs({"isolated", "cluster", "mixed", "bottom"}, 40):
         used.clear()
@@ -520,6 +521,84 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     assert checked >= 20
 
 
+def _random_step(rng, n):
+    """A scale (a, vec) or shear (a, b, z) step on order n, a >= len(z) for
+    a shear; blocks of one row and longer clusters both occur."""
+    if rng.random() < 0.5 or n == 1:
+        a = rng.randrange(n)
+        vec = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, n - a))]
+        return "scale", (a, vec)
+    k = rng.randint(1, n - 1)
+    a = rng.choice([k, rng.randint(k, n - 1)])
+    z = [F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(k)]
+    return "shear", (a, rng.randint(a + 1, n), z)
+
+
+def _dense_step(ops, n, op, args):
+    """(T^-1, T) of a step, as dense factors."""
+    if op == "scale":
+        a, vec = args
+        return rowsum._diagonal_factor(ops, n, a, [1 / v for v in vec]), rowsum._diagonal_factor(ops, n, a, vec)
+    a, b, z = args
+    return rowsum._shear_factor(ops, n, a, b, [-v for v in z]), rowsum._shear_factor(ops, n, a, b, z)
+
+
+def test_structured_steps_match_dense_products():
+    # scale and shear update M and S in place; the dense route is
+    # M <- T^-1 M T and S <- S T.  Exact mode agrees exactly, float mode to
+    # 1e-15 of the largest entry
+    rng = random.Random(2039)
+    ops_e, ops_f = rowsum._ExactOps, rowsum._FloatOps
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        M0 = [[F(rng.randint(-6, 9), rng.randint(1, 7)) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        S0 = [[F(rng.randint(-3, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        op, args = _random_step(rng, n)
+        kinds.add((op, op == "shear" and args[0] == len(args[2]), op == "shear" and args[1] - args[0] > 1))
+
+        M, S = [list(r) for r in M0], [list(r) for r in S0]
+        getattr(ops_e, op)(M, S, *args)
+        Tinv, T = _dense_step(ops_e, n, op, args)
+        assert RationalMatrix(M) == Tinv @ RationalMatrix(M0) @ T
+        assert RationalMatrix(S) == RationalMatrix(S0) @ T
+
+        fargs = tuple(np.array([float(v) for v in x]) if isinstance(x, list) else x for x in args)
+        Mf, Sf = to_float(RationalMatrix(M0)).array.copy(), to_float(RationalMatrix(S0)).array.copy()
+        want_M, want_S = Mf.copy(), Sf.copy()
+        getattr(ops_f, op)(Mf, Sf, *fargs)
+        Tinv, T = _dense_step(ops_f, n, op, fargs)
+        for got, want in ((Mf, Tinv @ want_M @ T), (Sf, want_S @ T)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+    assert kinds >= {("scale", False, False), ("shear", True, True), ("shear", False, True), ("shear", True, False)}
+
+
+def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
+    # A S and S B in the verification, plus X S on the transpose path; no
+    # similarity factor is built on the way
+    products = []
+    real = RationalMatrix.__matmul__
+
+    def matmul_spy(self, other):
+        products.append((self.rows, other.cols))
+        return real(self, other)
+
+    def no_factor(*args):
+        raise AssertionError("a similarity factor was built")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", matmul_spy)
+    monkeypatch.setattr(rowsum, "_factor", no_factor)
+    seen = set()
+    layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+    for layout, A in _layout_inputs(layouts, 60):
+        products.clear()
+        result = to_constant_row_sums(A, mode="exact")
+        transpose = result.transcript[0].kind == "transpose-similarity"
+        assert len(products) <= (3 if transpose else 2)
+        seen.add(layout)
+    assert seen == layouts
+
+
 def _irreducible_sample(rng, i):
     """An irreducible nonnegative matrix of order 1..5: every third one in CS
     form and diagonally conjugated (a rational radius, assorted
@@ -528,7 +607,7 @@ def _irreducible_sample(rng, i):
     if i % 3 == 0:
         lam = F(rng.randint(1, 40), rng.choice([1, 3, 10**6 + 3, 10**13]))
         d = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        return _random_cs_block(rng, n, lam).diag_conjugate(d)
+        return diag_conjugate(_random_cs_block(rng, n, lam), d)
     rows = [[F(rng.randint(0, 6), rng.randint(1, 4)) * rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
     for k in range(n):
         rows[k][(k + 1) % n] += 1  # a Hamiltonian cycle keeps it irreducible
