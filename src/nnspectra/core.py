@@ -73,7 +73,18 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data):
-        rows = tuple(tuple(rat(v) for v in row) for row in data)
+        self._fill(tuple(tuple(rat(v) for v in row) for row in data))
+
+    @classmethod
+    def _of(cls, rows) -> "RationalMatrix":
+        """A matrix of rows whose entries are already exact: Fractions, or
+        ints in the integer powers that only elimination reads.  Internal
+        results are built here and are not parsed again."""
+        M = object.__new__(cls)
+        M._fill(tuple(map(tuple, rows)))
+        return M
+
+    def _fill(self, rows):
         if not rows or not rows[0]:
             raise DimensionError("matrix needs at least one row and one column")
         ncols = len(rows[0])
@@ -92,27 +103,26 @@ class RationalMatrix:
     # -- constructors -----------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = Fraction(0), Fraction(1)
+        return cls._of([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of([[Fraction(0)] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, entries) -> "RationalMatrix":
         ents = [rat(e) for e in entries]
-        n = len(ents)
-        return cls([[ents[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def column(cls, entries) -> "RationalMatrix":
-        return cls([[e] for e in entries])
+        n, zero = len(ents), Fraction(0)
+        return cls._of([[ents[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_blocks(cls, grid) -> "RationalMatrix":
         """Assemble from a 2-D grid of conforming RationalMatrix blocks."""
         data = []
         for block_row in grid:
+            if not block_row:
+                raise DimensionError("empty block row")
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise DimensionError("block heights disagree")
@@ -121,7 +131,7 @@ class RationalMatrix:
                 for b in block_row:
                     row.extend(b._data[i])
                 data.append(row)
-        return cls(data)
+        return cls._of(data)
 
     # -- access ------------------------------------------------------------
     def __getitem__(self, key):
@@ -138,7 +148,7 @@ class RationalMatrix:
         return self._data
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix([[self._data[i][j] for j in col_idx] for i in row_idx])
+        return RationalMatrix._of([[self._data[i][j] for j in col_idx] for i in row_idx])
 
     # -- predicates ----------------------------------------------------------
     @property
@@ -163,7 +173,7 @@ class RationalMatrix:
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._conform(other)
-        return RationalMatrix(
+        return RationalMatrix._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -172,7 +182,7 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._conform(other)
-        return RationalMatrix(
+        return RationalMatrix._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -188,7 +198,7 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = rat(c)
-        return RationalMatrix([[c * v for v in r] for r in self._data])
+        return RationalMatrix._of([[c * v for v in r] for r in self._data])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -196,13 +206,11 @@ class RationalMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        ot = other.transpose()._data
-        return RationalMatrix(
-            [[_dot(row, col) for col in ot] for row in self._data]
-        )
+        ot = list(zip(*other._data))
+        return RationalMatrix._of([[_dot(row, col) for col in ot] for row in self._data])
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self._data)))
+        return RationalMatrix._of(zip(*self._data))
 
     @property
     def T(self) -> "RationalMatrix":
@@ -321,6 +329,18 @@ def _integer_row(row):
     return [v.numerator * (lcm // v.denominator) for v in row], lcm
 
 
+def _integer_rows(rows):
+    """Clear rational rows to integers over one common denominator:
+    (integer rows, lcm of all the denominators)."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
+def _integer_product(X, columns):
+    """The integer matrix product X Y, Y given by its columns."""
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in X]
+
+
 def _eliminate(rows, pivot_cols):
     """Fraction-free (Bareiss) forward elimination of rational rows.
 
@@ -399,7 +419,7 @@ def solve(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     if len(pivots) < n:
         raise SingularMatrixError("singular system")
     columns = [_back_substitute(m, pivots, n + j) for j in range(B.cols)]
-    return RationalMatrix(list(zip(*columns)))
+    return RationalMatrix._of(zip(*columns))
 
 
 def inverse(A: RationalMatrix) -> RationalMatrix:
@@ -431,9 +451,7 @@ def char_poly(A: RationalMatrix):
     """
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    rows = A.entries()
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    N = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+    N, d = _integer_rows(A.entries())
     c = [1]
     for r, row in enumerate(N):
         t, v = [1, -row[r]], [N[i][r] for i in range(r)]

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .core import (
     RationalMatrix,
     Spectrum,
+    char_poly,
     format_rational,
     poly_from_roots,
     rat,
@@ -530,6 +531,9 @@ def _random_coupling(rng) -> RationalMatrix:
     )
 
 
+_UNION_POLY = poly_from_roots([1, 1, -1, -1])
+
+
 def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureDemo:
     """Randomized search for the impossible Jordan form of {1,1,-1,-1}.
 
@@ -539,6 +543,8 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
     structure at +1 with a 2x2 Jordan block at -1: whenever the Weyr
     sequence at +1 is (2), the one at -1 is also (2).  (Generic coupled
     samples pair 2x2 blocks at BOTH eigenvalues, which is allowed.)
+    Each sample's char poly is checked exactly against (x-1)^2 (x+1)^2, so
+    both Weyr sequences may stop at multiplicity 2.
     """
     rng = random.Random(seed)
     forbidden = 0
@@ -552,8 +558,10 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
         A = RationalMatrix.from_blocks(
             [[B, RationalMatrix.zeros(2, 2)], [C, D]]
         )
-        w_plus = weyr_sequence(A, 1)
-        w_minus = weyr_sequence(A, -1)
+        if char_poly(A) != _UNION_POLY:
+            raise SpectraError("internal error: a sample's char poly is not (x-1)^2 (x+1)^2")
+        w_plus = weyr_sequence(A, 1, 2)
+        w_minus = weyr_sequence(A, -1, 2)
         key = (w_plus, w_minus)
         histogram[key] = histogram.get(key, 0) + 1
         if w_plus == (2,):

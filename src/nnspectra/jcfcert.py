@@ -26,7 +26,8 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
-    _integer_row,
+    _integer_product,
+    _integer_rows,
     _root_ceiling,
     char_poly,
     exact_rank,
@@ -45,7 +46,7 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
 
     Returns () when lam is not an eigenvalue.  N = d (A - lam I) is cleared
     to integers once, and rank(N^k) = rank((A - lam I)^k), so the powers are
-    integer products ranked by exact_rank.  The loop stops once the nullity
+    integer products, ranked by exact_rank with no entry parsed again.  The loop stops once the nullity
     stops growing (it then equals the algebraic multiplicity).
 
     multiplicity is the algebraic multiplicity m of lam, passed only by
@@ -66,15 +67,15 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
         return (1,)
     lam = rat(lam)
     n = A.rows
-    shifted = [v - lam if i == j else v for i, r in enumerate(A.entries()) for j, v in enumerate(r)]
-    flat, _ = _integer_row(shifted)
-    N = [flat[i * n : (i + 1) * n] for i in range(n)]
+    N, _ = _integer_rows(
+        [[v - lam if i == j else v for j, v in enumerate(r)] for i, r in enumerate(A.entries())]
+    )
     columns = list(zip(*N))
     out = []
     P = N
     prev = 0
     for _ in range(n):
-        nullity = n - exact_rank(RationalMatrix(P))
+        nullity = n - exact_rank(RationalMatrix._of(P))
         if nullity == prev:
             break
         out.append(nullity)
@@ -84,7 +85,7 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
         prev = nullity
         if nullity == n:
             break
-        P = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in P]
+        P = _integer_product(P, columns)
     return tuple(out)
 
 

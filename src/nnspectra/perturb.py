@@ -79,7 +79,7 @@ def _rank_one_shift(B: RationalMatrix, q, coeffs):
             % format_rational(shifted)
         )
 
-    result = RationalMatrix(
+    result = RationalMatrix._of(
         [[v + q[j] for j, v in enumerate(row)] for row in B.entries()]
     )
     expected = poly_mul(quotient, [Fraction(1), -shifted])
@@ -124,7 +124,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
 
     B = _to_cs_exact(A, lam1).B
     q = eps / B.rows
-    shifted = RationalMatrix([[v + q for v in row] for row in B.entries()])
+    shifted = RationalMatrix._of([[v + q for v in row] for row in B.entries()])
     claimed_spectrum = spectrum.replace_perron(lam1 + eps)
     claimed_jordan = JordanSpec.from_map(
         [

@@ -55,7 +55,9 @@ from .core import (
     FloatMatrix,
     RationalMatrix,
     _dot,
+    _integer_product,
     _integer_row,
+    _integer_rows,
     _root_ceiling,
     _taylor,
     char_poly,
@@ -169,7 +171,7 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
     )
     y = _lift_factor(_ExactOps, M, n1, n, n1, lam)
     _ExactOps.scale(M, S, n1, y)
-    B = RationalMatrix(M)
+    B = RationalMatrix._of(M)
     if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
         raise CertificationError("lift produced a matrix outside CS form")
     return (_ExactOps.one,) * n1 + tuple(y), B
@@ -214,13 +216,20 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     n1, n2 = A1.rows, A2.rows
     S = _shear_factor(_ExactOps, n1 + n2, n1, n1 + n2, z)
     coeff = lam - rho2
-    A3 = RationalMatrix([[coeff * zj for zj in z] for _ in range(n2)])
+    A3 = RationalMatrix._of([[coeff * zj for zj in z] for _ in range(n2)])
     return S, A3
+
+
+def _shifted(lam, rows):
+    """lam I - K, for K given by its rows, built in one pass."""
+    return RationalMatrix._of(
+        [[lam - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    )
 
 
 def _left_eigenvector_exact(B, lam):
     """Nonnegative left eigenvector of B at lam, normalized to max entry 1."""
-    basis = kernel(B.transpose() - RationalMatrix.identity(B.rows).scale(lam))
+    basis = kernel(_shifted(lam, zip(*B.entries())))
     if len(basis) != 1:
         raise DomainError(
             "left eigenspace at %s is %d-dimensional; supply z explicitly"
@@ -236,7 +245,7 @@ def _left_eigenvector_exact(B, lam):
 
 
 def _right_eigenvector_exact(B, lam):
-    basis = kernel(B - RationalMatrix.identity(B.rows).scale(lam))
+    basis = kernel(_shifted(lam, B.entries()))
     if len(basis) != 1:
         raise SpectraError(
             "eigenspace at %s is %d-dimensional" % (format_rational(lam), len(basis))
@@ -386,11 +395,11 @@ class _ExactOps:
 
     @staticmethod
     def finish(M, S):
-        return RationalMatrix(M), RationalMatrix(S)
+        return RationalMatrix._of(M), RationalMatrix._of(S)
 
     @staticmethod
     def sub(M, rows, cols):
-        return RationalMatrix([[M[i][j] for j in cols] for i in rows])
+        return RationalMatrix._of([[M[i][j] for j in cols] for i in rows])
 
     @staticmethod
     def row_sums(M):
@@ -431,12 +440,10 @@ class _ExactOps:
     def solve_shifted(lam, K, rhs):
         """y with (lam I - K) y = rhs, or None when the system is singular."""
         try:
-            y = solve(
-                RationalMatrix.identity(K.rows).scale(lam) - K, RationalMatrix.column(rhs)
-            )
+            y = solve(_shifted(lam, K.entries()), RationalMatrix._of([v] for v in rhs))
         except SingularMatrixError:
             return None
-        return [y[i, 0] for i in range(K.rows)]
+        return list(y.column_entries(0))
 
     def perron_vector(self, block, lam, ci):
         """Positive eigenvector of the irreducible block of component ci at
@@ -756,12 +763,19 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
 
 
 def _verify_exact(A, B, S, lam):
-    """B >= 0 in CS_lam form, and S invertible with A S = S B."""
+    """B >= 0 in CS_lam form, and S invertible with A S = S B.
+
+    A, S and B are cleared to integers once each, A = A'/a and B = B'/b
+    with a and b the lcms of their denominators (S' likewise), so that
+    A S = S B iff b A' S' = a S' B', which is checked over the integers.
+    """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
     if any(s != lam for s in B.row_sums()):
         raise CertificationError("result is not in CS form")
-    if A @ S != S @ B:
+    (Ai, a), (Si, _), (Bi, b) = (_integer_rows(M.entries()) for M in (A, S, B))
+    AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
+    if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")
     if determinant(S) == 0:
         raise CertificationError("similarity matrix is singular")

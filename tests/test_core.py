@@ -325,6 +325,66 @@ class TestLinearAlgebra:
         assert rational_sqrt(F(2)) is None
 
 
+class TestInternalResults:
+    """Arithmetic results skip the parser; they must equal the matrix parsed
+    from the same values, and hold Fractions only."""
+
+    @staticmethod
+    def _assert_parsed_alike(M):
+        assert M == RationalMatrix([[str(v) for v in row] for row in M.entries()])
+        assert all(type(v) is F for row in M.entries() for v in row)
+
+    def test_results_equal_parsed_matrices(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            A, B, C = _random_matrix(rng, r, k), _random_matrix(rng, r, k), _random_matrix(rng, k, c)
+            rows = rng.sample(range(r), rng.randint(1, r))
+            cols = rng.sample(range(k), rng.randint(1, k))
+            results = [
+                A + B,
+                A - B,
+                A.scale(rng.randint(-3, 3)),
+                A.scale("2/7"),
+                A @ C,
+                A.transpose(),
+                A.submatrix(rows, cols),
+                RationalMatrix.from_blocks([[A, B], [B, A]]),
+                RationalMatrix.identity(k),
+                RationalMatrix.zeros(r, c),
+                RationalMatrix.diagonal([1, "1/2", F(-3, 4)]),
+            ]
+            if r == k and determinant(A) != 0:
+                results.append(solve(A, B))
+            for M in results:
+                self._assert_parsed_alike(M)
+
+    def test_empty_shapes_are_dimension_errors(self):
+        A = RationalMatrix([[1, 2], [3, 4]])
+        builds = [
+            lambda: A.submatrix([], []),
+            lambda: A.submatrix([0], []),
+            lambda: RationalMatrix.from_blocks([]),
+            lambda: RationalMatrix.from_blocks([[]]),
+            lambda: RationalMatrix.from_blocks([[A], [A, A]]),  # ragged
+            lambda: RationalMatrix.identity(0),
+            lambda: RationalMatrix.zeros(0, 2),
+        ]
+        for build in builds:
+            with pytest.raises(DimensionError):
+                build()
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [([[True]], DomainError), ([[1.5]], DomainError), ([[1, 2], [3]], DimensionError)],
+    )
+    def test_public_constructors_still_parse(self, entries, error):
+        with pytest.raises(error):
+            RationalMatrix(entries)
+        with pytest.raises(error):
+            matrix_from_json({"entries": entries})
+
+
 class TestJson:
     def test_roundtrip(self):
         A = RationalMatrix([["11/2", "2.52"], ["0", "-3"]])

@@ -10,7 +10,9 @@ from nnspectra.errors import (
     DomainError,
     EntrySignError,
     NotRealizableError,
+    SpectraError,
 )
+from nnspectra import family5
 from nnspectra.family5 import (
     companion4,
     demo_forced_coupling,
@@ -282,6 +284,15 @@ class TestDemos:
         assert demo.perron_diagonal_samples > 0
         # diagonal Perron structure forces zero coupling
         assert demo.perron_diagonal_with_coupling == 0
+
+    def test_union_obstruction_checks_each_char_poly(self, monkeypatch):
+        # the Weyr sequences stop at multiplicity 2 only behind an exact
+        # char-poly check; a nonnegative block of char poly x^2 - 2 must trip it
+        monkeypatch.setattr(
+            family5, "_random_pm1_block", lambda rng: RationalMatrix([[0, 1], [2, 0]])
+        )
+        with pytest.raises(SpectraError, match="char poly"):
+            demo_union_obstruction(samples=3, seed=3)
 
     def test_forced_coupling_sum_iff_zero(self):
         demo = demo_forced_coupling(samples=8, seed=5)

@@ -278,6 +278,28 @@ def test_ur_shift_matches_golden_digest():
     assert digest.hexdigest() == UR_SHIFT_GOLDEN_SHA256
 
 
+def test_certified_ur_shift_multiplies_no_matrices(monkeypatch):
+    # on scrambled companions (irreducible, so no transpose path) the CS
+    # verification multiplies integer rows and the certificate ranks integer
+    # powers: no RationalMatrix product is left
+    rng = random.Random(83)
+    cases = []
+    for i in range(12):
+        C, values = suleimanova_companion(rng, rng.randint(4, 7))
+        cases.append((scramble(rng, C) if i % 2 else C, Spectrum.from_values(values)))
+    products = []
+    real = RationalMatrix.__matmul__
+
+    def matmul_spy(self, other):
+        products.append((self.rows, other.cols))
+        return real(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", matmul_spy)
+    for A, spectrum in cases:
+        assert ur_shift(A, spectrum, F(1, 3))[1].verdict
+    assert products == []
+
+
 def test_shift_properties_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

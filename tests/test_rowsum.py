@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from nnspectra.cli import dispatch
-from nnspectra.core import FloatMatrix, RationalMatrix, char_poly, solve, to_float
+from nnspectra.core import (
+    FloatMatrix,
+    RationalMatrix,
+    char_poly,
+    determinant,
+    inverse,
+    solve,
+    to_float,
+)
 from nnspectra.errors import (
     CertificationError,
     CouplingError,
@@ -424,6 +432,56 @@ def test_verify_exact_rejects_singular_similarity():
         _verify_exact(B, B, RationalMatrix.zeros(2, 2), F(3))
 
 
+def _verify_outcome(A, B, S, lam):
+    try:
+        _verify_exact(A, B, S, lam)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+def test_verify_exact_integer_form_hypothesis():
+    # the integer identity b A'S' = a S'B' against the Fraction products,
+    # on triples with B >= 0 in CS form and S invertible; denominators
+    # include large coprime primes, so the lcms a and b are huge
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    den = st.sampled_from([1, 2, 3, 7, 10**9 + 7, 10**12 + 39, 2**61 - 1]) | st.integers(1, 10**6)
+    entry = st.builds(F, st.integers(-10**6, 10**6), den)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(data=st.data(), n=st.integers(1, 4), similar=st.booleans())
+    def check(data, n, similar):
+        rows = [[abs(data.draw(entry)) for _ in range(n)] for _ in range(n)]
+        lam = max(map(sum, rows)) + 1
+        for row in rows:
+            row[-1] += lam - sum(row)
+        B = RationalMatrix(rows)
+        S = RationalMatrix([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        hypothesis.assume(determinant(S) != 0)
+        A = S @ B @ inverse(S)
+        if not similar:
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            rows = [list(row) for row in A.entries()]
+            rows[i][j] += data.draw(entry)
+            A = RationalMatrix(rows)
+        want = None if A @ S == S @ B else "similarity verification failed"
+        assert _verify_outcome(A, B, S, lam) == want
+        if n > 1:
+            # one entry of B mutated, and the change taken back from the last
+            # entry of its row (>= 1), so B stays nonnegative in CS form;
+            # S (B' - B) != 0 for invertible S
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 2))
+            moved = [list(row) for row in B.entries()]
+            moved[i][j] += moved[i][-1] / 2
+            moved[i][-1] /= 2
+            assert _verify_outcome(S @ B @ inverse(S), RationalMatrix(moved), S, lam) == (
+                "similarity verification failed"
+            )
+
+    check()
+
+
 def test_float_mode_follows_exact_mode():
     rng = random.Random(2031)
     layouts = set()
@@ -574,8 +632,8 @@ def test_structured_steps_match_dense_products():
 
 
 def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
-    # A S and S B in the verification, plus X S on the transpose path; no
-    # similarity factor is built on the way
+    # the verification multiplies integer rows, not matrices: only X S on
+    # the transpose path remains, and no similarity factor is built
     products = []
     real = RationalMatrix.__matmul__
 
@@ -594,9 +652,23 @@ def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
         products.clear()
         result = to_constant_row_sums(A, mode="exact")
         transpose = result.transcript[0].kind == "transpose-similarity"
-        assert len(products) <= (3 if transpose else 2)
+        assert len(products) == (1 if transpose else 0)
         seen.add(layout)
     assert seen == layouts
+
+
+def test_exact_results_hold_fractions():
+    # the absorb loop's rows go out unparsed: every entry of B and S (and of
+    # the lemma results) must still be a Fraction, never an int or a float
+    layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+    matrices = []
+    for _, A in _layout_inputs(layouts, 30):
+        result = to_constant_row_sums(A, mode="exact")
+        matrices += [result.B, result.S]
+    A1, A2 = RationalMatrix([[1, 1], [1, 1]]), RationalMatrix([[0, 1], [1, 0]])
+    matrices.append(lemma1_lift(A1, RationalMatrix([[1]]), RationalMatrix([[1, 3]]))[1])
+    matrices += lemma2_coupling(A1, A2)
+    assert all(type(v) is F for M in matrices for row in M.entries() for v in row)
 
 
 def _irreducible_sample(rng, i):
