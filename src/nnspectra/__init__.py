@@ -13,7 +13,6 @@ from .core import (
     Spectrum,
     char_poly,
     exact_rank,
-    from_float,
     rat,
     to_float,
 )
@@ -24,7 +23,7 @@ from .jcfcert import (
     verify_certificate,
     weyr_sequence,
 )
-from .structure import frobenius_normal_form, is_irreducible, perron_data
+from .structure import is_irreducible, perron_data
 from .rowsum import lemma1_lift, lemma2_coupling, to_constant_row_sums
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "char_poly",
     "enumerate_jordan_forms",
     "exact_rank",
-    "frobenius_normal_form",
-    "from_float",
     "is_irreducible",
     "jordan_spec",
     "lemma1_lift",

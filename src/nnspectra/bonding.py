@@ -21,6 +21,7 @@ from fractions import Fraction
 from .core import (
     RationalMatrix,
     Spectrum,
+    _shifted,
     char_poly,
     format_rational,
     kernel,
@@ -44,10 +45,9 @@ from .jcfcert import (
 
 
 def _eigenvectors_at(B: RationalMatrix, c):
-    n = B.rows
-    shifted = B - RationalMatrix.identity(n).scale(c)
-    right = kernel(shifted)
-    left = kernel(shifted.transpose())
+    rows = B.entries()
+    right = kernel(_shifted(c, rows))
+    left = kernel(_shifted(c, zip(*rows)))
     if len(right) != 1 or len(left) != 1:
         raise DomainError(
             "the eigenspace of B at %s has dimension %d, not 1; supply u and v "

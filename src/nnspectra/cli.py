@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="similarity to constant-row-sum form")
     p.add_argument("--in", dest="infile", required=True, help="matrix JSON")
-    p.add_argument("--mode", choices=["exact", "float", "auto"], default=None)
+    p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normalize)
 

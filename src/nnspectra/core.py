@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
-    ReconstructionError,
     SingularMatrixError,
 )
 
@@ -300,24 +299,6 @@ def to_float(A: RationalMatrix) -> FloatMatrix:
         raise DomainError("entry (%d,%d) is beyond the float64 range" % (i, j)) from None
 
 
-def from_float(F: FloatMatrix, denominator_bound: int) -> RationalMatrix:
-    """Reconstruct exact rationals entrywise, denominator <= bound, tol 1e-12."""
-    out = []
-    for i in range(F.rows):
-        row = []
-        for j in range(F.cols):
-            x = float(F.array[i, j])
-            cand = Fraction(x).limit_denominator(denominator_bound)
-            if abs(float(cand) - x) > 1e-12:
-                raise ReconstructionError(
-                    "entry (%d,%d)=%r has no rational with denominator <= %d within 1e-12"
-                    % (i, j, x, denominator_bound)
-                )
-            row.append(cand)
-        out.append(row)
-    return RationalMatrix(out)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -334,6 +315,13 @@ def _integer_rows(rows):
     (integer rows, lcm of all the denominators)."""
     d = math.lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
+def _shifted(lam, rows):
+    """lam I - K, for K given by its rows, built in one pass."""
+    return RationalMatrix._of(
+        [[lam - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    )
 
 
 def _integer_product(X, columns):
@@ -495,6 +483,12 @@ def poly_from_roots(roots):
         coeffs = [a * q - b * p for a, b in zip(coeffs + [0], [0] + coeffs)]
         scale *= q
     return [Fraction(c, scale) for c in coeffs]
+
+
+def _integer_poly(p, d):
+    """q(y) = d^n p(y/d) over Z, for a monic rational poly p (highest
+    coefficient first) whose k-th coefficient has a denominator dividing d^k."""
+    return [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
 
 
 def _taylor(q, m):

@@ -17,10 +17,6 @@ class SingularMatrixError(SpectraError):
     """An exact solve or inverse hit a singular matrix."""
 
 
-class ReconstructionError(SpectraError):
-    """A float entry could not be reconstructed as a bounded rational."""
-
-
 class IterationError(SpectraError):
     """Power iteration failed to converge within the iteration budget."""
 

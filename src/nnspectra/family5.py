@@ -281,14 +281,6 @@ class FeasibleInterval:
     lo_exact: Fraction | None
     hi_exact: Fraction | None
 
-    def contains(self, d1) -> bool:
-        d1 = rat(d1)
-        if self.empty:
-            return False
-        lo_ok = d1 >= self.lo_exact if self.lo_exact is not None else float(d1) >= self.lo - 1e-12
-        hi_ok = d1 <= self.hi_exact if self.hi_exact is not None else float(d1) <= self.hi + 1e-12
-        return lo_ok and hi_ok
-
 
 @dataclass(frozen=True)
 class CompanionParams:

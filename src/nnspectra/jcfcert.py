@@ -26,6 +26,7 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
+    _integer_poly,
     _integer_product,
     _integer_rows,
     _root_ceiling,
@@ -163,7 +164,7 @@ def rational_spectrum_of(A: RationalMatrix):
 def _spectrum_from_poly(A: RationalMatrix, p):
     """rational_spectrum_of(A), given its char poly p."""
     d = math.lcm(*(v.denominator for row in A.entries() for v in row))
-    q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
+    q = _integer_poly(p, d)
     bound = 1 + max(map(abs, q))
     roots, m = [], bound
     while len(q) > 1:

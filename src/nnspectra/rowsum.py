@@ -44,7 +44,6 @@ recorded step parameters.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,10 +54,12 @@ from .core import (
     FloatMatrix,
     RationalMatrix,
     _dot,
+    _integer_poly,
     _integer_product,
     _integer_row,
     _integer_rows,
     _root_ceiling,
+    _shifted,
     _taylor,
     char_poly,
     determinant,
@@ -81,12 +82,7 @@ from .errors import (
     SpectralDominanceError,
     UnsupportedLayoutError,
 )
-from .structure import (
-    _components,
-    _placement_order,
-    is_irreducible,
-    perron_data,
-)
+from .structure import _components, is_irreducible, perron_data
 
 
 @dataclass(frozen=True)
@@ -220,13 +216,6 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     return S, A3
 
 
-def _shifted(lam, rows):
-    """lam I - K, for K given by its rows, built in one pass."""
-    return RationalMatrix._of(
-        [[lam - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    )
-
-
 def _left_eigenvector_exact(B, lam):
     """Nonnegative left eigenvector of B at lam, normalized to max entry 1."""
     basis = kernel(_shifted(lam, zip(*B.entries())))
@@ -279,7 +268,7 @@ def perron_root_exact(blocks, polys):
     d = math.lcm(*(v.denominator for B in blocks for row in B.entries() for v in row))
     radii, ceilings = [], []
     for B, p in zip(blocks, polys):
-        q = [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
+        q = _integer_poly(p, d)
         sums = [int(d * s) for s in B.row_sums()]
         lo = max(min(sums), max(int(d * B[i, i]) for i in range(B.rows)))
         m = _root_ceiling(q, lo, max(sums))
@@ -306,6 +295,20 @@ def _perron_block(polys, lam):
             "[[1,0],[1,1]])" % format_rational(lam)
         )
     return mults.index(1)
+
+
+def _placement_order(members, edges, key) -> list:
+    """Order the components `members` so that each comes after every member it
+    couples into (edge u -> w places w first); among the ready ones the
+    smallest key goes next."""
+    targets = {u: {w for x, w in edges if x == u and w in members} for u in members}
+    order = []
+    placed = set()
+    while len(order) < len(members):
+        nxt = min((u for u in members if u not in placed and targets[u] <= placed), key=key)
+        order.append(nxt)
+        placed.add(nxt)
+    return order
 
 
 def _plan_from_graph(comps, edges, perron):
@@ -666,22 +669,16 @@ def _absorb(ops, A, lam, plan, transcript):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_mode(mode):
-    if mode is None:
-        mode = os.environ.get("SPECTRA_MODE", "auto")
-    if mode not in ("exact", "float", "auto"):
-        raise DomainError("mode must be 'exact', 'float' or 'auto'")
-    return mode
-
-
-def to_constant_row_sums(A: RationalMatrix, mode=None) -> RowSumResult:
+def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
     """Similarity-transform A into nonnegative constant-row-sum form.
 
     Exact mode needs the Perron root (and the spectral radius of every
     irreducible diagonal block it scales) to be rational; float mode runs
     the same construction in doubles with verification tolerance 1e-9.
+    Auto mode runs exact mode and falls back to float mode on ModeError.
     """
-    mode = _resolve_mode(mode)
+    if mode not in ("exact", "float", "auto"):
+        raise DomainError("mode must be 'exact', 'float' or 'auto'")
     if not A.is_square:
         raise DimensionError("input must be square")
     if not A.is_nonnegative:

@@ -1,20 +1,16 @@
 """Digraph structure of a nonnegative matrix.
 
-Irreducibility, Frobenius normal form (block lower triangular with
-irreducible or 1x1-zero diagonal blocks), and Perron eigendata via power
-iteration.  The block ordering is deterministic: among valid topological
-orders the block containing the Perron root is placed as early as possible,
-then blocks with couplings, then fully isolated blocks, ties broken by
-smallest original vertex index.
+Irreducibility, strongly connected components with the edges of their
+condensation, and Perron eigendata via power iteration.  The block
+ordering built on the components lives in rowsum, next to the
+normalization that uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FloatMatrix, RationalMatrix, permutation_matrix, to_float
+from .core import FloatMatrix, RationalMatrix, to_float
 from .errors import DimensionError, DomainError, IterationError
 
 
@@ -90,29 +86,15 @@ def strongly_connected_components(adj) -> list:
 def is_irreducible(A) -> bool:
     """True iff the adjacency digraph is strongly connected.
 
-    A 1x1 matrix counts as irreducible even when its entry is zero, so the
-    normal form's diagonal-block test ("irreducible or 1x1 zero") is uniform.
+    A 1x1 matrix counts as irreducible even when its entry is zero: it is
+    one strongly connected component, like every diagonal block the
+    normalization plans with.
     """
     _check_nonnegative_square(A)
     n = A.rows
     if n == 1:
         return True
     return len(strongly_connected_components(adjacency(A))) == 1
-
-
-@dataclass(frozen=True)
-class FrobeniusForm:
-    """Permutation data bringing a nonnegative matrix to block lower triangular form."""
-
-    permutation: tuple  # position -> original index
-    block_ranges: tuple  # (start, stop) ranges in permuted coordinates
-    diag_blocks: tuple
-    is_block_lower_triangular: bool
-    permuted: RationalMatrix
-
-    @property
-    def block_count(self) -> int:
-        return len(self.block_ranges)
 
 
 def condensation_edges(adj, components):
@@ -135,86 +117,6 @@ def _components(A):
     adj = adjacency(A)
     comps = strongly_connected_components(adj)
     return comps, condensation_edges(adj, comps)
-
-
-def _perron_component(A, components) -> int:
-    """Index of the component with the largest spectral radius (float estimate).
-
-    Radii within 1e-9 * max(1, rho) of the largest count as tied; the lowest
-    index wins.
-    """
-    arr = to_float(A).array if isinstance(A, RationalMatrix) else A.array
-    radii = [
-        float(np.max(np.abs(np.linalg.eigvals(arr[np.ix_(comp, comp)]))))
-        for comp in components
-    ]
-    rho = max(radii)
-    return min(ci for ci, r in enumerate(radii) if r >= rho - 1e-9 * max(1.0, rho))
-
-
-def _placement_order(members, edges, key) -> list:
-    """Order the components `members` so that each comes after every member it
-    couples into (edge u -> w places w first); among the ready ones the
-    smallest key goes next."""
-    targets = {u: {w for x, w in edges if x == u and w in members} for u in members}
-    order = []
-    placed = set()
-    while len(order) < len(members):
-        nxt = min((u for u in members if u not in placed and targets[u] <= placed), key=key)
-        order.append(nxt)
-        placed.add(nxt)
-    return order
-
-
-def frobenius_normal_form(A: RationalMatrix) -> FrobeniusForm:
-    """Permute A to block lower triangular form with irreducible diagonal blocks.
-
-    Valid orders place every coupling target before its source; among those,
-    priority goes to the component holding the Perron root, then components
-    that touch any coupling, then fully isolated components; ties fall back
-    to the smallest original vertex index.
-    """
-    _check_nonnegative_square(A)
-    comps, edges = _components(A)
-    perron_comp = _perron_component(A, comps)
-    touched = set()
-    for u, w in edges:
-        touched.add(u)
-        touched.add(w)
-
-    def priority(ci):
-        if ci == perron_comp:
-            cls = 0
-        elif ci in touched:
-            cls = 1
-        else:
-            cls = 2
-        return (cls, comps[ci][0])
-
-    perm = []
-    ranges = []
-    for ci in _placement_order(set(range(len(comps))), edges, priority):
-        start = len(perm)
-        perm.extend(comps[ci])
-        ranges.append((start, len(perm)))
-    P = permutation_matrix(perm)
-    permuted = P @ A @ P.transpose()
-    blocks = tuple(
-        permuted.submatrix(range(a, b), range(a, b)) for a, b in ranges
-    )
-    lower = all(
-        permuted[i, j] == 0
-        for bi, (a, b) in enumerate(ranges)
-        for i in range(a, b)
-        for j in range(b, permuted.cols)
-    )
-    return FrobeniusForm(
-        permutation=tuple(perm),
-        block_ranges=tuple(ranges),
-        diag_blocks=blocks,
-        is_block_lower_triangular=lower,
-        permuted=permuted,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from nnspectra.core import (
     companion_matrix,
     determinant,
     exact_rank,
-    from_float,
     inverse,
     kernel,
     matrix_from_json,
@@ -25,12 +24,10 @@ from nnspectra.core import (
     rational_sqrt,
     solve,
     synthetic_div,
-    to_float,
 )
 from nnspectra.errors import (
     DimensionError,
     DomainError,
-    ReconstructionError,
     SingularMatrixError,
 )
 
@@ -274,25 +271,6 @@ class TestEliminationAgainstSympy:
 
 
 class TestFloatBridge:
-    def test_decimal_roundtrip(self):
-        F1 = FloatMatrix([[2.52]])
-        assert from_float(F1, 100) == RationalMatrix([["63/25"]])
-
-    def test_third_reconstructs(self):
-        x = float(F(1, 3))
-        assert from_float(FloatMatrix([[x]]), 10) == RationalMatrix([["1/3"]])
-
-    def test_unrepresentable_rejected(self):
-        import math
-
-        with pytest.raises(ReconstructionError) as err:
-            from_float(FloatMatrix([[math.pi]]), 10)
-        assert "(0,0)" in str(err.value)
-
-    def test_roundtrip_identity_on_exact_decimals(self):
-        A = RationalMatrix([["2.52", "0.09"], ["1.34", "2"]])
-        assert from_float(to_float(A), 100) == A
-
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             FloatMatrix([[float("nan")]])

@@ -393,21 +393,17 @@ class TestToConstantRowSums:
             to_constant_row_sums(FloatMatrix(np.ones((2, 3))))
 
     def test_spectra_mode_env_default(self, monkeypatch, tmp_path):
-        A = RationalMatrix([[0, 2], [1, 0]])  # irrational Perron root
-        monkeypatch.setenv("SPECTRA_MODE", "exact")
-        with pytest.raises(ModeError):
-            to_constant_row_sums(A)
+        # no environment variable chooses the mode: the default is auto
         monkeypatch.setenv("SPECTRA_MODE", "float")
-        assert to_constant_row_sums(A).mode == "float"
+        assert to_constant_row_sums(RationalMatrix([[3, 0], [1, 1]])).mode == "exact"
         infile, out = tmp_path / "A.json", tmp_path / "out.json"
         infile.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]}))
         assert dispatch(["normalize", "--in", str(infile), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["mode"] == "float"
-        monkeypatch.setenv("SPECTRA_MODE", "fast")
-        with pytest.raises(DomainError):
-            to_constant_row_sums(A)
-        monkeypatch.delenv("SPECTRA_MODE")
+        assert json.loads(out.read_text())["mode"] == "exact"
+        A = RationalMatrix([[0, 2], [1, 0]])  # irrational Perron root
         assert to_constant_row_sums(A).mode == "float"  # auto falls back
+        with pytest.raises(DomainError):
+            to_constant_row_sums(A, mode="fast")
 
 
 # sha256 over the first 60 exact results of random_realization_with_rational_spectrum

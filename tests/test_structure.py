@@ -14,7 +14,7 @@ from nnspectra.core import (
 )
 from nnspectra.errors import DomainError, IterationError
 from nnspectra.structure import (
-    frobenius_normal_form,
+    _components,
     is_irreducible,
     perron_data,
     strongly_connected_components,
@@ -51,42 +51,10 @@ class TestScc:
 
 
 class TestFrobeniusNormalForm:
-    def test_already_in_form(self):
-        A = RationalMatrix([[2, 0, 0], [1, 1, 1], [0, 2, 1]])
-        form = frobenius_normal_form(A)
-        assert form.permutation == (0, 1, 2)
-        assert form.block_count == 2
-        assert form.is_block_lower_triangular
-
-    def test_upper_form_gets_swapped(self):
-        # [[A2, A3'], [0, A1]] with the dominant block at the bottom
-        A = RationalMatrix([[1, 0, 3], [0, 1, 1], [0, 0, 5]])
-        form = frobenius_normal_form(A)
-        assert form.permutation[0] == 2  # dominant 1x1 block first
-        assert form.is_block_lower_triangular
-
-    def test_unpermute_reproduces_input(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            A, _ = suleimanova_companion(rng, 3)
-            B = RationalMatrix.from_blocks(
-                [
-                    [A, RationalMatrix.zeros(3, 2)],
-                    [
-                        RationalMatrix([[1, 0, 0], [0, 0, 0]]),
-                        RationalMatrix([[0, 1], [1, 0]]),
-                    ],
-                ]
-            )
-            perm = random_permutation(rng, 5)
-            P = permutation_matrix(perm)
-            scrambled = P @ B @ P.transpose()
-            form = frobenius_normal_form(scrambled)
-            Q = permutation_matrix(form.permutation)
-            assert Q @ scrambled @ Q.transpose() == form.permuted
-            assert form.is_block_lower_triangular
-            for block in form.diag_blocks:
-                assert is_irreducible(block)
+    """The diagonal blocks of the Frobenius normal form are the strongly
+    connected components; the condensation edges are its off-diagonal
+    block pattern.  rowsum plans its block ordering from these two and the
+    Perron block."""
 
     def test_plant_and_recover_components(self):
         rng = random.Random(17)
@@ -104,12 +72,12 @@ class TestFrobeniusNormalForm:
             perm = random_permutation(rng, 6)
             P = permutation_matrix(perm)
             scrambled = P @ A @ P.transpose()
-            form = frobenius_normal_form(scrambled)
-            recovered = {
-                frozenset(perm[form.permutation[i]] for i in range(a, b))
-                for a, b in form.block_ranges
-            }
-            assert recovered == {frozenset({0, 1}), frozenset({2, 3, 4}), frozenset({5})}
+            comps, edges = _components(scrambled)
+            blocks = [frozenset(perm[v] for v in comp) for comp in comps]
+            top, middle, bottom = frozenset({0, 1}), frozenset({2, 3, 4}), frozenset({5})
+            assert sorted(blocks, key=min) == [top, middle, bottom]
+            # each planted block couples into the one above it, and only there
+            assert {(blocks[u], blocks[w]) for u, w in edges} == {(middle, top), (bottom, middle)}
 
 
 def bisect_largest_root(coeffs, lo, hi, iters=80):
