@@ -60,10 +60,10 @@ def _spectrum_arg(path) -> Spectrum:
     return Spectrum.from_json(_load_json(path))
 
 
-def _positive_int(text) -> int:
+def _sample_count(text) -> int:
     value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer, not %s" % text)
+    if not 0 < value <= 10**6:
+        raise argparse.ArgumentTypeError("must be a positive integer at most 10^6, not %s" % text)
     return value
 
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run the scripted demonstrations end to end")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--samples", type=_sample_count, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 

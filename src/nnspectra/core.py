@@ -238,14 +238,6 @@ def _dot(u, v):
     return acc
 
 
-def permutation_matrix(perm) -> RationalMatrix:
-    """P with P[i, perm[i]] = 1, so (P A P^T)[i][j] = A[perm[i]][perm[j]]."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise DomainError("not a permutation of 0..n-1")
-    return RationalMatrix([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # float mirror
 # ---------------------------------------------------------------------------

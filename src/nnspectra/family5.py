@@ -624,10 +624,13 @@ def demo_forced_coupling(samples: int = 5, seed: int = 1) -> ForcedCouplingDemo:
 
 
 def region_grid(family: str, grid_step) -> list:
-    """Deterministic interior grid of the family's parameter triangle."""
+    """Deterministic interior grid of the family's parameter triangle, at a
+    step of at least 1/1000 (family t has about 1/step^2 points)."""
     step = rat(grid_step)
     if step <= 0:
         raise DomainError("grid step must be positive")
+    if step < Fraction(1, 1000):
+        raise DomainError("grid step %s is below 1/1000" % format_rational(step))
     points = []
     if family == "t":
         i = 1

@@ -18,6 +18,7 @@ here (the degree-5 realization, bonding) do not check those facts again.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -196,20 +197,9 @@ def enumerate_jordan_forms(spectrum: Spectrum):
     Eigenvalues ascend; per eigenvalue the partitions of its multiplicity
     run in reverse-lexicographic order.
     """
-    values = sorted(v for v, _ in spectrum.pairs)
-    mults = {v: m for v, m in spectrum.pairs}
-    choices = [[(v, p) for p in integer_partitions(mults[v])] for v in values]
-    forms = []
-
-    def rec(i, acc):
-        if i == len(choices):
-            forms.append(JordanSpec.from_map(list(acc)))
-            return
-        for v, p in choices[i]:
-            rec(i + 1, acc + [(v, p)])
-
-    rec(0, [])
-    return forms
+    pairs = sorted(spectrum.pairs)
+    choices = [[(v, p) for p in integer_partitions(m)] for v, m in pairs]
+    return [JordanSpec.from_map(list(form)) for form in itertools.product(*choices)]
 
 
 # ---------------------------------------------------------------------------

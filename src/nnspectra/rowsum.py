@@ -37,8 +37,7 @@ supplies the arithmetic that differs between Fraction and float64.  Each
 step is a diagonal scaling or a shear, and each touches only a few rows and
 columns: the loop updates those rows and columns of the working matrix and
 of S in place, in O(n k) for a block of size k, and multiplies no n x n
-matrices.  The factors themselves are built only when read, from the
-recorded step parameters.
+matrices.  The transcript is the one record of the steps.
 """
 
 from __future__ import annotations
@@ -101,14 +100,6 @@ class RowSumResult:
     transcript: list
     mode: str
     lam: object
-    steps: tuple = ()  # (op, *args) of each similarity factor, in order
-
-    @property
-    def factors(self):
-        """The similarity factors, in order; their product is S.  They are
-        built here, from the recorded steps, never on the way to B."""
-        ops = _ExactOps if self.mode == "exact" else _FloatOps
-        return [_factor(ops, self.B.rows, step) for step in self.steps]
 
     def to_json(self):
         if self.mode == "exact":
@@ -210,7 +201,10 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     zmax = max(z)
     z = tuple(v / zmax for v in z)
     n1, n2 = A1.rows, A2.rows
-    S = _shear_factor(_ExactOps, n1 + n2, n1, n1 + n2, z)
+    n, zero, one = n1 + n2, Fraction(0), Fraction(1)
+    S = RationalMatrix._of(
+        [[-z[j] if j < n1 <= i else one if i == j else zero for j in range(n)] for i in range(n)]
+    )
     coeff = lam - rho2
     A3 = RationalMatrix._of([[coeff * zj for zj in z] for _ in range(n2)])
     return S, A3
@@ -382,8 +376,6 @@ class _ExactOps:
     None where irrational."""
 
     one = Fraction(1)
-    matrix = RationalMatrix
-    diagonal = RationalMatrix.diagonal
 
     def __init__(self, radii):
         self.radii = radii
@@ -468,8 +460,6 @@ class _FloatOps:
     1e-13 on zero tests)."""
 
     one = 1.0
-    matrix = staticmethod(np.array)
-    diagonal = staticmethod(np.diag)
 
     @staticmethod
     def start(A, perm):
@@ -533,34 +523,6 @@ class _FloatOps:
         return z
 
 
-def _diagonal_factor(ops, n, a, vec):
-    """D = diag(1,...,1, vec, 1,...,1) with vec from index a."""
-    d = [ops.one] * n
-    d[a : a + len(vec)] = vec
-    return ops.diagonal(d)
-
-
-def _shear_factor(ops, n, a, b, z):
-    """T = I + E where every row of E[a:b, :len(z)] is -z."""
-    rows = [[ops.one if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(a, b):
-        rows[i][: len(z)] = [-v for v in z]
-    return ops.matrix(rows)
-
-
-def _factor(ops, n, step):
-    """The n x n similarity factor of one recorded step (op, *args)."""
-    op, *args = step
-    if op == "matrix":
-        return args[0]
-    if op == "permutation":
-        (perm,) = args
-        return ops.matrix([[ops.one if i == p else 0 for p in perm] for i in range(n)])
-    if op == "scale":
-        return _diagonal_factor(ops, n, *args)
-    return _shear_factor(ops, n, *args)
-
-
 def _diagonal_similarity(ops, A, x):
     """(D^-1 A D, D) for D = diag(x), by one scale step."""
     M, S = ops.start(A, range(len(x)))
@@ -600,23 +562,20 @@ def _lift_factor(ops, M, a, b, bound, lam):
 def _absorb(ops, A, lam, plan, transcript):
     """Scale, couple and lift the planned blocks of A into CS_lam form.
 
-    Returns (B, S, steps).  M starts as the permuted A and S as the
-    permutation.  A scale step divides the rows of one block of M by a
-    positive vector and multiplies the same columns of M and S by it; a
-    shear step adds a combination of the leading rows to the rows of one
-    block, then takes the block's column sum, times that combination, off
-    the leading columns of M and S.  Both update M and S in place; steps
-    records their parameters, from which RowSumResult.factors builds the
-    factors.
+    Returns (B, S).  M starts as the permuted A and S as the permutation.
+    A scale step divides the rows of one block of M by a positive vector and
+    multiplies the same columns of M and S by it; a shear step adds a
+    combination of the leading rows to the rows of one block, then takes the
+    block's column sum, times that combination, off the leading columns of M
+    and S.  Both update M and S in place, and each appends its transcript
+    step.
     """
     perm, ranges = plan
     M, S = ops.start(A, perm)
-    steps = [("permutation", perm)]
     transcript.append(RowSumStep("permutation", {"order": list(perm)}))
 
     def apply(op, args, kind, detail):
         getattr(ops, op)(M, S, *args)
-        steps.append((op, *args))
         transcript.append(RowSumStep(kind, detail))
 
     # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
@@ -661,7 +620,7 @@ def _absorb(ops, A, lam, plan, transcript):
             {"range": [a, b], "absorbed-into": [0, bound]},
         )
         bound = b
-    return (*ops.finish(M, S), steps)
+    return ops.finish(M, S)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +668,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
         one = RationalMatrix.identity(1)
         _verify_exact(A, A, one, A[0, 0])
-        return RowSumResult(A, one, [], "exact", A[0, 0], steps=[("matrix", one)])
+        return RowSumResult(A, one, [], "exact", A[0, 0])
 
     comps, edges = _components(A)
     radii, perron = None, 0
@@ -728,7 +687,6 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     if len(comps) == 1:
         x = _right_eigenvector_exact(A, lam)
         B, S = _diagonal_similarity(_ExactOps, A, x)
-        steps = [("scale", 0, x)]
         transcript.append(
             RowSumStep(
                 "diagonal-scaling",
@@ -736,7 +694,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             )
         )
     elif plan is not None:
-        B, S, steps = _absorb(_ExactOps(radii), A, lam, plan, transcript)
+        B, S = _absorb(_ExactOps(radii), A, lam, plan, transcript)
     else:
         # the Perron block feeds an earlier block: reduce A^T instead, with
         # the components numbered as Tarjan numbers them on A^T
@@ -752,11 +710,10 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
         )
         ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-        B, S, steps = _absorb(ops, At, lam, plan, transcript)
-        X = similarity_to_transpose(A)
-        S, steps = X @ S, [("matrix", X)] + steps
+        B, S = _absorb(ops, At, lam, plan, transcript)
+        S = similarity_to_transpose(A) @ S
     _verify_exact(A, B, S, lam)
-    return RowSumResult(B, S, transcript, "exact", lam, steps=steps)
+    return RowSumResult(B, S, transcript, "exact", lam)
 
 
 def _verify_exact(A, B, S, lam):
@@ -836,7 +793,6 @@ def _to_cs_float(arr) -> RowSumResult:
             transcript,
             "float",
             float(arr[0, 0]),
-            steps=[("matrix", np.eye(1))],
         )
 
     F = FloatMatrix(arr)
@@ -854,7 +810,6 @@ def _to_cs_float(arr) -> RowSumResult:
     if len(comps) == 1:
         lam, x = perron_data(F)
         B, S = _diagonal_similarity(_FloatOps, arr, x)
-        steps = [("scale", 0, x)]
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
         plan = _plan_from_graph(comps, edges, close.index(1))
@@ -863,9 +818,9 @@ def _to_cs_float(arr) -> RowSumResult:
                 "float mode handles irreducible matrices and the chain/cluster "
                 "layouts of the exact mode; this input is outside both"
             )
-        B, S, steps = _absorb(_FloatOps, arr, lam, plan, transcript)
+        B, S = _absorb(_FloatOps, arr, lam, plan, transcript)
     _verify_float(arr, B, S, lam)
-    return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam, steps=steps)
+    return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam)
 
 
 def _verify_float(arr, B, S, lam):

@@ -124,14 +124,18 @@ def _components(A):
 # ---------------------------------------------------------------------------
 
 
-def perron_data(A: FloatMatrix, tol: float = 1e-12, max_iter: int = 100000):
+_PERRON_TOL = 1e-12
+_PERRON_STEPS = 100000
+
+
+def perron_data(A: FloatMatrix):
     """Spectral radius and positive right eigenvector of an irreducible matrix.
 
     Power iteration runs on A + I to defeat period-2 oscillation on
     bipartite patterns; rho(A + I) = rho(A) + 1 with the same eigenvector.
     The vector is normalized to max entry 1; Collatz-Wielandt ratios bound
-    the convergence test and the final residual satisfies
-    ||A x - rho x||_inf <= tol * max(1, rho).
+    the convergence test (to _PERRON_TOL, within _PERRON_STEPS steps) and the
+    final residual satisfies ||A x - rho x||_inf <= 10 _PERRON_TOL max(1, rho).
     """
     if isinstance(A, RationalMatrix):
         A = to_float(A)
@@ -143,18 +147,18 @@ def perron_data(A: FloatMatrix, tol: float = 1e-12, max_iter: int = 100000):
     shifted = arr + np.eye(n)
     x = np.ones(n)
     rho_shift = None
-    for _ in range(max_iter):
+    for _ in range(_PERRON_STEPS):
         y = shifted @ x
         ratios = y / x
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         x = y / np.max(y)
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= _PERRON_TOL * max(1.0, hi):
             rho_shift = (lo + hi) / 2.0
             break
     if rho_shift is None:
-        raise IterationError("power iteration did not converge in %d steps" % max_iter)
+        raise IterationError("power iteration did not converge in %d steps" % _PERRON_STEPS)
     rho = rho_shift - 1.0
     residual = float(np.max(np.abs(arr @ x - rho * x)))
-    if residual > 10 * tol * max(1.0, abs(rho)):
+    if residual > 10 * _PERRON_TOL * max(1.0, abs(rho)):
         raise IterationError("residual %.3e exceeds tolerance" % residual)
     return rho, x

@@ -14,7 +14,6 @@ from nnspectra.core import (
     RationalMatrix,
     Spectrum,
     companion_matrix,
-    permutation_matrix,
     poly_from_roots,
 )
 from nnspectra.rowsum import to_constant_row_sums
@@ -73,8 +72,8 @@ def scramble(rng: random.Random, A: RationalMatrix) -> RationalMatrix:
     """Random permutation plus positive diagonal similarity (keeps the
     nonnegativity, spectrum, and Jordan structure)."""
     n = A.rows
-    P = permutation_matrix(random_permutation(rng, n))
-    M = P @ A @ P.transpose()
+    perm = random_permutation(rng, n)
+    M = A.submatrix(perm, perm)
     return diag_conjugate(M, random_positive_diagonal(rng, n))
 
 

@@ -213,6 +213,16 @@ class TestRegionCsv:
         assert dispatch(["region", "--family", "pm", "--grid-step", "1", "--out", out]) == 0
         assert Path(out).read_text().splitlines()[1:] == ["0,1,1,1,1", "0,2,1,1,1", "0,3,1,1,1"]
 
+    def test_grid_step_below_bound_is_refused(self, workdir, capsys):
+        tmp, _ = workdir
+        out = tmp / "fine.csv"
+        argv = ["region", "--family", "t", "--grid-step", "1/100000", "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step 1/100000")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_member_boundary_at_t0_one_row(self, workdir):
         # at grid step 1/50 the t0 = 1 rows flip membership at the
         # 0.7877... threshold: t = 39/50 is out, t = 4/5 is in
@@ -284,6 +294,15 @@ class TestDemo:
         out_dir = tmp / "demo"
         assert dispatch(["demo", "--out-dir", str(out_dir), "--samples", samples]) == 1
         assert "must be a positive integer" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_samples_bounded(self, workdir, capsys):
+        tmp, _ = workdir
+        out_dir = tmp / "demo"
+        assert dispatch(["demo", "--out-dir", str(out_dir), "--samples", "1000001"]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --samples: must be a positive integer at most 10^6" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
 

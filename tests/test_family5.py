@@ -106,6 +106,12 @@ class TestTorre:
 
 
 class TestRegion:
+    def test_grid_step_bound(self):
+        # family t has 998001 points at step 1/1000; a finer step is refused
+        with pytest.raises(DomainError, match="grid step 1/1001"):
+            region_grid("t", F(1, 1001))
+        assert len(region_grid("pm", F(1, 1000))) == 3000
+
     def test_boundary_at_t0_one(self):
         ref = (1 + math.sqrt(48 * math.sqrt(5) - 107)) / 2
         assert abs(region_boundary("t", 1) - ref) <= 1e-12

@@ -252,16 +252,6 @@ class TestToConstantRowSums:
             result = to_constant_row_sums(A, mode="exact")
             assert jordan_spec(result.B, spectrum) == jordan_spec(A, spectrum)
 
-    def test_transcript_factors_compose_to_s(self):
-        rng = random.Random(59)
-        for _ in range(10):
-            A, _ = random_realization_with_rational_spectrum(rng)
-            result = to_constant_row_sums(A, mode="exact")
-            prod = result.factors[0]
-            for factor in result.factors[1:]:
-                prod = prod @ factor
-            assert prod == result.S
-
     def test_irrational_perron_exact_mode_error(self):
         A = RationalMatrix([[0, 2], [1, 0]])  # rho = sqrt(2)
         with pytest.raises(ModeError):
@@ -551,7 +541,9 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     real_shear = rowsum._ExactOps.shear
 
     def shear_spy(M, S, a, b, z):
-        used.append(z)
+        # the working matrix as the shear finds it: its leading part [0, a)
+        # is what the block [a, b) couples into
+        used.append((RationalMatrix([row[:a] for row in M[:a]]), z))
         return real_shear(M, S, a, b, z)
 
     monkeypatch.setattr(rowsum._ExactOps, "shear", staticmethod(shear_spy))
@@ -559,19 +551,13 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     for _, A in _layout_inputs({"isolated", "cluster", "mixed", "bottom"}, 40):
         used.clear()
         result = to_constant_row_sums(A, mode="exact")
-        steps = iter(used)
-        S = RationalMatrix.identity(A.rows)
-        # transcript step i applies factor i: M = S^-1 A S before it
-        for step, factor in zip(result.transcript, result.factors):
-            if step.kind.startswith("lemma2-coupling"):
-                bound = step.detail["coupled-into"][1]
-                M = solve(S, A @ S)
-                leading = M.submatrix(range(bound), range(bound))
-                z = next(steps)
-                padded = tuple(z) + (F(0),) * (bound - len(z))
-                assert padded == rowsum._left_eigenvector_exact(leading, result.lam)
-                checked += 1
-            S = S @ factor
+        couplings = [s for s in result.transcript if s.kind.startswith("lemma2-coupling")]
+        assert len(couplings) == len(used)
+        for step, (leading, z) in zip(couplings, used):
+            assert leading.rows == step.detail["coupled-into"][1] == step.detail["range"][0]
+            padded = tuple(z) + (F(0),) * (leading.rows - len(z))
+            assert padded == rowsum._left_eigenvector_exact(leading, result.lam)
+            checked += 1
     assert checked >= 20
 
 
@@ -588,13 +574,25 @@ def _random_step(rng, n):
     return "shear", (a, rng.randint(a + 1, n), z)
 
 
-def _dense_step(ops, n, op, args):
-    """(T^-1, T) of a step, as dense factors."""
+def _dense_step(n, op, args):
+    """(T^-1, T) of a step, as dense lists of rows: T = diag(1,...,1, vec,
+    1,...,1) for a scale step, T = I - u z^T (T^-1 = I + u z^T) for a shear."""
+
+    def identity():
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
     if op == "scale":
         a, vec = args
-        return rowsum._diagonal_factor(ops, n, a, [1 / v for v in vec]), rowsum._diagonal_factor(ops, n, a, vec)
+        T, Tinv = identity(), identity()
+        for i, v in enumerate(vec, a):
+            T[i][i], Tinv[i][i] = v, 1 / v
+        return Tinv, T
     a, b, z = args
-    return rowsum._shear_factor(ops, n, a, b, [-v for v in z]), rowsum._shear_factor(ops, n, a, b, z)
+    T, Tinv = identity(), identity()
+    for i in range(a, b):
+        T[i][: len(z)] = [-v for v in z]
+        Tinv[i][: len(z)] = list(z)
+    return Tinv, T
 
 
 def test_structured_steps_match_dense_products():
@@ -613,7 +611,7 @@ def test_structured_steps_match_dense_products():
 
         M, S = [list(r) for r in M0], [list(r) for r in S0]
         getattr(ops_e, op)(M, S, *args)
-        Tinv, T = _dense_step(ops_e, n, op, args)
+        Tinv, T = (RationalMatrix(X) for X in _dense_step(n, op, args))
         assert RationalMatrix(M) == Tinv @ RationalMatrix(M0) @ T
         assert RationalMatrix(S) == RationalMatrix(S0) @ T
 
@@ -621,7 +619,7 @@ def test_structured_steps_match_dense_products():
         Mf, Sf = to_float(RationalMatrix(M0)).array.copy(), to_float(RationalMatrix(S0)).array.copy()
         want_M, want_S = Mf.copy(), Sf.copy()
         getattr(ops_f, op)(Mf, Sf, *fargs)
-        Tinv, T = _dense_step(ops_f, n, op, fargs)
+        Tinv, T = (np.array(X, dtype=float) for X in _dense_step(n, op, fargs))
         for got, want in ((Mf, Tinv @ want_M @ T), (Sf, want_S @ T)):
             assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
     assert kinds >= {("scale", False, False), ("shear", True, True), ("shear", False, True), ("shear", True, False)}
@@ -629,7 +627,7 @@ def test_structured_steps_match_dense_products():
 
 def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
     # the verification multiplies integer rows, not matrices: only X S on
-    # the transpose path remains, and no similarity factor is built
+    # the transpose path remains
     products = []
     real = RationalMatrix.__matmul__
 
@@ -637,11 +635,7 @@ def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
         products.append((self.rows, other.cols))
         return real(self, other)
 
-    def no_factor(*args):
-        raise AssertionError("a similarity factor was built")
-
     monkeypatch.setattr(RationalMatrix, "__matmul__", matmul_spy)
-    monkeypatch.setattr(rowsum, "_factor", no_factor)
     seen = set()
     layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
     for layout, A in _layout_inputs(layouts, 60):
