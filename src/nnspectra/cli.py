@@ -60,13 +60,6 @@ def _spectrum_arg(path) -> Spectrum:
     return Spectrum.from_json(_load_json(path))
 
 
-def _sample_count(text) -> int:
-    value = int(text)
-    if not 0 < value <= 10**6:
-        raise argparse.ArgumentTypeError("must be a positive integer at most 10^6, not %s" % text)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -202,6 +195,10 @@ def cmd_jordan_forms(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if not 0 < args.samples <= 10**6:
+        raise DomainError(
+            "--samples must be a positive integer at most 10^6, not %d" % args.samples
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     report = []
     report.append("# Demonstration report\n")
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run the scripted demonstrations end to end")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--samples", type=_sample_count, default=10000)
+    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
 

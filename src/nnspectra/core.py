@@ -156,7 +156,8 @@ class RationalMatrix:
 
     @property
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for r in self._data for v in r)
+        # a Fraction's denominator is positive: its sign is its numerator's
+        return all(v.numerator >= 0 for r in self._data for v in r)
 
     def __eq__(self, other):
         return (

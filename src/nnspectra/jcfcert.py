@@ -9,11 +9,15 @@ simple eigenvalue, at most one per eigenvalue of a nonderogatory matrix.
 Everything here certifies matrices with rational spectra, which
 rational_spectrum_of tells apart exactly; irrational spectra are not certified.
 
-This module is the one place that checks a matrix against a spectral claim:
+This module computes the spectral facts that certificates rest on:
 jordan_spec and verify_certificate share one char-poly residual (Berkowitz
 over the integers) and one Weyr sequence per claimed eigenvalue (ranks by the
-fraction-free elimination).  Constructions certified
-here (the degree-5 realization, bonding) do not check those facts again.
+fraction-free elimination), and _certificate words every certificate's
+records from such facts.  Constructions certified here (the degree-5
+realization, bonding) do not check those facts again.  The Perron shift
+(perturb.ur_shift) proves its output's facts from a verified similarity
+instead and hands them to _certificate; verify_certificate, which recomputes
+them, stays the independent oracle for that derivation.
 """
 
 from __future__ import annotations
@@ -240,6 +244,27 @@ def verify_certificate(
     matrix: RationalMatrix, claimed_spectrum: Spectrum, claimed_jordan: JordanSpec
 ) -> RealizationCertificate:
     """Run the full exact check suite; failures are verdicts, never errors."""
+    residual = _residual(char_poly(matrix), claimed_spectrum)
+    # a failing char poly keeps the full towers, and with them the details
+    weyrs = _weyr_pass(matrix, claimed_spectrum, residual == [Fraction(0)])
+    return _certificate(matrix, claimed_spectrum, claimed_jordan, residual, weyrs)
+
+
+def _certificate(
+    matrix: RationalMatrix,
+    claimed_spectrum: Spectrum,
+    claimed_jordan: JordanSpec,
+    residual,
+    weyrs,
+) -> RealizationCertificate:
+    """The certificate's records, from facts established about matrix.
+
+    residual is char_poly(matrix) minus the claimed spectrum's polynomial, and
+    weyrs holds one (value, Weyr sequence of matrix at value) per claimed
+    pair, in the spectrum's order.  verify_certificate computes both; a caller
+    that has proved them another way (the Perron shift) passes them here, so
+    every certificate words its records the same way.
+    """
     checks = []
 
     def record(name, ok, passed, failed):
@@ -251,7 +276,6 @@ def verify_certificate(
         "all entries >= 0",
         "a negative entry is present",
     )
-    residual = _residual(char_poly(matrix), claimed_spectrum)
     record(
         "char-poly",
         residual == [Fraction(0)],
@@ -264,8 +288,7 @@ def verify_certificate(
         "claimed Jordan blocks partition the claimed multiplicities",
         "claimed Jordan blocks do not match the spectrum multiplicities",
     )
-    # a failing char poly keeps the full towers, and with them the details
-    for value, got in _weyr_pass(matrix, claimed_spectrum, residual == [Fraction(0)]):
+    for value, got in weyrs:
         label = format_rational(value)
         expected = claimed_jordan.weyr_at(value)
         record(

@@ -7,6 +7,11 @@ not collide with another eigenvalue.  The uniform choice q = (eps/n) e
 increases the Perron root by eps while keeping the matrix nonnegative, which
 is the engine behind the Perron-shift preservation of universal
 realizability.
+
+ur_shift certifies its result from that argument rather than from scratch:
+the CS form's similarity to the certified input is checked exactly, and the
+shifted matrix's certificate follows from it and O(n^2) entry checks, with
+no char poly or rank of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
+    _integer_rows,
     char_poly,
     format_rational,
     poly_eval,
@@ -33,8 +39,8 @@ from .errors import (
     NonnegativityLossError,
     PerronNotSimple,
 )
-from .jcfcert import jordan_spec, verify_certificate
-from .rowsum import _to_cs_exact, constant_row_sum_value
+from .jcfcert import _certificate, jordan_spec
+from .rowsum import _to_cs_exact, _verify_exact, constant_row_sum_value
 
 
 def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
@@ -105,10 +111,10 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     The input is certified once, by jordan_spec (char poly against the
     spectrum, then Weyr ranks); lambda1 is read from that certified spectrum,
     and the radius of every other diagonal block the reduction scales comes
-    from the reduction's own exact routine, never from floats; the output is
-    certified once, by verify_certificate.  B + (eps/n) e e^T needs no check
-    in between: B >= 0 and eps >= 0 keep it nonnegative, and lambda1 + eps
-    exceeds every other eigenvalue, so it collides with none.
+    from the reduction's own exact routine, never from floats.  The CS form B
+    is checked exactly against A (A S = S B, det S != 0, B >= 0, rows summing
+    to lambda1).  The output's certificate is derived from these facts by
+    _shift_certificate with O(n^2) further checks, and no char poly or rank.
     """
     eps = rat(eps)
     if eps < 0:
@@ -122,17 +128,58 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    B = _to_cs_exact(A, lam1).B
+    reduced = _to_cs_exact(A, lam1)
+    B = reduced.B
+    _verify_exact(A, B, reduced.S, lam1)
     q = eps / B.rows
     shifted = RationalMatrix._of([[v + q for v in row] for row in B.entries()])
-    claimed_spectrum = spectrum.replace_perron(lam1 + eps)
+    return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
+
+
+def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
+    """The certificate of shifted = B + (eps/n) e e^T, derived, not recomputed.
+
+    B must be exactly similar to a matrix A with the certified spectrum and
+    Jordan form jordan_before, its rows summing to the simple eigenvalue
+    lambda1 = spectrum.perron.  With P = [e | e_2 ... e_n], P^-1 B P =
+    [[lambda1, r], [0, B~]], and P^-1 e = e_1, so adding e q^T changes only
+    the first row: P^-1 B' P = [[lambda1 + eps, r'], [0, B~]] with the same
+    B~ (Brauer 1952).  When lambda1 + eps is none of the other eigenvalues,
+    the Jordan form of B' is that of A with lambda1 moved to lambda1 + eps,
+    so its char poly is the claimed spectrum's and each Weyr sequence the
+    claimed one.  What is left to check is O(n^2): B' - B = (eps/n) e e^T
+    entry by entry, every row of B' summing to lambda1 + eps, the moved root
+    colliding with no other claimed value, and B' >= 0 (the certificate's
+    nonnegativity record).  A failed check raises CertificationError.
+    """
+    lam1 = spectrum.perron
+    moved = lam1 + eps
+    q = eps / B.rows
+    # over the integers: B = Bi/b and B' = Si/s, so B' - B = q entrywise iff
+    # q.den (b Si - s Bi) = q.num s b, and a row of B' sums to moved iff its
+    # integer sum times moved.den is moved.num s
+    (Bi, b), (Si, s) = _integer_rows(B.entries()), _integer_rows(shifted.entries())
+    gap = q.numerator * s * b
+    if any(
+        q.denominator * (b * x - s * y) != gap for rx, ry in zip(Si, Bi) for x, y in zip(rx, ry)
+    ):
+        raise CertificationError("the shifted matrix is not B + (eps/n) e e^T")
+    if any(sum(row) * moved.denominator != moved.numerator * s for row in Si):
+        raise CertificationError(
+            "a row of the shifted matrix does not sum to %s" % format_rational(moved)
+        )
+    if eps and spectrum.multiplicity(moved):
+        raise CertificationError(
+            "shifted Perron root %s collides with another eigenvalue" % format_rational(moved)
+        )
+    claimed_spectrum = spectrum.replace_perron(moved)
     claimed_jordan = JordanSpec.from_map(
-        [
-            (lam1 + eps if v == lam1 else v, sizes)
-            for v, sizes in jordan_before.blocks
-        ]
+        [(moved if v == lam1 else v, sizes) for v, sizes in jordan_before.blocks]
     )
-    certificate = verify_certificate(shifted, claimed_spectrum, claimed_jordan)
+    weyrs = [(v, claimed_jordan.weyr_at(v)) for v, _ in claimed_spectrum.pairs]
+    certificate = _certificate(
+        shifted, claimed_spectrum, claimed_jordan, [Fraction(0)], weyrs
+    )
     if not certificate.verdict:
         raise CertificationError("Perron shift failed certification")
-    return shifted, certificate
+    return certificate

@@ -650,11 +650,13 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
     if mode == "float":
         return _to_cs_float(to_float(A).array)
     try:
-        return _to_cs_exact(A)
+        result = _to_cs_exact(A)
     except ModeError:
         if mode == "exact":
             raise
         return _to_cs_float(to_float(A).array)
+    _verify_exact(A, result.B, result.S, result.lam)
+    return result
 
 
 def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
@@ -664,11 +666,12 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     eigenvalue; an irreducible A then needs no char poly at all.  Otherwise,
     and for every block the reduction scales, perron_root_exact finds the
     radius exactly from the block char polys.
+
+    The result is unverified: each caller checks it with _verify_exact, next
+    to the conclusions it draws from the similarity.
     """
     if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
-        one = RationalMatrix.identity(1)
-        _verify_exact(A, A, one, A[0, 0])
-        return RowSumResult(A, one, [], "exact", A[0, 0])
+        return RowSumResult(A, RationalMatrix.identity(1), [], "exact", A[0, 0])
 
     comps, edges = _components(A)
     radii, perron = None, 0
@@ -712,7 +715,6 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
         B, S = _absorb(ops, At, lam, plan, transcript)
         S = similarity_to_transpose(A) @ S
-    _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam)
 
 
@@ -721,13 +723,14 @@ def _verify_exact(A, B, S, lam):
 
     A, S and B are cleared to integers once each, A = A'/a and B = B'/b
     with a and b the lcms of their denominators (S' likewise), so that
-    A S = S B iff b A' S' = a S' B', which is checked over the integers.
+    A S = S B iff b A' S' = a S' B', and a row of B sums to lam iff the same
+    row of B' sums to lam b; both are checked over the integers.
     """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
-    if any(s != lam for s in B.row_sums()):
-        raise CertificationError("result is not in CS form")
     (Ai, a), (Si, _), (Bi, b) = (_integer_rows(M.entries()) for M in (A, S, B))
+    if any(sum(row) * lam.denominator != lam.numerator * b for row in Bi):
+        raise CertificationError("result is not in CS form")
     AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
     if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,7 +17,9 @@ from nnspectra.core import (
     poly_mul,
     synthetic_div,
 )
+from nnspectra import perturb
 from nnspectra.errors import (
+    CertificationError,
     CollisionError,
     DimensionError,
     DomainError,
@@ -24,7 +27,7 @@ from nnspectra.errors import (
     PerronNotSimple,
 )
 from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
-from nnspectra.perturb import rank_one_shift, ur_shift
+from nnspectra.perturb import _shift_certificate, rank_one_shift, ur_shift
 from nnspectra.rowsum import to_constant_row_sums
 
 from conftest import (
@@ -261,27 +264,76 @@ class TestUrShift:
 # CS matrices (n = 2..5) and scrambled companions (n = 4..6), eps cycling over
 # 0, 1/3, 2; pins the shifted matrix, spectrum, Jordan claim and check list
 UR_SHIFT_GOLDEN_SHA256 = "88934d7b26e450f0681c92aea50c9bce92454b1d528a616903bbd5ee4d405e03"
+EPSILONS = (F(0), F(1, 3), F(2))
 
 
-def test_ur_shift_matches_golden_digest():
+def golden_inputs():
+    """The 40 (A, spectrum) inputs that UR_SHIFT_GOLDEN_SHA256 covers."""
     rng = random.Random(2041)
-    digest = hashlib.sha256()
     for i in range(40):
         if i % 2:
             C, values = suleimanova_companion(rng, rng.randint(4, 6))
             A = scramble(rng, C)
         else:
             A, values = random_cs_matrix(rng, rng.randint(2, 5))
-        eps = (F(0), F(1, 3), F(2))[i % 3]
-        _shifted, cert = ur_shift(A, Spectrum.from_values(values), eps)
+        yield A, Spectrum.from_values(values)
+
+
+def test_ur_shift_matches_golden_digest():
+    digest = hashlib.sha256()
+    for i, (A, spectrum) in enumerate(golden_inputs()):
+        _shifted, cert = ur_shift(A, spectrum, EPSILONS[i % 3])
         digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == UR_SHIFT_GOLDEN_SHA256
 
 
+class TestDerivedCertificate:
+    def test_matches_the_recomputing_oracle(self):
+        # ur_shift derives its certificate from the verified similarity;
+        # verify_certificate recomputes the char poly and every Weyr sequence
+        rng = random.Random(83)
+        planted = [random_layout_realization(rng) for _ in range(30)]
+        assert {layout for _, _, layout in planted} == {
+            "irreducible", "chain", "isolated", "mixed", "cluster", "bottom"
+        }
+        cases = list(golden_inputs()) + [(A, spectrum) for A, spectrum, _ in planted]
+        for A, spectrum in cases:
+            for eps in EPSILONS:
+                shifted, cert = ur_shift(A, spectrum, eps)
+                oracle = verify_certificate(shifted, cert.claimed_spectrum, cert.claimed_jordan)
+                assert cert.to_json() == oracle.to_json()
+
+    def test_wrong_eps_in_one_row_refused(self):
+        A = RationalMatrix([[1, 2], [3, 0]])  # CS_3, spectrum {3, -2}
+        spectrum = Spectrum.from_values([3, -2])
+        eps = F(1, 3)
+        B = to_constant_row_sums(A, mode="exact").B
+        # q = eps/2, but row 1 gets eps: its sum is off by eps/2
+        rows = [[v + eps / 2 for v in row] for row in B.entries()]
+        rows[1] = [v + eps for v in B.entries()[1]]
+        with pytest.raises(CertificationError, match=r"not B \+ \(eps/n\) e e\^T"):
+            _shift_certificate(B, RationalMatrix(rows), spectrum, jordan_spec(A, spectrum), eps)
+
+    def test_unverified_similarity_refused(self, monkeypatch):
+        # a CS form with the right row sums and no negative entry, but not
+        # similar to A: [[2, 1], [3, 0]] has spectrum {3, -1}, not {3, -2}
+        A = RationalMatrix([[1, 2], [3, 0]])
+        real = perturb._to_cs_exact
+
+        def perturbed(M, lam):
+            result = real(M, lam)
+            assert result.B == A
+            return dataclasses.replace(result, B=RationalMatrix([[2, 1], [3, 0]]))
+
+        monkeypatch.setattr(perturb, "_to_cs_exact", perturbed)
+        with pytest.raises(CertificationError, match="similarity verification failed"):
+            ur_shift(A, Spectrum.from_values([3, -2]), F(1, 3))
+
+
 def test_certified_ur_shift_multiplies_no_matrices(monkeypatch):
     # on scrambled companions (irreducible, so no transpose path) the CS
-    # verification multiplies integer rows and the certificate ranks integer
-    # powers: no RationalMatrix product is left
+    # verification multiplies integer rows, jordan_spec ranks integer powers
+    # and the output's certificate is derived: no RationalMatrix product is left
     rng = random.Random(83)
     cases = []
     for i in range(12):
