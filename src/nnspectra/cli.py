@@ -319,8 +319,18 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses a malformed command line with a
+    DomainError, so that dispatch words it as it words every typed refusal:
+    one "error:" line, exit code 1, no usage block.  Subcommand parsers are
+    made of the same class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nnspectra",
         description="Nonnegative matrices with prescribed spectra and Jordan "
         "structure, certified over exact rationals.",
@@ -389,13 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after argparse has printed it
+        return 1 if exc.code not in (0, None) else 0
     except SpectraError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -325,15 +325,24 @@ def _integer_product(X, columns):
 def _eliminate(rows, pivot_cols):
     """Fraction-free (Bareiss) forward elimination of rational rows.
 
-    Rows are cleared to integers first.  Pivot rule: columns left to right
-    among the first `pivot_cols`, first row with a nonzero entry; each update
-    divides exactly by the previous pivot.  Stops once every row has a pivot.
-    Returns (integer echelon rows, pivot columns, sign of the row swaps,
-    product of the row scalings).
+    Rows are cleared to integers first, then reduced by _bareiss.  Returns
+    (integer echelon rows, pivot columns, sign of the row swaps, product of
+    the row scalings).
     """
     cleared = [_integer_row(row) for row in rows]
     m = [ints for ints, _ in cleared]
-    scale = math.prod(lcm for _, lcm in cleared)
+    pivots, sign = _bareiss(m, pivot_cols)
+    return m, pivots, sign, math.prod(lcm for _, lcm in cleared)
+
+
+def _bareiss(m, pivot_cols):
+    """Fraction-free forward elimination of the integer rows m, in place.
+
+    Pivot rule: columns left to right among the first `pivot_cols`, first
+    row with a nonzero entry; each update divides exactly by the previous
+    pivot.  Stops once every row has a pivot.  Returns (pivot columns, sign
+    of the row swaps).
+    """
     pivots = []
     sign = prev = 1
     for c in range(pivot_cols):
@@ -353,7 +362,7 @@ def _eliminate(rows, pivot_cols):
         pivots.append(c)
         if len(pivots) == len(m):
             break
-    return m, pivots, sign, scale
+    return pivots, sign
 
 
 def _back_substitute(m, pivots, col):

@@ -130,21 +130,23 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
 
     reduced = _to_cs_exact(A, lam1)
     B = reduced.B
-    _verify_exact(A, B, reduced.S, lam1)
+    cleared = _verify_exact(A, B, reduced.S, lam1)
     q = eps / B.rows
     shifted = RationalMatrix._of([[v + q for v in row] for row in B.entries()])
-    return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
+    return shifted, _shift_certificate(cleared, shifted, spectrum, jordan_before, eps)
 
 
-def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
+def _shift_certificate(cleared, shifted, spectrum, jordan_before, eps):
     """The certificate of shifted = B + (eps/n) e e^T, derived, not recomputed.
 
-    B must be exactly similar to a matrix A with the certified spectrum and
-    Jordan form jordan_before, its rows summing to the simple eigenvalue
-    lambda1 = spectrum.perron.  With P = [e | e_2 ... e_n], P^-1 B P =
-    [[lambda1, r], [0, B~]], and P^-1 e = e_1, so adding e q^T changes only
-    the first row: P^-1 B' P = [[lambda1 + eps, r'], [0, B~]] with the same
-    B~ (Brauer 1952).  When lambda1 + eps is none of the other eigenvalues,
+    B comes cleared to integers, as the (Bi, b) with B = Bi/b that
+    _verify_exact returns after checking it.  B must be exactly similar to a
+    matrix A with the certified spectrum and Jordan form jordan_before, its
+    rows summing to the simple eigenvalue lambda1 = spectrum.perron.  With
+    P = [e | e_2 ... e_n], P^-1 B P = [[lambda1, r], [0, B~]], and
+    P^-1 e = e_1, so adding e q^T changes only the first row:
+    P^-1 B' P = [[lambda1 + eps, r'], [0, B~]] with the same B~ (Brauer
+    1952).  When lambda1 + eps is none of the other eigenvalues,
     the Jordan form of B' is that of A with lambda1 moved to lambda1 + eps,
     so its char poly is the claimed spectrum's and each Weyr sequence the
     claimed one.  What is left to check is O(n^2): B' - B = (eps/n) e e^T
@@ -154,11 +156,11 @@ def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
     """
     lam1 = spectrum.perron
     moved = lam1 + eps
-    q = eps / B.rows
-    # over the integers: B = Bi/b and B' = Si/s, so B' - B = q entrywise iff
+    (Bi, b), (Si, s) = cleared, _integer_rows(shifted.entries())
+    q = eps / len(Bi)
+    # over the integers: B' = Si/s, so B' - B = q entrywise iff
     # q.den (b Si - s Bi) = q.num s b, and a row of B' sums to moved iff its
     # integer sum times moved.den is moved.num s
-    (Bi, b), (Si, s) = _integer_rows(B.entries()), _integer_rows(shifted.entries())
     gap = q.numerator * s * b
     if any(
         q.denominator * (b * x - s * y) != gap for rx, ry in zip(Si, Bi) for x, y in zip(rx, ry)

@@ -15,10 +15,18 @@ rational).  The reduction walks the block structure:
     padded with zeros: it is computed once, on that block, per reduction.
 
 Two documented extensions widen the reducible layouts accepted beyond the
-plain chain-plus-isolated picture: mutually decoupled *clusters* of blocks
+plain chain-plus-isolated picture.  Mutually decoupled *clusters* of blocks
 are absorbed whole (after a scaling that pushes all their row sums strictly
-below lambda1), and layouts whose Perron block feeds earlier blocks are
-handled through an exact similarity with the transpose.  The simple-root
+below lambda1).  When the Perron side (the Perron block and every block
+that reaches it) feeds other blocks, a Sylvester decoupling removes those
+entries first: with Q the Perron side, R the rest and Y the entries by
+which Q feeds R, T = I + W on them gives T^-1 A T = D, A with Y set to 0,
+whenever Q W - W R = -Y (Roth's removal rule).  That is one exact solve in
+|Q| |R| unknowns, nonsingular iff spec(Q) and spec(R) are disjoint; D's
+blocks are A's own, and R's blocks, now isolated, are coupled back in by
+the usual shear.  Only when the two sides share an eigenvalue does exact
+mode reduce A^T instead, through an X with A X = X A^T from the kernel of
+an n^2 x n^2 Sylvester system; float mode then refuses.  The simple-root
 hypothesis cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
@@ -27,7 +35,8 @@ perron_root_exact finds every block's spectral radius from it exactly, by a
 bisection over the integers with no float anywhere; lambda1 is the largest
 (or certified by the caller).  As det(xI - A) is the product of the block
 polys, lambda1 is simple iff exactly one block poly vanishes there, simply,
-and that block is the Perron block.  The transpose path reuses the same data.
+and that block is the Perron block.  The decoupling and the transpose path
+reuse the same data.
 In float mode it takes one np.linalg.eigvals per diagonal block: lambda1 is
 the largest modulus, it must be the only eigenvalue of A within 1e-9 of
 itself, and the block that holds that eigenvalue is the Perron block.
@@ -52,6 +61,7 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
+    _bareiss,
     _dot,
     _integer_poly,
     _integer_product,
@@ -305,14 +315,10 @@ def _placement_order(members, edges, key) -> list:
     return order
 
 
-def _plan_from_graph(comps, edges, perron):
-    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
-
-    Each range is (kind, payload, start, stop) in permuted coordinates, kind
-    "block" (payload a component index) or "cluster" (payload a list of
-    them); the Perron block comes first.
-    """
-    in_neighbors = {ci: set() for ci in range(len(comps))}
+def _reach(count, edges, perron):
+    """The Perron block and every block that couples into it, directly or
+    through others, among the components 0 .. count - 1."""
+    in_neighbors = {ci: set() for ci in range(count)}
     for u, w in edges:
         in_neighbors[w].add(u)
 
@@ -324,7 +330,17 @@ def _plan_from_graph(comps, edges, perron):
             if u not in reach:
                 reach.add(u)
                 frontier.append(u)
+    return reach
 
+
+def _plan_from_graph(comps, edges, perron):
+    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
+
+    Each range is (kind, payload, start, stop) in permuted coordinates, kind
+    "block" (payload a component index) or "cluster" (payload a list of
+    them); the Perron block comes first, then the blocks that reach it.
+    """
+    reach = _reach(len(comps), edges, perron)
     if any(u in reach and w not in reach for u, w in edges):
         return None  # the Perron chain feeds an unreachable block
 
@@ -365,6 +381,65 @@ def _plan_from_graph(comps, edges, perron):
     return perm, ranges
 
 
+def _sylvester_decoupling(ops, rows, q, r):
+    """(D, T) with T^-1 A T = D, for A given by its rows, q the vertices of
+    the Perron side and r the others; None when Q = A[q, q] and R = A[r, r]
+    share an eigenvalue.
+
+    No block outside the Perron side couples into it, so A[r, q] = 0: with r
+    ordered first, A is [[R, 0], [Y, Q]], Y = A[q, r].  By Roth's removal
+    rule (Proc. AMS 3, 1952), [[I, 0], [W, I]] makes it diag(R, Q) when
+    Q W - W R = -Y.  That Sylvester equation is one linear system in the
+    |q| |r| entries of W (W[i][j] is unknown i |r| + j), and it is
+    nonsingular iff spec(Q) and spec(R) are disjoint.  In A's own
+    coordinates D is A with its q-row/r-column entries set to 0, hence
+    nonnegative, and T is I with W in those entries; T is returned as rows.
+    """
+    m, zero = len(r), ops.zero
+    system = []
+    for i, qi in enumerate(q):
+        for j, rj in enumerate(r):
+            row = [zero] * (len(q) * m)
+            for l, ql in enumerate(q):
+                row[l * m + j] += rows[qi][ql]
+            for l, rl in enumerate(r):
+                row[i * m + l] -= rows[rl][rj]
+            system.append(row)
+    w = ops.solve_linear(ops.matrix(system), [-rows[qi][rj] for qi in q for rj in r])
+    if w is None:
+        return None
+    n = len(rows)
+    D = [list(row) for row in rows]
+    T = [[ops.one if i == j else zero for j in range(n)] for i in range(n)]
+    for i, qi in enumerate(q):
+        for j, rj in enumerate(r):
+            D[qi][rj] = zero
+            T[qi][rj] = w[i * m + j]
+    return ops.matrix(D), T
+
+
+def _absorb_decoupled(ops, rows, comps, edges, perron, lam, transcript):
+    """(B, S) for a layout whose Perron chain leaks outward, A given by its
+    rows; None when the two sides of the decoupling share an eigenvalue.
+
+    The Perron side is the Perron block and every block that reaches it;
+    once _sylvester_decoupling has set the entries by which it feeds the
+    other blocks to 0, those blocks are isolated, and the plan of the
+    decoupled matrix D, the same graph without those edges, always exists.
+    _absorb starts S at T, so S^-1 A S = B.
+    """
+    reach = _reach(len(comps), edges, perron)
+    q = sorted(v for ci in reach for v in comps[ci])
+    r = sorted(v for ci, comp in enumerate(comps) if ci not in reach for v in comp)
+    decoupled = _sylvester_decoupling(ops, rows, q, r)
+    if decoupled is None:
+        return None
+    transcript.append(RowSumStep("sylvester-decoupling", {"perron-side": q, "decoupled": r}))
+    kept = {(u, w) for u, w in edges if u not in reach or w in reach}
+    D, T = decoupled
+    return _absorb(ops, D, lam, _plan_from_graph(comps, kept, perron), transcript, T)
+
+
 # ---------------------------------------------------------------------------
 # the absorb loop, shared by exact and float mode
 # ---------------------------------------------------------------------------
@@ -375,17 +450,22 @@ class _ExactOps:
     radii are the spectral radii of the diagonal blocks, by component index,
     None where irrational."""
 
-    one = Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
+    matrix = staticmethod(RationalMatrix._of)
 
     def __init__(self, radii):
         self.radii = radii
 
     @staticmethod
-    def start(A, perm):
-        """Mutable rows of M = P^T A P and of S = P, the permutation of perm."""
+    def start(A, perm, T=None):
+        """Mutable rows of M = P^T A P and of S = T P, for P the permutation
+        of perm and T given by its rows, the identity when None."""
         rows, zero, one = A.entries(), Fraction(0), Fraction(1)
         M = [[rows[i][j] for j in perm] for i in perm]
-        S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
+        if T is None:
+            S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
+        else:
+            S = [[row[j] for j in perm] for row in T]
         return M, S
 
     @staticmethod
@@ -432,13 +512,18 @@ class _ExactOps:
                 row[: len(z)] = [x - t * v if v else x for x, v in zip(row, z)]
 
     @staticmethod
-    def solve_shifted(lam, K, rhs):
-        """y with (lam I - K) y = rhs, or None when the system is singular."""
+    def solve_linear(K, rhs):
+        """x with K x = rhs, or None when K is singular."""
         try:
-            y = solve(_shifted(lam, K.entries()), RationalMatrix._of([v] for v in rhs))
+            x = solve(K, RationalMatrix._of([v] for v in rhs))
         except SingularMatrixError:
             return None
-        return list(y.column_entries(0))
+        return list(x.column_entries(0))
+
+    @classmethod
+    def solve_shifted(cls, lam, K, rhs):
+        """y with (lam I - K) y = rhs, or None when the system is singular."""
+        return cls.solve_linear(_shifted(lam, K.entries()), rhs)
 
     def perron_vector(self, block, lam, ci):
         """Positive eigenvector of the irreducible block of component ci at
@@ -459,15 +544,15 @@ class _FloatOps:
     """float64 arithmetic for the absorb loop, on numpy arrays (tolerance
     1e-13 on zero tests)."""
 
-    one = 1.0
+    zero, one = 0.0, 1.0
+    matrix = staticmethod(np.array)
 
     @staticmethod
-    def start(A, perm):
-        """Copies of M = P^T A P and of S = P, the permutation of perm."""
-        n = len(perm)
-        S = np.zeros((n, n))
-        S[perm, range(n)] = 1.0
-        return A[np.ix_(perm, perm)], S
+    def start(A, perm, T=None):
+        """Copies of M = P^T A P and of S = T P, for P the permutation of
+        perm and T given by its rows, the identity when None."""
+        T = np.eye(len(perm)) if T is None else np.array(T)
+        return A[np.ix_(perm, perm)], T[:, perm]
 
     @staticmethod
     def finish(M, S):
@@ -502,11 +587,15 @@ class _FloatOps:
         S[:, :k] -= np.outer(S[:, a:b].sum(axis=1), z)
 
     @staticmethod
-    def solve_shifted(lam, K, rhs):
+    def solve_linear(K, rhs):
         try:
-            return np.linalg.solve(lam * np.eye(K.shape[0]) - K, rhs)
+            return np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             return None
+
+    @classmethod
+    def solve_shifted(cls, lam, K, rhs):
+        return cls.solve_linear(lam * np.eye(K.shape[0]) - K, rhs)
 
     @staticmethod
     def perron_vector(block, lam, ci):
@@ -559,10 +648,11 @@ def _lift_factor(ops, M, a, b, bound, lam):
     return _dominated_solution(ops, ops.sub(M, rows, rows), lam, A3e, "lift")
 
 
-def _absorb(ops, A, lam, plan, transcript):
+def _absorb(ops, A, lam, plan, transcript, T=None):
     """Scale, couple and lift the planned blocks of A into CS_lam form.
 
-    Returns (B, S).  M starts as the permuted A and S as the permutation.
+    Returns (B, S).  M starts as the permuted A and S as T (the identity
+    when None) times the permutation, so S^-1 (T A T^-1) S = B.
     A scale step divides the rows of one block of M by a positive vector and
     multiplies the same columns of M and S by it; a shear step adds a
     combination of the leading rows to the rows of one block, then takes the
@@ -571,7 +661,7 @@ def _absorb(ops, A, lam, plan, transcript):
     step.
     """
     perm, ranges = plan
-    M, S = ops.start(A, perm)
+    M, S = ops.start(A, perm, T)
     transcript.append(RowSumStep("permutation", {"order": list(perm)}))
 
     def apply(op, args, kind, detail):
@@ -699,23 +789,37 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     elif plan is not None:
         B, S = _absorb(_ExactOps(radii), A, lam, plan, transcript)
     else:
-        # the Perron block feeds an earlier block: reduce A^T instead, with
-        # the components numbered as Tarjan numbers them on A^T
-        At = A.transpose()
-        comps_t, edges_t = _components(At)
-        plan = _plan_from_graph(comps_t, edges_t, comps_t.index(comps[perron]))
-        if plan is None:
-            raise UnsupportedLayoutError(
-                "the reducible layout entangles the Perron block in both "
-                "directions; this reduction is not implemented"
-            )
-        transcript.append(
-            RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
+        # the Perron side feeds other blocks: decouple it from them, or
+        # reduce A^T when the two sides share an eigenvalue
+        result = _absorb_decoupled(
+            _ExactOps(radii), A.entries(), comps, edges, perron, lam, transcript
         )
-        ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-        B, S = _absorb(ops, At, lam, plan, transcript)
-        S = similarity_to_transpose(A) @ S
+        B, S = result or _via_transpose(A, comps, perron, radii, lam, transcript)
     return RowSumResult(B, S, transcript, "exact", lam)
+
+
+def _via_transpose(A, comps, perron, radii, lam, transcript):
+    """(B, S) from the reduction of A^T, for a layout that the Sylvester
+    decoupling cannot split because its two sides share an eigenvalue.
+
+    The components are renumbered as Tarjan numbers them on A^T, and S is
+    X S' for an X with A X = X A^T and the similarity S' of the reduction.
+    """
+    At = A.transpose()
+    comps_t, edges_t = _components(At)
+    plan = _plan_from_graph(comps_t, edges_t, comps_t.index(comps[perron]))
+    if plan is None:
+        raise UnsupportedLayoutError(
+            "the Perron side shares an eigenvalue with the blocks it feeds, "
+            "and the reducible layout entangles the Perron block in both "
+            "directions; this reduction is not implemented"
+        )
+    transcript.append(
+        RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
+    )
+    ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
+    B, S = _absorb(ops, At, lam, plan, transcript)
+    return B, similarity_to_transpose(A) @ S
 
 
 def _verify_exact(A, B, S, lam):
@@ -724,7 +828,9 @@ def _verify_exact(A, B, S, lam):
     A, S and B are cleared to integers once each, A = A'/a and B = B'/b
     with a and b the lcms of their denominators (S' likewise), so that
     A S = S B iff b A' S' = a S' B', and a row of B sums to lam iff the same
-    row of B' sums to lam b; both are checked over the integers.
+    row of B' sums to lam b; both are checked over the integers, and
+    det S != 0 iff the elimination of S' finds a pivot in every row.
+    Returns (B', b) for callers that check more of B.
     """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
@@ -734,8 +840,9 @@ def _verify_exact(A, B, S, lam):
     AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
     if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")
-    if determinant(S) == 0:
+    if len(_bareiss(Si, len(Si))[0]) < len(Si):
         raise CertificationError("similarity matrix is singular")
+    return Bi, b
 
 
 # ---------------------------------------------------------------------------
@@ -815,13 +922,20 @@ def _to_cs_float(arr) -> RowSumResult:
         B, S = _diagonal_similarity(_FloatOps, arr, x)
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
-        plan = _plan_from_graph(comps, edges, close.index(1))
-        if plan is None:
-            raise UnsupportedLayoutError(
-                "float mode handles irreducible matrices and the chain/cluster "
-                "layouts of the exact mode; this input is outside both"
-            )
-        B, S = _absorb(_FloatOps, arr, lam, plan, transcript)
+        perron = close.index(1)
+        plan = _plan_from_graph(comps, edges, perron)
+        if plan is not None:
+            B, S = _absorb(_FloatOps, arr, lam, plan, transcript)
+        else:
+            # float mode has no transpose fallback for a shared eigenvalue
+            result = _absorb_decoupled(_FloatOps, arr.tolist(), comps, edges, perron, lam, transcript)
+            if result is None:
+                raise UnsupportedLayoutError(
+                    "float mode needs the Perron side and the blocks it feeds "
+                    "to have disjoint spectra; this input has a singular "
+                    "Sylvester system"
+                )
+            B, S = result
     _verify_float(arr, B, S, lam)
     return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam)
 

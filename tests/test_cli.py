@@ -318,6 +318,26 @@ class TestUsageErrors:
         assert dispatch(["normalize", "--in", "/nonexistent/x.json"]) == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["demo", "--out-dir", "{out}", "--samples", "abc"], "argument --samples: invalid int value: 'abc'"),
+            (["normalize", "--in", "{out}", "--bogus"], "unrecognized arguments: --bogus"),
+            (["normalize", "--bogus"], "the following arguments are required: --in"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["bad-int", "unknown-flag", "missing-flag", "unknown-command"],
+    )
+    def test_parse_refusal_is_one_error_line(self, workdir, capsys, argv, message):
+        # worded like a typed refusal: no usage block, and nothing written
+        tmp, _ = workdir
+        out = tmp / "out"
+        assert dispatch([a.format(out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "reader, bad, named",
         [
             ("matrix", {"entries": 5}, "'entries'"),

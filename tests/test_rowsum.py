@@ -272,12 +272,40 @@ class TestToConstantRowSums:
         sums = result.B.array @ np.ones(3)
         assert np.max(np.abs(sums - np.sqrt(2))) <= 1e-9
 
-    def test_bottom_perron_via_transpose(self):
+    def test_bottom_perron_via_sylvester_decoupling(self):
         A = RationalMatrix([[1, 0], [1, 2]])
         result = to_constant_row_sums(A, mode="exact")
-        assert result.transcript[0].kind == "transpose-similarity"
+        assert result.transcript[0].kind == "sylvester-decoupling"
         assert result.B.row_sums() == (F(2), F(2))
         assert solve(result.S, A @ result.S) == result.B
+
+    def test_shared_eigenvalue_falls_back_to_transpose(self):
+        # R = [[0,1],[1,0]] and P = [[1,2],[2,1]] share the eigenvalue -1, so
+        # the Sylvester system of the decoupling is singular; the transpose
+        # path still certifies, and float mode, which has no fallback, refuses
+        A = RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 1, 2], [0, 0, 2, 1]])
+        result = to_constant_row_sums(A, mode="exact")
+        assert result.transcript[0].kind == "transpose-similarity"
+        assert result.lam == 3 and result.B.is_nonnegative
+        assert solve(result.S, A @ result.S) == result.B
+        with pytest.raises(UnsupportedLayoutError, match="singular Sylvester system"):
+            to_constant_row_sums(A, mode="float")
+
+    def test_entangled_layout_with_disjoint_spectra(self):
+        # P = [[1,2],[2,1]] feeds L = [1/2] and is fed by H = [1]; H reaches
+        # P, so it is decoupled from L along with P, where the transpose path
+        # found no plan in either direction
+        A = RationalMatrix([["1/2", 0, 0, 0], [1, 1, 2, 0], [0, 2, 1, 0], [0, 0, 1, 1]])
+        exact = to_constant_row_sums(A, mode="exact")
+        assert exact.transcript[0].to_json() == {
+            "kind": "sylvester-decoupling",
+            "detail": {"perron-side": [1, 2, 3], "decoupled": [0]},
+        }
+        assert exact.lam == 3 and exact.B.is_nonnegative
+        assert solve(exact.S, A @ exact.S) == exact.B
+        approx = to_constant_row_sums(A, mode="float")
+        assert [s.kind for s in approx.transcript[1:]] == [s.kind for s in exact.transcript]
+        assert np.max(np.abs(approx.B.array - to_float(exact.B).array)) <= 1e-12
 
     def test_middle_perron_unsupported(self):
         # Perron block feeds an earlier block AND is fed by a later one
@@ -398,7 +426,7 @@ class TestToConstantRowSums:
 
 # sha256 over the first 60 exact results of random_realization_with_rational_spectrum
 # (seed 2024); pins B, S, lambda and the transcript across changes to the loop
-EXACT_GOLDEN_SHA256 = "10307a8c7338059dbcdd5e6c15b45ad8e907046c487aeeb98e29e34bc79dee8a"
+EXACT_GOLDEN_SHA256 = "08647676827b723a7045a6ec66474f54538e8662def981a7c11a505c5569837e"
 
 
 def test_exact_results_match_golden_digest():
@@ -474,10 +502,6 @@ def test_float_mode_follows_exact_mode():
     for _ in range(72):
         A, _, layout = random_layout_realization(rng)
         layouts.add(layout)
-        if layout == "bottom":
-            with pytest.raises(UnsupportedLayoutError):
-                to_constant_row_sums(A, mode="float")
-            continue
         exact = to_constant_row_sums(A, mode="exact")
         approx = to_constant_row_sums(A, mode="float")
         B = to_float(exact.B).array
@@ -627,7 +651,7 @@ def test_structured_steps_match_dense_products():
 
 def test_exact_normalization_multiplies_only_to_verify(monkeypatch):
     # the verification multiplies integer rows, not matrices: only X S on
-    # the transpose path remains
+    # the transpose path, the shared-eigenvalue fallback, remains
     products = []
     real = RationalMatrix.__matmul__
 
@@ -659,6 +683,20 @@ def test_exact_results_hold_fractions():
     matrices.append(lemma1_lift(A1, RationalMatrix([[1]]), RationalMatrix([[1, 3]]))[1])
     matrices += lemma2_coupling(A1, A2)
     assert all(type(v) is F for M in matrices for row in M.entries() for v in row)
+
+
+def test_bottom_layouts_take_sylvester_decoupling():
+    # independent oracle: sympy checks A S = S B, B >= 0 in CS form and det S != 0
+    sympy = pytest.importorskip("sympy")
+    for _, A in _layout_inputs({"bottom"}, 24):
+        result = to_constant_row_sums(A, mode="exact")
+        assert result.transcript[0].kind == "sylvester-decoupling"
+        As, Bs, Ss = (_to_sympy(M) for M in (A, result.B, result.S))
+        assert As * Ss == Ss * Bs
+        assert all(v >= 0 for v in Bs)
+        assert Ss.det() != 0
+        lam = sympy.Rational(result.lam.numerator, result.lam.denominator)
+        assert Bs * sympy.ones(A.rows, 1) == lam * sympy.ones(A.rows, 1)
 
 
 def _irreducible_sample(rng, i):
