@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -40,7 +41,10 @@ SCHEMA_VERSION = 1
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DomainError("%s: %s" % (path, exc)) from None
 
 
 def _dump_json(obj, path):
@@ -122,8 +126,7 @@ def cmd_realize5(args) -> int:
     point = family5.make_point(args.family, rat(args.t0), rat(args.t))
     d1 = None if args.d1 in (None, "auto") else rat(args.d1)
     cert = family5.diagonalizable_realization(point, d1)
-    gamma = point.gamma1_coeffs()
-    interval = family5.feasible_d1(gamma)
+    interval = point.d1_interval
     out = {
         "schema": SCHEMA_VERSION,
         "family": args.family,
@@ -329,7 +332,11 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process.  Do not mutate it: parse_args stores into a fresh
+    Namespace each time, so the shared parser carries no state between calls."""
     parser = _Parser(
         prog="nnspectra",
         description="Nonnegative matrices with prescribed spectra and Jordan "
@@ -407,7 +414,13 @@ def dispatch(argv=None) -> int:
     except SpectraError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except OSError as exc:  # open() and makedirs() name the path they failed on
+        if exc.filename is None:
+            sys.stderr.write("error: %s\n" % exc)
+        else:
+            sys.stderr.write("error: %s: %s\n" % (exc.filename, exc.strerror))
+        return 1
+    except (KeyError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 1
 

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     RationalMatrix,
@@ -104,7 +105,10 @@ class Family5Point:
     values: tuple  # the five entries in template order
     coeffs: tuple  # (k2, k3, k4, k5), exact
 
-    @property
+    # cached on first read, so one realization (and the realize5 artifact
+    # built around it) computes each of these once
+
+    @cached_property
     def spectrum(self) -> Spectrum:
         return Spectrum.from_values(self.values)
 
@@ -114,8 +118,17 @@ class Family5Point:
         vals.remove(Fraction(-2))
         return tuple(vals)
 
+    @cached_property
+    def _gamma1_coeffs(self) -> tuple:
+        return tuple(poly_from_roots(self.gamma1()))
+
     def gamma1_coeffs(self) -> list:
-        return poly_from_roots(self.gamma1())
+        return list(self._gamma1_coeffs)
+
+    @cached_property
+    def d1_interval(self) -> FeasibleInterval:
+        """feasible_d1 of the degree-4 sub-list."""
+        return feasible_d1(self._gamma1_coeffs)
 
 
 def make_point(family: str, t0, t) -> Family5Point:
@@ -429,7 +442,7 @@ def diagonalizable_realization(point: Family5Point, d1=None) -> RealizationCerti
             % (verdict.failed_condition, verdict.detail)
         )
     gamma = point.gamma1_coeffs()
-    interval = feasible_d1(gamma)
+    interval = point.d1_interval
     if interval.empty:
         raise ConstructionUnavailableError(
             "no d1 makes all four parametric entries nonnegative"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nnspectra import jcfcert, perturb
+from nnspectra import cli, family5, jcfcert, perturb
 from nnspectra.cli import dispatch
 from nnspectra.core import RationalMatrix, matrix_from_json, matrix_to_json
 
@@ -196,6 +196,22 @@ class TestRealize5:
     def test_domain_error_exit_code(self, workdir):
         assert dispatch(["realize5", "--family", "t", "--t0", "3", "--t", "1"]) == 1
 
+    def test_each_value_computed_once(self, workdir, monkeypatch):
+        # make_point expands the five factors and the realization the four
+        # of the sub-list; the artifact reuses the realization's interval
+        counts = {"poly_from_roots": 0, "feasible_d1": 0}
+        for name in counts:
+
+            def spy(*args, _name=name, _real=getattr(family5, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(family5, name, spy)
+        tmp, _ = workdir
+        argv = ["realize5", "--family", "t", "--t0", "1", "--t", "4/5"]
+        assert dispatch(argv + ["--out", str(tmp / "cert.json")]) == 0
+        assert counts == {"poly_from_roots": 2, "feasible_d1": 1}
+
 
 class TestRegionCsv:
     def test_csv_written(self, workdir):
@@ -314,8 +330,34 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         assert dispatch(["region", "--family", "t", "--grid-step", "1/10", "--bogus"]) == 1
 
-    def test_missing_file(self, workdir):
+    def test_missing_file(self, workdir, capsys):
         assert dispatch(["normalize", "--in", "/nonexistent/x.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: /nonexistent/x.json: No such file or directory\n"
+
+    def test_unwritable_out_is_named(self, workdir, capsys):
+        tmp, write = workdir
+        infile = write("A.json", CIRC)
+        out = str(tmp / "missing-dir" / "out.json")
+        assert dispatch(["normalize", "--in", infile, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: %s: No such file or directory\n" % out
+
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--u", "--v"])
+    def test_non_json_file_is_named(self, workdir, capsys, flag):
+        tmp, write = workdir
+        files = {
+            "--a": write("a.json", matrix_to_json(RationalMatrix([["1", "1"], ["2", "2"]]))),
+            "--b": write("b.json", CIRC),
+            "--u": write("u.json", {"values": ["1", "1"]}),
+            "--v": write("v.json", {"values": ["1", "1"]}),
+        }
+        bad = tmp / "bad.txt"
+        bad.write_text("not json\n")
+        files[flag] = str(bad)
+        argv = ["bond", "--c", "2"] + [a for pair in files.items() for a in pair]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s: Expecting value: line 1 column 1 (char 0)\n" % bad
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -384,3 +426,47 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(field) in err
         assert "Traceback" not in err
+
+
+class TestParserReuse:
+    REALIZE5 = ["realize5", "--family", "t", "--t0", "1", "--t", "4/5"]
+
+    def test_dispatch_builds_the_parser_once(self, workdir, monkeypatch):
+        tmp, write = workdir
+        out = str(tmp / "cert.json")
+        assert dispatch(self.REALIZE5 + ["--out", out]) == 0  # warm-up
+        built = []
+        real = cli._Parser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", spy)
+        infile = write("A.json", {"rows": 2, "cols": 2, "entries": [["3", "0"], ["1", "1"]]})
+        assert dispatch(self.REALIZE5 + ["--out", out]) == 0
+        assert dispatch(["normalize", "--in", infile, "--out", str(tmp / "n.json")]) == 0
+        assert dispatch(["normalize", "--in", infile, "--bogus"]) == 1
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, workdir):
+        tmp, _ = workdir
+        paths = [str(tmp / name) for name in ("pinned.json", "after.json", "fresh.json")]
+        assert dispatch(self.REALIZE5 + ["--d1", "11/2", "--out", paths[0]]) == 0
+        assert dispatch(self.REALIZE5 + ["--bogus"]) == 1
+        assert dispatch(self.REALIZE5 + ["--out", paths[1]]) == 0
+        cli.build_parser.cache_clear()
+        assert dispatch(self.REALIZE5 + ["--out", paths[2]]) == 0
+        pinned, after, fresh = (Path(p).read_bytes() for p in paths)
+        assert after == fresh
+        assert after != pinned
+        assert cli.build_parser().parse_args(self.REALIZE5).d1 == "auto"
+
+    def test_help_after_dispatch(self, workdir, capsys):
+        tmp, _ = workdir
+        assert dispatch(self.REALIZE5 + ["--out", str(tmp / "cert.json")]) == 0
+        capsys.readouterr()
+        assert dispatch(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nnspectra")
+        assert dispatch(["realize5", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: nnspectra realize5")
