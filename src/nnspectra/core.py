@@ -1,7 +1,7 @@
 """Exact rational scalars, dense matrices, polynomials, and the shared domain types.
 
 Every construction in the toolkit runs over `fractions.Fraction`; floating
-point exists only as a mirror (`FloatMatrix`) for power iteration and region
+point exists only as a mirror (`FloatMatrix`) for float mode and region
 sampling.  Decimal strings such as "2.52" are parsed as exact rationals
 (63/25), never as floats, so file and CLI inputs reproduce bit-exactly.
 """
@@ -12,6 +12,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 
@@ -610,18 +611,18 @@ class Spectrum:
     def order(self) -> int:
         return sum(m for _, m in self.pairs)
 
-    @property
+    @cached_property
     def max_modulus(self) -> Fraction:
         return max(abs(v) for v, _ in self.pairs)
 
-    @property
+    @cached_property
     def perron(self) -> Fraction:
         """Value attaining the maximum modulus (positive representative preferred)."""
         mm = self.max_modulus
         attaining = [v for v, _ in self.pairs if abs(v) == mm]
         return max(attaining)
 
-    @property
+    @cached_property
     def perron_simple(self) -> bool:
         mm = self.max_modulus
         attaining = [(v, m) for v, m in self.pairs if abs(v) == mm]
@@ -641,10 +642,12 @@ class Spectrum:
         return poly_from_roots(self.values())
 
     def replace_perron(self, new_value) -> "Spectrum":
-        vals = list(self.values())
-        vals.remove(self.perron)
-        vals.append(rat(new_value))
-        return Spectrum.from_values(vals)
+        """One copy of the Perron value moved to new_value, on the distinct
+        pairs: no value is parsed again."""
+        counts, new = dict(self.pairs), rat(new_value)
+        counts[self.perron] -= 1
+        counts[new] = counts.get(new, 0) + 1
+        return Spectrum(tuple(sorted(((v, m) for v, m in counts.items() if m), reverse=True)))
 
     def to_json(self):
         return {"values": [format_rational(v) for v in self.values()]}
@@ -699,9 +702,8 @@ class JordanSpec:
         return ()
 
     def spectrum(self) -> Spectrum:
-        return Spectrum.from_values(
-            [v for v, sizes in self.blocks for s in sizes for _ in range(s)]
-        )
+        # blocks are sorted ascending by distinct values, pairs descending
+        return Spectrum(tuple((v, sum(sizes)) for v, sizes in reversed(self.blocks)))
 
     def weyr_at(self, value):
         """Expected cumulative Weyr sequence implied by the Segre sizes."""

@@ -17,10 +17,6 @@ class SingularMatrixError(SpectraError):
     """An exact solve or inverse hit a singular matrix."""
 
 
-class IterationError(SpectraError):
-    """Power iteration failed to converge within the iteration budget."""
-
-
 class SpectralDominanceError(SpectraError):
     """A block's spectral radius is not strictly below the required bound."""
 

@@ -37,9 +37,10 @@ bisection over the integers with no float anywhere; lambda1 is the largest
 polys, lambda1 is simple iff exactly one block poly vanishes there, simply,
 and that block is the Perron block.  The decoupling and the transpose path
 reuse the same data.
-In float mode it takes one np.linalg.eigvals per diagonal block: lambda1 is
-the largest modulus, it must be the only eigenvalue of A within 1e-9 of
-itself, and the block that holds that eigenvalue is the Perron block.
+In float mode structure.perron_eig decomposes each diagonal block once:
+lambda1 is the largest block root, no other eigenvalue of A may lie within
+1e-9 of it, its block is the Perron block, and each block is scaled by its
+own eigenvector.
 
 Exact and float mode run the same absorb loop; a small backend class
 supplies the arithmetic that differs between Fraction and float64.  Each
@@ -91,7 +92,7 @@ from .errors import (
     SpectralDominanceError,
     UnsupportedLayoutError,
 )
-from .structure import _components, is_irreducible, perron_data
+from .structure import _components, is_irreducible, perron_eig
 
 
 @dataclass(frozen=True)
@@ -542,10 +543,14 @@ class _ExactOps:
 
 class _FloatOps:
     """float64 arithmetic for the absorb loop, on numpy arrays (tolerance
-    1e-13 on zero tests)."""
+    1e-13 on zero tests); vectors are the blocks' Perron vectors, by
+    component index."""
 
     zero, one = 0.0, 1.0
     matrix = staticmethod(np.array)
+
+    def __init__(self, vectors):
+        self.vectors = vectors
 
     @staticmethod
     def start(A, perm, T=None):
@@ -597,15 +602,14 @@ class _FloatOps:
     def solve_shifted(cls, lam, K, rhs):
         return cls.solve_linear(lam * np.eye(K.shape[0]) - K, rhs)
 
-    @staticmethod
-    def perron_vector(block, lam, ci):
-        return perron_data(FloatMatrix(block))[1]
+    def perron_vector(self, block, lam, ci):
+        return self.vectors[ci]  # block is component ci's, unchanged
 
     @staticmethod
     def left_vector(B, lam):
-        """Left Perron vector of the irreducible block B, max entry 1,
-        checked against lam."""
-        z = perron_data(FloatMatrix(B.T))[1]
+        """Left Perron vector of the irreducible block B, max entry 1, by
+        perron_eig on B^T, checked against lam."""
+        z = perron_eig(B.T)[2]
         resid = float(np.max(np.abs(B.T @ z - lam * z)))
         if resid > 1e-8 * max(1.0, abs(lam)):
             raise SpectraError("left eigenvector residual %.3e" % resid)
@@ -905,30 +909,29 @@ def _to_cs_float(arr) -> RowSumResult:
             float(arr[0, 0]),
         )
 
-    F = FloatMatrix(arr)
-    comps, edges = _components(F)
-    # one eigenvalue pass over the diagonal blocks: lambda1 = rho(A) must be
-    # the only eigenvalue within 1e-9 of rho, and its block is the Perron block
-    eigs = [np.linalg.eigvals(arr[np.ix_(c, c)]) for c in comps]
-    lam = max(float(np.max(np.abs(ev))) for ev in eigs)
-    close = [int(np.sum(np.abs(ev - lam) <= _FLOAT_TOL * max(1.0, lam))) for ev in eigs]
+    comps, edges = _components(FloatMatrix(arr))
+    # one eigendecomposition per diagonal block: lambda1 = rho(A) must be the
+    # only eigenvalue within 1e-9 of rho, and its block is the Perron block
+    eigs = [perron_eig(arr[np.ix_(c, c)]) for c in comps]
+    lam = max(rho for _, rho, _ in eigs)
+    close = [int(np.sum(np.abs(ev - lam) <= _FLOAT_TOL * max(1.0, lam))) for ev, _, _ in eigs]
     if sum(close) != 1:
         raise PerronNotSimple(
             "Perron root %.12g is not numerically simple (%d eigenvalues within "
             "1e-9)" % (lam, sum(close))
         )
+    ops = _FloatOps([x for _, _, x in eigs])
     if len(comps) == 1:
-        lam, x = perron_data(F)
-        B, S = _diagonal_similarity(_FloatOps, arr, x)
+        B, S = _diagonal_similarity(ops, arr, ops.vectors[0])
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
         perron = close.index(1)
         plan = _plan_from_graph(comps, edges, perron)
         if plan is not None:
-            B, S = _absorb(_FloatOps, arr, lam, plan, transcript)
+            B, S = _absorb(ops, arr, lam, plan, transcript)
         else:
             # float mode has no transpose fallback for a shared eigenvalue
-            result = _absorb_decoupled(_FloatOps, arr.tolist(), comps, edges, perron, lam, transcript)
+            result = _absorb_decoupled(ops, arr.tolist(), comps, edges, perron, lam, transcript)
             if result is None:
                 raise UnsupportedLayoutError(
                     "float mode needs the Perron side and the blocks it feeds "

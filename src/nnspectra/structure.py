@@ -1,8 +1,8 @@
 """Digraph structure of a nonnegative matrix.
 
 Irreducibility, strongly connected components with the edges of their
-condensation, and Perron eigendata via power iteration.  The block
-ordering built on the components lives in rowsum, next to the
+condensation, and float Perron eigendata from one eigendecomposition.  The
+block ordering built on the components lives in rowsum, next to the
 normalization that uses it.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FloatMatrix, RationalMatrix, to_float
-from .errors import DimensionError, DomainError, IterationError
+from .errors import CertificationError, DimensionError, DomainError
 
 
 def _check_nonnegative_square(A):
@@ -125,40 +125,36 @@ def _components(A):
 
 
 _PERRON_TOL = 1e-12
-_PERRON_STEPS = 100000
+
+
+def perron_eig(arr):
+    """(eigenvalues, rho, x) of a nonnegative irreducible array, by one
+    np.linalg.eig.
+
+    rho is the eigenvalue with the largest real part: every other eigenvalue
+    has modulus at most rho, and those on the spectral circle of an
+    imprimitive block have a smaller real part.  x is the absolute value of
+    its (real) eigenvector, scaled to max entry 1, and must satisfy
+    ||A x - rho x||_inf <= 10 _PERRON_TOL max(1, rho).
+    """
+    values, vectors = np.linalg.eig(arr)
+    k = int(np.argmax(values.real))
+    rho = float(values[k].real)
+    x = np.abs(vectors[:, k].real)
+    x /= np.max(x)
+    residual = float(np.max(np.abs(arr @ x - rho * x)))
+    if residual > 10 * _PERRON_TOL * max(1.0, abs(rho)):
+        raise CertificationError("Perron residual %.3e exceeds tolerance" % residual)
+    return values, rho, x
 
 
 def perron_data(A: FloatMatrix):
-    """Spectral radius and positive right eigenvector of an irreducible matrix.
-
-    Power iteration runs on A + I to defeat period-2 oscillation on
-    bipartite patterns; rho(A + I) = rho(A) + 1 with the same eigenvector.
-    The vector is normalized to max entry 1; Collatz-Wielandt ratios bound
-    the convergence test (to _PERRON_TOL, within _PERRON_STEPS steps) and the
-    final residual satisfies ||A x - rho x||_inf <= 10 _PERRON_TOL max(1, rho).
-    """
+    """Spectral radius and positive right eigenvector, max entry 1, of an
+    irreducible matrix: perron_eig after the irreducibility check."""
     if isinstance(A, RationalMatrix):
         A = to_float(A)
     _check_nonnegative_square(A)
     if not is_irreducible(A):
         raise DomainError("perron_data needs an irreducible matrix")
-    n = A.rows
-    arr = A.array
-    shifted = arr + np.eye(n)
-    x = np.ones(n)
-    rho_shift = None
-    for _ in range(_PERRON_STEPS):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        x = y / np.max(y)
-        if hi - lo <= _PERRON_TOL * max(1.0, hi):
-            rho_shift = (lo + hi) / 2.0
-            break
-    if rho_shift is None:
-        raise IterationError("power iteration did not converge in %d steps" % _PERRON_STEPS)
-    rho = rho_shift - 1.0
-    residual = float(np.max(np.abs(arr @ x - rho * x)))
-    if residual > 10 * _PERRON_TOL * max(1.0, abs(rho)):
-        raise IterationError("residual %.3e exceeds tolerance" % residual)
+    _, rho, x = perron_eig(A.array)
     return rho, x

@@ -397,6 +397,28 @@ class TestSpectrum:
         s = Spectrum.from_values(["3", "-1/2", "-1/2"])
         assert Spectrum.from_json(s.to_json()) == s
 
+    def test_replace_perron_matches_a_fresh_parse(self):
+        # the pairs are rebuilt from the distinct values, onto a new value,
+        # an existing one or the Perron value itself, with its multiplicity
+        # kept or dropped
+        for values, new in (
+            (["14/5", "11/5", -1, -2, -2], "17/5"),
+            (["14/5", "11/5", -1, -2, -2], -2),
+            ([3, 3, 1], 3),
+            ([3, 1], "1/2"),
+            ([2, -2, 0], 0),
+        ):
+            s = Spectrum.from_values(values)
+            moved = list(s.values())
+            moved.remove(s.perron)
+            assert s.replace_perron(new) == Spectrum.from_values(moved + [new])
+            assert vars(s)["perron"] == s.perron  # cached on first read
+
+    def test_jordan_spectrum_matches_a_fresh_parse(self):
+        j = JordanSpec.from_map({F(-2): [2, 1], F(1, 2): [1], F(3): [1]})
+        values = [v for v, sizes in j.blocks for size in sizes for _ in range(size)]
+        assert j.spectrum() == Spectrum.from_values(values)
+
 
 class TestJordanSpec:
     def test_sizes_sorted_and_diagonal_flag(self):

@@ -233,14 +233,11 @@ class TestUrShift:
     def test_no_float_eigenvalues_on_the_exact_path(self, monkeypatch, layout):
         # lambda1 and every block radius come from exact arithmetic, under
         # ur_shift and in exact-mode normalization alike
-        calls = []
-        real = np.linalg.eigvals
-
-        def counted(a):
-            calls.append(a)
-            return real(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        calls, real = [], {name: getattr(np.linalg, name) for name in ("eig", "eigvals")}
+        for name in real:
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, name=name: calls.append(name) or real[name](a)
+            )
         rng, seen = random.Random(3), 0
         while seen < 5:
             A, spectrum, got = random_layout_realization(rng)

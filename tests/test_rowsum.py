@@ -28,6 +28,7 @@ from nnspectra.errors import (
 )
 from nnspectra import rowsum
 from nnspectra.jcfcert import jordan_spec
+from nnspectra.structure import _components
 from nnspectra.rowsum import (
     _verify_exact,
     lemma1_lift,
@@ -558,6 +559,75 @@ def test_left_vector_taken_once_from_perron_block(monkeypatch, mode):
                 assert np.max(np.abs(B.sum(axis=1) - lam)) <= 1e-9 * lam
     assert seen == {"isolated", "cluster", "mixed"}
     assert most >= 2
+
+
+def _eig_spy(monkeypatch):
+    """Record the arrays np.linalg.eig is called on, and the Perron vectors
+    rowsum takes from it."""
+    arrays, vectors = [], []
+    real_eig, real_perron = np.linalg.eig, rowsum.perron_eig
+
+    def eig(a):
+        arrays.append(a)
+        return real_eig(a)
+
+    def perron(a):
+        out = real_perron(a)
+        vectors.append(out[2])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(rowsum, "perron_eig", perron)
+    return arrays, vectors
+
+
+# [[0,2],[2,0]] (eigenvalues 2, -2) and a 3-cycle (rho = 6^(1/3), with two
+# complex eigenvalues of the same modulus) have several eigenvalues on the
+# spectral circle; each is tried alone, and as the Perron block of a chain
+# (coupled) and of an isolated layout (which needs the left vector)
+IMPRIMITIVE = {
+    "swap": ([[0, 2], [2, 0]], 2.0),
+    "swap-chain": ([[0, 2, 0], [2, 0, 0], [1, 0, 1]], 2.0),
+    "swap-isolated": ([[0, 2, 0], [2, 0, 0], [0, 0, 1]], 2.0),
+    "cycle": ([[0, 1, 0], [0, 0, 2], [3, 0, 0]], 6 ** (1 / 3)),
+    "cycle-chain": ([[0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0], [0, 1, 0, 1]], 6 ** (1 / 3)),
+    "cycle-isolated": ([[0, 1, 0, 0], [0, 0, 2, 0], [3, 0, 0, 0], [0, 0, 0, 1]], 6 ** (1 / 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPRIMITIVE))
+def test_float_mode_on_imprimitive_blocks(monkeypatch, name):
+    entries, rho = IMPRIMITIVE[name]
+    _, vectors = _eig_spy(monkeypatch)
+    A = RationalMatrix(entries)
+    result = to_constant_row_sums(A, mode="float")
+    arr = to_float(A).array
+    assert abs(result.lam - rho) <= 1e-12 * rho
+    assert vectors and all(np.all(x > 0) for x in vectors)
+    rowsum._verify_float(arr, result.B.array, result.S.array, result.lam)
+    couplings = [s for s in result.transcript if s.kind == "lemma2-coupling"]
+    assert len(couplings) == name.endswith("-isolated")
+
+
+def test_float_mode_takes_one_eig_per_block(monkeypatch):
+    # k diagonal blocks cost k eigendecompositions, plus one of the scaled
+    # Perron block's transpose when a block is coupled in by a shear
+    arrays, _ = _eig_spy(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvals", None)  # a call would raise
+    seen = set()
+    for layout, A in _layout_inputs(
+        {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}, 48
+    ):
+        arrays.clear()
+        result = to_constant_row_sums(A, mode="float")
+        k = len(_components(A)[0])
+        coupled = any(s.kind.startswith("lemma2-coupling") for s in result.transcript)
+        assert len(arrays) == k + coupled <= k + 1
+        seen.add((layout, coupled))
+    assert {layout for layout, _ in seen} == {
+        "irreducible", "chain", "isolated", "mixed", "cluster", "bottom"
+    }
+    assert {coupled for _, coupled in seen} == {False, True}
 
 
 def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):

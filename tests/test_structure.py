@@ -12,7 +12,7 @@ from nnspectra.core import (
     to_float,
 )
 from nnspectra import structure
-from nnspectra.errors import DomainError, IterationError
+from nnspectra.errors import CertificationError, DomainError
 from nnspectra.structure import (
     _components,
     is_irreducible,
@@ -133,11 +133,20 @@ class TestPerronData:
             rho, z = perron_data(FloatMatrix(arr.T))
             assert np.max(np.abs(arr.T @ z - rho * z)) <= 1e-9 * max(1.0, rho)
 
-    def test_nonconvergence_budget(self, monkeypatch):
-        monkeypatch.setattr(structure, "_PERRON_STEPS", 1)
-        A = RationalMatrix([[1, 2], [3, 4]])
-        with pytest.raises(IterationError):
-            perron_data(to_float(A))
+    def test_residual_bound(self, monkeypatch):
+        # [[2,1],[1,2]] has rho = 3 and x = (1, 1); an eigenvector returned as
+        # (1, 1 - off) leaves ||A x - 3 x||_inf = off, against the bound
+        # 10 * _PERRON_TOL * 3 = 3e-11
+        assert structure._PERRON_TOL == 1e-12
+        A = to_float(RationalMatrix([[2, 1], [1, 2]]))
+        for off, passes in ((1.5e-11, True), (6e-11, False)):
+            vectors = np.array([[1.0, 1.0], [1.0 - off, -1.0]])
+            monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array([3.0, 1.0]), vectors))
+            if passes:
+                assert perron_data(A)[0] == 3.0
+            else:
+                with pytest.raises(CertificationError, match="Perron residual"):
+                    perron_data(A)
 
 
 class TestPerronAgreesWithExactRoot:
