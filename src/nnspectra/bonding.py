@@ -45,9 +45,8 @@ from .jcfcert import (
 
 
 def _eigenvectors_at(B: RationalMatrix, c):
-    rows = B.entries()
-    right = kernel(_shifted(c, rows))
-    left = kernel(_shifted(c, zip(*rows)))
+    right = kernel(_shifted(c, B))
+    left = kernel(_shifted(c, B.transpose()))
     if len(right) != 1 or len(left) != 1:
         raise DomainError(
             "the eigenspace of B at %s has dimension %d, not 1; supply u and v "
@@ -112,19 +111,14 @@ def smigoc_bond(
 
     if n == 1:
         # A = [c]; the bond is B itself with one 1x1 block at c retained
-        C = B
-    else:
-        A1 = A.submatrix(range(n - 1), range(n - 1))
-        a_col = [A[i, n - 1] for i in range(n - 1)]
-        b_row = [A[n - 1, j] for j in range(n - 1)]
-        upper_right = RationalMatrix(
-            [[a_col[i] * u[j] for j in range(m)] for i in range(n - 1)]
-        )
-        lower_left = RationalMatrix(
-            [[v[i] * b_row[j] for j in range(n - 1)] for i in range(m)]
-        )
-        C = RationalMatrix.from_blocks([[A1, upper_right], [lower_left, B]])
-    return C
+        return B
+    # [[A1, a u^T], [v b^T, B]], row by row from A's and B's entries
+    rows = A.entries()
+    b_row = rows[n - 1][: n - 1]
+    return RationalMatrix._of(
+        [row[: n - 1] + tuple(row[n - 1] * x for x in u) for row in rows[: n - 1]]
+        + [tuple(y * x for x in b_row) + row for y, row in zip(v, B.entries())]
+    )
 
 
 def bonded_jordan_claim(

@@ -1,7 +1,11 @@
 """Exact rational scalars, dense matrices, polynomials, and the shared domain types.
 
-Every construction in the toolkit runs over `fractions.Fraction`; floating
-point exists only as a mirror (`FloatMatrix`) for float mode and region
+Exact scalars are `fractions.Fraction`.  A RationalMatrix is stored once,
+as integer numerator rows over one common denominator, and the exact
+kernels (char poly, elimination, rank, determinant, solve, kernel) and
+their callers read those integer rows: no matrix is cleared of its
+denominators twice, and its Fraction rows are only a view.  Floating point
+exists only as a mirror (`FloatMatrix`) for float mode and region
 sampling.  Decimal strings such as "2.52" are parsed as exact rationals
 (63/25), never as floats, so file and CLI inputs reproduce bit-exactly.
 """
@@ -14,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -68,34 +72,68 @@ def format_rational(x: Fraction) -> str:
 
 
 class RationalMatrix:
-    """Immutable dense matrix over exact rationals."""
+    """Immutable dense matrix over exact rationals.
 
-    __slots__ = ("rows", "cols", "_data")
+    A matrix is stored in one canonical integer form: `num`, its rows of
+    integer numerators, over one common denominator `den`, the lcm of the
+    entries' denominators in lowest terms, so that entry (i, j) is
+    num[i][j] / den.  The form is built once, when the matrix is built, and
+    equality, hashing and the exact kernels read it.  The Fraction rows of
+    entries() are a view: kept when the matrix is built from Fractions, and
+    made on first use when it is built from integers by _of_ints.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, data):
-        self._fill(tuple(tuple(rat(v) for v in row) for row in data))
+        rows = tuple(tuple(rat(v) for v in row) for row in data)
+        self._fill(*_clear(rows), rows)
 
     @classmethod
     def _of(cls, rows) -> "RationalMatrix":
-        """A matrix of rows whose entries are already exact: Fractions, or
-        ints in the integer powers that only elimination reads.  Internal
+        """A matrix of rows of Fractions, which are already exact: internal
         results are built here and are not parsed again."""
+        rows = tuple(map(tuple, rows))
         M = object.__new__(cls)
-        M._fill(tuple(map(tuple, rows)))
+        M._fill(*_clear(rows), rows)
         return M
 
-    def _fill(self, rows):
-        if not rows or not rows[0]:
-            raise DimensionError("matrix needs at least one row and one column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise DimensionError("ragged rows")
-        self._set("rows", len(rows))
-        self._set("cols", ncols)
-        self._set("_data", rows)
+    @classmethod
+    def _of_ints(cls, rows, d=1) -> "RationalMatrix":
+        """The matrix rows / d, for integer rows and a nonzero integer d,
+        reduced to its canonical form (den > 0, no factor shared by den and
+        every numerator); no Fraction is made."""
+        num = tuple(map(tuple, rows))
+        if d != 1:
+            g = math.gcd(d, *chain.from_iterable(num))
+            if d < 0:
+                g = -g
+            if g != 1:
+                num = tuple(tuple(v // g for v in row) for row in num)
+                d //= g
+        return cls._canonical(num, d)
 
-    def _set(self, name, value):
-        object.__setattr__(self, name, value)
+    @classmethod
+    def _canonical(cls, num, d, data=None) -> "RationalMatrix":
+        """A matrix of integer rows num (tuples) over d, already canonical,
+        with its Fraction rows data when the caller has them."""
+        M = object.__new__(cls)
+        M._fill(num, d, data)
+        return M
+
+    def _fill(self, num, d, data):
+        """Store the integer form num / d and the Fraction rows data, or None."""
+        if not num or not num[0]:
+            raise DimensionError("matrix needs at least one row and one column")
+        ncols = len(num[0])
+        if len(set(map(len, num))) > 1:
+            raise DimensionError("ragged rows")
+        set_ = object.__setattr__
+        set_(self, "rows", len(num))
+        set_(self, "cols", ncols)
+        set_(self, "num", num)
+        set_(self, "den", d)
+        set_(self, "_data", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -103,12 +141,11 @@ class RationalMatrix:
     # -- constructors -----------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        zero, one = Fraction(0), Fraction(1)
-        return cls._of([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of_ints([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls._of([[Fraction(0)] * cols for _ in range(rows)])
+        return cls._of_ints([[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, entries) -> "RationalMatrix":
@@ -118,37 +155,48 @@ class RationalMatrix:
 
     @classmethod
     def from_blocks(cls, grid) -> "RationalMatrix":
-        """Assemble from a 2-D grid of conforming RationalMatrix blocks."""
-        data = []
+        """Assemble from a 2-D grid of conforming RationalMatrix blocks.
+
+        The lcm of the blocks' denominators is the canonical denominator of
+        the whole, so the blocks' integer rows are only rescaled to it."""
+        d = math.lcm(*(b.den for block_row in grid for b in block_row))
+        num = []
         for block_row in grid:
             if not block_row:
                 raise DimensionError("empty block row")
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise DimensionError("block heights disagree")
-            for i in range(height):
-                row = []
-                for b in block_row:
-                    row.extend(b._data[i])
-                data.append(row)
-        return cls._of(data)
+            scaled = [
+                b.num if b.den == d else [[v * (d // b.den) for v in r] for r in b.num]
+                for b in block_row
+            ]
+            num.extend(tuple(chain.from_iterable(parts)) for parts in zip(*scaled))
+        return cls._canonical(tuple(num), d)
 
     # -- access ------------------------------------------------------------
     def __getitem__(self, key):
         i, j = key
-        return self._data[i][j]
+        return self.entries()[i][j]
 
     def row(self, i):
-        return self._data[i]
+        return self.entries()[i]
 
     def column_entries(self, j):
-        return tuple(r[j] for r in self._data)
+        return tuple(r[j] for r in self.entries())
 
     def entries(self):
-        return self._data
+        """The rows as tuples of Fractions."""
+        data = self._data
+        if data is None:
+            d = self.den
+            data = tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
+            object.__setattr__(self, "_data", data)
+        return data
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix._of([[self._data[i][j] for j in col_idx] for i in row_idx])
+        num = self.num
+        return RationalMatrix._of_ints([[num[i][j] for j in col_idx] for i in row_idx], self.den)
 
     # -- predicates ----------------------------------------------------------
     @property
@@ -157,37 +205,33 @@ class RationalMatrix:
 
     @property
     def is_nonnegative(self) -> bool:
-        # a Fraction's denominator is positive: its sign is its numerator's
-        return all(v.numerator >= 0 for r in self._data for v in r)
+        # den > 0: an entry's sign is its numerator's
+        return min(map(min, self.num)) >= 0
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self.den, self.num))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._conform(other)
-        return RationalMatrix._of(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign other, over the lcm of the two denominators."""
         self._conform(other)
-        return RationalMatrix._of(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
+        d = math.lcm(self.den, other.den)
+        s, t = d // self.den, sign * (d // other.den)
+        return RationalMatrix._of_ints(
+            [[a * s + b * t for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)], d
         )
 
     def _conform(self, other):
@@ -199,7 +243,8 @@ class RationalMatrix:
 
     def scale(self, c) -> "RationalMatrix":
         c = rat(c)
-        return RationalMatrix._of([[c * v for v in r] for r in self._data])
+        p, q = c.numerator, c.denominator
+        return RationalMatrix._of_ints([[p * v for v in r] for r in self.num], self.den * q)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -207,29 +252,40 @@ class RationalMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        ot = list(zip(*other._data))
-        return RationalMatrix._of([[_dot(row, col) for col in ot] for row in self._data])
+        return RationalMatrix._of_ints(
+            _integer_product(self.num, list(zip(*other.num))), self.den * other.den
+        )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(zip(*self._data))
+        data = None if self._data is None else tuple(zip(*self._data))
+        return RationalMatrix._canonical(tuple(zip(*self.num)), self.den, data)
 
     @property
     def T(self) -> "RationalMatrix":
         return self.transpose()
 
     def row_sums(self):
-        return tuple(sum(r) for r in self._data)
+        d = self.den
+        return tuple(Fraction(sum(r), d) for r in self.num)
 
     def mat_vec(self, v):
         if len(v) != self.cols:
             raise DimensionError("vector length %d != cols %d" % (len(v), self.cols))
-        return tuple(_dot(row, v) for row in self._data)
+        return tuple(_dot(row, v) for row in self.entries())
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(format_rational(v) for v in row) for row in self._data
+            " ".join(format_rational(v) for v in row) for row in self.entries()
         )
         return "RationalMatrix[%s]" % body
+
+
+def _clear(rows):
+    """The integer form of Fraction rows: (integer numerator rows, d), d the
+    lcm of the denominators.  The one place where Fractions are cleared."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = math.lcm(*[q for row in ratios for _, q in row])
+    return tuple(tuple([p * (d // q) for p, q in row]) for row in ratios), d
 
 
 def _dot(u, v):
@@ -298,24 +354,15 @@ def to_float(A: RationalMatrix) -> FloatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _integer_row(row):
-    """Clear a rational row to integers: (integer entries, lcm of the denominators)."""
-    lcm = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (lcm // v.denominator) for v in row], lcm
-
-
-def _integer_rows(rows):
-    """Clear rational rows to integers over one common denominator:
-    (integer rows, lcm of all the denominators)."""
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
-
-
-def _shifted(lam, rows):
-    """lam I - K, for K given by its rows, built in one pass."""
-    return RationalMatrix._of(
-        [[lam - v if i == j else -v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    )
+def _shifted(lam, K: RationalMatrix) -> RationalMatrix:
+    """lam I - K for a square K, from K's integer form: with K = K'/k,
+    it is (lam.num k I - lam.den K') / (k lam.den)."""
+    p, q, k = lam.numerator, lam.denominator, K.den
+    pk = p * k
+    rows = [[-q * v for v in row] for row in K.num]
+    for i, row in enumerate(rows):
+        row[i] += pk
+    return RationalMatrix._of_ints(rows, k * q)
 
 
 def _integer_product(X, columns):
@@ -324,16 +371,23 @@ def _integer_product(X, columns):
 
 
 def _eliminate(rows, pivot_cols):
-    """Fraction-free (Bareiss) forward elimination of rational rows.
+    """Fraction-free (Bareiss) forward elimination of integer rows.
 
-    Rows are cleared to integers first, then reduced by _bareiss.  Returns
-    (integer echelon rows, pivot columns, sign of the row swaps, product of
-    the row scalings).
+    Each row is copied and divided by its content (the gcd of its entries)
+    first, so elimination starts from the smallest integer multiple of every
+    row.  Returns (echelon rows, pivot columns, sign of the row swaps,
+    product of the contents).
     """
-    cleared = [_integer_row(row) for row in rows]
-    m = [ints for ints, _ in cleared]
+    m, contents = [], 1
+    for row in rows:
+        g = math.gcd(*row)
+        if g > 1:
+            m.append([v // g for v in row])
+            contents *= g
+        else:
+            m.append(list(row))
     pivots, sign = _bareiss(m, pivot_cols)
-    return m, pivots, sign, math.prod(lcm for _, lcm in cleared)
+    return m, pivots, sign, contents
 
 
 def _bareiss(m, pivot_cols):
@@ -366,13 +420,19 @@ def _bareiss(m, pivot_cols):
     return pivots, sign
 
 
-def _back_substitute(m, pivots, col):
-    """Pivot-column values of the x that solves the echelon rows m against column `col`.
+def _is_singular(A: RationalMatrix) -> bool:
+    """det A == 0, by the elimination of A's integer rows."""
+    return len(_eliminate(A.num, A.cols)[1]) < A.rows
 
-    The last pivot d is the determinant of the pivot system, so d x is an
-    integer vector (Cramer's rule) and every division below is exact.
+
+def _back_substitute(m, pivots, col):
+    """d x, for the x that solves the echelon rows m against column `col`,
+    at the pivot columns; d = _last_pivot(m, pivots).
+
+    d is the determinant of the pivot system, so d x is an integer vector
+    (Cramer's rule) and every division below is exact.
     """
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    d = _last_pivot(m, pivots)
     y = [0] * len(pivots)
     for i in reversed(range(len(pivots))):
         row = m[i]
@@ -380,22 +440,27 @@ def _back_substitute(m, pivots, col):
         for k in range(i + 1, len(pivots)):
             acc -= row[pivots[k]] * y[k]
         y[i] = acc // row[pivots[i]]
-    return [Fraction(v, d) for v in y]
+    return y
+
+
+def _last_pivot(m, pivots):
+    return m[len(pivots) - 1][pivots[-1]] if pivots else 1
 
 
 def exact_rank(A: RationalMatrix) -> int:
     """Rank over Q: the number of pivots of the fraction-free elimination."""
-    return len(_eliminate(A.entries(), A.cols)[1])
+    return len(_eliminate(A.num, A.cols)[1])
 
 
 def determinant(A: RationalMatrix) -> Fraction:
     if not A.is_square:
         raise DimensionError("determinant of non-square matrix")
-    m, pivots, sign, scale = _eliminate(A.entries(), A.cols)
+    m, pivots, sign, contents = _eliminate(A.num, A.cols)
     if len(pivots) < A.rows:
         return Fraction(0)
-    # the last Bareiss pivot is the determinant of the swapped, integer-cleared rows
-    return Fraction(sign * m[-1][-1], scale)
+    # the last Bareiss pivot is the determinant of the swapped rows, each
+    # divided by its content; A is those rows times the contents over den
+    return Fraction(sign * m[-1][-1] * contents, A.den**A.rows)
 
 
 def solve(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
@@ -405,44 +470,61 @@ def solve(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     if A.rows != B.rows:
         raise DimensionError("right-hand side height mismatch")
     n = A.rows
-    rows = [ra + rb for ra, rb in zip(A.entries(), B.entries())]
+    # A X = B iff (d/a) A' X = (d/b) B', for A = A'/a, B = B'/b, d = lcm(a, b)
+    d = math.lcm(A.den, B.den)
+    s, t = d // A.den, d // B.den
+    rows = [
+        [v * s for v in ra] + [v * t for v in rb] if d > 1 else ra + rb
+        for ra, rb in zip(A.num, B.num)
+    ]
     m, pivots, _, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise SingularMatrixError("singular system")
     columns = [_back_substitute(m, pivots, n + j) for j in range(B.cols)]
-    return RationalMatrix._of(zip(*columns))
+    return RationalMatrix._of_ints(zip(*columns), _last_pivot(m, pivots))
 
 
 def inverse(A: RationalMatrix) -> RationalMatrix:
     return solve(A, RationalMatrix.identity(A.rows))
 
 
-def kernel(A: RationalMatrix):
-    """Basis of the right null space, deterministic (one vector per free column)."""
-    m, pivots, _, _ = _eliminate(A.entries(), A.cols)
+def kernel(A: RationalMatrix, primitive=False):
+    """Basis of the right null space, deterministic (one vector per free column).
+
+    Each vector is 1 at its free column, 0 at the other free columns, and
+    Fractions elsewhere; with primitive=True it is the same vector as
+    integers times the least positive scalar that clears it, with content 1.
+    """
+    m, pivots, _, _ = _eliminate(A.num, A.cols)
+    d = _last_pivot(m, pivots)
     basis = []
     for fc in (c for c in range(A.cols) if c not in pivots):
-        # 1 at the free column, minus its reduced echelon entry at each pivot
-        vec = [Fraction(0)] * A.cols
-        vec[fc] = Fraction(1)
+        # d at the free column, minus d times its reduced echelon entry at each pivot
+        vec = [0] * A.cols
+        vec[fc] = d
         for pc, value in zip(pivots, _back_substitute(m, pivots, fc)):
             vec[pc] = -value
-        basis.append(tuple(vec))
+        if primitive:
+            g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
+            basis.append(tuple(v // g for v in vec))
+        else:
+            basis.append(tuple(Fraction(v, d) for v in vec))
     return basis
 
 
 def char_poly(A: RationalMatrix):
     """Coefficients of det(xI - A), monic, descending powers.
 
-    Berkowitz's division-free algorithm on N = d A, d the lcm of all the
-    denominators: bordering the leading r x r block M by the column s, the
-    row rho and the corner a multiplies its char poly by the lower-triangular
-    Toeplitz matrix with first column (1, -a, -rho s, -rho M s, ...,
-    -rho M^(r-1) s).  Coefficient k of det(xI - N) is d^k times that of A.
+    Berkowitz's division-free algorithm on N = d A, A's integer form over
+    its denominator d: bordering the leading r x r block M by the column s,
+    the row rho and the corner a multiplies its char poly by the
+    lower-triangular Toeplitz matrix with first column (1, -a, -rho s,
+    -rho M s, ..., -rho M^(r-1) s).  Coefficient k of det(xI - N) is d^k
+    times that of A.
     """
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    N, d = _integer_rows(A.entries())
+    N, d = A.num, A.den
     c = [1]
     for r, row in enumerate(N):
         t, v = [1, -row[r]], [N[i][r] for i in range(r)]
@@ -659,10 +741,19 @@ class Spectrum:
 
 def _block_size(value) -> int:
     """A Jordan block size: a positive integer; bools, floats and fractions are refused."""
-    size = None if isinstance(value, (bool, float)) else rat(value)
-    if size is None or size.denominator != 1 or size < 1:
+    if isinstance(value, int) and not isinstance(value, bool):
+        size = value
+    else:
+        r = None if isinstance(value, (bool, float)) else rat(value)
+        size = r.numerator if r is not None and r.denominator == 1 else 0
+    if size < 1:
         raise DomainError("block sizes must be positive integers (got %r)" % (value,))
-    return size.numerator
+    return size
+
+
+def _weyr_of(sizes) -> tuple:
+    """The cumulative Weyr sequence of the Jordan block sizes (decreasing)."""
+    return tuple(accumulate(sum(1 for s in sizes if s >= k) for k in range(1, sizes[0] + 1)))
 
 
 @dataclass(frozen=True)
@@ -686,6 +777,17 @@ class JordanSpec:
             raise DomainError("duplicate eigenvalue in Jordan specification")
         return cls(tuple(items))
 
+    @cached_property
+    def _by_value(self) -> dict:
+        """(numerator, denominator) of each value -> (block sizes, cumulative
+        Weyr sequence), indexed once.  Integer pairs hash in C; a Fraction's
+        hash takes a modular inverse."""
+        return {(v.numerator, v.denominator): (sizes, _weyr_of(sizes)) for v, sizes in self.blocks}
+
+    def _at(self, value):
+        v = rat(value)
+        return self._by_value.get((v.numerator, v.denominator), ((), ()))
+
     @property
     def order(self) -> int:
         return sum(sum(s) for _, s in self.blocks)
@@ -695,11 +797,7 @@ class JordanSpec:
         return all(size == 1 for _, sizes in self.blocks for size in sizes)
 
     def sizes_at(self, value):
-        value = rat(value)
-        for v, sizes in self.blocks:
-            if v == value:
-                return sizes
-        return ()
+        return self._at(value)[0]
 
     def spectrum(self) -> Spectrum:
         # blocks are sorted ascending by distinct values, pairs descending
@@ -707,17 +805,7 @@ class JordanSpec:
 
     def weyr_at(self, value):
         """Expected cumulative Weyr sequence implied by the Segre sizes."""
-        sizes = self.sizes_at(value)
-        if not sizes:
-            return ()
-        depth = sizes[0]
-        increments = [sum(1 for s in sizes if s >= k) for k in range(1, depth + 1)]
-        out = []
-        acc = 0
-        for d in increments:
-            acc += d
-            out.append(acc)
-        return tuple(out)
+        return self._at(value)[1]
 
     def jordan_matrix(self) -> RationalMatrix:
         n = self.order

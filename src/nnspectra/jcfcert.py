@@ -23,7 +23,6 @@ them, stays the independent oracle for that derivation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,8 +32,8 @@ from .core import (
     Spectrum,
     _integer_poly,
     _integer_product,
-    _integer_rows,
     _root_ceiling,
+    _shifted,
     char_poly,
     exact_rank,
     format_rational,
@@ -44,16 +43,17 @@ from .core import (
     rat,
     synthetic_div,
 )
-from .errors import DimensionError, SpectrumMismatchError
+from .errors import DimensionError, DomainError, SpectrumMismatchError
 
 
 def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
     """Cumulative Weyr sequence of A at lam, up to stabilization.
 
-    Returns () when lam is not an eigenvalue.  N = d (A - lam I) is cleared
-    to integers once, and rank(N^k) = rank((A - lam I)^k), so the powers are
-    integer products, ranked by exact_rank with no entry parsed again.  The loop stops once the nullity
-    stops growing (it then equals the algebraic multiplicity).
+    Returns () when lam is not an eigenvalue.  N = d (lam I - A), the
+    integer form of lam I - A read from A's, has rank(N^k) = rank((A - lam
+    I)^k), so the powers are integer products, handed to exact_rank as
+    integer matrices and never cleared again.  The loop stops once the
+    nullity stops growing (it then equals the algebraic multiplicity).
 
     multiplicity is the algebraic multiplicity m of lam, passed only by
     callers that have just matched char_poly(A) exactly against a spectrum
@@ -73,15 +73,14 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
         return (1,)
     lam = rat(lam)
     n = A.rows
-    N, _ = _integer_rows(
-        [[v - lam if i == j else v for j, v in enumerate(r)] for i, r in enumerate(A.entries())]
-    )
+    # the integer rows of lam I - A, whose powers have the ranks of (A - lam I)^k
+    N = _shifted(lam, A).num
     columns = list(zip(*N))
     out = []
     P = N
     prev = 0
     for _ in range(n):
-        nullity = n - exact_rank(RationalMatrix._of(P))
+        nullity = n - exact_rank(RationalMatrix._of_ints(P))
         if nullity == prev:
             break
         out.append(nullity)
@@ -168,7 +167,7 @@ def rational_spectrum_of(A: RationalMatrix):
 
 def _spectrum_from_poly(A: RationalMatrix, p):
     """rational_spectrum_of(A), given its char poly p."""
-    d = math.lcm(*(v.denominator for row in A.entries() for v in row))
+    d = A.den
     q = _integer_poly(p, d)
     bound = 1 + max(map(abs, q))
     roots, m = [], bound
@@ -195,12 +194,46 @@ def integer_partitions(m: int):
     return list(gen(m, m))
 
 
+# enumerate_jordan_forms refuses a spectrum that allows more forms than this
+MAX_JORDAN_FORMS = 10_000
+
+
+def _partition_count(m: int, cap: int) -> int:
+    """p(m), the number of partitions of m, by Euler's pentagonal-number
+    recurrence; cap + 1 as soon as some p(k), k <= m, exceeds cap (p grows
+    with k, so p(m) does too), which bounds the work whatever m is."""
+    p = [1]
+    for k in range(1, m + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            g = j * (3 * j - 1) // 2
+            total += sign * p[k - g]
+            if g + j <= k:
+                total += sign * p[k - g - j]
+            j += 1
+        if total > cap:
+            return cap + 1
+        p.append(total)
+    return p[m]
+
+
 def enumerate_jordan_forms(spectrum: Spectrum):
     """All JordanSpecs allowed by the spectrum, in deterministic order.
 
     Eigenvalues ascend; per eigenvalue the partitions of its multiplicity
-    run in reverse-lexicographic order.
+    run in reverse-lexicographic order.  The forms are counted first, as
+    the product of p(m) over the multiplicities m, and a spectrum allowing
+    more than MAX_JORDAN_FORMS raises DomainError before any is built.
     """
+    count = 1
+    for _, m in spectrum.pairs:
+        count *= _partition_count(m, MAX_JORDAN_FORMS)
+        if count > MAX_JORDAN_FORMS:
+            raise DomainError(
+                "the spectrum allows more than %d Jordan forms; refusing to list them"
+                % MAX_JORDAN_FORMS
+            )
     pairs = sorted(spectrum.pairs)
     choices = [[(v, p) for p in integer_partitions(m)] for v, m in pairs]
     return [JordanSpec.from_map(list(form)) for form in itertools.product(*choices)]

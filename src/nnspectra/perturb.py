@@ -22,7 +22,6 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
-    _integer_rows,
     char_poly,
     format_rational,
     poly_eval,
@@ -130,17 +129,18 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
 
     reduced = _to_cs_exact(A, lam1)
     B = reduced.B
-    cleared = _verify_exact(A, B, reduced.S, lam1)
+    _verify_exact(A, B, reduced.S, lam1)
+    # B + q e e^T on B's integer form B'/b: (B' q.den + q.num b) / (b q.den)
     q = eps / B.rows
-    shifted = RationalMatrix._of([[v + q for v in row] for row in B.entries()])
-    return shifted, _shift_certificate(cleared, shifted, spectrum, jordan_before, eps)
+    step, qd = q.numerator * B.den, q.denominator
+    shifted = RationalMatrix._of_ints([[v * qd + step for v in row] for row in B.num], B.den * qd)
+    return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 
 
-def _shift_certificate(cleared, shifted, spectrum, jordan_before, eps):
+def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
     """The certificate of shifted = B + (eps/n) e e^T, derived, not recomputed.
 
-    B comes cleared to integers, as the (Bi, b) with B = Bi/b that
-    _verify_exact returns after checking it.  B must be exactly similar to a
+    B has been checked by _verify_exact: it must be exactly similar to a
     matrix A with the certified spectrum and Jordan form jordan_before, its
     rows summing to the simple eigenvalue lambda1 = spectrum.perron.  With
     P = [e | e_2 ... e_n], P^-1 B P = [[lambda1, r], [0, B~]], and
@@ -156,7 +156,7 @@ def _shift_certificate(cleared, shifted, spectrum, jordan_before, eps):
     """
     lam1 = spectrum.perron
     moved = lam1 + eps
-    (Bi, b), (Si, s) = cleared, _integer_rows(shifted.entries())
+    (Bi, b), (Si, s) = (B.num, B.den), (shifted.num, shifted.den)
     q = eps / len(Bi)
     # over the integers: B' = Si/s, so B' - B = q entrywise iff
     # q.den (b Si - s Bi) = q.num s b, and a row of B' sums to moved iff its

@@ -62,12 +62,10 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
-    _bareiss,
     _dot,
     _integer_poly,
     _integer_product,
-    _integer_row,
-    _integer_rows,
+    _is_singular,
     _root_ceiling,
     _shifted,
     _taylor,
@@ -223,7 +221,7 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
 
 def _left_eigenvector_exact(B, lam):
     """Nonnegative left eigenvector of B at lam, normalized to max entry 1."""
-    basis = kernel(_shifted(lam, zip(*B.entries())))
+    basis = kernel(_shifted(lam, B.transpose()))
     if len(basis) != 1:
         raise DomainError(
             "left eigenspace at %s is %d-dimensional; supply z explicitly"
@@ -239,7 +237,9 @@ def _left_eigenvector_exact(B, lam):
 
 
 def _right_eigenvector_exact(B, lam):
-    basis = kernel(_shifted(lam, B.entries()))
+    """Positive eigenvector of B at lam, as the primitive integer vector of
+    the kernel: readable in transcripts, and D^-1 B D stays on integers."""
+    basis = kernel(_shifted(lam, B), primitive=True)
     if len(basis) != 1:
         raise SpectraError(
             "eigenspace at %s is %d-dimensional" % (format_rational(lam), len(basis))
@@ -249,9 +249,7 @@ def _right_eigenvector_exact(B, lam):
         x = tuple(-v for v in x)
     if any(v <= 0 for v in x):
         raise SpectraError("internal invariant violation: eigenvector not positive")
-    # clear denominators for readable transcripts; scaling cancels in D^-1 A D
-    ints, _ = _integer_row(x)
-    return tuple(Fraction(v) for v in ints)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +268,13 @@ def perron_root_exact(blocks, polys):
     finds m = ceil(d rho), and rho = m / d iff q(m) = 0.  lambda1 is the
     largest rho.
     """
-    d = math.lcm(*(v.denominator for B in blocks for row in B.entries() for v in row))
+    d = math.lcm(*(B.den for B in blocks))
     radii, ceilings = [], []
     for B, p in zip(blocks, polys):
         q = _integer_poly(p, d)
-        sums = [int(d * s) for s in B.row_sums()]
-        lo = max(min(sums), max(int(d * B[i, i]) for i in range(B.rows)))
+        s = d // B.den
+        sums = [s * sum(row) for row in B.num]
+        lo = max(min(sums), s * max(row[i] for i, row in enumerate(B.num)))
         m = _root_ceiling(q, lo, max(sums))
         ceilings.append(m)
         radii.append(Fraction(m, d) if next(_taylor(q, m)) == 0 else None)
@@ -483,7 +482,7 @@ class _ExactOps:
 
     @staticmethod
     def nonzero(M):
-        return any(v != 0 for row in M.entries() for v in row)
+        return any(map(any, M.num))
 
     @staticmethod
     def scale(M, S, a, vec):
@@ -524,7 +523,7 @@ class _ExactOps:
     @classmethod
     def solve_shifted(cls, lam, K, rhs):
         """y with (lam I - K) y = rhs, or None when the system is singular."""
-        return cls.solve_linear(_shifted(lam, K.entries()), rhs)
+        return cls.solve_linear(_shifted(lam, K), rhs)
 
     def perron_vector(self, block, lam, ci):
         """Positive eigenvector of the irreducible block of component ci at
@@ -621,6 +620,19 @@ def _diagonal_similarity(ops, A, x):
     M, S = ops.start(A, range(len(x)))
     ops.scale(M, S, 0, x)
     return ops.finish(M, S)
+
+
+def _integer_diagonal_similarity(A, x):
+    """(D^-1 A D, D) for D = diag(x), x a positive integer vector, on A's
+    integer form: with A = A'/a and m the lcm of x, entry (i, j) of
+    D^-1 A D is A'_ij x_j (m / x_i) / (a m)."""
+    m, n = math.lcm(*x), len(x)
+    B = RationalMatrix._of_ints(
+        [[v * xj * (m // xi) for v, xj in zip(row, x)] for row, xi in zip(A.num, x)],
+        A.den * m,
+    )
+    D = RationalMatrix._of_ints([[xi if i == j else 0 for j in range(n)] for i, xi in enumerate(x)])
+    return B, D
 
 
 def _dominated_solution(ops, K, lam, rhs, what):
@@ -783,12 +795,9 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     plan = _plan_from_graph(comps, edges, perron) if len(comps) > 1 else None
     if len(comps) == 1:
         x = _right_eigenvector_exact(A, lam)
-        B, S = _diagonal_similarity(_ExactOps, A, x)
+        B, S = _integer_diagonal_similarity(A, x)
         transcript.append(
-            RowSumStep(
-                "diagonal-scaling",
-                {"scope": "global", "vector": [format_rational(v) for v in x]},
-            )
+            RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
         )
     elif plan is not None:
         B, S = _absorb(_ExactOps(radii), A, lam, plan, transcript)
@@ -829,24 +838,22 @@ def _via_transpose(A, comps, perron, radii, lam, transcript):
 def _verify_exact(A, B, S, lam):
     """B >= 0 in CS_lam form, and S invertible with A S = S B.
 
-    A, S and B are cleared to integers once each, A = A'/a and B = B'/b
-    with a and b the lcms of their denominators (S' likewise), so that
-    A S = S B iff b A' S' = a S' B', and a row of B sums to lam iff the same
-    row of B' sums to lam b; both are checked over the integers, and
-    det S != 0 iff the elimination of S' finds a pivot in every row.
-    Returns (B', b) for callers that check more of B.
+    Everything is read from the integer forms A = A'/a, S = S'/s and
+    B = B'/b: A S = S B iff b A' S' = a S' B', and a row of B sums to lam
+    iff the same row of B' sums to lam b; both are checked over the
+    integers, and det S != 0 iff the elimination of S' finds a pivot in
+    every row.
     """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
-    (Ai, a), (Si, _), (Bi, b) = (_integer_rows(M.entries()) for M in (A, S, B))
+    (Ai, a), Si, (Bi, b) = (A.num, A.den), S.num, (B.num, B.den)
     if any(sum(row) * lam.denominator != lam.numerator * b for row in Bi):
         raise CertificationError("result is not in CS form")
     AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
     if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")
-    if len(_bareiss(Si, len(Si))[0]) < len(Si):
+    if _is_singular(S):
         raise CertificationError("similarity matrix is singular")
-    return Bi, b
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ def _check_nonnegative_square(A):
 def adjacency(A) -> list:
     """Boolean adjacency rows: edge i -> j iff A[i][j] > 0."""
     if isinstance(A, RationalMatrix):
-        return [[v > 0 for v in row] for row in A.entries()]
+        return [[v > 0 for v in row] for row in A.num]
     return [[bool(x > 0) for x in row] for row in A.array.tolist()]
 
 

@@ -292,6 +292,19 @@ class TestJordanForms:
         blob = json.loads(Path(out).read_text())
         assert blob["count"] == 2
 
+    def test_too_many_forms_is_refused(self, workdir, capsys):
+        # 40 equal values allow p(40) = 37338 forms, beyond the 10^4 bound;
+        # the count comes first, so nothing is built or written
+        tmp, write = workdir
+        s = write("s.json", {"values": ["1"] * 40})
+        out = tmp / "forms.json"
+        assert dispatch(["jordan-forms", "--spectrum", s, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: the spectrum allows more than 10000 Jordan forms; refusing to list them"
+        ]
+        assert not out.exists()
+
 
 class TestDemo:
     def test_demo_runs_and_writes_report(self, workdir):

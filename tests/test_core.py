@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -268,6 +269,88 @@ class TestEliminationAgainstSympy:
             solve(A, RationalMatrix.zeros(2, 1))
         with pytest.raises(DimensionError):
             solve(RationalMatrix.identity(2), RationalMatrix.zeros(3, 1))
+
+
+class TestIntegerForm:
+    """A matrix is stored once, as integer rows over the lcm of its reduced
+    denominators.  One built from Fractions and one built by _of_ints from
+    the same values over any common denominator are the same matrix."""
+
+    def test_fraction_and_integer_builds_agree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=120, deadline=None, database=None)
+        @hypothesis.given(
+            shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            values=st.lists(
+                st.builds(F, st.integers(-30, 30), st.integers(1, 12)), min_size=16, max_size=16
+            ),
+            extra=st.integers(1, 40),
+            sign=st.sampled_from((1, -1)),
+        )
+        def check(shape, values, extra, sign):
+            r, c = shape
+            rows = [values[i * c : (i + 1) * c] for i in range(r)]
+            A = RationalMatrix(rows)
+            lcm = 1
+            for v in values[: r * c]:
+                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+            # any common denominator, not reduced, of either sign
+            d = sign * extra * lcm
+            B = RationalMatrix._of_ints([[int(v * d) for v in row] for row in rows], d)
+            assert A == B and hash(A) == hash(B)
+            assert A.den == B.den == lcm
+            assert B.entries() == A.entries() == tuple(map(tuple, rows))
+            assert all(type(v) is F for row in B.entries() for v in row)
+            assert matrix_to_json(B) == matrix_to_json(A)
+
+        check()
+
+    def test_kernels_on_integer_backed_inputs_match_sympy(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        sympy = pytest.importorskip("sympy")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None)
+        @hypothesis.given(
+            n=st.integers(1, 5),
+            values=st.lists(st.integers(-9, 9), min_size=35, max_size=35),
+            zeros=st.lists(st.booleans(), min_size=25, max_size=25),
+            d=st.integers(1, 24),
+        )
+        def check(n, values, zeros, d):
+            ints = [
+                [0 if zeros[i * n + j] else values[i * n + j] for j in range(n)] for i in range(n)
+            ]
+            rhs = [values[25 + i : 27 + i] for i in range(n)]
+            A = RationalMatrix._of_ints(ints, d)
+            B = RationalMatrix._of_ints(rhs, d + 1)
+            S = sympy.Matrix(ints) / d
+            assert exact_rank(A) == S.rank()
+            nullspace = [tuple(_from_sympy(x) for x in v) for v in S.nullspace()]
+            assert kernel(A) == nullspace
+            primitive = kernel(A, primitive=True)
+            assert len(primitive) == len(nullspace)
+            for v, p in zip(nullspace, primitive):
+                # the least positive integer multiple of v
+                k = next(i for i, y in enumerate(v) if y)
+                ratio = F(p[k]) / v[k]
+                assert ratio > 0 and list(p) == [ratio * y for y in v]
+                assert all(type(y) is int for y in p) and math.gcd(*p) == 1
+            assert determinant(A) == _from_sympy(S.det())
+            x = sympy.symbols("x")
+            assert char_poly(A) == [_from_sympy(c) for c in S.charpoly(x).all_coeffs()]
+            if S.det() == 0:
+                with pytest.raises(SingularMatrixError):
+                    solve(A, B)
+            else:
+                expected = S.LUsolve(sympy.Matrix(rhs) / (d + 1))
+                assert [list(row) for row in solve(A, B).entries()] == [
+                    [_from_sympy(expected[i, j]) for j in range(2)] for i in range(n)
+                ]
+
+        check()
 
 
 class TestFloatBridge:

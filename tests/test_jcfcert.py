@@ -17,7 +17,7 @@ from nnspectra.core import (
     poly_from_roots,
     solve,
 )
-from nnspectra.errors import SpectrumMismatchError
+from nnspectra.errors import DomainError, SpectrumMismatchError
 from nnspectra.jcfcert import (
     enumerate_jordan_forms,
     integer_partitions,
@@ -100,6 +100,32 @@ class TestWeyr:
 
 
 class TestCharPolyRoute:
+    def test_weyr_powers_reach_the_elimination_as_integers(self, monkeypatch):
+        # derogatory J2(1/2) + J1(1/2) + J1(3), planted with fractional
+        # entries: lam I - A is read off A's integer form, and its integer
+        # powers reach _bareiss without any matrix being cleared again
+        spec = JordanSpec.from_map({F(1, 2): [2, 1], F(3): [1]})
+        S = RationalMatrix([[2, 1, 0, 1], [0, 1, 1, 0], [1, 0, 3, 1], [0, 1, 0, 2]])
+        A = solve(S, spec.jordan_matrix() @ S)
+        assert A.den > 1
+        cleared, eliminated = [], []
+        clear, bareiss = core._clear, core._bareiss
+
+        def clear_spy(rows):
+            cleared.append(len(rows))
+            return clear(rows)
+
+        def bareiss_spy(m, pivot_cols):
+            eliminated.append([list(row) for row in m])
+            return bareiss(m, pivot_cols)
+
+        monkeypatch.setattr(core, "_clear", clear_spy)
+        monkeypatch.setattr(core, "_bareiss", bareiss_spy)
+        assert weyr_sequence(A, F(1, 2)) == (2, 3)
+        assert len(eliminated) == 3  # ranks of N, N^2 and N^3, which confirms N^2
+        assert all(type(v) is int for m in eliminated for row in m for v in row)
+        assert cleared == []
+
     def test_one_integer_route_into_the_elimination(self, monkeypatch):
         # char_poly works on the cleared integer rows: no matrix is built and
         # no determinant taken on the way
@@ -211,6 +237,33 @@ class TestEnumerate:
         assert len(enumerate_jordan_forms(s)) == len(integer_partitions(2)) * len(
             integer_partitions(3)
         )
+
+    def test_partition_count_matches_the_enumeration(self):
+        for m in range(13):
+            assert jcfcert._partition_count(m, 10**6) == len(integer_partitions(m))
+        assert jcfcert._partition_count(40, 10**6) == 37338
+        # capped: the recurrence stops at the first p(k) past the cap
+        assert jcfcert._partition_count(10**9, 10**4) == 10**4 + 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1] * 40,  # p(40) = 37338
+            [2] * 20 + [1] * 20,  # p(20)^2 = 627^2
+            list(range(10**4)) + [0] * 10**4,  # one value of multiplicity 10^4 + 1
+        ],
+    )
+    def test_too_many_forms_refused_before_any_is_built(self, monkeypatch, values):
+        monkeypatch.setattr(jcfcert, "integer_partitions", None)  # never reached
+        with pytest.raises(DomainError, match="more than 10000 Jordan forms"):
+            enumerate_jordan_forms(Spectrum.from_values(values))
+
+    def test_counts_near_the_bound(self):
+        # p(21) p(3)^2 = 792 * 9 = 7128 forms are listed, p(21) p(7) = 792 * 15 = 11880 refused
+        listed = Spectrum.from_values([3] * 21 + [2] * 3 + [1] * 3)
+        assert len(enumerate_jordan_forms(listed)) == 7128
+        with pytest.raises(DomainError):
+            enumerate_jordan_forms(Spectrum.from_values([3] * 21 + [2] * 7))
 
 
 class TestVerifyCertificate:

@@ -11,7 +11,6 @@ from nnspectra.core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
-    _integer_rows,
     char_poly,
     companion_matrix,
     poly_from_roots,
@@ -310,9 +309,7 @@ class TestDerivedCertificate:
         rows = [[v + eps / 2 for v in row] for row in B.entries()]
         rows[1] = [v + eps for v in B.entries()[1]]
         with pytest.raises(CertificationError, match=r"not B \+ \(eps/n\) e e\^T"):
-            _shift_certificate(
-                _integer_rows(B.entries()), RationalMatrix(rows), spectrum, jordan_spec(A, spectrum), eps
-            )
+            _shift_certificate(B, RationalMatrix(rows), spectrum, jordan_spec(A, spectrum), eps)
 
     def test_unverified_similarity_refused(self, monkeypatch):
         # a CS form with the right row sums and no negative entry, but not
