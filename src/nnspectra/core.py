@@ -65,7 +65,7 @@ def rat(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    """x, an int or a Fraction, as "p" or "p/q" in lowest terms."""
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

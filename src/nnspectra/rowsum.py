@@ -42,12 +42,15 @@ lambda1 is the largest block root, no other eigenvalue of A may lie within
 1e-9 of it, its block is the Perron block, and each block is scaled by its
 own eigenvector.
 
-Exact and float mode run the same absorb loop; a small backend class
-supplies the arithmetic that differs between Fraction and float64.  Each
-step is a diagonal scaling or a shear, and each touches only a few rows and
-columns: the loop updates those rows and columns of the working matrix and
-of S in place, in O(n k) for a block of size k, and multiplies no n x n
-matrices.  The transcript is the one record of the steps.
+Exact and float mode run the same absorb loop and the same steps.  Each
+step is a diagonal scaling or a shear, a module function on plain lists of
+rows (Fractions in exact mode, Python floats in float mode), and each
+touches only a few rows and columns: the loop updates those rows and
+columns of the working matrix and of S in place, in O(n k) for a block of
+size k, and multiplies no n x n matrices.  A small backend class supplies
+only what differs: the field's zero and one, the zero test, the linear
+solves and the Perron vectors.  The transcript is the one record of the
+steps.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
-    _dot,
     _integer_poly,
     _integer_product,
     _is_singular,
@@ -70,7 +72,6 @@ from .core import (
     _shifted,
     _taylor,
     char_poly,
-    determinant,
     format_rational,
     kernel,
     matrix_to_json,
@@ -161,12 +162,10 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
     if all(v == 0 for row in A3.entries() for v in row):
         raise DomainError("coupling block A3 is zero; use the lemma2 coupling path")
     n1, n = A1.rows, A1.rows + A2.rows
-    M, S = _ExactOps.start(
-        RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]]),
-        range(n),
-    )
+    blocks = RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]])
+    M = [list(row) for row in blocks.entries()]
     y = _lift_factor(_ExactOps, M, n1, n, n1, lam)
-    _ExactOps.scale(M, S, n1, y)
+    _scale(M, [], n1, y)
     B = RationalMatrix._of(M)
     if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
         raise CertificationError("lift produced a matrix outside CS form")
@@ -381,30 +380,39 @@ def _plan_from_graph(comps, edges, perron):
     return perm, ranges
 
 
+def _sylvester_system(Q, R, zero):
+    """The rows of the linear map W -> Q W - W R, for square Q and R given
+    by their rows; the unknown W[i][j] is entry i |R| + j."""
+    m = len(R)
+    system = []
+    for i, qrow in enumerate(Q):
+        for j in range(m):
+            row = [zero] * (len(Q) * m)
+            for l, v in enumerate(qrow):
+                row[l * m + j] += v
+            for l, rrow in enumerate(R):
+                row[i * m + l] -= rrow[j]
+            system.append(row)
+    return system
+
+
 def _sylvester_decoupling(ops, rows, q, r):
-    """(D, T) with T^-1 A T = D, for A given by its rows, q the vertices of
-    the Perron side and r the others; None when Q = A[q, q] and R = A[r, r]
-    share an eigenvalue.
+    """(D, T) with T^-1 A T = D, both as rows, for A given by its rows, q
+    the vertices of the Perron side and r the others; None when
+    Q = A[q, q] and R = A[r, r] share an eigenvalue.
 
     No block outside the Perron side couples into it, so A[r, q] = 0: with r
     ordered first, A is [[R, 0], [Y, Q]], Y = A[q, r].  By Roth's removal
     rule (Proc. AMS 3, 1952), [[I, 0], [W, I]] makes it diag(R, Q) when
     Q W - W R = -Y.  That Sylvester equation is one linear system in the
-    |q| |r| entries of W (W[i][j] is unknown i |r| + j), and it is
-    nonsingular iff spec(Q) and spec(R) are disjoint.  In A's own
-    coordinates D is A with its q-row/r-column entries set to 0, hence
-    nonnegative, and T is I with W in those entries; T is returned as rows.
+    |q| |r| entries of W, and it is nonsingular iff spec(Q) and spec(R) are
+    disjoint.  In A's own coordinates D is A with its q-row/r-column
+    entries set to 0, hence nonnegative, and T is I with W in those entries.
     """
     m, zero = len(r), ops.zero
-    system = []
-    for i, qi in enumerate(q):
-        for j, rj in enumerate(r):
-            row = [zero] * (len(q) * m)
-            for l, ql in enumerate(q):
-                row[l * m + j] += rows[qi][ql]
-            for l, rl in enumerate(r):
-                row[i * m + l] -= rows[rl][rj]
-            system.append(row)
+    system = _sylvester_system(
+        [[rows[i][j] for j in q] for i in q], [[rows[i][j] for j in r] for i in r], zero
+    )
     w = ops.solve_linear(ops.matrix(system), [-rows[qi][rj] for qi in q for rj in r])
     if w is None:
         return None
@@ -415,7 +423,7 @@ def _sylvester_decoupling(ops, rows, q, r):
         for j, rj in enumerate(r):
             D[qi][rj] = zero
             T[qi][rj] = w[i * m + j]
-    return ops.matrix(D), T
+    return D, T
 
 
 def _absorb_decoupled(ops, rows, comps, edges, perron, lam, transcript):
@@ -445,10 +453,52 @@ def _absorb_decoupled(ops, rows, comps, edges, perron, lam, transcript):
 # ---------------------------------------------------------------------------
 
 
+def _start(rows, perm, one, zero, T=None):
+    """Mutable rows of M = P^T A P and of S = T P, for A and T given by
+    their rows, P the permutation of perm and T the identity when None."""
+    M = [[rows[i][j] for j in perm] for i in perm]
+    if T is None:
+        S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
+    else:
+        S = [[row[j] for j in perm] for row in T]
+    return M, S
+
+
+def _scale(M, S, a, vec):
+    """M <- D^-1 M D, S <- S D in place, for D = diag(1,...,1, vec, 1,...,1)
+    with vec from index a: rows [a, a+k) of M are divided by vec, and the
+    same columns of M and S are multiplied by it."""
+    cols = range(a, a + len(vec))
+    for i, v in zip(cols, vec):
+        M[i] = [x / v if x else x for x in M[i]]
+    for row in M + S:
+        for j, v in zip(cols, vec):
+            if row[j]:
+                row[j] *= v
+
+
+def _shear(M, S, a, b, z):
+    """M <- T^-1 M T, S <- S T in place, for T = I - u z^T with u the
+    indicator of rows [a, b) and z padded with zeros; a >= k = len(z),
+    so T^-1 = I + u z^T.  Rows [a, b) of M gain z^T M[:k]; then the first
+    k columns of M and of S lose (the sum of their columns [a, b)) z^T."""
+    w = [sum(v * x for v, x in zip(z, col) if v and x) for col in zip(*M[: len(z)])]
+    for i in range(a, b):
+        M[i] = [x + y if y else x for x, y in zip(M[i], w)]
+    for row in M + S:
+        t = sum(row[a:b])
+        if t:
+            row[: len(z)] = [x - t * v if v else x for x, v in zip(row, z)]
+
+
+def _sub(ops, M, a, b):
+    """The diagonal block M[a:b, a:b] as a backend matrix."""
+    return ops.matrix([row[a:b] for row in M[a:b]])
+
+
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop, on mutable rows of Fractions;
-    radii are the spectral radii of the diagonal blocks, by component index,
-    None where irrational."""
+    """Fraction arithmetic for the absorb loop; radii are the spectral radii
+    of the diagonal blocks, by component index, None where irrational."""
 
     zero, one = Fraction(0), Fraction(1)
     matrix = staticmethod(RationalMatrix._of)
@@ -457,59 +507,8 @@ class _ExactOps:
         self.radii = radii
 
     @staticmethod
-    def start(A, perm, T=None):
-        """Mutable rows of M = P^T A P and of S = T P, for P the permutation
-        of perm and T given by its rows, the identity when None."""
-        rows, zero, one = A.entries(), Fraction(0), Fraction(1)
-        M = [[rows[i][j] for j in perm] for i in perm]
-        if T is None:
-            S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
-        else:
-            S = [[row[j] for j in perm] for row in T]
-        return M, S
-
-    @staticmethod
-    def finish(M, S):
-        return RationalMatrix._of(M), RationalMatrix._of(S)
-
-    @staticmethod
-    def sub(M, rows, cols):
-        return RationalMatrix._of([[M[i][j] for j in cols] for i in rows])
-
-    @staticmethod
-    def row_sums(M):
-        return M.row_sums()
-
-    @staticmethod
-    def nonzero(M):
-        return any(map(any, M.num))
-
-    @staticmethod
-    def scale(M, S, a, vec):
-        """M <- D^-1 M D, S <- S D in place, for D = diag(1,...,1, vec, 1,...,1)
-        with vec from index a: rows [a, a+k) of M are divided by vec, and the
-        same columns of M and S are multiplied by it."""
-        cols = range(a, a + len(vec))
-        for i, v in zip(cols, vec):
-            M[i] = [x / v if x else x for x in M[i]]
-        for row in M + S:
-            for j, v in zip(cols, vec):
-                if row[j]:
-                    row[j] *= v
-
-    @staticmethod
-    def shear(M, S, a, b, z):
-        """M <- T^-1 M T, S <- S T in place, for T = I - u z^T with u the
-        indicator of rows [a, b) and z padded with zeros; a >= k = len(z),
-        so T^-1 = I + u z^T.  Rows [a, b) of M gain z^T M[:k]; then the first
-        k columns of M and of S lose (the sum of their columns [a, b)) z^T."""
-        w = [_dot(z, col) for col in zip(*M[: len(z)])]
-        for i in range(a, b):
-            M[i] = [x + y if y else x for x, y in zip(M[i], w)]
-        for row in M + S:
-            t = sum(row[a:b])
-            if t:
-                row[: len(z)] = [x - t * v if v else x for x, v in zip(row, z)]
+    def nonzero(rows):
+        return any(map(any, rows))
 
     @staticmethod
     def solve_linear(K, rhs):
@@ -541,9 +540,9 @@ class _ExactOps:
 
 
 class _FloatOps:
-    """float64 arithmetic for the absorb loop, on numpy arrays (tolerance
-    1e-13 on zero tests); vectors are the blocks' Perron vectors, by
-    component index."""
+    """float64 solves and eigenvectors for the absorb loop, on numpy arrays,
+    returned as lists of Python floats (tolerance 1e-13 on zero tests);
+    vectors are the blocks' Perron vectors, by component index."""
 
     zero, one = 0.0, 1.0
     matrix = staticmethod(np.array)
@@ -552,48 +551,13 @@ class _FloatOps:
         self.vectors = vectors
 
     @staticmethod
-    def start(A, perm, T=None):
-        """Copies of M = P^T A P and of S = T P, for P the permutation of
-        perm and T given by its rows, the identity when None."""
-        T = np.eye(len(perm)) if T is None else np.array(T)
-        return A[np.ix_(perm, perm)], T[:, perm]
-
-    @staticmethod
-    def finish(M, S):
-        return M, S
-
-    @staticmethod
-    def sub(M, rows, cols):
-        return M[np.ix_(rows, cols)]
-
-    @staticmethod
-    def row_sums(M):
-        return M.sum(axis=1)
-
-    @staticmethod
-    def nonzero(M):
-        return bool(np.any(M > 1e-13))
-
-    @staticmethod
-    def scale(M, S, a, vec):
-        """_ExactOps.scale on array slices."""
-        cols = slice(a, a + len(vec))
-        M[cols] /= vec[:, None]
-        M[:, cols] *= vec
-        S[:, cols] *= vec
-
-    @staticmethod
-    def shear(M, S, a, b, z):
-        """_ExactOps.shear on array slices."""
-        k = len(z)
-        M[a:b] += z @ M[:k]
-        M[:, :k] -= np.outer(M[:, a:b].sum(axis=1), z)
-        S[:, :k] -= np.outer(S[:, a:b].sum(axis=1), z)
+    def nonzero(rows):
+        return any(v > 1e-13 for row in rows for v in row)
 
     @staticmethod
     def solve_linear(K, rhs):
         try:
-            return np.linalg.solve(K, rhs)
+            return np.linalg.solve(K, rhs).tolist()
         except np.linalg.LinAlgError:
             return None
 
@@ -612,14 +576,7 @@ class _FloatOps:
         resid = float(np.max(np.abs(B.T @ z - lam * z)))
         if resid > 1e-8 * max(1.0, abs(lam)):
             raise SpectraError("left eigenvector residual %.3e" % resid)
-        return z
-
-
-def _diagonal_similarity(ops, A, x):
-    """(D^-1 A D, D) for D = diag(x), by one scale step."""
-    M, S = ops.start(A, range(len(x)))
-    ops.scale(M, S, 0, x)
-    return ops.finish(M, S)
+        return z.tolist()
 
 
 def _integer_diagonal_similarity(A, x):
@@ -659,13 +616,13 @@ def _lift_factor(ops, M, a, b, bound, lam):
     in CS_lam form), returns the y that solves (lam I - A2) y = A3 e; the
     factor is diag(1,...,1, y, 1,...,1), applied by a scale step at a.
     """
-    rows = range(a, b)
-    A3e = ops.row_sums(ops.sub(M, rows, range(bound)))
-    return _dominated_solution(ops, ops.sub(M, rows, rows), lam, A3e, "lift")
+    A3e = [sum(row[:bound]) for row in M[a:b]]
+    return _dominated_solution(ops, _sub(ops, M, a, b), lam, A3e, "lift")
 
 
-def _absorb(ops, A, lam, plan, transcript, T=None):
-    """Scale, couple and lift the planned blocks of A into CS_lam form.
+def _absorb(ops, rows, lam, plan, transcript, T=None):
+    """Scale, couple and lift the planned blocks of A, given by its rows,
+    into CS_lam form.
 
     Returns (B, S).  M starts as the permuted A and S as T (the identity
     when None) times the permutation, so S^-1 (T A T^-1) S = B.
@@ -677,56 +634,54 @@ def _absorb(ops, A, lam, plan, transcript, T=None):
     step.
     """
     perm, ranges = plan
-    M, S = ops.start(A, perm, T)
+    M, S = _start(rows, perm, ops.one, ops.zero, T)
     transcript.append(RowSumStep("permutation", {"order": list(perm)}))
 
-    def apply(op, args, kind, detail):
-        getattr(ops, op)(M, S, *args)
+    def apply(step, args, kind, detail):
+        step(M, S, *args)
         transcript.append(RowSumStep(kind, detail))
 
     # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
     for i, (kind, payload, a, b) in enumerate(ranges):
         if kind == "cluster" or b - a == 1:
             continue
-        block = ops.sub(M, range(a, b), range(a, b))
-        x = ops.perron_vector(block, lam if i == 0 else None, payload)
+        x = ops.perron_vector(_sub(ops, M, a, b), lam if i == 0 else None, payload)
         label = "perron" if i == 0 else "component-%d" % payload
-        apply("scale", (a, x), "block-scaling", {"block": label, "range": [a, b]})
+        apply(_scale, (a, x), "block-scaling", {"block": label, "range": [a, b]})
 
     # 2. absorb blocks in plan order; M[:p, :p], the scaled Perron block,
     # stays as it is, and its left vector serves every coupling
     bound = p = ranges[0][3]
     z = None
     for kind, payload, a, b in ranges[1:]:
-        rows = range(a, b)
         suffix = ""
         if kind == "cluster":
             ones = [ops.one] * (b - a)
-            d = _dominated_solution(ops, ops.sub(M, rows, rows), lam, ones, "cluster")
+            d = _dominated_solution(ops, _sub(ops, M, a, b), lam, ones, "cluster")
             apply(
-                "scale",
+                _scale,
                 (a, d),
                 "cluster-scaling",
                 {"range": [a, b], "components": list(payload)},
             )
             suffix = "-general"
-        if kind == "cluster" or not ops.nonzero(ops.sub(M, rows, range(bound))):
+        if kind == "cluster" or not ops.nonzero([row[:bound] for row in M[a:b]]):
             if z is None:
-                z = ops.left_vector(ops.sub(M, range(p), range(p)), lam)
+                z = ops.left_vector(_sub(ops, M, 0, p), lam)
             apply(
-                "shear",
+                _shear,
                 (a, b, z),
                 "lemma2-coupling" + suffix,
                 {"range": [a, b], "coupled-into": [0, bound]},
             )
         apply(
-            "scale",
+            _scale,
             (a, _lift_factor(ops, M, a, b, bound, lam)),
             "lemma1-lift" + suffix,
             {"range": [a, b], "absorbed-into": [0, bound]},
         )
         bound = b
-    return ops.finish(M, S)
+    return ops.matrix(M), ops.matrix(S)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +755,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
         )
     elif plan is not None:
-        B, S = _absorb(_ExactOps(radii), A, lam, plan, transcript)
+        B, S = _absorb(_ExactOps(radii), A.entries(), lam, plan, transcript)
     else:
         # the Perron side feeds other blocks: decouple it from them, or
         # reduce A^T when the two sides share an eigenvalue
@@ -811,13 +766,26 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     return RowSumResult(B, S, transcript, "exact", lam)
 
 
+# the transpose fallback solves an n^2 x n^2 system, whose cost grows about
+# as n^5 to n^6 (about 1 s at order 16 on a 2-vCPU host); larger orders
+# are refused
+MAX_TRANSPOSE_ORDER = 16
+
+
 def _via_transpose(A, comps, perron, radii, lam, transcript):
     """(B, S) from the reduction of A^T, for a layout that the Sylvester
     decoupling cannot split because its two sides share an eigenvalue.
 
     The components are renumbered as Tarjan numbers them on A^T, and S is
     X S' for an X with A X = X A^T and the similarity S' of the reduction.
+    Orders above MAX_TRANSPOSE_ORDER are refused before any of it is built.
     """
+    if A.rows > MAX_TRANSPOSE_ORDER:
+        raise DomainError(
+            "the Perron side shares an eigenvalue with the blocks it feeds, and "
+            "the transpose fallback for such a layout is bounded to order %d; "
+            "this input has order %d" % (MAX_TRANSPOSE_ORDER, A.rows)
+        )
     At = A.transpose()
     comps_t, edges_t = _components(At)
     plan = _plan_from_graph(comps_t, edges_t, comps_t.index(comps[perron]))
@@ -831,7 +799,7 @@ def _via_transpose(A, comps, perron, radii, lam, transcript):
         RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
     )
     ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-    B, S = _absorb(ops, At, lam, plan, transcript)
+    B, S = _absorb(ops, At.entries(), lam, plan, transcript)
     return B, similarity_to_transpose(A) @ S
 
 
@@ -863,25 +831,19 @@ def _verify_exact(A, B, S, lam):
 
 def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
     """Exact invertible X with A X = X A^T (always exists; found generically)."""
+    # X is in the kernel of X -> A X - X A^T, built from A's integer rows:
+    # scaling the system by A's denominator leaves the kernel as it is
     n = A.rows
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[k * n + j] += A[i, k]
-                row[i * n + k] -= A[j, k]
-            rows.append(row)
-    basis = kernel(RationalMatrix(rows))
+    basis = kernel(RationalMatrix._of_ints(_sylvester_system(A.num, list(zip(*A.num)), 0)))
     if not basis:
         raise SpectraError("internal error: empty Sylvester kernel")
 
     def as_matrix(vec):
-        return RationalMatrix([[vec[i * n + j] for j in range(n)] for i in range(n)])
+        return RationalMatrix._of([vec[i * n : (i + 1) * n] for i in range(n)])
 
     for v in basis:
         X = as_matrix(v)
-        if determinant(X) != 0:
+        if not _is_singular(X):
             return X
     rng = random.Random(0)
     for _ in range(200):
@@ -891,7 +853,7 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
             for k in range(n * n)
         ]
         X = as_matrix(vec)
-        if determinant(X) != 0:
+        if not _is_singular(X):
             return X
     raise SpectraError("internal error: no invertible transpose similarity found")
 
@@ -927,15 +889,17 @@ def _to_cs_float(arr) -> RowSumResult:
             "Perron root %.12g is not numerically simple (%d eigenvalues within "
             "1e-9)" % (lam, sum(close))
         )
-    ops = _FloatOps([x for _, _, x in eigs])
+    ops = _FloatOps([x.tolist() for _, _, x in eigs])
     if len(comps) == 1:
-        B, S = _diagonal_similarity(ops, arr, ops.vectors[0])
+        M, S = _start(arr.tolist(), range(len(arr)), ops.one, ops.zero)
+        _scale(M, S, 0, ops.vectors[0])
+        B, S = ops.matrix(M), ops.matrix(S)
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
         perron = close.index(1)
         plan = _plan_from_graph(comps, edges, perron)
         if plan is not None:
-            B, S = _absorb(ops, arr, lam, plan, transcript)
+            B, S = _absorb(ops, arr.tolist(), lam, plan, transcript)
         else:
             # float mode has no transpose fallback for a shared eigenvalue
             result = _absorb_decoupled(ops, arr.tolist(), comps, edges, perron, lam, transcript)

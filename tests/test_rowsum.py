@@ -13,6 +13,7 @@ from nnspectra.core import (
     char_poly,
     determinant,
     inverse,
+    matrix_to_json,
     solve,
     to_float,
 )
@@ -632,7 +633,7 @@ def test_float_mode_takes_one_eig_per_block(monkeypatch):
 
 def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     used = []
-    real_shear = rowsum._ExactOps.shear
+    real_shear = rowsum._shear
 
     def shear_spy(M, S, a, b, z):
         # the working matrix as the shear finds it: its leading part [0, a)
@@ -640,7 +641,7 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
         used.append((RationalMatrix([row[:a] for row in M[:a]]), z))
         return real_shear(M, S, a, b, z)
 
-    monkeypatch.setattr(rowsum._ExactOps, "shear", staticmethod(shear_spy))
+    monkeypatch.setattr(rowsum, "_shear", shear_spy)
     checked = 0
     for _, A in _layout_inputs({"isolated", "cluster", "mixed", "bottom"}, 40):
         used.clear()
@@ -653,6 +654,53 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
             assert padded == rowsum._left_eigenvector_exact(leading, result.lam)
             checked += 1
     assert checked >= 20
+
+
+# transcript kinds whose step is one _scale or one _shear call
+_STEP_OF_KIND = {
+    "block-scaling": "scale",
+    "cluster-scaling": "scale",
+    "lemma1-lift": "scale",
+    "lemma1-lift-general": "scale",
+    "diagonal-scaling": "scale",
+    "lemma2-coupling": "shear",
+    "lemma2-coupling-general": "shear",
+}
+
+
+def test_both_modes_run_the_same_steps(monkeypatch):
+    # one _scale or _shear call per scale or shear transcript step, in both
+    # modes; float mode passes Python floats only, never numpy scalars.
+    # Exact mode scales an irreducible input on its integer form instead
+    # (_integer_diagonal_similarity), so its diagonal-scaling calls nothing
+    calls = []
+    for name in ("scale", "shear"):
+        real = getattr(rowsum, "_" + name)
+
+        def spy(M, S, *args, name=name, real=real):
+            calls.append((name, args[-1]))
+            return real(M, S, *args)
+
+        monkeypatch.setattr(rowsum, "_" + name, spy)
+    layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+    seen = set()
+    for layout, A in _layout_inputs(layouts, 48):
+        runs = {}
+        for mode in ("exact", "float"):
+            calls.clear()
+            result = to_constant_row_sums(A, mode=mode)
+            steps = [_STEP_OF_KIND[s.kind] for s in result.transcript if s.kind in _STEP_OF_KIND]
+            if mode == "exact" and layout == "irreducible":
+                assert steps == ["scale"]
+                steps = []
+            assert [name for name, _ in calls] == steps
+            runs[mode] = (steps, [vec for _, vec in calls])
+        if layout != "irreducible":
+            assert runs["float"][0] == runs["exact"][0]
+        assert all(type(v) is float for vec in runs["float"][1] for v in vec)
+        seen.add((layout, "shear" in runs["float"][0]))
+    assert {layout for layout, _ in seen} == layouts
+    assert {shear for _, shear in seen} == {False, True}
 
 
 def _random_step(rng, n):
@@ -691,10 +739,11 @@ def _dense_step(n, op, args):
 
 def test_structured_steps_match_dense_products():
     # scale and shear update M and S in place; the dense route is
-    # M <- T^-1 M T and S <- S T.  Exact mode agrees exactly, float mode to
-    # 1e-15 of the largest entry
+    # M <- T^-1 M T and S <- S T.  The one pair of steps serves both modes:
+    # on Fraction rows it agrees exactly, on float rows to 1e-15 of the
+    # largest entry
     rng = random.Random(2039)
-    ops_e, ops_f = rowsum._ExactOps, rowsum._FloatOps
+    steps = {"scale": rowsum._scale, "shear": rowsum._shear}
     kinds = set()
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -704,18 +753,19 @@ def test_structured_steps_match_dense_products():
         kinds.add((op, op == "shear" and args[0] == len(args[2]), op == "shear" and args[1] - args[0] > 1))
 
         M, S = [list(r) for r in M0], [list(r) for r in S0]
-        getattr(ops_e, op)(M, S, *args)
+        steps[op](M, S, *args)
         Tinv, T = (RationalMatrix(X) for X in _dense_step(n, op, args))
         assert RationalMatrix(M) == Tinv @ RationalMatrix(M0) @ T
         assert RationalMatrix(S) == RationalMatrix(S0) @ T
 
-        fargs = tuple(np.array([float(v) for v in x]) if isinstance(x, list) else x for x in args)
-        Mf, Sf = to_float(RationalMatrix(M0)).array.copy(), to_float(RationalMatrix(S0)).array.copy()
-        want_M, want_S = Mf.copy(), Sf.copy()
-        getattr(ops_f, op)(Mf, Sf, *fargs)
+        fargs = tuple([float(v) for v in x] if isinstance(x, list) else x for x in args)
+        Mf, Sf = ([[float(v) for v in r] for r in X] for X in (M0, S0))
+        steps[op](Mf, Sf, *fargs)
+        assert all(type(v) is float for X in (Mf, Sf) for r in X for v in r)
         Tinv, T = (np.array(X, dtype=float) for X in _dense_step(n, op, fargs))
+        want_M, want_S = (np.array(X, dtype=float) for X in (M0, S0))
         for got, want in ((Mf, Tinv @ want_M @ T), (Sf, want_S @ T)):
-            assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
     assert kinds >= {("scale", False, False), ("shear", True, True), ("shear", False, True), ("shear", True, False)}
 
 
@@ -819,3 +869,94 @@ class TestSimilarityToTranspose:
             )
             X = similarity_to_transpose(A)
             assert A @ X == X @ A.transpose()
+
+    def test_integer_system_has_the_fraction_system_kernel(self, monkeypatch):
+        # the system is built from A's integer rows; the kernel, hence X, must
+        # be the one of the Fraction system A X - X A^T; sympy checks X
+        sympy = pytest.importorskip("sympy")
+        bases = []
+        real_kernel = rowsum.kernel
+
+        def kernel_spy(M, *args, **kwargs):
+            basis = real_kernel(M, *args, **kwargs)
+            bases.append(basis)
+            return basis
+
+        monkeypatch.setattr(rowsum, "kernel", kernel_spy)
+        rng = random.Random(67)
+        from_basis = 0
+        for _ in range(12):
+            A = _shared_eigenvalue_layout(rng)
+            n = A.rows
+            bases.clear()
+            X = similarity_to_transpose(A)
+            rows = []
+            for i in range(n):
+                for j in range(n):
+                    row = [F(0)] * (n * n)
+                    for k in range(n):
+                        row[k * n + j] += A[i, k]
+                        row[i * n + k] -= A[j, k]
+                    rows.append(row)
+            basis = real_kernel(RationalMatrix(rows))
+            assert bases == [basis]
+            candidates = [RationalMatrix([v[i * n : (i + 1) * n] for i in range(n)]) for v in basis]
+            invertible = [M for M in candidates if determinant(M) != 0]
+            if invertible:
+                assert X == invertible[0]
+                from_basis += 1
+            As, Xs = _to_sympy(A), _to_sympy(X)
+            assert As * Xs == Xs * As.T
+            assert Xs.det() != 0
+        assert 0 < from_basis < 12  # both ways of picking X occur
+
+
+def _shared_eigenvalue_layout(rng, k=None):
+    """The Perron block [[1,2],[2,1]] (eigenvalues 3, -1) feeding k blocks
+    [[0,c],[1/c,0]] (eigenvalues 1, -1), scrambled: the Sylvester
+    decoupling is singular, so exact mode takes the transpose path."""
+    k = rng.randint(1, 3) if k is None else k
+    n = 2 * k + 2
+    rows = [[F(0)] * n for _ in range(n)]
+    for b in range(k):
+        c = F(rng.randint(1, 4), rng.randint(1, 4))
+        rows[2 * b][2 * b + 1], rows[2 * b + 1][2 * b] = c, 1 / c
+    p = 2 * k
+    rows[p][p] = rows[p + 1][p + 1] = F(1)
+    rows[p][p + 1] = rows[p + 1][p] = F(2)
+    for b in range(k):
+        rows[p + rng.randint(0, 1)][2 * b + rng.randint(0, 1)] = F(rng.randint(1, 3), rng.randint(1, 2))
+    return scramble(rng, RationalMatrix(rows))
+
+
+class TestTransposeBound:
+    def test_order_above_bound_refused_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the transpose path ran")
+
+        monkeypatch.setattr(rowsum, "similarity_to_transpose", unreachable)
+        monkeypatch.setattr(rowsum, "_absorb", unreachable)
+        A = _shared_eigenvalue_layout(random.Random(71), k=8)
+        assert A.rows == 18 > rowsum.MAX_TRANSPOSE_ORDER == 16
+        for mode in ("exact", "auto"):
+            with pytest.raises(DomainError, match="bounded to order 16; this input has order 18"):
+                to_constant_row_sums(A, mode=mode)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # at the bound the fallback runs; one past it, it is refused
+        rng = random.Random(73)
+        monkeypatch.setattr(rowsum, "MAX_TRANSPOSE_ORDER", 6)
+        A = _shared_eigenvalue_layout(rng, k=2)
+        result = to_constant_row_sums(A, mode="exact")
+        assert result.transcript[0].kind == "transpose-similarity"
+        with pytest.raises(DomainError, match="bounded to order 6; this input has order 8"):
+            to_constant_row_sums(_shared_eigenvalue_layout(rng, k=3), mode="exact")
+
+    def test_cli_refusal_is_one_error_line(self, tmp_path, capsys):
+        A = _shared_eigenvalue_layout(random.Random(79), k=8)
+        infile, out = tmp_path / "A.json", tmp_path / "out.json"
+        infile.write_text(json.dumps(matrix_to_json(A)))
+        assert dispatch(["normalize", "--in", str(infile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "order 18" in err[0]
+        assert not out.exists()
