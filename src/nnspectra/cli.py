@@ -86,7 +86,8 @@ def cmd_guo_shift(args) -> int:
         q = tuple(eps / B.rows for _ in range(B.rows))
     else:
         raise DomainError("guo-shift needs --eps or --q")
-    # the claim must be char_poly(B), which the shift then reuses
+    # the claim must be char_poly(B), which the shift then reuses; the
+    # shifted matrix gets no char poly of its own
     coeffs = _match_spectrum(B, _spectrum_arg(args.spectrum)) if args.spectrum else None
     shifted = _rank_one_shift(B, q, coeffs)
     out = {
@@ -421,7 +422,7 @@ def dispatch(argv=None) -> int:
             sys.stderr.write("error: %s: %s\n" % (exc.filename, exc.strerror))
         return 1
     except (KeyError, ValueError) as exc:
-        sys.stderr.write("input error: %s\n" % exc)
+        sys.stderr.write("error: %s\n" % exc)
         return 1
 
 

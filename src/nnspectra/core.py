@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -65,10 +66,17 @@ def rat(value) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """x, an int or a Fraction, as "p" or "p/q" in lowest terms."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    """x, an int or a Fraction, as "p" or "p/q" in lowest terms; DomainError
+    past the interpreter's int/str digit limit."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        raise DomainError(
+            "an output number has more than %d digits, past the interpreter's "
+            "limit for converting an integer to a string" % sys.get_int_max_str_digits()
+        ) from None
 
 
 class RationalMatrix:

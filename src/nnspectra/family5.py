@@ -6,9 +6,10 @@ Three parametric families are supported (written in (t0, t) parameters):
   * t      : {3+t-t0, 3-t, -2+t0,   -2, -2}
   * tprime : {3+t+t0, 3-t, -2,      -2, -2-t0}
 
-Coefficients k2..k5 of x^5 + k2 x^3 + k3 x^2 + k4 x + k5 are computed both
-by expanding the five linear factors and by closed forms; any mismatch is a
-hard internal error.  Realizability of such a polynomial as a nonnegative
+Coefficients k2..k5 of x^5 + k2 x^3 + k3 x^2 + k4 x + k5 are read off one
+expansion of the five linear factors; the tests prove the closed forms and
+the zero trace of every family symbolically and compare the expansion with
+them.  Realizability of such a polynomial as a nonnegative
 matrix is decided by an exact sign test on (k2, k3, k4, k5); the region
 boundaries in the (t0, t) plane are evaluated in floating point (they bound
 open verification regions, so 1e-12 accuracy is ample).  A diagonalizable
@@ -83,20 +84,6 @@ def family_list(family: str, t0, t):
     raise DomainError("unknown family %r; expected one of %s" % (family, FAMILIES))
 
 
-def _closed_form_coeffs(family: str, t0, t):
-    if family in ("t", "pm"):
-        k2 = -t * t + t0 * t - t0 * t0 + 5 * t0 - 15
-        k3 = -(6 - t0) * t * t + t0 * (6 - t0) * t - t0 * t0 + 5 * t0 - 10
-        k4 = 4 * ((t0 - 3) * t * t + t0 * (3 - t0) * t + 2 * t0 * t0 - 10 * t0 + 15)
-        k5 = 4 * (t - 3) * (t - t0 + 3) * (t0 - 2)
-    else:
-        k2 = -(t * t + t0 * t + t0 * t0 + 5 * t0 + 15)
-        k3 = -((t0 + 6) * t * t + t0 * (t0 + 6) * t + t0 * t0 + 5 * t0 + 10)
-        k4 = -4 * ((t0 + 3) * t * t + t0 * (t0 + 3) * t - 2 * t0 * t0 - 10 * t0 - 15)
-        k5 = 4 * (3 - t) * (t + t0 + 3) * (t0 + 2)
-    return (k2, k3, k4, k5)
-
-
 @dataclass(frozen=True)
 class Family5Point:
     family: str
@@ -132,19 +119,13 @@ class Family5Point:
 
 
 def make_point(family: str, t0, t) -> Family5Point:
-    """Build a family point; coefficients are double-computed and cross-checked."""
+    """Build a family point; (k2, k3, k4, k5) come from one expansion of
+    its five linear factors (the list has trace zero, so x^4 has none)."""
     t0 = rat(t0)
     t = rat(t)
     values = family_list(family, t0, t)
-    expanded = poly_from_roots(values)
-    if expanded[1] != 0:
-        raise SpectraError("internal error: family list does not have trace zero")
-    closed = _closed_form_coeffs(family, t0, t)
-    if tuple(expanded[2:]) != closed:
-        raise SpectraError(
-            "internal error: closed-form coefficients disagree with factor expansion"
-        )
-    return Family5Point(family=family, t0=t0, t=t, values=values, coeffs=closed)
+    coeffs = tuple(poly_from_roots(values)[2:])
+    return Family5Point(family=family, t0=t0, t=t, values=values, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

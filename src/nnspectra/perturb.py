@@ -11,11 +11,13 @@ realizability.
 ur_shift certifies its result from that argument rather than from scratch:
 the CS form's similarity to the certified input is checked exactly, and the
 shifted matrix's certificate follows from it and O(n^2) entry checks, with
-no char poly or rank of its own.
+no char poly or rank of its own.  rank_one_shift builds and checks B + e q^T
+the same way, and the tests recompute the factor swap.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
@@ -25,8 +27,6 @@ from .core import (
     char_poly,
     format_rational,
     poly_eval,
-    poly_mul,
-    poly_sub,
     rat,
     synthetic_div,
 )
@@ -66,30 +66,22 @@ def _rank_one_shift(B: RationalMatrix, q, coeffs):
     if len(q) != B.rows:
         raise DimensionError("q must have length %d" % B.rows)
 
-    if coeffs is None:
-        coeffs = char_poly(B)
-    quotient, rem = synthetic_div(coeffs, lam)
-    if rem != 0:
-        raise DomainError("row-sum value %s is not an eigenvalue" % format_rational(lam))
+    # B e = lambda1 e, so lambda1 is a root; Brauer's theorem is the factor swap
+    quotient, _ = synthetic_div(char_poly(B) if coeffs is None else coeffs, lam)
     if poly_eval(quotient, lam) == 0:
         raise PerronNotSimple(
             "Perron root %s of B is not simple" % format_rational(lam)
         )
 
-    sigma = sum(q, Fraction(0))
-    shifted = lam + sigma
-    if sigma != 0 and poly_eval(quotient, shifted) == 0:
+    shifted = lam + sum(q, Fraction(0))
+    if shifted != lam and poly_eval(quotient, shifted) == 0:
         raise CollisionError(
             "shifted Perron root %s collides with another eigenvalue"
             % format_rational(shifted)
         )
 
-    result = RationalMatrix._of(
-        [[v + q[j] for j, v in enumerate(row)] for row in B.entries()]
-    )
-    expected = poly_mul(quotient, [Fraction(1), -shifted])
-    if poly_sub(char_poly(result), expected) != [Fraction(0)]:
-        raise CertificationError("rank-one shift failed the exact factor-swap check")
+    result = _add_rank_one(B, q)
+    _check_rank_one(B, result, q, shifted, "B + e q^T")
     if not result.is_nonnegative:
         raise NonnegativityLossError(
             "B + e q^T has a negative entry; the Jordan conclusion still "
@@ -97,6 +89,36 @@ def _rank_one_shift(B: RationalMatrix, q, coeffs):
             matrix=result,
         )
     return result
+
+
+def _add_rank_one(B, q):
+    """B + e q^T on B's integer form B'/b: with c the lcm of q's
+    denominators, entry (i, j) is (B'_ij c + b c q_j) / (b c)."""
+    c = math.lcm(*(v.denominator for v in q))
+    steps = [v.numerator * (c // v.denominator) * B.den for v in q]
+    return RationalMatrix._of_ints(
+        [[v * c + step for v, step in zip(row, steps)] for row in B.num], B.den * c
+    )
+
+
+def _check_rank_one(B, shifted, q, moved, what):
+    """CertificationError unless shifted - B = e q^T (named `what`) entry by
+    entry and every row of shifted sums to moved.  With B = Bi/b and
+    shifted = Si/s, column j of shifted - B is q_j iff
+    q_j.den (b Si - s Bi) = q_j.num s b, and a row sums to moved iff its
+    integer sum times moved.den is moved.num s."""
+    (Bi, b), (Si, s) = (B.num, B.den), (shifted.num, shifted.den)
+    dens, gaps = [v.denominator for v in q], [v.numerator * s * b for v in q]
+    if any(
+        d * (b * x - s * y) != g
+        for rx, ry in zip(Si, Bi)
+        for x, y, d, g in zip(rx, ry, dens, gaps)
+    ):
+        raise CertificationError("the shifted matrix is not %s" % what)
+    if any(sum(row) * moved.denominator != moved.numerator * s for row in Si):
+        raise CertificationError(
+            "a row of the shifted matrix does not sum to %s" % format_rational(moved)
+        )
 
 
 def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
@@ -130,10 +152,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     reduced = _to_cs_exact(A, lam1)
     B = reduced.B
     _verify_exact(A, B, reduced.S, lam1)
-    # B + q e e^T on B's integer form B'/b: (B' q.den + q.num b) / (b q.den)
-    q = eps / B.rows
-    step, qd = q.numerator * B.den, q.denominator
-    shifted = RationalMatrix._of_ints([[v * qd + step for v in row] for row in B.num], B.den * qd)
+    shifted = _add_rank_one(B, (eps / B.rows,) * B.rows)
     return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 
 
@@ -156,20 +175,7 @@ def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
     """
     lam1 = spectrum.perron
     moved = lam1 + eps
-    (Bi, b), (Si, s) = (B.num, B.den), (shifted.num, shifted.den)
-    q = eps / len(Bi)
-    # over the integers: B' = Si/s, so B' - B = q entrywise iff
-    # q.den (b Si - s Bi) = q.num s b, and a row of B' sums to moved iff its
-    # integer sum times moved.den is moved.num s
-    gap = q.numerator * s * b
-    if any(
-        q.denominator * (b * x - s * y) != gap for rx, ry in zip(Si, Bi) for x, y in zip(rx, ry)
-    ):
-        raise CertificationError("the shifted matrix is not B + (eps/n) e e^T")
-    if any(sum(row) * moved.denominator != moved.numerator * s for row in Si):
-        raise CertificationError(
-            "a row of the shifted matrix does not sum to %s" % format_rational(moved)
-        )
+    _check_rank_one(B, shifted, (eps / B.rows,) * B.rows, moved, "B + (eps/n) e e^T")
     if eps and spectrum.multiplicity(moved):
         raise CertificationError(
             "shifted Perron root %s collides with another eigenvalue" % format_rational(moved)

@@ -34,9 +34,10 @@ A.  In exact mode it computes each diagonal block's char poly once, and
 perron_root_exact finds every block's spectral radius from it exactly, by a
 bisection over the integers with no float anywhere; lambda1 is the largest
 (or certified by the caller).  As det(xI - A) is the product of the block
-polys, lambda1 is simple iff exactly one block poly vanishes there, simply,
-and that block is the Perron block.  The decoupling and the transpose path
-reuse the same data.
+polys and an irreducible block carries its radius as a simple root and no
+root of larger modulus, lambda1 is simple iff exactly one block has radius
+lambda1, and that block is the Perron block.  The decoupling and the
+transpose path reuse the same data.
 In float mode structure.perron_eig decomposes each diagonal block once:
 lambda1 is the largest block root, no other eigenvalue of A may lie within
 1e-9 of it, its block is the Perron block, and each block is scaled by its
@@ -282,22 +283,21 @@ def perron_root_exact(blocks, polys):
     return lam, radii
 
 
-def _perron_block(polys, lam):
-    """Index of the one diagonal block that carries lam as a simple root.
-
-    det(xI - A) is the product of the block char polys, so the multiplicity
-    of lam in A is the sum of its multiplicities in the blocks.
-    """
-    mults = [next(i for i, t in enumerate(_taylor(p, lam)) if t) for p in polys]
-    if sum(mults) == 0:
+def _perron_block(radii, lam):
+    """Index of the one diagonal block whose radius (of perron_root_exact)
+    is lam = rho(A).  lam is a root of an irreducible block's char poly iff
+    it is the block's radius, and then a simple one (Perron-Frobenius), so
+    its multiplicity in A is the number of blocks with radius lam."""
+    hits = [ci for ci, r in enumerate(radii) if r == lam]
+    if not hits:
         raise SpectraError("internal error: no block carries the Perron root")
-    if sum(mults) > 1:
+    if len(hits) > 1:
         raise PerronNotSimple(
             "Perron root %s has algebraic multiplicity >= 2; the reduction to "
             "constant row sums requires a simple Perron root (witness class: "
             "[[1,0],[1,1]])" % format_rational(lam)
         )
-    return mults.index(1)
+    return hits[0]
 
 
 def _placement_order(members, edges, key) -> list:
@@ -524,9 +524,9 @@ class _ExactOps:
         """y with (lam I - K) y = rhs, or None when the system is singular."""
         return cls.solve_linear(_shifted(lam, K), rhs)
 
-    def perron_vector(self, block, lam, ci):
-        """Positive eigenvector of the irreducible block of component ci at
-        lam; at its own spectral radius when lam is None."""
+    def perron_vector(self, M, a, b, lam, ci):
+        """Positive eigenvector of the irreducible block M[a:b, a:b] of
+        component ci at lam; at its own spectral radius when lam is None."""
         if lam is None:
             lam = self.radii[ci]
             if lam is None:
@@ -534,7 +534,7 @@ class _ExactOps:
                     "a diagonal block has an irrational spectral radius; "
                     "rerun in float mode"
                 )
-        return _right_eigenvector_exact(block, lam)
+        return _right_eigenvector_exact(_sub(self, M, a, b), lam)
 
     left_vector = staticmethod(_left_eigenvector_exact)
 
@@ -565,8 +565,8 @@ class _FloatOps:
     def solve_shifted(cls, lam, K, rhs):
         return cls.solve_linear(lam * np.eye(K.shape[0]) - K, rhs)
 
-    def perron_vector(self, block, lam, ci):
-        return self.vectors[ci]  # block is component ci's, unchanged
+    def perron_vector(self, M, a, b, lam, ci):
+        return self.vectors[ci]  # M[a:b, a:b] is component ci's block, unchanged
 
     @staticmethod
     def left_vector(B, lam):
@@ -645,7 +645,7 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
     for i, (kind, payload, a, b) in enumerate(ranges):
         if kind == "cluster" or b - a == 1:
             continue
-        x = ops.perron_vector(_sub(ops, M, a, b), lam if i == 0 else None, payload)
+        x = ops.perron_vector(M, a, b, lam if i == 0 else None, payload)
         label = "perron" if i == 0 else "component-%d" % payload
         apply(_scale, (a, x), "block-scaling", {"block": label, "range": [a, b]})
 
@@ -744,7 +744,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
             if rho is None:
                 raise ModeError("the Perron root appears irrational; rerun in float mode")
             lam = rho
-        perron = _perron_block(polys, lam)
+        perron = _perron_block(radii, lam)
 
     transcript = []
     plan = _plan_from_graph(comps, edges, perron) if len(comps) > 1 else None

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,8 +110,8 @@ class TestGuoShift:
         assert calls == []
 
     def test_spectrum_claim_shares_the_char_poly_of_b(self, workdir, monkeypatch):
-        # char_poly runs once on B (the claim and the shift share it) and
-        # once on the shifted result
+        # char_poly runs once, on B: the claim and the shift share it, and
+        # the shifted result's check is derived (Brauer), not recomputed
         seen = []
         real = jcfcert.char_poly
 
@@ -125,7 +126,33 @@ class TestGuoShift:
         spectrum = write("s.json", CIRC_SPECTRUM)
         argv = ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum]
         assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
-        assert seen == [matrix_from_json(CIRC), RationalMatrix([["1/2", "5/2"], ["5/2", "1/2"]])]
+        assert seen == [matrix_from_json(CIRC)]
+
+    def test_no_claim_takes_one_char_poly(self, workdir, monkeypatch):
+        seen = []
+        real = perturb.char_poly
+        monkeypatch.setattr(perturb, "char_poly", lambda M: seen.append(M) or real(M))
+        tmp, write = workdir
+        out = tmp / "g.json"
+        assert dispatch(["guo-shift", "--in", write("B.json", CIRC), "--eps", "1", "--out", str(out)]) == 0
+        assert seen == [matrix_from_json(CIRC)]
+        assert json.loads(out.read_text())["result"]["entries"] == [["1/2", "5/2"], ["5/2", "1/2"]]
+
+    def test_result_beyond_the_digit_limit_is_one_error_line(self, workdir, capsys):
+        # every entry of B and eps fit the interpreter's int/str limit, but
+        # B + (eps/n) e e^T has denominators 2^13001 3^8000, about 7700 digits
+        tmp, write = workdir
+        entry = "1/%d" % 2**13000
+        infile = write("B.json", {"rows": 2, "cols": 2, "entries": [[entry] * 2] * 2})
+        out = tmp / "g.json"
+        argv = ["guo-shift", "--in", infile, "--eps", "1/%d" % 3**8000, "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: an output number has more than %d digits, past the interpreter's "
+            "limit for converting an integer to a string\n" % sys.get_int_max_str_digits()
+        )
+        assert not out.exists()
 
     def test_right_claim_with_colliding_q(self, workdir, capsys):
         tmp, write = workdir
@@ -429,6 +456,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [KeyError("x"), ValueError("bad value")])
+    def test_stray_key_or_value_error_is_one_error_line(self, workdir, capsys, monkeypatch, exc):
+        # no typed refusal should reach this branch; if one does, it is still
+        # worded as every refusal is
+        def raise_it(A, mode):
+            raise exc
+
+        monkeypatch.setattr(cli, "to_constant_row_sums", raise_it)
+        tmp, write = workdir
+        assert dispatch(["normalize", "--in", write("A.json", CIRC)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % exc
 
     @pytest.mark.parametrize("field, shape", [("rows", True), ("cols", 1.0), ("rows", "1")])
     def test_declared_shape_must_be_an_integer(self, workdir, capsys, field, shape):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nnspectra.core import RationalMatrix, Spectrum, char_poly, poly_from_roots
+from nnspectra.core import RationalMatrix, Spectrum, char_poly
 from nnspectra.errors import (
     ConstructionUnavailableError,
     DomainError,
@@ -28,6 +28,46 @@ from nnspectra.family5 import (
     torre_realizable,
     torre_realizable_point,
 )
+
+
+def _closed_form_coeffs(family: str, t0, t):
+    """(k2, k3, k4, k5) of a family list by the closed forms, the reference
+    for make_point's one expansion of the five linear factors."""
+    if family in ("t", "pm"):
+        k2 = -t * t + t0 * t - t0 * t0 + 5 * t0 - 15
+        k3 = -(6 - t0) * t * t + t0 * (6 - t0) * t - t0 * t0 + 5 * t0 - 10
+        k4 = 4 * ((t0 - 3) * t * t + t0 * (3 - t0) * t + 2 * t0 * t0 - 10 * t0 + 15)
+        k5 = 4 * (t - 3) * (t - t0 + 3) * (t0 - 2)
+    else:
+        k2 = -(t * t + t0 * t + t0 * t0 + 5 * t0 + 15)
+        k3 = -((t0 + 6) * t * t + t0 * (t0 + 6) * t + t0 * t0 + 5 * t0 + 10)
+        k4 = -4 * ((t0 + 3) * t * t + t0 * (t0 + 3) * t - 2 * t0 * t0 - 10 * t0 - 15)
+        k5 = 4 * (3 - t) * (t + t0 + 3) * (t0 + 2)
+    return (k2, k3, k4, k5)
+
+
+def test_closed_forms_and_zero_trace_hold_symbolically():
+    # the closed forms are polynomial identities in (t0, t): prove them once
+    # over sympy's polynomial ring, for the family templates that
+    # family_list returns at sample points
+    sympy = pytest.importorskip("sympy")
+    t0, t, x = sympy.symbols("t0 t x")
+    templates = {
+        "t": (3 + t - t0, 3 - t, -2 + t0, -2, -2),
+        "tprime": (3 + t + t0, 3 - t, -2, -2, -2 - t0),
+        "pm": (3 + t, 3 - t, -2, -2, -2),
+    }
+    samples = {"t": ("1", "4/5"), "tprime": ("1/2", "3/10"), "pm": ("0", "1/2")}
+    for family, template in templates.items():
+        at = dict(zip((t0, t), map(sympy.Rational, samples[family])))
+        assert [sympy.Rational(v) for v in family5.family_list(family, *samples[family])] == [
+            sympy.sympify(v).subs(at) for v in template
+        ]
+        expanded = sympy.Poly(sympy.prod(x - v for v in template), x).all_coeffs()
+        closed = _closed_form_coeffs(family, 0 if family == "pm" else t0, t)
+        assert expanded[0] == 1 and sympy.expand(expanded[1]) == 0  # trace zero
+        for k, c in zip(expanded[2:], closed):
+            assert sympy.expand(k - c) == 0
 
 
 class TestMakePoint:
@@ -57,8 +97,8 @@ class TestMakePoint:
                     p = make_point(fam, t0, t)
             except DomainError:
                 continue
-            # make_point cross-checks internally; also re-verify here
-            assert poly_from_roots(p.values)[2:] == list(p.coeffs)
+            # make_point expands the factors once; the closed forms are the reference
+            assert list(p.coeffs) == list(_closed_form_coeffs(fam, p.t0, p.t))
             assert sum(p.values) == 0
             count += 1
 

@@ -13,6 +13,7 @@ from nnspectra.core import (
     Spectrum,
     char_poly,
     companion_matrix,
+    poly_eval,
     poly_from_roots,
     poly_mul,
     synthetic_div,
@@ -99,6 +100,49 @@ class TestRankOneShift:
                 quotient, [F(1), -(lam + eps)]
             )
             assert shifted.row_sums() == tuple([lam + eps] * n)
+
+    def test_factor_swap_oracle_on_uniform_and_non_uniform_q(self):
+        # rank_one_shift checks only that it built B + e q^T; the factor
+        # swap is Brauer's theorem, recomputed here as the reference
+        rng = random.Random(79)
+        outcomes = set()
+        for trial in range(100):
+            B, values = random_cs_matrix(rng, rng.randint(2, 5))
+            lam = max(values)
+            if trial % 5 == 4:  # lambda1 twice
+                zero = RationalMatrix.zeros(B.rows, B.rows)
+                B = RationalMatrix.from_blocks([[B, zero], [zero, B]])
+            n = B.rows
+            quotient, _ = synthetic_div(char_poly(B), lam)
+            if trial % 5 == 0:
+                q = [F(rng.randint(0, 4), rng.randint(1, 3)) / n] * n
+            elif trial % 5 == 3:
+                # sum(q) moves lambda1 onto another eigenvalue
+                q = [F(0)] * n
+                q[rng.randrange(n)] = min(values) - lam
+            else:
+                q = [F(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(n)]
+            moved = lam + sum(q)
+            try:
+                shifted = rank_one_shift(B, q)
+                outcomes.add("nonnegative")
+            except NonnegativityLossError as err:
+                shifted = err.matrix
+                outcomes.add("negative")
+            except CollisionError:
+                assert moved != lam and poly_eval(quotient, moved) == 0
+                outcomes.add("collision")
+                continue
+            except PerronNotSimple:
+                assert poly_eval(quotient, lam) == 0
+                outcomes.add("not simple")
+                continue
+            assert trial % 5 != 4
+            assert shifted == RationalMatrix(
+                [[v + q[j] for j, v in enumerate(row)] for row in B.entries()]
+            )
+            assert char_poly(shifted) == poly_mul(quotient, [F(1), -moved])
+        assert outcomes == {"nonnegative", "negative", "collision", "not simple"}
 
     def test_weyr_unchanged_at_other_eigenvalues(self):
         rng = random.Random(73)

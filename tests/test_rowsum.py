@@ -10,6 +10,7 @@ from nnspectra.cli import dispatch
 from nnspectra.core import (
     FloatMatrix,
     RationalMatrix,
+    _taylor,
     char_poly,
     determinant,
     inverse,
@@ -857,6 +858,63 @@ def test_perron_root_exact_against_sympy():
         tops.append((A, top))
     assert sum(top.is_Rational for _, top in tops) >= 100
     assert sum(not top.is_Rational for _, top in tops) >= 100
+
+
+def _taylor_multiplicities(polys, lam):
+    """The multiplicity of lam in each block char poly, from its Taylor
+    coefficients at lam: the reference for _perron_block's count of radii."""
+    return [next(i for i, t in enumerate(_taylor(p, lam)) if t) for p in polys]
+
+
+def test_perron_block_from_radii_matches_taylor_multiplicities():
+    # criterion-5 planted layouts, the two witnesses, and blocks that tie
+    # at the Perron root
+    rng = random.Random(2024)
+    inputs = [random_realization_with_rational_spectrum(rng)[0] for _ in range(150)]
+    inputs += [
+        RationalMatrix([[1, 0], [1, 1]]),
+        RationalMatrix([[2, 0, 0], [0, 2, 0], [2, 0, 1]]),
+        RationalMatrix([[0, 2, 0], [2, 0, 0], [1, 0, 2]]),
+        RationalMatrix([[0, 0], [1, 0]]),
+    ]
+    refused = 0
+    for A in inputs:
+        comps, _ = _components(A)
+        blocks = [A.submatrix(c, c) for c in comps]
+        polys = [char_poly(B) for B in blocks]
+        lam, radii = rowsum.perron_root_exact(blocks, polys)
+        mults = _taylor_multiplicities(polys, lam)
+        if sum(mults) == 1:
+            assert rowsum._perron_block(radii, lam) == mults.index(1)
+        else:
+            refused += 1
+            with pytest.raises(PerronNotSimple, match="algebraic multiplicity >= 2"):
+                rowsum._perron_block(radii, lam)
+    assert refused == 4
+
+
+def test_float_scaling_builds_no_block_array(monkeypatch):
+    # a scaled block's Perron vector comes from the component pass, so float
+    # mode builds arrays only for the lifts, the cluster scalings, the one
+    # left vector, the Sylvester system and the result's B and S
+    built = []
+
+    def matrix_spy(rows):
+        built.append(rows)
+        return np.array(rows)
+
+    monkeypatch.setattr(rowsum._FloatOps, "matrix", staticmethod(matrix_spy))
+    solves = ("lemma1-lift", "cluster-scaling", "sylvester-decoupling")
+    scaled = 0
+    for _, A in _layout_inputs(
+        {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}, 48
+    ):
+        built.clear()
+        kinds = [s.kind for s in to_constant_row_sums(A, mode="float").transcript]
+        coupled = any(k.startswith("lemma2-coupling") for k in kinds)
+        assert len(built) == sum(k.startswith(solves) for k in kinds) + coupled + 2
+        scaled += kinds.count("block-scaling") + kinds.count("diagonal-scaling")
+    assert scaled >= 48
 
 
 class TestSimilarityToTranspose:
