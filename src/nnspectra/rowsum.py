@@ -26,8 +26,10 @@ whenever Q W - W R = -Y (Roth's removal rule).  That is one exact solve in
 blocks are A's own, and R's blocks, now isolated, are coupled back in by
 the usual shear.  Only when the two sides share an eigenvalue does exact
 mode reduce A^T instead, through an X with A X = X A^T from the kernel of
-an n^2 x n^2 Sylvester system; float mode then refuses.  The simple-root
-hypothesis cannot be dropped: [[1,0],[1,1]] has no such B.
+an n^2 x n^2 Sylvester system, and refuse when A^T's two sides share one
+too; float mode refuses at once.  _reduce is the one place that decouples
+and plans, for A and for A^T, in both modes.  The simple-root hypothesis
+cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
 A.  In exact mode it computes each diagonal block's char poly once, and
@@ -181,7 +183,8 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     (computed when omitted, normalized to max entry 1).  Returns (S, A3)
     where S = [[I,0],[-e z^T, I]] satisfies
     S^-1 diag(A1,A2) S = [[A1,0],[A3,A2]] and every row of A3 equals
-    (lambda1 - rho(A2)) z^T.
+    (lambda1 - rho(A2)) z^T: the absorb loop's shear step, run on
+    diag(A1, A2).
     """
     lam = constant_row_sum_value(A1)
     if lam is None:
@@ -207,16 +210,12 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
     resid = tuple(a - lam * b for a, b in zip(A1.transpose().mat_vec(z), z))
     if any(v != 0 for v in resid):
         raise DomainError("z is not a left eigenvector of A1 at lambda1")
-    zmax = max(z)
-    z = tuple(v / zmax for v in z)
-    n1, n2 = A1.rows, A2.rows
-    n, zero, one = n1 + n2, Fraction(0), Fraction(1)
-    S = RationalMatrix._of(
-        [[-z[j] if j < n1 <= i else one if i == j else zero for j in range(n)] for i in range(n)]
-    )
-    coeff = lam - rho2
-    A3 = RationalMatrix._of([[coeff * zj for zj in z] for _ in range(n2)])
-    return S, A3
+    z = [v / max(z) for v in z]
+    n1, n2, zero = A1.rows, A2.rows, _ExactOps.zero
+    rows = [r + (zero,) * n2 for r in A1.entries()] + [(zero,) * n1 + r for r in A2.entries()]
+    M, S = _start(rows, range(n1 + n2), _ExactOps.one, zero)
+    _shear(M, S, n1, n1 + n2, z)
+    return RationalMatrix._of(S), RationalMatrix._of([row[:n1] for row in M[n1:]])
 
 
 def _left_eigenvector_exact(B, lam):
@@ -332,16 +331,14 @@ def _reach(count, edges, perron):
     return reach
 
 
-def _plan_from_graph(comps, edges, perron):
-    """(permutation, ranges) of the absorb plan; None when the Perron chain leaks outward.
+def _plan_from_graph(comps, edges, perron, reach):
+    """(permutation, ranges) of the absorb plan, for edges by which the
+    Perron side reach (of _reach) feeds no other block.
 
     Each range is (kind, payload, start, stop) in permuted coordinates, kind
     "block" (payload a component index) or "cluster" (payload a list of
     them); the Perron block comes first, then the blocks that reach it.
     """
-    reach = _reach(len(comps), edges, perron)
-    if any(u in reach and w not in reach for u, w in edges):
-        return None  # the Perron chain feeds an unreachable block
 
     def first(ci):
         return comps[ci][0]
@@ -426,26 +423,28 @@ def _sylvester_decoupling(ops, rows, q, r):
     return D, T
 
 
-def _absorb_decoupled(ops, rows, comps, edges, perron, lam, transcript):
-    """(B, S) for a layout whose Perron chain leaks outward, A given by its
-    rows; None when the two sides of the decoupling share an eigenvalue.
+def _reduce(ops, rows, comps, edges, perron, lam, transcript):
+    """(B, S) with S^-1 A S = B in CS_lam form, for A given by its rows;
+    None when the Perron side feeds other blocks and shares an eigenvalue
+    with them.
 
-    The Perron side is the Perron block and every block that reaches it;
-    once _sylvester_decoupling has set the entries by which it feeds the
-    other blocks to 0, those blocks are isolated, and the plan of the
-    decoupled matrix D, the same graph without those edges, always exists.
-    _absorb starts S at T, so S^-1 A S = B.
+    When the Perron side (of _reach) feeds other blocks, _sylvester_decoupling
+    first sets those entries to 0 and starts S at its T; the plan is then
+    that of the graph without those edges.
     """
     reach = _reach(len(comps), edges, perron)
-    q = sorted(v for ci in reach for v in comps[ci])
-    r = sorted(v for ci, comp in enumerate(comps) if ci not in reach for v in comp)
-    decoupled = _sylvester_decoupling(ops, rows, q, r)
-    if decoupled is None:
-        return None
-    transcript.append(RowSumStep("sylvester-decoupling", {"perron-side": q, "decoupled": r}))
-    kept = {(u, w) for u, w in edges if u not in reach or w in reach}
-    D, T = decoupled
-    return _absorb(ops, D, lam, _plan_from_graph(comps, kept, perron), transcript, T)
+    leaks = {(u, w) for u, w in edges if u in reach and w not in reach}
+    T = None
+    if leaks:
+        q = sorted(v for ci in reach for v in comps[ci])
+        r = sorted(v for ci, comp in enumerate(comps) if ci not in reach for v in comp)
+        decoupled = _sylvester_decoupling(ops, rows, q, r)
+        if decoupled is None:
+            return None
+        transcript.append(RowSumStep("sylvester-decoupling", {"perron-side": q, "decoupled": r}))
+        rows, T = decoupled
+    plan = _plan_from_graph(comps, edges - leaks, perron, reach)
+    return _absorb(ops, rows, lam, plan, transcript, T)
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +555,13 @@ class _FloatOps:
 
     @staticmethod
     def solve_linear(K, rhs):
-        try:
-            return np.linalg.solve(K, rhs).tolist()
-        except np.linalg.LinAlgError:
+        """x with K x = rhs, or None when K is numerically singular: its
+        smallest singular value is at most n eps times its largest, the
+        rank rule of np.linalg.matrix_rank."""
+        sigma = np.linalg.svd(K, compute_uv=False)
+        if sigma[-1] <= K.shape[0] * np.finfo(float).eps * sigma[0]:
             return None
+        return np.linalg.solve(K, rhs).tolist()
 
     @classmethod
     def solve_shifted(cls, lam, K, rhs):
@@ -747,21 +749,15 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         perron = _perron_block(radii, lam)
 
     transcript = []
-    plan = _plan_from_graph(comps, edges, perron) if len(comps) > 1 else None
     if len(comps) == 1:
         x = _right_eigenvector_exact(A, lam)
         B, S = _integer_diagonal_similarity(A, x)
         transcript.append(
             RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
         )
-    elif plan is not None:
-        B, S = _absorb(_ExactOps(radii), A.entries(), lam, plan, transcript)
     else:
-        # the Perron side feeds other blocks: decouple it from them, or
-        # reduce A^T when the two sides share an eigenvalue
-        result = _absorb_decoupled(
-            _ExactOps(radii), A.entries(), comps, edges, perron, lam, transcript
-        )
+        # A^T when the Perron side shares an eigenvalue with a block it feeds
+        result = _reduce(_ExactOps(radii), A.entries(), comps, edges, perron, lam, transcript)
         B, S = result or _via_transpose(A, comps, perron, radii, lam, transcript)
     return RowSumResult(B, S, transcript, "exact", lam)
 
@@ -777,8 +773,9 @@ def _via_transpose(A, comps, perron, radii, lam, transcript):
     decoupling cannot split because its two sides share an eigenvalue.
 
     The components are renumbered as Tarjan numbers them on A^T, and S is
-    X S' for an X with A X = X A^T and the similarity S' of the reduction.
-    Orders above MAX_TRANSPOSE_ORDER are refused before any of it is built.
+    X S' for an X with A X = X A^T and the similarity S' of the reduction,
+    which may decouple A^T's own Perron side first.  Orders above
+    MAX_TRANSPOSE_ORDER are refused before any of it is built.
     """
     if A.rows > MAX_TRANSPOSE_ORDER:
         raise DomainError(
@@ -788,19 +785,19 @@ def _via_transpose(A, comps, perron, radii, lam, transcript):
         )
     At = A.transpose()
     comps_t, edges_t = _components(At)
-    plan = _plan_from_graph(comps_t, edges_t, comps_t.index(comps[perron]))
-    if plan is None:
-        raise UnsupportedLayoutError(
-            "the Perron side shares an eigenvalue with the blocks it feeds, "
-            "and the reducible layout entangles the Perron block in both "
-            "directions; this reduction is not implemented"
-        )
     transcript.append(
         RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
     )
     ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-    B, S = _absorb(ops, At.entries(), lam, plan, transcript)
-    return B, similarity_to_transpose(A) @ S
+    result = _reduce(
+        ops, At.entries(), comps_t, edges_t, comps_t.index(comps[perron]), lam, transcript
+    )
+    if result is None:
+        raise UnsupportedLayoutError(
+            "the Perron side shares an eigenvalue with the blocks it feeds, "
+            "both in A and in A^T; this reduction is not implemented"
+        )
+    return result[0], similarity_to_transpose(A) @ result[1]
 
 
 def _verify_exact(A, B, S, lam):
@@ -896,20 +893,15 @@ def _to_cs_float(arr) -> RowSumResult:
         B, S = ops.matrix(M), ops.matrix(S)
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
-        perron = close.index(1)
-        plan = _plan_from_graph(comps, edges, perron)
-        if plan is not None:
-            B, S = _absorb(ops, arr.tolist(), lam, plan, transcript)
-        else:
-            # float mode has no transpose fallback for a shared eigenvalue
-            result = _absorb_decoupled(ops, arr.tolist(), comps, edges, perron, lam, transcript)
-            if result is None:
-                raise UnsupportedLayoutError(
-                    "float mode needs the Perron side and the blocks it feeds "
-                    "to have disjoint spectra; this input has a singular "
-                    "Sylvester system"
-                )
-            B, S = result
+        # float mode has no transpose fallback for a shared eigenvalue
+        result = _reduce(ops, arr.tolist(), comps, edges, close.index(1), lam, transcript)
+        if result is None:
+            raise UnsupportedLayoutError(
+                "float mode needs the Perron side and the blocks it feeds "
+                "to have disjoint spectra; this input has a singular "
+                "Sylvester system"
+            )
+        B, S = result
     _verify_float(arr, B, S, lam)
     return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam)
 

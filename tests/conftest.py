@@ -179,6 +179,48 @@ def planted_reducible(rng: random.Random, layout: str):
     return A, values
 
 
+def entangled_transposed(rng: random.Random):
+    """(matrix, spectrum values) of a planted layout X -> P -> Z plus an
+    isolated Y, with P the Perron block, fed by X and feeding Z.
+
+    Y shares an eigenvalue with X, so the Perron side {P, X} of the matrix
+    shares one with the blocks {Z, Y} it is decoupled from; on the
+    transpose, the Perron side {P, Z} and the rest {X, Y} have disjoint
+    spectra.  The blocks are placed in a random order and diagonally
+    scrambled; the Perron root is simple and strictly dominant.  A separate
+    generator, so that random_layout_realization's stream stays as it is.
+    """
+    while True:
+        x = suleimanova_values(rng, rng.randint(1, 2))
+        y = [x[0]] if rng.random() < 0.5 else list(x)
+        z = suleimanova_values(rng, rng.randint(1, 2))
+        if not set(x + y).isdisjoint(z):
+            continue
+        p = suleimanova_values(rng, rng.randint(1, 3))
+        p[0] = max([p[0]] + [abs(v) for v in x + z]) + Fraction(rng.randint(1, 8), 2)
+        if set(x + y).isdisjoint(p):
+            break
+    blocks = {
+        name: companion_matrix(poly_from_roots(values)) if len(values) > 1 else RationalMatrix([values])
+        for name, values in (("P", p), ("X", x), ("Y", y), ("Z", z))
+    }
+    order = list(blocks)
+    rng.shuffle(order)
+    grid = [
+        [
+            blocks[u] if u == w else RationalMatrix.zeros(blocks[u].rows, blocks[w].cols)
+            for w in order
+        ]
+        for u in order
+    ]
+    for u, w in (("X", "P"), ("P", "Z")):
+        grid[order.index(u)][order.index(w)] = _random_coupling_block(
+            rng, blocks[u].rows, blocks[w].cols
+        )
+    A = RationalMatrix.from_blocks(grid)
+    return diag_conjugate(A, random_positive_diagonal(rng, A.rows)), p + x + y + z
+
+
 def random_realization_with_rational_spectrum(rng: random.Random):
     """Random nonnegative matrix (n <= 8) with known rational spectrum and a
     verified-simple rational Perron root, scrambled by similarity."""

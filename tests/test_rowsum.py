@@ -42,6 +42,7 @@ from nnspectra.rowsum import (
 from test_core import _from_sympy, _to_sympy
 from conftest import (
     diag_conjugate,
+    entangled_transposed,
     random_layout_realization,
     random_realization_with_rational_spectrum,
     scramble,
@@ -283,16 +284,20 @@ class TestToConstantRowSums:
         assert solve(result.S, A @ result.S) == result.B
 
     def test_shared_eigenvalue_falls_back_to_transpose(self):
-        # R = [[0,1],[1,0]] and P = [[1,2],[2,1]] share the eigenvalue -1, so
-        # the Sylvester system of the decoupling is singular; the transpose
-        # path still certifies, and float mode, which has no fallback, refuses
-        A = RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 1, 2], [0, 0, 2, 1]])
-        result = to_constant_row_sums(A, mode="exact")
-        assert result.transcript[0].kind == "transpose-similarity"
-        assert result.lam == 3 and result.B.is_nonnegative
-        assert solve(result.S, A @ result.S) == result.B
-        with pytest.raises(UnsupportedLayoutError, match="singular Sylvester system"):
-            to_constant_row_sums(A, mode="float")
+        # R = [[0,c],[1/c,0]] and P = [[1,2],[2,1]] share the eigenvalue -1,
+        # so the Sylvester system of the decoupling is singular; the
+        # transpose path still certifies, and float mode, which has no
+        # fallback, refuses, also for c = 1/3 and 3/10, where the float
+        # system is singular only numerically (condition numbers about
+        # 5e18 and 2e17, past numpy's rank rule)
+        for c in (F(1), F(1, 3), F(3, 10)):
+            A = RationalMatrix([[0, c, 0, 0], [1 / c, 0, 0, 0], [1, 0, 1, 2], [0, 0, 2, 1]])
+            result = to_constant_row_sums(A, mode="exact")
+            assert result.transcript[0].kind == "transpose-similarity"
+            assert result.lam == 3 and result.B.is_nonnegative
+            assert solve(result.S, A @ result.S) == result.B
+            with pytest.raises(UnsupportedLayoutError, match="singular Sylvester system"):
+                to_constant_row_sums(A, mode="float")
 
     def test_entangled_layout_with_disjoint_spectra(self):
         # P = [[1,2],[2,1]] feeds L = [1/2] and is fed by H = [1]; H reaches
@@ -311,10 +316,25 @@ class TestToConstantRowSums:
         assert np.max(np.abs(approx.B.array - to_float(exact.B).array)) <= 1e-12
 
     def test_middle_perron_unsupported(self):
-        # Perron block feeds an earlier block AND is fed by a later one
+        # Perron block feeds an earlier block AND is fed by a later one: in A
+        # and in A^T alike, one outer block is on the Perron side and the
+        # other is not, and both have the eigenvalue 1
         A = RationalMatrix([[1, 0, 0], [1, 2, 0], [0, 1, 1]])
-        with pytest.raises(UnsupportedLayoutError):
+        with pytest.raises(UnsupportedLayoutError, match="both in A and in A\\^T"):
             to_constant_row_sums(A, mode="exact")
+
+    def test_transposed_layout_needing_a_decoupling(self):
+        # X = [1] -> P = [3] -> Z = [2], and an isolated Y = [1]: the Perron
+        # side {P, X} of A shares 1 with {Z, Y}; on A^T the Perron side is
+        # {P, Z}, disjoint from {X, Y}, so the transpose is decoupled
+        A = RationalMatrix([[3, 0, 1, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+        result = to_constant_row_sums(A, mode="exact")
+        kinds = [s.kind for s in result.transcript]
+        assert kinds[:2] == ["transpose-similarity", "sylvester-decoupling"]
+        assert result.lam == 3
+        _sympy_certifies(A, result)
+        with pytest.raises(UnsupportedLayoutError, match="singular Sylvester system"):
+            to_constant_row_sums(A, mode="float")
 
     def test_trivial_sizes(self):
         assert to_constant_row_sums(RationalMatrix([[0]]), mode="exact").B == RationalMatrix([[0]])
@@ -806,18 +826,61 @@ def test_exact_results_hold_fractions():
     assert all(type(v) is F for M in matrices for row in M.entries() for v in row)
 
 
-def test_bottom_layouts_take_sylvester_decoupling():
-    # independent oracle: sympy checks A S = S B, B >= 0 in CS form and det S != 0
+def _sympy_certifies(A, result):
+    """Independent oracle: sympy checks A S = S B, B >= 0 in CS form and
+    det S != 0."""
     sympy = pytest.importorskip("sympy")
+    As, Bs, Ss = (_to_sympy(M) for M in (A, result.B, result.S))
+    assert As * Ss == Ss * Bs
+    assert all(v >= 0 for v in Bs)
+    assert Ss.det() != 0
+    lam = sympy.Rational(result.lam.numerator, result.lam.denominator)
+    assert Bs * sympy.ones(A.rows, 1) == lam * sympy.ones(A.rows, 1)
+
+
+def test_bottom_layouts_take_sylvester_decoupling():
     for _, A in _layout_inputs({"bottom"}, 24):
         result = to_constant_row_sums(A, mode="exact")
         assert result.transcript[0].kind == "sylvester-decoupling"
-        As, Bs, Ss = (_to_sympy(M) for M in (A, result.B, result.S))
-        assert As * Ss == Ss * Bs
-        assert all(v >= 0 for v in Bs)
-        assert Ss.det() != 0
-        lam = sympy.Rational(result.lam.numerator, result.lam.denominator)
-        assert Bs * sympy.ones(A.rows, 1) == lam * sympy.ones(A.rows, 1)
+        _sympy_certifies(A, result)
+
+
+def test_entangled_transposed_layouts_decouple_the_transpose():
+    # the Sylvester decoupling of A meets a shared eigenvalue, that of A^T
+    # does not: exact mode certifies through both, float mode refuses
+    rng = random.Random(2063)
+    for _ in range(24):
+        A, _ = entangled_transposed(rng)
+        result = to_constant_row_sums(A, mode="exact")
+        kinds = [s.kind for s in result.transcript]
+        assert kinds[:2] == ["transpose-similarity", "sylvester-decoupling"]
+        _sympy_certifies(A, result)
+        with pytest.raises(UnsupportedLayoutError, match="singular Sylvester system"):
+            to_constant_row_sums(A, mode="float")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_reduction_plans_once(monkeypatch, mode):
+    # one _reach and one _plan_from_graph per reduction, also where the
+    # Perron side is decoupled first
+    calls = []
+
+    def spy(name):
+        real = getattr(rowsum, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(rowsum, name, counted)
+
+    spy("_reach")
+    spy("_plan_from_graph")
+    for _, A in _layout_inputs({"bottom"}, 12):
+        calls.clear()
+        result = to_constant_row_sums(A, mode=mode)
+        assert "sylvester-decoupling" in [s.kind for s in result.transcript]
+        assert sorted(calls) == ["_plan_from_graph", "_reach"]
 
 
 def _irreducible_sample(rng, i):
