@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -47,13 +48,26 @@ def _load_json(path):
             raise DomainError("%s: %s" % (path, exc)) from None
 
 
-def _dump_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_text(text, path):
+    """text to the file at path, or to stdout when path is None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _dump_json(obj, path):
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
+def _demo_artifact(result):
+    """A demo result's fields under their own names, tuples of values as
+    lists of rational strings."""
+    out = {"schema": SCHEMA_VERSION}
+    for name, value in dataclasses.asdict(result).items():
+        out[name] = [format_rational(v) for v in value] if isinstance(value, tuple) else value
+    return out
 
 
 def _matrix_arg(path) -> RationalMatrix:
@@ -162,12 +176,7 @@ def cmd_region(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t0", "t", "torre", "boundary_member", "symmetric"])
     writer.writerows(rows)
-    text = buf.getvalue()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(buf.getvalue(), args.out)
     return 0
 
 
@@ -240,19 +249,7 @@ def cmd_demo(args) -> int:
 
     # 3: Perron-up / third-entry-down collapse blocks the diagonalizable path
     guo = family5.demo_guo_collapse()
-    path = os.path.join(args.out_dir, "demo_perron_collapse.json")
-    _dump_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "original": [format_rational(v) for v in guo.original],
-            "original_in_region": guo.original_member,
-            "collapsed": [format_rational(v) for v in guo.collapsed],
-            "collapsed_realizable_as_list": guo.collapsed_list_realizable,
-            "symmetric_flag_t_ge_1": guo.spector_flag,
-            "diagonalizable_path_error": guo.diagonalizable_path_error,
-        },
-        path,
-    )
+    _dump_json(_demo_artifact(guo), os.path.join(args.out_dir, "demo_perron_collapse.json"))
     report.append(
         "## Perron-shift collapse\n\n"
         "Raising the Perron entry by t0 while lowering the third entry by t0 "
@@ -268,18 +265,7 @@ def cmd_demo(args) -> int:
 
     # 4: union obstruction search
     union = family5.demo_union_obstruction(samples=args.samples, seed=args.seed)
-    path = os.path.join(args.out_dir, "demo_union_search.json")
-    _dump_json(
-        {
-            "schema": SCHEMA_VERSION,
-            "samples": union.samples,
-            "forbidden_jordan_hits": union.forbidden_hits,
-            "perron_diagonal_samples": union.perron_diagonal_samples,
-            "perron_diagonal_with_nonzero_coupling": union.perron_diagonal_with_coupling,
-            "weyr_histogram": union.weyr_histogram,
-        },
-        path,
-    )
+    _dump_json(_demo_artifact(union), os.path.join(args.out_dir, "demo_union_search.json"))
     report.append(
         "## Union obstruction search\n\n"
         "%d random block realizations of {1, 1, -1, -1}: %d carried the "
@@ -288,20 +274,17 @@ def cmd_demo(args) -> int:
         "coupling (%d of %d).\n"
         % (
             union.samples,
-            union.forbidden_hits,
-            union.perron_diagonal_samples - union.perron_diagonal_with_coupling,
+            union.forbidden_jordan_hits,
+            union.perron_diagonal_samples - union.perron_diagonal_with_nonzero_coupling,
             union.perron_diagonal_samples,
         )
     )
-    if union.forbidden_hits:
+    if union.forbidden_jordan_hits:
         return 2
 
     # 5: forced-decoupling algebra, numerically
     forced = family5.demo_forced_coupling(samples=5, seed=args.seed + 1)
-    path = os.path.join(args.out_dir, "demo_forced_decoupling.json")
-    _dump_json(
-        {"schema": SCHEMA_VERSION, "instances": forced.instances}, path
-    )
+    _dump_json(_demo_artifact(forced), os.path.join(args.out_dir, "demo_forced_decoupling.json"))
     report.append(
         "## Forced decoupling\n\n"
         "For block realizations of {1, 1, -1, -1}, the cubic minimal "
@@ -311,10 +294,7 @@ def cmd_demo(args) -> int:
         "exactly when the coupling C is zero.\n"
     )
 
-    with open(
-        os.path.join(args.out_dir, "report.md"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write("\n".join(report))
+    _write_text("\n".join(report), os.path.join(args.out_dir, "report.md"))
     return 0
 
 

@@ -200,19 +200,39 @@ def torre_realizable_point(point: Family5Point) -> TorreVerdict:
 
 PM_THRESHOLD = math.sqrt(16 * math.sqrt(6) - 39)
 
+# per family: the predicate of its open region in the (t0, t) plane, the
+# region's wording in refusals, and the box (t0 <= t0_max, t <= t_max) that
+# holds the region; t0 ranges over 0 < t0 < t0_max (t0 = 0 when t0_max = 0)
+_REGIONS = {
+    "t": (lambda t0, t: 0 < t0 < 2 * t < 2, "0 < t0 < 2t < 2", (2, 1)),
+    "tprime": (lambda t0, t: t0 > 0 and t > 0 and t0 + t < 1, "t0, t > 0 and t0 + t < 1", (1, 1)),
+    "pm": (lambda t0, t: t0 == 0 and 0 < t <= 3, "t0 = 0 and 0 < t <= 3", (0, 3)),
+}
+
+
+def _region(family: str):
+    if family not in _REGIONS:
+        raise DomainError("unknown family %r" % family)
+    return _REGIONS[family]
+
 
 def region_boundary(family: str, t0) -> float:
     """Lower boundary of t for realizability (not symmetrically realizable)."""
-    t0f = float(rat(t0))
+    t0_max = _region(family)[2][0]
+    t0 = rat(t0)
+    _require(
+        0 < t0 < t0_max or t0 == t0_max == 0,
+        "family %s boundary needs %s (got t0 = %s)"
+        % (family, "0 < t0 < %d" % t0_max if t0_max else "t0 = 0", t0),
+    )
+    t0f = float(t0)
     if family == "pm":
         return PM_THRESHOLD
     if family == "t":
         inner = 16 * math.sqrt(6 - t0f) * (4 - t0f) - 3 * t0f**2 + 52 * t0f - 156
         return (t0f + math.sqrt(inner)) / 2
-    if family == "tprime":
-        inner = 16 * math.sqrt(6 + t0f) * (4 + t0f) - 3 * t0f**2 - 52 * t0f - 156
-        return (-t0f + math.sqrt(inner)) / 2
-    raise DomainError("unknown family %r" % family)
+    inner = 16 * math.sqrt(6 + t0f) * (4 + t0f) - 3 * t0f**2 - 52 * t0f - 156
+    return (-t0f + math.sqrt(inner)) / 2
 
 
 @dataclass(frozen=True)
@@ -225,32 +245,22 @@ class RegionVerdict:
 def region_member(family: str, t0, t) -> RegionVerdict:
     """Membership in the realizable-but-not-symmetric region of the family.
 
-    The domain is the open triangle T (family t: 0 < t0 < 2t < 2) or
-    R (family tprime: t0, t > 0, t0 + t < 1); family pm uses the threshold
-    sqrt(16 sqrt(6) - 39) on 0 < t <= 3.  The symmetric flag is t >= 1.
+    The domain is the family's open region in _REGIONS: the triangle T
+    (family t: 0 < t0 < 2t < 2), R (family tprime: t0, t > 0, t0 + t < 1)
+    or, for family pm, 0 < t <= 3 with the threshold sqrt(16 sqrt(6) - 39).
+    The symmetric flag is spector_symmetric_flag(t), t >= 1.
     """
     t0 = rat(t0)
     t = rat(t)
-    if family == "t":
-        _require(
-            0 < t0 < 2 * t < 2,
-            "family t region needs 0 < t0 < 2t < 2 (got t0 = %s, t = %s)" % (t0, t),
-        )
-    elif family == "tprime":
-        _require(
-            t0 > 0 and t > 0 and t0 + t < 1,
-            "family tprime region needs t0, t > 0 and t0 + t < 1 "
-            "(got t0 = %s, t = %s)" % (t0, t),
-        )
-    elif family == "pm":
-        _require(t0 == 0, "family pm has no t0 parameter")
-        _require(0 < t <= 3, "family pm needs 0 < t <= 3")
-    else:
-        raise DomainError("unknown family %r" % family)
+    inside, wording, _ = _region(family)
+    _require(
+        inside(t0, t),
+        "family %s region needs %s (got t0 = %s, t = %s)" % (family, wording, t0, t),
+    )
     boundary = region_boundary(family, t0)
     return RegionVerdict(
         member=float(t) >= boundary,
-        symmetric_realizable=t >= 1,
+        symmetric_realizable=spector_symmetric_flag(t),
         boundary=boundary,
     )
 
@@ -446,46 +456,38 @@ def diagonalizable_realization(point: Family5Point, d1=None) -> RealizationCerti
 
 @dataclass
 class GuoFailureDemo:
-    t0: Fraction
-    t: Fraction
     original: tuple
-    original_member: bool
+    original_in_region: bool
     collapsed: tuple
-    collapsed_t: Fraction
-    spector_flag: bool
-    collapsed_list_realizable: bool
+    collapsed_realizable_as_list: bool
+    symmetric_flag_t_ge_1: bool
     diagonalizable_path_error: str
 
 
-def demo_guo_collapse(t0="1", t="4/5") -> GuoFailureDemo:
+def demo_guo_collapse() -> GuoFailureDemo:
     """Perron-up/eigenvalue-down perturbation landing outside the
     diagonalizable construction.
 
-    Start at a family-t point with t < 1 inside its region (universally
-    realizable), raise the Perron entry by t0 and lower the third entry by
-    t0.  The collapsed list {3+t, 3-t, -2, -2, -2} is realizable as a list,
-    but every diagonalizable realization of it needs t >= 1, and the bonding
-    construction degenerates (repeated -2 in the sub-list), so the
-    diagonalizable path is unavailable.
+    Start at the family-t point t0 = 1, t = 4/5 < 1 inside its region
+    (universally realizable), raise the Perron entry by t0 and lower the
+    third entry by t0.  The collapsed list {3+t, 3-t, -2, -2, -2} is
+    realizable as a list, but every diagonalizable realization of it needs
+    t >= 1, and the bonding construction degenerates (repeated -2 in the
+    sub-list), so the diagonalizable path is unavailable.
     """
-    point = make_point("t", t0, t)
-    member = region_member("t", point.t0, point.t).member
+    point = make_point("t", 1, Fraction(4, 5))
     collapsed_point = make_point("pm", 0, point.t)
-    pm_verdict = torre_realizable_point(collapsed_point)
     try:
         diagonalizable_realization(collapsed_point)
         error_text = ""
     except ConstructionUnavailableError as exc:
         error_text = str(exc)
     return GuoFailureDemo(
-        t0=point.t0,
-        t=point.t,
         original=point.values,
-        original_member=member,
+        original_in_region=region_member("t", point.t0, point.t).member,
         collapsed=collapsed_point.values,
-        collapsed_t=point.t,
-        spector_flag=spector_symmetric_flag(point.t),
-        collapsed_list_realizable=pm_verdict.realizable,
+        collapsed_realizable_as_list=torre_realizable_point(collapsed_point).realizable,
+        symmetric_flag_t_ge_1=spector_symmetric_flag(point.t),
         diagonalizable_path_error=error_text,
     )
 
@@ -493,9 +495,9 @@ def demo_guo_collapse(t0="1", t="4/5") -> GuoFailureDemo:
 @dataclass
 class UnionFailureDemo:
     samples: int
-    forbidden_hits: int
+    forbidden_jordan_hits: int
     perron_diagonal_samples: int
-    perron_diagonal_with_coupling: int
+    perron_diagonal_with_nonzero_coupling: int
     weyr_histogram: dict
 
 
@@ -558,9 +560,9 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
                 forbidden += 1
     return UnionFailureDemo(
         samples=samples,
-        forbidden_hits=forbidden,
+        forbidden_jordan_hits=forbidden,
         perron_diagonal_samples=diag_perron,
-        perron_diagonal_with_coupling=diag_perron_coupled,
+        perron_diagonal_with_nonzero_coupling=diag_perron_coupled,
         weyr_histogram={
             "%s|%s" % (k[0], k[1]): v for k, v in sorted(histogram.items())
         },
@@ -618,42 +620,18 @@ def demo_forced_coupling(samples: int = 5, seed: int = 1) -> ForcedCouplingDemo:
 
 
 def region_grid(family: str, grid_step) -> list:
-    """Deterministic interior grid of the family's parameter triangle, at a
-    step of at least 1/1000 (family t has about 1/step^2 points)."""
+    """The step multiples (t0, t) in the family's box that lie in its open
+    region, t0 outer and t inner, at a step of at least 1/1000 (family t
+    has about 1/step^2 points)."""
     step = rat(grid_step)
     if step <= 0:
         raise DomainError("grid step must be positive")
     if step < Fraction(1, 1000):
         raise DomainError("grid step %s is below 1/1000" % format_rational(step))
-    points = []
-    if family == "t":
-        i = 1
-        while i * step < 2:
-            t0 = i * step
-            j = 1
-            while j * step < 1:
-                t = j * step
-                if t0 < 2 * t:
-                    points.append((t0, t))
-                j += 1
-            i += 1
-    elif family == "tprime":
-        i = 1
-        while i * step < 1:
-            t0 = i * step
-            j = 1
-            while t0 + j * step < 1:
-                points.append((t0, j * step))
-                j += 1
-            i += 1
-    elif family == "pm":
-        j = 1
-        while j * step <= 3:
-            points.append((Fraction(0), j * step))
-            j += 1
-    else:
-        raise DomainError("unknown family %r" % family)
-    return points
+    inside, _, (t0_max, t_max) = _region(family)
+    t0s = [i * step for i in range(int(t0_max / step) + 1)]
+    ts = [j * step for j in range(int(t_max / step) + 1)]
+    return [(t0, t) for t0 in t0s for t in ts if inside(t0, t)]
 
 
 def region_rows(family: str, grid_step) -> list:

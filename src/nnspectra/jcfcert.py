@@ -180,62 +180,46 @@ def _spectrum_from_poly(A: RationalMatrix, p):
     return Spectrum.from_values(roots)
 
 
+def _partitions(remaining, largest):
+    """Partitions of remaining into parts <= largest, reverse-lexicographic."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, largest), 0, -1):
+        for rest in _partitions(remaining - first, first):
+            yield (first,) + rest
+
+
 def integer_partitions(m: int):
     """Partitions of m in reverse-lexicographic order: (m), ..., (1,...,1)."""
-
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return list(gen(m, m))
+    return list(_partitions(m, m))
 
 
 # enumerate_jordan_forms refuses a spectrum that allows more forms than this
 MAX_JORDAN_FORMS = 10_000
 
 
-def _partition_count(m: int, cap: int) -> int:
-    """p(m), the number of partitions of m, by Euler's pentagonal-number
-    recurrence; cap + 1 as soon as some p(k), k <= m, exceeds cap (p grows
-    with k, so p(m) does too), which bounds the work whatever m is."""
-    p = [1]
-    for k in range(1, m + 1):
-        total, j = 0, 1
-        while j * (3 * j - 1) // 2 <= k:
-            sign = 1 if j % 2 else -1
-            g = j * (3 * j - 1) // 2
-            total += sign * p[k - g]
-            if g + j <= k:
-                total += sign * p[k - g - j]
-            j += 1
-        if total > cap:
-            return cap + 1
-        p.append(total)
-    return p[m]
-
-
 def enumerate_jordan_forms(spectrum: Spectrum):
     """All JordanSpecs allowed by the spectrum, in deterministic order.
 
     Eigenvalues ascend; per eigenvalue the partitions of its multiplicity
-    run in reverse-lexicographic order.  The forms are counted first, as
-    the product of p(m) over the multiplicities m, and a spectrum allowing
-    more than MAX_JORDAN_FORMS raises DomainError before any is built.
+    run in reverse-lexicographic order.  The forms are counted by listing
+    those partitions, at most MAX_JORDAN_FORMS // count + 1 of them per
+    multiplicity, count being the product of the partition counts before
+    it; a spectrum allowing more than MAX_JORDAN_FORMS forms raises
+    DomainError as soon as that product passes the bound, before any form
+    is built.
     """
-    count = 1
-    for _, m in spectrum.pairs:
-        count *= _partition_count(m, MAX_JORDAN_FORMS)
+    count, choices = 1, []
+    for v, m in sorted(spectrum.pairs):
+        listed = list(itertools.islice(_partitions(m, m), MAX_JORDAN_FORMS // count + 1))
+        count *= len(listed)
         if count > MAX_JORDAN_FORMS:
             raise DomainError(
                 "the spectrum allows more than %d Jordan forms; refusing to list them"
                 % MAX_JORDAN_FORMS
             )
-    pairs = sorted(spectrum.pairs)
-    choices = [[(v, p) for p in integer_partitions(m)] for v, m in pairs]
+        choices.append([(v, p) for p in listed])
     return [JordanSpec.from_map(list(form)) for form in itertools.product(*choices)]
 
 

@@ -226,11 +226,9 @@ def _left_eigenvector_exact(B, lam):
             "left eigenspace at %s is %d-dimensional; supply z explicitly"
             % (format_rational(lam), len(basis))
         )
-    z = basis[0]
-    if any(v > 0 for v in z) and any(v < 0 for v in z):
+    z = basis[0]  # 1 at its free column, so a negative entry means mixed signs
+    if any(v < 0 for v in z):
         raise SpectraError("internal invariant violation: mixed-sign left eigenvector")
-    if all(v <= 0 for v in z):
-        z = tuple(-v for v in z)
     zmax = max(z)
     return tuple(v / zmax for v in z)
 
@@ -243,9 +241,7 @@ def _right_eigenvector_exact(B, lam):
         raise SpectraError(
             "eigenspace at %s is %d-dimensional" % (format_rational(lam), len(basis))
         )
-    x = basis[0]
-    if all(v <= 0 for v in x):
-        x = tuple(-v for v in x)
+    x = basis[0]  # positive at its free column
     if any(v <= 0 for v in x):
         raise SpectraError("internal invariant violation: eigenvector not positive")
     return x
@@ -705,21 +701,19 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
         raise DimensionError("input must be square")
     if not A.is_nonnegative:
         raise DomainError("input has a negative entry")
-    if not isinstance(A, RationalMatrix):
-        if mode == "exact":
-            raise ModeError("exact mode needs a RationalMatrix input")
-        return _to_cs_float(np.asarray(A.array, dtype=float))
-
-    if mode == "float":
-        return _to_cs_float(to_float(A).array)
-    try:
-        result = _to_cs_exact(A)
-    except ModeError:
-        if mode == "exact":
-            raise
-        return _to_cs_float(to_float(A).array)
-    _verify_exact(A, result.B, result.S, result.lam)
-    return result
+    exact = isinstance(A, RationalMatrix)
+    if mode == "exact" and not exact:
+        raise ModeError("exact mode needs a RationalMatrix input")
+    if exact and mode != "float":
+        try:
+            result = _to_cs_exact(A)
+        except ModeError:
+            if mode == "exact":
+                raise
+        else:
+            _verify_exact(A, result.B, result.S, result.lam)
+            return result
+    return _to_cs_float(np.asarray((to_float(A) if exact else A).array, dtype=float))
 
 
 def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:

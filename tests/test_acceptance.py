@@ -230,9 +230,9 @@ def test_criterion_8_union_obstruction():
     start = time.perf_counter()
     demo = demo_union_obstruction(samples=10000, seed=0)
     elapsed = time.perf_counter() - start
-    assert demo.forbidden_hits == 0
+    assert demo.forbidden_jordan_hits == 0
     assert demo.perron_diagonal_samples > 0
-    assert demo.perron_diagonal_with_coupling == 0
+    assert demo.perron_diagonal_with_nonzero_coupling == 0
     assert elapsed < 60.0
     _report(
         8,

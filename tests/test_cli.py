@@ -256,6 +256,14 @@ class TestRegionCsv:
         assert dispatch(["region", "--family", "pm", "--grid-step", "1", "--out", out]) == 0
         assert Path(out).read_text().splitlines()[1:] == ["0,1,1,1,1", "0,2,1,1,1", "0,3,1,1,1"]
 
+    def test_stdout_matches_out_file(self, workdir, capsys):
+        tmp, _ = workdir
+        out = tmp / "t.csv"
+        assert dispatch(["region", "--family", "t", "--grid-step", "1/10", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert dispatch(["region", "--family", "t", "--grid-step", "1/10"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_grid_step_below_bound_is_refused(self, workdir, capsys):
         tmp, _ = workdir
         out = tmp / "fine.csv"

@@ -131,6 +131,18 @@ class TestTorre:
         v = torre_realizable(-1, -1, -1, 5)
         assert not v.realizable and v.failed_condition == "c"
 
+    def test_squared_comparison_branch_matches_the_float_inequality(self):
+        # k4 > 0 and k5 - k3 k2 / 2 > 0: condition c is decided by squaring
+        # k5 <= k3 (k2/2 - sqrt(k2^2/4 - k4)), here 3 <= 2 + sqrt(3) < 4
+        for k5, realizable in ((3, True), (4, False)):
+            v = torre_realizable(-4, -1, 1, k5)
+            assert v.realizable == realizable
+            assert realizable == (k5 <= -1 * (-4 / 2 - math.sqrt(4 - 1)))
+            if realizable:
+                assert v.detail == "k4 > 0 branch: squared comparison holds"
+            else:
+                assert v.failed_condition == "c"
+
     def test_total_function_on_arbitrary_rationals(self):
         rng = random.Random(103)
         for _ in range(50):
@@ -165,6 +177,16 @@ class TestRegion:
     def test_t0_to_zero_limit_meets_pm_threshold(self):
         lim = region_boundary("t", F(1, 10**6))
         assert abs(lim - math.sqrt(16 * math.sqrt(6) - 39)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "family, t0",
+        [("t", 7), ("t", -5), ("t", 0), ("t", 2), ("tprime", -7), ("tprime", 1), ("pm", "1/2")],
+    )
+    def test_boundary_refuses_t0_outside_the_region_range(self, family, t0):
+        # t needs 0 < t0 < 2, tprime 0 < t0 < 1, pm t0 = 0; outside them the
+        # closed forms take the square root of a negative number
+        with pytest.raises(DomainError, match="family %s boundary needs" % family):
+            region_boundary(family, t0)
 
     def test_symmetric_flag(self):
         assert not region_member("t", 1, "4/5").symmetric_realizable
@@ -319,18 +341,18 @@ class TestDiagonalizableRealization:
 class TestDemos:
     def test_guo_collapse_narrative(self):
         demo = demo_guo_collapse()
-        assert demo.original_member
-        assert not demo.spector_flag  # t = 4/5 < 1
+        assert demo.original_in_region
+        assert not demo.symmetric_flag_t_ge_1  # t = 4/5 < 1
         assert demo.collapsed == (F(19, 5), F(11, 5), F(-2), F(-2), F(-2))
-        assert demo.collapsed_list_realizable  # as a list (t >= 0.43799...)
+        assert demo.collapsed_realizable_as_list  # as a list (t >= 0.43799...)
         assert "diagonalizable" in demo.diagonalizable_path_error
 
     def test_union_obstruction_small_run(self):
         demo = demo_union_obstruction(samples=500, seed=3)
-        assert demo.forbidden_hits == 0
+        assert demo.forbidden_jordan_hits == 0
         assert demo.perron_diagonal_samples > 0
         # diagonal Perron structure forces zero coupling
-        assert demo.perron_diagonal_with_coupling == 0
+        assert demo.perron_diagonal_with_nonzero_coupling == 0
 
     def test_union_obstruction_checks_each_char_poly(self, monkeypatch):
         # the Weyr sequences stop at multiplicity 2 only behind an exact

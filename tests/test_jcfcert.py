@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -238,12 +239,29 @@ class TestEnumerate:
             integer_partitions(3)
         )
 
-    def test_partition_count_matches_the_enumeration(self):
-        for m in range(13):
-            assert jcfcert._partition_count(m, 10**6) == len(integer_partitions(m))
-        assert jcfcert._partition_count(40, 10**6) == 37338
-        # capped: the recurrence stops at the first p(k) past the cap
-        assert jcfcert._partition_count(10**9, 10**4) == 10**4 + 1
+    def test_form_count_matches_sympy_partition_numbers(self):
+        partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
+        rng = random.Random(31)
+        for _ in range(40):
+            ms = [rng.randint(1, 14) for _ in range(rng.randint(1, 3))]
+            expected = 1
+            for m in ms:
+                expected *= int(partition(m))
+            values = [v for v, m in enumerate(ms) for _ in range(m)]
+            s = Spectrum.from_values(values)
+            if expected <= jcfcert.MAX_JORDAN_FORMS:
+                assert len(enumerate_jordan_forms(s)) == expected
+            else:
+                with pytest.raises(DomainError, match="more than 10000 Jordan forms"):
+                    enumerate_jordan_forms(s)
+
+    def test_many_large_multiplicities_refused_quickly(self):
+        # the first multiplicity alone passes the bound, so at most 10^4 + 1
+        # of its p(40) = 37338 partitions are listed and the other 49 never are
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="more than 10000 Jordan forms"):
+            enumerate_jordan_forms(Spectrum.from_values([v for v in range(50) for _ in range(40)]))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "values",
@@ -254,7 +272,7 @@ class TestEnumerate:
         ],
     )
     def test_too_many_forms_refused_before_any_is_built(self, monkeypatch, values):
-        monkeypatch.setattr(jcfcert, "integer_partitions", None)  # never reached
+        monkeypatch.setattr(jcfcert, "JordanSpec", None)  # never reached
         with pytest.raises(DomainError, match="more than 10000 Jordan forms"):
             enumerate_jordan_forms(Spectrum.from_values(values))
 

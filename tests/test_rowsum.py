@@ -469,6 +469,18 @@ def test_verify_exact_rejects_singular_similarity():
         _verify_exact(B, B, RationalMatrix.zeros(2, 2), F(3))
 
 
+def test_verify_exact_rejects_negative_and_non_cs_results():
+    # A = S B S^-1 for each B, so only the sign and row-sum checks can refuse
+    S = RationalMatrix([[1, 1], [0, 1]])
+    for B, message in (
+        (RationalMatrix([[4, -1], [1, 2]]), "negative entry"),
+        (RationalMatrix([[1, 2], [3, 1]]), "not in CS form"),
+    ):
+        A = S @ B @ inverse(S)
+        with pytest.raises(CertificationError, match=message):
+            _verify_exact(A, B, S, F(3))
+
+
 def _verify_outcome(A, B, S, lam):
     try:
         _verify_exact(A, B, S, lam)
