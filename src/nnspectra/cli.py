@@ -93,13 +93,11 @@ def cmd_normalize(args) -> int:
 def cmd_guo_shift(args) -> int:
     B = _matrix_arg(args.infile)
     lam = constant_row_sum_value(B)
-    if args.qfile:
+    if args.qfile is not None:
         q = vector_from_json(_load_json(args.qfile))
-    elif args.eps is not None:
+    else:
         eps = rat(args.eps)
         q = tuple(eps / B.rows for _ in range(B.rows))
-    else:
-        raise DomainError("guo-shift needs --eps or --q")
     # the claim must be char_poly(B), which the shift then reuses; the
     # shifted matrix gets no char poly of its own
     coeffs = _match_spectrum(B, _spectrum_arg(args.spectrum)) if args.spectrum else None
@@ -333,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guo-shift", help="rank-one Perron shift of a CS matrix")
     p.add_argument("--in", dest="infile", required=True, help="CS matrix JSON")
-    p.add_argument("--eps", default=None, help="uniform shift p/q (q = eps/n * e)")
-    p.add_argument("--q", dest="qfile", default=None, help="explicit q vector JSON")
+    shift = p.add_mutually_exclusive_group(required=True)
+    shift.add_argument("--eps", default=None, help="uniform shift p/q (q = eps/n * e)")
+    shift.add_argument("--q", dest="qfile", default=None, help="explicit q vector JSON")
     p.add_argument(
         "--spectrum", default=None, help="spectrum JSON of B, checked exactly against char_poly(B)"
     )

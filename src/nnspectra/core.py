@@ -744,7 +744,10 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, obj) -> "Spectrum":
-        return cls.from_values(_json_list(obj, "values"))
+        values = _json_list(obj, "values")
+        if not values:
+            raise DomainError("JSON field 'values' lists no eigenvalue")
+        return cls.from_values(values)
 
 
 def _block_size(value) -> int:

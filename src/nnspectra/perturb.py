@@ -39,7 +39,7 @@ from .errors import (
     PerronNotSimple,
 )
 from .jcfcert import _certificate, jordan_spec
-from .rowsum import _to_cs_exact, _verify_exact, constant_row_sum_value
+from .rowsum import _to_cs_exact, constant_row_sum_value
 
 
 def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
@@ -132,10 +132,11 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     The input is certified once, by jordan_spec (char poly against the
     spectrum, then Weyr ranks); lambda1 is read from that certified spectrum,
     and the radius of every other diagonal block the reduction scales comes
-    from the reduction's own exact routine, never from floats.  The CS form B
-    is checked exactly against A (A S = S B, det S != 0, B >= 0, rows summing
-    to lambda1).  The output's certificate is derived from these facts by
-    _shift_certificate with O(n^2) further checks, and no char poly or rank.
+    from the reduction's own exact routine, never from floats.  The reduction
+    checks the CS form B exactly against A (A S = S B, det S != 0, B >= 0,
+    rows summing to lambda1) before it returns it.  The output's certificate
+    is derived from these facts by _shift_certificate with O(n^2) further
+    checks, and no char poly or rank.
     """
     eps = rat(eps)
     if eps < 0:
@@ -149,9 +150,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    reduced = _to_cs_exact(A, lam1)
-    B = reduced.B
-    _verify_exact(A, B, reduced.S, lam1)
+    B = _to_cs_exact(A, lam1).B
     shifted = _add_rank_one(B, (eps / B.rows,) * B.rows)
     return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 

@@ -32,18 +32,24 @@ and plans, for A and for A^T, in both modes.  The simple-root hypothesis
 cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
-A.  In exact mode it computes each diagonal block's char poly once, and
-perron_root_exact finds every block's spectral radius from it exactly, by a
-bisection over the integers with no float anywhere; lambda1 is the largest
-(or certified by the caller).  As det(xI - A) is the product of the block
-polys and an irreducible block carries its radius as a simple root and no
-root of larger modulus, lambda1 is simple iff exactly one block has radius
-lambda1, and that block is the Perron block.  The decoupling and the
-transpose path reuse the same data.
+A, and it is the one source of per-block data.  In exact mode it builds
+each diagonal block and its char poly once, and perron_root_exact finds
+every block's spectral radius from it exactly, by a bisection over the
+integers with no float anywhere; lambda1 is the largest (or certified by
+the caller).  As det(xI - A) is the product of the block polys and an
+irreducible block carries its radius as a simple root and no root of larger
+modulus, lambda1 is simple iff exactly one block has radius lambda1, and
+that block is the Perron block.  Each block is scaled by a kernel vector
+of the block that pass built, at the block's own radius.  The transpose
+path reuses the same pass: A^T has A's components, the condensation edges
+reversed, the transposed blocks and the same radii, so its transcript
+names A's components.
 In float mode structure.perron_eig decomposes each diagonal block once:
 lambda1 is the largest block root, no other eigenvalue of A may lie within
 1e-9 of it, its block is the Perron block, and each block is scaled by its
-own eigenvector.
+own eigenvector.  A 1x1 matrix is irreducible, in both modes, and takes the
+irreducible branch.  Each mode verifies its result before returning it:
+exactly over the integers, or to the float tolerance.
 
 Exact and float mode run the same absorb loop and the same steps.  Each
 step is a diagonal scaling or a shear, a module function on plain lists of
@@ -52,8 +58,8 @@ touches only a few rows and columns: the loop updates those rows and
 columns of the working matrix and of S in place, in O(n k) for a block of
 size k, and multiplies no n x n matrices.  A small backend class supplies
 only what differs: the field's zero and one, the zero test, the linear
-solves and the Perron vectors.  The transcript is the one record of the
-steps.
+solves and the Perron vector of a component, read from the component
+pass.  The transcript is the one record of the steps.
 """
 
 from __future__ import annotations
@@ -492,14 +498,15 @@ def _sub(ops, M, a, b):
 
 
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop; radii are the spectral radii
-    of the diagonal blocks, by component index, None where irrational."""
+    """Fraction arithmetic for the absorb loop; blocks are the diagonal
+    blocks of the component pass and radii their spectral radii, by
+    component index, None where irrational."""
 
     zero, one = Fraction(0), Fraction(1)
     matrix = staticmethod(RationalMatrix._of)
 
-    def __init__(self, radii):
-        self.radii = radii
+    def __init__(self, blocks, radii):
+        self.blocks, self.radii = blocks, radii
 
     @staticmethod
     def nonzero(rows):
@@ -519,17 +526,13 @@ class _ExactOps:
         """y with (lam I - K) y = rhs, or None when the system is singular."""
         return cls.solve_linear(_shifted(lam, K), rhs)
 
-    def perron_vector(self, M, a, b, lam, ci):
-        """Positive eigenvector of the irreducible block M[a:b, a:b] of
-        component ci at lam; at its own spectral radius when lam is None."""
-        if lam is None:
-            lam = self.radii[ci]
-            if lam is None:
-                raise ModeError(
-                    "a diagonal block has an irrational spectral radius; "
-                    "rerun in float mode"
-                )
-        return _right_eigenvector_exact(_sub(self, M, a, b), lam)
+    def perron_vector(self, ci):
+        """Positive eigenvector of component ci's block at its spectral radius."""
+        if self.radii[ci] is None:
+            raise ModeError(
+                "a diagonal block has an irrational spectral radius; rerun in float mode"
+            )
+        return _right_eigenvector_exact(self.blocks[ci], self.radii[ci])
 
     left_vector = staticmethod(_left_eigenvector_exact)
 
@@ -563,8 +566,8 @@ class _FloatOps:
     def solve_shifted(cls, lam, K, rhs):
         return cls.solve_linear(lam * np.eye(K.shape[0]) - K, rhs)
 
-    def perron_vector(self, M, a, b, lam, ci):
-        return self.vectors[ci]  # M[a:b, a:b] is component ci's block, unchanged
+    def perron_vector(self, ci):
+        return self.vectors[ci]
 
     @staticmethod
     def left_vector(B, lam):
@@ -639,12 +642,13 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
         step(M, S, *args)
         transcript.append(RowSumStep(kind, detail))
 
-    # 1. scale the Perron block into CS_lambda, other blocks into CS_rho form
+    # 1. scale each block into CS_rho form at its own radius: the Perron
+    # block's is lambda1; M[a:b, a:b] is still component payload's block
     for i, (kind, payload, a, b) in enumerate(ranges):
         if kind == "cluster" or b - a == 1:
             continue
-        x = ops.perron_vector(M, a, b, lam if i == 0 else None, payload)
         label = "perron" if i == 0 else "component-%d" % payload
+        x = ops.perron_vector(payload)
         apply(_scale, (a, x), "block-scaling", {"block": label, "range": [a, b]})
 
     # 2. absorb blocks in plan order; M[:p, :p], the scaled Perron block,
@@ -706,32 +710,27 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
         raise ModeError("exact mode needs a RationalMatrix input")
     if exact and mode != "float":
         try:
-            result = _to_cs_exact(A)
+            return _to_cs_exact(A)
         except ModeError:
             if mode == "exact":
                 raise
-        else:
-            _verify_exact(A, result.B, result.S, result.lam)
-            return result
     return _to_cs_float(np.asarray((to_float(A) if exact else A).array, dtype=float))
 
 
 def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
-    """Exact CS form of A from one pass over its diagonal blocks.
+    """Exact CS form of A from one pass over its diagonal blocks, verified.
 
     lam is given when the caller has certified lambda1 = rho(A) as a simple
     eigenvalue; an irreducible A then needs no char poly at all.  Otherwise,
     and for every block the reduction scales, perron_root_exact finds the
-    radius exactly from the block char polys.
+    radius exactly from the block char polys.  The blocks, their radii and
+    the condensation edges serve the reduction of A and that of A^T.
 
-    The result is unverified: each caller checks it with _verify_exact, next
-    to the conclusions it draws from the similarity.
+    The result is checked by _verify_exact before it is returned, so every
+    caller gets a similarity A S = S B that holds exactly.
     """
-    if A.rows == 1:  # the Perron root of a 1x1 matrix is its entry
-        return RowSumResult(A, RationalMatrix.identity(1), [], "exact", A[0, 0])
-
     comps, edges = _components(A)
-    radii, perron = None, 0
+    blocks, radii, perron = None, None, 0
     if lam is None or len(comps) > 1:
         blocks = [A.submatrix(c, c) for c in comps]
         polys = [char_poly(B) for B in blocks]
@@ -751,8 +750,10 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         )
     else:
         # A^T when the Perron side shares an eigenvalue with a block it feeds
-        result = _reduce(_ExactOps(radii), A.entries(), comps, edges, perron, lam, transcript)
-        B, S = result or _via_transpose(A, comps, perron, radii, lam, transcript)
+        ops = _ExactOps(blocks, radii)
+        result = _reduce(ops, A.entries(), comps, edges, perron, lam, transcript)
+        B, S = result or _via_transpose(A, comps, edges, perron, ops, lam, transcript)
+    _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam)
 
 
@@ -762,14 +763,16 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
 MAX_TRANSPOSE_ORDER = 16
 
 
-def _via_transpose(A, comps, perron, radii, lam, transcript):
+def _via_transpose(A, comps, edges, perron, ops, lam, transcript):
     """(B, S) from the reduction of A^T, for a layout that the Sylvester
     decoupling cannot split because its two sides share an eigenvalue.
 
-    The components are renumbered as Tarjan numbers them on A^T, and S is
-    X S' for an X with A X = X A^T and the similarity S' of the reduction,
-    which may decouple A^T's own Perron side first.  Orders above
-    MAX_TRANSPOSE_ORDER are refused before any of it is built.
+    A^T has A's components, with every condensation edge reversed, the
+    transposed blocks and the same radii, so the reduction reuses A's
+    component pass and its transcript names A's components.  S is X S' for
+    an X with A X = X A^T and the similarity S' of the reduction, which may
+    decouple A^T's own Perron side first.  Orders above MAX_TRANSPOSE_ORDER
+    are refused before any of it is built.
     """
     if A.rows > MAX_TRANSPOSE_ORDER:
         raise DomainError(
@@ -777,15 +780,12 @@ def _via_transpose(A, comps, perron, radii, lam, transcript):
             "the transpose fallback for such a layout is bounded to order %d; "
             "this input has order %d" % (MAX_TRANSPOSE_ORDER, A.rows)
         )
-    At = A.transpose()
-    comps_t, edges_t = _components(At)
     transcript.append(
         RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
     )
-    ops = _ExactOps([radii[comps.index(c)] for c in comps_t])
-    result = _reduce(
-        ops, At.entries(), comps_t, edges_t, comps_t.index(comps[perron]), lam, transcript
-    )
+    ops_t = _ExactOps([B.transpose() for B in ops.blocks], ops.radii)
+    edges_t = {(w, u) for u, w in edges}
+    result = _reduce(ops_t, A.transpose().entries(), comps, edges_t, perron, lam, transcript)
     if result is None:
         raise UnsupportedLayoutError(
             "the Perron side shares an eigenvalue with the blocks it feeds, "
@@ -860,15 +860,6 @@ def _to_cs_float(arr) -> RowSumResult:
     transcript = [
         RowSumStep("float-mode", {"note": "floating arithmetic; tolerance 1e-9"})
     ]
-    if arr.shape[0] == 1:
-        return RowSumResult(
-            FloatMatrix(arr),
-            FloatMatrix(np.eye(1)),
-            transcript,
-            "float",
-            float(arr[0, 0]),
-        )
-
     comps, edges = _components(FloatMatrix(arr))
     # one eigendecomposition per diagonal block: lambda1 = rho(A) must be the
     # only eigenvalue within 1e-9 of rho, and its block is the Perron block

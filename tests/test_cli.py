@@ -174,6 +174,17 @@ class TestGuoShift:
         infile = write("B.json", CIRC)
         assert dispatch(["guo-shift", "--in", infile]) == 1
 
+    def test_eps_and_q_together_refused(self, workdir, capsys):
+        # the two shifts are exclusive: neither is silently preferred
+        tmp, write = workdir
+        infile, qfile = write("B.json", CIRC), write("q.json", {"values": ["1", "1"]})
+        out = tmp / "g.json"
+        argv = ["guo-shift", "--in", infile, "--eps", "1", "--q", qfile, "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: argument --q: not allowed with argument --eps"]
+        assert not out.exists()
+
 
 class TestBond:
     def test_bond_command(self, workdir):
@@ -339,6 +350,23 @@ class TestJordanForms:
             "error: the spectrum allows more than 10000 Jordan forms; refusing to list them"
         ]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["jordan-forms", "verify"])
+def test_empty_spectrum_refused(workdir, capsys, command):
+    tmp, write = workdir
+    s = write("s.json", {"values": []})
+    out = tmp / "out.json"
+    m = write("m.json", {"rows": 1, "cols": 1, "entries": [["1"]]})
+    argv = {
+        "jordan-forms": ["jordan-forms", "--spectrum", s],
+        "verify": ["verify", "--matrix", m, "--spectrum", s],
+    }[command]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: JSON field 'values' lists no eigenvalue"
+    ]
+    assert not out.exists()
 
 
 class TestDemo:

@@ -480,6 +480,10 @@ class TestSpectrum:
         s = Spectrum.from_values(["3", "-1/2", "-1/2"])
         assert Spectrum.from_json(s.to_json()) == s
 
+    def test_empty_json_spectrum_refused(self):
+        with pytest.raises(DomainError, match="lists no eigenvalue"):
+            Spectrum.from_json({"values": []})
+
     def test_replace_perron_matches_a_fresh_parse(self):
         # the pairs are rebuilt from the distinct values, onto a new value,
         # an existing one or the Perron value itself, with its multiplicity

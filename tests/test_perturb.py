@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -18,7 +17,7 @@ from nnspectra.core import (
     poly_mul,
     synthetic_div,
 )
-from nnspectra import perturb
+from nnspectra import rowsum
 from nnspectra.errors import (
     CertificationError,
     CollisionError,
@@ -358,15 +357,17 @@ class TestDerivedCertificate:
     def test_unverified_similarity_refused(self, monkeypatch):
         # a CS form with the right row sums and no negative entry, but not
         # similar to A: [[2, 1], [3, 0]] has spectrum {3, -1}, not {3, -2}
+        # it is put in place of B inside the reduction, so the check that
+        # refuses it is the one the reduction runs before it returns
         A = RationalMatrix([[1, 2], [3, 0]])
-        real = perturb._to_cs_exact
+        real = rowsum._integer_diagonal_similarity
 
-        def perturbed(M, lam):
-            result = real(M, lam)
-            assert result.B == A
-            return dataclasses.replace(result, B=RationalMatrix([[2, 1], [3, 0]]))
+        def perturbed(M, x):
+            B, D = real(M, x)
+            assert B == A
+            return RationalMatrix([[2, 1], [3, 0]]), D
 
-        monkeypatch.setattr(perturb, "_to_cs_exact", perturbed)
+        monkeypatch.setattr(rowsum, "_integer_diagonal_similarity", perturbed)
         with pytest.raises(CertificationError, match="similarity verification failed"):
             ur_shift(A, Spectrum.from_values([3, -2]), F(1, 3))
 

@@ -404,7 +404,7 @@ class TestToConstantRowSums:
         blob = to_constant_row_sums(RationalMatrix([[5]]), mode="float").to_json()
         assert blob["lambda"] == "5.0"
         assert blob["B"] == [["5.0"]] and blob["S"] == [["1.0"]]
-        assert [s["kind"] for s in blob["transcript"]] == ["float-mode"]
+        assert [s["kind"] for s in blob["transcript"]] == ["float-mode", "diagonal-scaling"]
 
     def test_float_matrix_input(self):
         A = FloatMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))  # rho = sqrt(2)
@@ -1060,6 +1060,104 @@ def _shared_eigenvalue_layout(rng, k=None):
     for b in range(k):
         rows[p + rng.randint(0, 1)][2 * b + rng.randint(0, 1)] = F(rng.randint(1, 3), rng.randint(1, 2))
     return scramble(rng, RationalMatrix(rows))
+
+
+def _transpose_path_inputs():
+    """The 72 transpose-path layouts: 40 entangled_transposed, 30 shared
+    eigenvalue layouts and the two of the CI console-script step."""
+    rng = random.Random(11)
+    inputs = [entangled_transposed(rng)[0] for _ in range(40)]
+    rng = random.Random(11)
+    inputs += [_shared_eigenvalue_layout(rng) for _ in range(30)]
+    inputs += [
+        RationalMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 1, 2], [0, 0, 2, 1]]),
+        RationalMatrix([[3, 0, 1, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]),
+    ]
+    return inputs
+
+
+def test_transpose_path_labels_name_components_of_A():
+    # A^T shares A's component pass, so "component-k" is A's component k
+    labelled = 0
+    for A in _transpose_path_inputs():
+        comps, _ = _components(A)
+        steps = to_constant_row_sums(A, mode="exact").transcript
+        assert steps[0].kind == "transpose-similarity"
+        perm = next(s.detail["order"] for s in steps if s.kind == "permutation")
+        for step in steps:
+            block = step.detail.get("block", "")
+            if block.startswith("component-"):
+                a, b = step.detail["range"]
+                assert sorted(perm[a:b]) == comps[int(block[len("component-"):])]
+                labelled += 1
+    assert labelled >= 72
+
+
+def test_one_component_pass_per_exact_normalization(monkeypatch):
+    calls = []
+    real = rowsum._components
+    monkeypatch.setattr(rowsum, "_components", lambda A: calls.append(A) or real(A))
+    inputs = [A for _, A in _layout_inputs({"chain", "mixed", "bottom"}, 12)]
+    inputs += _transpose_path_inputs()[::6]
+    paths = set()
+    for A in inputs:
+        calls.clear()
+        result = to_constant_row_sums(A, mode="exact")
+        paths.add(result.transcript[0].kind)
+        assert calls == [A]
+    assert "transpose-similarity" in paths and "permutation" in paths
+
+
+def test_exact_block_scalings_use_the_component_pass_blocks(monkeypatch):
+    # each scaled block's kernel is taken on the very matrix the component
+    # pass built as A.submatrix(c, c), not on a block rebuilt from the rows
+    built, scaled = [], []
+    real_sub, real_vec = RationalMatrix.submatrix, rowsum._right_eigenvector_exact
+    monkeypatch.setattr(
+        RationalMatrix, "submatrix", lambda M, r, c: built.append(real_sub(M, r, c)) or built[-1]
+    )
+    monkeypatch.setattr(
+        rowsum, "_right_eigenvector_exact", lambda B, lam: scaled.append(B) or real_vec(B, lam)
+    )
+    count = 0
+    for _, A in _layout_inputs({"chain", "isolated", "mixed", "cluster", "bottom"}, 30):
+        built.clear()
+        scaled.clear()
+        kinds = [s.kind for s in to_constant_row_sums(A, mode="exact").transcript]
+        assert len(scaled) == kinds.count("block-scaling")
+        assert all(any(B is C for C in built) for B in scaled)
+        count += len(scaled)
+    assert count >= 30
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "auto"])
+@pytest.mark.parametrize("entry", ["0", "5", "7/3", "10000000000001/10000000000000"])
+def test_one_by_one_takes_the_irreducible_branch(mode, entry):
+    A = RationalMatrix([[entry]])
+    result = to_constant_row_sums(A, mode=mode)
+    steps = [s.to_json() for s in result.transcript]
+    if mode == "float":
+        assert result.B.array.tolist() == [[float(A[0, 0])]]
+        assert result.S.array.tolist() == [[1.0]] and result.lam == float(A[0, 0])
+        assert steps[1:] == [{"kind": "diagonal-scaling", "detail": {"scope": "global"}}]
+    else:
+        assert (result.B, result.S, result.lam) == (A, RationalMatrix([[1]]), A[0, 0])
+        detail = {"scope": "global", "vector": ["1"]}
+        assert steps == [{"kind": "diagonal-scaling", "detail": detail}]
+
+
+@pytest.mark.parametrize("lam", [None, F(3)])
+def test_exact_driver_refuses_an_unverified_result(monkeypatch, lam):
+    # B corrupted inside the reduction: right row sums, no negative entry,
+    # but [[2, 1], [3, 0]] is not similar to A
+    real = rowsum._integer_diagonal_similarity
+    monkeypatch.setattr(
+        rowsum,
+        "_integer_diagonal_similarity",
+        lambda A, x: (RationalMatrix([[2, 1], [3, 0]]), real(A, x)[1]),
+    )
+    with pytest.raises(CertificationError, match="similarity verification failed"):
+        rowsum._to_cs_exact(RationalMatrix([[1, 2], [3, 0]]), lam)
 
 
 class TestTransposeBound:
