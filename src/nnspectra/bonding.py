@@ -46,6 +46,8 @@ from .jcfcert import (
 
 def _eigenvectors_at(B: RationalMatrix, c):
     right = kernel(_shifted(c, B))
+    if not right:
+        raise DomainError("c = %s is not an eigenvalue of B" % format_rational(c))
     left = kernel(_shifted(c, B.transpose()))
     if len(right) != 1 or len(left) != 1:
         raise DomainError(
@@ -109,10 +111,8 @@ def smigoc_bond(
             )
         u = tuple(x / pairing for x in u)
 
-    if n == 1:
-        # A = [c]; the bond is B itself with one 1x1 block at c retained
-        return B
-    # [[A1, a u^T], [v b^T, B]], row by row from A's and B's entries
+    # [[A1, a u^T], [v b^T, B]], row by row from A's and B's entries; for
+    # A = [c] that is B's rows
     rows = A.entries()
     b_row = rows[n - 1][: n - 1]
     return RationalMatrix._of(

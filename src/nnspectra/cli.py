@@ -78,6 +78,17 @@ def _spectrum_arg(path) -> Spectrum:
     return Spectrum.from_json(_load_json(path))
 
 
+def _require_order(M, claim, name):
+    """Refuse a claimed spectrum or Jordan form whose order is not M's row
+    count, before any char poly or Weyr work: a long claim would cost time
+    and output, only to fail."""
+    if claim.order != M.rows:
+        raise DomainError(
+            "the matrix does not match the claimed %s: it has %d rows, the claim "
+            "has order %d" % (name, M.rows, claim.order)
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,7 +111,11 @@ def cmd_guo_shift(args) -> int:
         q = tuple(eps / B.rows for _ in range(B.rows))
     # the claim must be char_poly(B), which the shift then reuses; the
     # shifted matrix gets no char poly of its own
-    coeffs = _match_spectrum(B, _spectrum_arg(args.spectrum)) if args.spectrum else None
+    coeffs = None
+    if args.spectrum:
+        spectrum = _spectrum_arg(args.spectrum)
+        _require_order(B, spectrum, "spectrum")
+        coeffs = _match_spectrum(B, spectrum)
     shifted = _rank_one_shift(B, q, coeffs)
     out = {
         "schema": SCHEMA_VERSION,
@@ -139,7 +154,7 @@ def cmd_realize5(args) -> int:
     point = family5.make_point(args.family, rat(args.t0), rat(args.t))
     d1 = None if args.d1 in (None, "auto") else rat(args.d1)
     cert = family5.diagonalizable_realization(point, d1)
-    interval = point.d1_interval
+    lo, hi = point.d1_interval.lo, point.d1_interval.hi
     out = {
         "schema": SCHEMA_VERSION,
         "family": args.family,
@@ -152,15 +167,12 @@ def cmd_realize5(args) -> int:
             "k4": format_rational(point.coeffs[2]),
             "k5": format_rational(point.coeffs[3]),
         },
+        # an endpoint is a Fraction when it is rational, else a float bracket
         "d1_interval": {
-            "lo": repr(interval.lo),
-            "hi": repr(interval.hi),
-            "lo_exact": format_rational(interval.lo_exact)
-            if interval.lo_exact is not None
-            else None,
-            "hi_exact": format_rational(interval.hi_exact)
-            if interval.hi_exact is not None
-            else None,
+            "lo": repr(float(lo)),
+            "hi": repr(float(hi)),
+            "lo_exact": format_rational(lo) if isinstance(lo, Fraction) else None,
+            "hi_exact": format_rational(hi) if isinstance(hi, Fraction) else None,
         },
         "certificate": cert.to_json(),
     }
@@ -181,8 +193,10 @@ def cmd_region(args) -> int:
 def cmd_verify(args) -> int:
     M = _matrix_arg(args.matrix)
     spectrum = _spectrum_arg(args.spectrum)
+    _require_order(M, spectrum, "spectrum")
     if args.jordan:
         jordan = JordanSpec.from_json(_load_json(args.jordan))
+        _require_order(M, jordan, "Jordan form")
     else:
         jordan = JordanSpec.from_map(
             [(v, [1] * m) for v, m in spectrum.pairs]

@@ -14,7 +14,8 @@ matrix is decided by an exact sign test on (k2, k3, k4, k5); the region
 boundaries in the (t0, t) plane are evaluated in floating point (they bound
 open verification regions, so 1e-12 accuracy is ample).  A diagonalizable
 realization is built by bonding a 4x4 single-parameter matrix A(d1) with
-the fixed 2x2 realization [[0,2],[2,0]] of {2,-2}.
+the fixed 2x2 realization [[0,2],[2,0]] of {2,-2}; each end of the d1 range
+that keeps A(d1) nonnegative is a Fraction when rational, else a float.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .core import (
     RationalMatrix,
     Spectrum,
     char_poly,
     format_rational,
+    matrix_to_json,
     poly_from_roots,
     rat,
     rational_sqrt,
@@ -99,15 +102,12 @@ class Family5Point:
     def spectrum(self) -> Spectrum:
         return Spectrum.from_values(self.values)
 
-    def gamma1(self) -> tuple:
-        """Degree-4 sub-list: the five values with one -2 removed."""
-        vals = list(self.values)
-        vals.remove(Fraction(-2))
-        return tuple(vals)
-
     @cached_property
     def _gamma1_coeffs(self) -> tuple:
-        return tuple(poly_from_roots(self.gamma1()))
+        """Char poly of the degree-4 sub-list: the five values, one -2 removed."""
+        gamma1 = list(self.values)
+        gamma1.remove(-2)
+        return tuple(poly_from_roots(gamma1))
 
     def gamma1_coeffs(self) -> list:
         return list(self._gamma1_coeffs)
@@ -190,10 +190,6 @@ def torre_realizable(k2, k3, k4, k5) -> TorreVerdict:
     )
 
 
-def torre_realizable_point(point: Family5Point) -> TorreVerdict:
-    return torre_realizable(*point.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # closed-form region boundaries (float) and membership
 # ---------------------------------------------------------------------------
@@ -225,14 +221,12 @@ def region_boundary(family: str, t0) -> float:
         "family %s boundary needs %s (got t0 = %s)"
         % (family, "0 < t0 < %d" % t0_max if t0_max else "t0 = 0", t0),
     )
-    t0f = float(t0)
     if family == "pm":
         return PM_THRESHOLD
-    if family == "t":
-        inner = 16 * math.sqrt(6 - t0f) * (4 - t0f) - 3 * t0f**2 + 52 * t0f - 156
-        return (t0f + math.sqrt(inner)) / 2
-    inner = 16 * math.sqrt(6 + t0f) * (4 + t0f) - 3 * t0f**2 - 52 * t0f - 156
-    return (-t0f + math.sqrt(inner)) / 2
+    # family tprime's is family t's at -t0, bit for bit: a - (-b) is a + b
+    s = float(t0) if family == "t" else -float(t0)
+    inner = 16 * math.sqrt(6 - s) * (4 - s) - 3 * s**2 + 52 * s - 156
+    return (s + math.sqrt(inner)) / 2
 
 
 @dataclass(frozen=True)
@@ -277,21 +271,15 @@ def spector_symmetric_flag(t) -> bool:
 
 @dataclass(frozen=True)
 class FeasibleInterval:
-    """d1 range on which all four parametric entries are nonnegative."""
+    """d1 range on which all four parametric entries are nonnegative; an
+    endpoint is a Fraction when it is rational, else a float bracket."""
 
     empty: bool
-    lo: float
-    hi: float
-    lo_exact: Fraction | None
-    hi_exact: Fraction | None
+    lo: Fraction | float
+    hi: Fraction | float
 
 
-@dataclass(frozen=True)
-class CompanionParams:
-    d1: Fraction
-    d3: Fraction
-    b: Fraction
-    a: Fraction
+_EMPTY = FeasibleInterval(True, math.nan, math.nan)
 
 
 def _quartic_coeffs(gamma_coeffs):
@@ -310,46 +298,39 @@ def feasible_d1(gamma_coeffs) -> FeasibleInterval:
     """Intersection of {d3 >= 0} = {d1 <= -k2}, {b >= 0} = {d1 >= k3/2}, {a >= 0}.
 
     The a-constraint is the root interval of -d1^2 + (4-k2) d1 - 2 k3 - k4;
-    endpoints are exact when rational, else float brackets good to 1e-12.
+    its ends are exact, and compared exactly, when the discriminant is a
+    rational square, else float brackets good to 1e-12 (a tie keeps k3/2 or -k2).
     """
     k2, k3, k4 = _quartic_coeffs(gamma_coeffs)
-    lo_lin = k3 / 2
-    hi_lin = -k2
     bq = 4 - k2
-    cq = 2 * k3 + k4
-    disc = bq * bq - 4 * cq
+    disc = bq * bq - 4 * (2 * k3 + k4)
     if disc < 0:
-        return FeasibleInterval(True, math.nan, math.nan, None, None)
+        return _EMPTY
     root = rational_sqrt(disc)
-    if root is not None:
-        lo_q = (bq - root) / 2
-        hi_q = (bq + root) / 2
-        lo = max(lo_lin, lo_q)
-        hi = min(hi_lin, hi_q)
-        if lo > hi:
-            return FeasibleInterval(True, math.nan, math.nan, None, None)
-        return FeasibleInterval(False, float(lo), float(hi), lo, hi)
-    sq = math.sqrt(float(disc))
-    lo_q = (float(bq) - sq) / 2
-    hi_q = (float(bq) + sq) / 2
-    lo_mixed = [(float(lo_lin), lo_lin), (lo_q, None)]
-    hi_mixed = [(float(hi_lin), hi_lin), (hi_q, None)]
-    lo_pair = max(lo_mixed, key=lambda p: p[0])
-    hi_pair = min(hi_mixed, key=lambda p: p[0])
-    if lo_pair[0] > hi_pair[0] + 1e-12:
-        return FeasibleInterval(True, math.nan, math.nan, None, None)
-    return FeasibleInterval(False, lo_pair[0], hi_pair[0], lo_pair[1], hi_pair[1])
+    exact = root is not None
+    if not exact:
+        root, bq = math.sqrt(float(disc)), float(bq)
+    key = None if exact else float
+    lo = max(k3 / 2, (bq - root) / 2, key=key)
+    hi = min(-k2, (bq + root) / 2, key=key)
+    if (lo > hi) if exact else (float(lo) > float(hi) + 1e-12):
+        return _EMPTY
+    return FeasibleInterval(False, lo, hi)
 
 
-def _entry_formulas(k2, k3, k4, d1):
-    d3 = -k2 - d1
-    b = 2 * d1 - k3
-    a = -d1 * d1 + (4 - k2) * d1 - 2 * k3 - k4
-    return d3, b, a
+def _entries(k2, k3, k4, d1) -> dict:
+    """The parametric entries d1, b, a, d3 of A(d1), in the order their signs
+    are checked."""
+    return {
+        "d1": d1,
+        "b": 2 * d1 - k3,
+        "a": -d1 * d1 + (4 - k2) * d1 - 2 * k3 - k4,
+        "d3": -k2 - d1,
+    }
 
 
-def companion4(gamma_coeffs, d1):
-    """The 4x4 realization A(d1) of a trace-2 quartic, plus its parameters.
+def companion4(gamma_coeffs, d1) -> RationalMatrix:
+    """The 4x4 realization A(d1) of a trace-2 quartic.
 
     A(d1) = [[0,1,0,0],[d1,0,1,0],[2d1-k3,0,0,1],
              [-d1^2+(4-k2)d1-2k3-k4, 0, -k2-d1, 2]]
@@ -358,43 +339,35 @@ def companion4(gamma_coeffs, d1):
     the bonded 5x5 result, which would expose a wrong char poly here.
     """
     d1 = rat(d1)
-    k2, k3, k4 = _quartic_coeffs(gamma_coeffs)
-    d3, b, a = _entry_formulas(k2, k3, k4, d1)
-    for name, value in (("d1", d1), ("b", b), ("a", a), ("d3", d3)):
+    e = _entries(*_quartic_coeffs(gamma_coeffs), d1)
+    for name, value in e.items():
         if value < 0:
             raise EntrySignError(
                 "entry %s = %s is negative for d1 = %s"
                 % (name, format_rational(value), format_rational(d1))
             )
-    A = RationalMatrix(
+    return RationalMatrix(
         [
             [0, 1, 0, 0],
             [d1, 0, 1, 0],
-            [b, 0, 0, 1],
-            [a, 0, d3, 2],
+            [e["b"], 0, 0, 1],
+            [e["a"], 0, e["d3"], 2],
         ]
     )
-    return A, CompanionParams(d1=d1, d3=d3, b=b, a=a)
 
 
 def _auto_d1(gamma_coeffs, interval: FeasibleInterval) -> Fraction:
-    """Deterministic interior point: the interval midpoint, rationalized and
-    verified against the exact entry signs."""
+    """Deterministic interior point: the interval midpoint, exact when both
+    endpoints are Fractions, else rationalized; a candidate is taken when
+    none of its entries is negative."""
     k2, k3, k4 = _quartic_coeffs(gamma_coeffs)
-
-    def entries_ok(d1):
-        d3, b, a = _entry_formulas(k2, k3, k4, d1)
-        return d1 >= 0 and d3 >= 0 and b >= 0 and a >= 0
-
-    if interval.lo_exact is not None and interval.hi_exact is not None:
-        mid = (interval.lo_exact + interval.hi_exact) / 2
-        if entries_ok(mid):
-            return mid
-    mid_f = (interval.lo + interval.hi) / 2
-    for bound in (100, 10**4, 10**6, 10**9):
-        mid = Fraction(mid_f).limit_denominator(bound)
-        if entries_ok(mid):
-            return mid
+    lo, hi = interval.lo, interval.hi
+    exact = [(lo + hi) / 2] if isinstance(lo, Fraction) and isinstance(hi, Fraction) else []
+    mid_f = (float(lo) + float(hi)) / 2
+    ladder = (Fraction(mid_f).limit_denominator(b) for b in (100, 10**4, 10**6, 10**9))
+    for d1 in chain(exact, ladder):
+        if min(_entries(k2, k3, k4, d1).values()) >= 0:
+            return d1
     raise ConstructionUnavailableError(
         "could not pick an interior d1; the feasible interval is too thin"
     )
@@ -426,7 +399,7 @@ def diagonalizable_realization(point: Family5Point, d1=None) -> RealizationCerti
             "realization would need t >= 1 and a symmetric construction, "
             "which this toolkit does not build"
         )
-    verdict = torre_realizable_point(point)
+    verdict = torre_realizable(*point.coeffs)
     if not verdict.realizable:
         raise NotRealizableError(
             "the coefficient test rejects this list (condition %s: %s)"
@@ -440,12 +413,9 @@ def diagonalizable_realization(point: Family5Point, d1=None) -> RealizationCerti
         )
     if d1 is None:
         d1 = _auto_d1(gamma, interval)
-    d1 = rat(d1)
-    A, _params = companion4(gamma, d1)
+    A = companion4(gamma, d1)
     C = smigoc_bond(A, GAMMA2_REALIZATION, 2, GAMMA2_LEFT, GAMMA2_RIGHT)
-    claimed = JordanSpec.from_map(
-        [(v, [1] * m) for v, m in point.spectrum.pairs]
-    )
+    claimed = JordanSpec.from_map([(v, [1] * m) for v, m in point.spectrum.pairs])
     return verify_certificate(C, point.spectrum, claimed)
 
 
@@ -486,7 +456,7 @@ def demo_guo_collapse() -> GuoFailureDemo:
         original=point.values,
         original_in_region=region_member("t", point.t0, point.t).member,
         collapsed=collapsed_point.values,
-        collapsed_realizable_as_list=torre_realizable_point(collapsed_point).realizable,
+        collapsed_realizable_as_list=torre_realizable(*collapsed_point.coeffs).realizable,
         symmetric_flag_t_ge_1=spector_symmetric_flag(point.t),
         diagonalizable_path_error=error_text,
     )
@@ -519,6 +489,15 @@ def _random_coupling(rng) -> RationalMatrix:
     )
 
 
+def _random_union_sample(rng):
+    """(B, D, C, A): a random block realization A = [[B, 0], [C, D]] of
+    {1,1,-1,-1}, drawn in the order B, D, C."""
+    B = _random_pm1_block(rng)
+    D = _random_pm1_block(rng)
+    C = _random_coupling(rng)
+    return B, D, C, RationalMatrix.from_blocks([[B, RationalMatrix.zeros(2, 2)], [C, D]])
+
+
 _UNION_POLY = poly_from_roots([1, 1, -1, -1])
 
 
@@ -540,12 +519,7 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
     diag_perron_coupled = 0
     histogram = {}
     for _ in range(samples):
-        B = _random_pm1_block(rng)
-        D = _random_pm1_block(rng)
-        C = _random_coupling(rng)
-        A = RationalMatrix.from_blocks(
-            [[B, RationalMatrix.zeros(2, 2)], [C, D]]
-        )
+        _B, _D, C, A = _random_union_sample(rng)
         if char_poly(A) != _UNION_POLY:
             raise SpectraError("internal error: a sample's char poly is not (x-1)^2 (x+1)^2")
         w_plus = weyr_sequence(A, 1, 2)
@@ -586,27 +560,19 @@ def demo_forced_coupling(samples: int = 5, seed: int = 1) -> ForcedCouplingDemo:
     rng = random.Random(seed)
     instances = []
     for _ in range(samples):
-        B = _random_pm1_block(rng)
-        D = _random_pm1_block(rng)
-        C = _random_coupling(rng)
+        B, D, C, A = _random_union_sample(rng)
         term1 = C @ B + D @ C
         term2 = D @ C @ B
-        term3 = C
-        residual = term1 + term2 + term3
-        A = RationalMatrix.from_blocks(
-            [[B, RationalMatrix.zeros(2, 2)], [C, D]]
-        )
-        I4 = RationalMatrix.identity(4)
-        pA = A @ A @ A + A @ A - A - I4
-        lower_left = pA.submatrix((2, 3), (0, 1))
-        if lower_left != residual:
+        residual = term1 + term2 + C
+        pA = A @ A @ A + A @ A - A - RationalMatrix.identity(4)
+        if pA.submatrix((2, 3), (0, 1)) != residual:
             raise SpectraError("internal error: block expansion mismatch")
         instances.append(
             {
-                "C": [[format_rational(v) for v in row] for row in C.entries()],
-                "CB+DC": [[format_rational(v) for v in row] for row in term1.entries()],
-                "DCB": [[format_rational(v) for v in row] for row in term2.entries()],
-                "sum": [[format_rational(v) for v in row] for row in residual.entries()],
+                "C": matrix_to_json(C)["entries"],
+                "CB+DC": matrix_to_json(term1)["entries"],
+                "DCB": matrix_to_json(term2)["entries"],
+                "sum": matrix_to_json(residual)["entries"],
                 "sum_is_zero": all(v == 0 for row in residual.entries() for v in row),
                 "C_is_zero": all(v == 0 for row in C.entries() for v in row),
             }
@@ -639,7 +605,7 @@ def region_rows(family: str, grid_step) -> list:
     rows = []
     for t0, t in region_grid(family, grid_step):
         point = make_point(family, t0, t)
-        verdict = torre_realizable_point(point)
+        verdict = torre_realizable(*point.coeffs)
         member = region_member(family, t0, t)
         rows.append(
             (

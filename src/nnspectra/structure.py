@@ -91,9 +91,6 @@ def is_irreducible(A) -> bool:
     normalization plans with.
     """
     _check_nonnegative_square(A)
-    n = A.rows
-    if n == 1:
-        return True
     return len(strongly_connected_components(adjacency(A))) == 1
 
 

@@ -35,7 +35,7 @@ from nnspectra.family5 import (
     region_boundary,
     region_grid,
     region_member,
-    torre_realizable_point,
+    torre_realizable,
 )
 from nnspectra.jcfcert import jordan_spec, rational_spectrum_of, weyr_sequence
 from nnspectra.perturb import rank_one_shift
@@ -90,7 +90,7 @@ def test_criterion_1_first_reconstruction(tmp_path):
     from nnspectra.family5 import companion4
 
     point = make_point("t", 1, "4/5")
-    A, _ = companion4(point.gamma1_coeffs(), "11/2")
+    A = companion4(point.gamma1_coeffs(), "11/2")
     assert A == A55_EXPECTED
     # NOTE: the d3 entry is 67/50 = 1.34, fixed by d3 = 171/25 - d1; the
     # printed source value 2.58 is inconsistent with the char poly below.
@@ -145,7 +145,7 @@ def test_criterion_4_formula_oracle_equivalence():
     for family in ("t", "tprime"):
         for t0, t in region_grid(family, F(1, 100)):
             point = make_point(family, t0, t)
-            exact = torre_realizable_point(point).realizable
+            exact = torre_realizable(*point.coeffs).realizable
             boundary = region_member(family, t0, t).member
             total += 1
             if exact != boundary:

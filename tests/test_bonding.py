@@ -101,8 +101,10 @@ class TestHypothesisChecks:
         for vectors in ((), ((F(0), F(1)), (F(1), F(0)))):
             with pytest.raises(DomainError, match="no 1x1 Jordan block of B at 2"):
                 smigoc_bond(A, B, 2, *vectors, auto_normalize=True)
-        with pytest.raises(DomainError, match="eigenspace of B at 2 has dimension 0"):
+        with pytest.raises(DomainError, match="c = 2 is not an eigenvalue of B"):
             smigoc_bond(A, RationalMatrix([[3, 0], [0, 3]]), 2)
+        with pytest.raises(DomainError, match="dimension 2, not 1; supply u and v"):
+            smigoc_bond(A, RationalMatrix([[2, 0], [0, 2]]), 2)
 
     def test_unnormalized_pair_rejected_then_autofixed(self):
         A = RationalMatrix([[1, 1], [2, 2]])
@@ -116,6 +118,13 @@ class TestHypothesisChecks:
         A = RationalMatrix([[1, 1], [2, 2]])
         with pytest.raises(DomainError):
             smigoc_bond(A, B2, 2, (F(1), F(0)), V2)
+
+    def test_one_by_one_a_gives_b(self):
+        # A = [c]: the general row construction leaves B's rows alone
+        for c, B, u, v in ((2, B2, U2, V2), (-2, B2, (F(1, 2), F(-1, 2)), (F(1), F(-1)))):
+            A = RationalMatrix([[c]])
+            assert smigoc_bond(A, B, c) == B
+            assert smigoc_bond(A, B, c, u, v) == B
 
     def test_internal_eigenvectors_for_simple_eigenvalue(self):
         A = RationalMatrix([[1, 1], [2, 2]])

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,32 @@ class TestRealize5:
     def test_domain_error_exit_code(self, workdir):
         assert dispatch(["realize5", "--family", "t", "--t0", "3", "--t", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "t0, t, interval",
+        [
+            ("2/5", "3/5", {"lo": "6.4", "hi": "6.88", "lo_exact": "32/5", "hi_exact": "172/25"}),
+            (
+                "1",
+                "4/5",
+                {
+                    "lo": "5.109516506074799",
+                    "hi": "5.730483493925201",
+                    "lo_exact": None,
+                    "hi_exact": None,
+                },
+            ),
+        ],
+        ids=["square-discriminant", "irrational-discriminant"],
+    )
+    def test_d1_interval_fields(self, workdir, t0, t, interval):
+        # one stored form per endpoint: lo and hi are its float, lo_exact and
+        # hi_exact its rational form or null; the bytes are pinned
+        tmp, _ = workdir
+        out = tmp / "cert.json"
+        argv = ["realize5", "--family", "t", "--t0", t0, "--t", t, "--out", str(out)]
+        assert dispatch(argv) == 0
+        assert json.loads(out.read_text())["d1_interval"] == interval
+
     def test_each_value_computed_once(self, workdir, monkeypatch):
         # make_point expands the five factors and the realization the four
         # of the sub-list; the artifact reuses the realization's interval
@@ -350,6 +377,44 @@ class TestJordanForms:
             "error: the spectrum allows more than 10000 Jordan forms; refusing to list them"
         ]
         assert not out.exists()
+
+
+class TestClaimOrder:
+    """A claimed spectrum or Jordan form must have the matrix's order; a
+    longer claim is refused before any char poly or Weyr work."""
+
+    LONG = {"values": ["1"] * 10000}
+
+    @pytest.mark.parametrize("command", ["verify-spectrum", "verify-jordan", "guo-shift"])
+    def test_oversized_claim_refused_at_once(self, workdir, capsys, command):
+        tmp, write = workdir
+        m, long = write("m.json", CIRC), write("long.json", self.LONG)
+        argv = {
+            "verify-spectrum": ["verify", "--matrix", m, "--spectrum", long],
+            "verify-jordan": [
+                "verify", "--matrix", m, "--spectrum", write("s.json", CIRC_SPECTRUM),
+                "--jordan", write("j.json", {"blocks": [["1", [10**8]]]}),
+            ],
+            "guo-shift": ["guo-shift", "--in", m, "--eps", "1", "--spectrum", long],
+        }[command]
+        out = tmp / "out.json"
+        start = time.perf_counter()
+        assert dispatch(argv + ["--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the matrix does not match the claimed")
+        assert "it has 2 rows, the claim has order" in err[0]
+        assert not out.exists()
+
+    def test_short_claim_refused(self, workdir, capsys):
+        tmp, write = workdir
+        m = write("m.json", CIRC)
+        s = write("s.json", {"values": ["2"]})
+        assert dispatch(["verify", "--matrix", m, "--spectrum", s]) == 1
+        assert capsys.readouterr().err == (
+            "error: the matrix does not match the claimed spectrum: it has 2 rows, "
+            "the claim has order 1\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["jordan-forms", "verify"])

@@ -26,7 +26,6 @@ from nnspectra.family5 import (
     region_member,
     region_rows,
     torre_realizable,
-    torre_realizable_point,
 )
 
 
@@ -120,8 +119,8 @@ class TestTorre:
     def test_threshold_flip_near_0_43799(self):
         below = make_point("pm", 0, F(4379, 10000))
         above = make_point("pm", 0, F(4381, 10000))
-        assert not torre_realizable_point(below).realizable
-        assert torre_realizable_point(above).realizable
+        assert not torre_realizable(*below.coeffs).realizable
+        assert torre_realizable(*above.coeffs).realizable
 
     def test_failing_condition_detail(self):
         v = torre_realizable(1, 0, 0, 0)
@@ -152,7 +151,7 @@ class TestTorre:
     def test_agrees_with_region_on_coarse_grid(self):
         for t0, t in region_grid("t", F(1, 20)):
             point = make_point("t", t0, t)
-            assert torre_realizable_point(point).realizable == region_member(
+            assert torre_realizable(*point.coeffs).realizable == region_member(
                 "t", t0, t
             ).member
 
@@ -208,7 +207,7 @@ class TestRegion:
 class TestCompanion4:
     def test_first_worked_matrix(self):
         p = make_point("t", 1, "4/5")
-        A, params = companion4(p.gamma1_coeffs(), "11/2")
+        A = companion4(p.gamma1_coeffs(), "11/2")
         assert A == RationalMatrix(
             [
                 ["0", "1", "0", "0"],
@@ -217,13 +216,13 @@ class TestCompanion4:
                 ["9/100", "0", "67/50", "2"],
             ]
         )
-        assert (params.b, params.a, params.d3) == (F(63, 25), F(9, 100), F(67, 50))
+        assert (A[2, 0], A[3, 0], A[3, 2]) == (F(63, 25), F(9, 100), F(67, 50))
         assert [A[i, i] for i in range(4)] == [0, 0, 0, 2]
 
     def test_second_worked_matrix(self):
         p = make_point("tprime", "1/2", "3/10")
-        A, params = companion4(p.gamma1_coeffs(), 9)
-        assert (params.b, params.a, params.d3) == (
+        A = companion4(p.gamma1_coeffs(), 9)
+        assert (A[2, 0], A[3, 0], A[3, 2]) == (
             F(433, 100),
             F(227, 100),
             F(499, 100),
@@ -245,7 +244,7 @@ class TestCompanion4:
                 continue
             d1 = F(int(math.ceil(interval.lo * 64)), 64)
             try:
-                A, _ = companion4(gamma, d1)
+                A = companion4(gamma, d1)
             except EntrySignError:  # d1 lies outside the interval, decided exactly
                 continue
             assert char_poly(A) == gamma
@@ -269,6 +268,8 @@ class TestFeasibleInterval:
         hi_ref = (271 + math.sqrt(241)) / 50
         assert abs(interval.lo - lo_ref) <= 1e-9
         assert abs(interval.hi - hi_ref) <= 1e-9
+        # an irrational discriminant: both ends are float brackets
+        assert type(interval.lo) is float and type(interval.hi) is float
 
     def test_second_worked_interval(self):
         p = make_point("tprime", "1/2", "3/10")
@@ -277,6 +278,26 @@ class TestFeasibleInterval:
         hi_ref = (1799 + 9 * math.sqrt(1121)) / 200
         assert abs(interval.lo - lo_ref) <= 1e-9
         assert abs(interval.hi - hi_ref) <= 1e-9
+
+    def test_square_discriminant_gives_fraction_endpoints(self):
+        # disc is a rational square here, so both ends are exact
+        interval = make_point("t", "2/5", "3/5").d1_interval
+        assert (interval.lo, interval.hi) == (F(32, 5), F(172, 25))
+        assert type(interval.lo) is F and type(interval.hi) is F
+
+    def test_winning_linear_bound_stays_a_fraction(self):
+        # family pm at t = 101/100: the a-constraint's roots are irrational,
+        # and the upper end is the sub-quartic's linear bound -k2
+        point = make_point("pm", 0, "101/100")
+        interval = point.d1_interval
+        assert type(interval.lo) is float and interval.lo == 3.960099259250182
+        assert type(interval.hi) is F
+        assert interval.hi == -point.gamma1_coeffs()[2] == F(120201, 10000)
+        # k2 = -1, k3 = 0, k4 = -1: disc 29, and the a-constraint's range
+        # (-0.19..., 5.19...) holds both linear bounds 0 and 1
+        interval = feasible_d1([1, -2, -1, 0, -1])
+        assert (interval.lo, interval.hi) == (0, 1)
+        assert type(interval.lo) is F and type(interval.hi) is F
 
     def test_negative_discriminant_is_empty(self):
         # a(d1) = -d1^2 + 0*d1 - 1 < 0 always: k2 = 4, k3 = 0, k4 = 1:
@@ -294,7 +315,7 @@ class TestFeasibleInterval:
                 1000,
             )
             if interval.lo < d1 < interval.hi:
-                A, _ = companion4(gamma, d1)
+                A = companion4(gamma, d1)
                 assert A.is_nonnegative
 
 
