@@ -46,18 +46,24 @@ reversed, the transposed blocks and the same radii, so its transcript
 names A's components.
 In float mode structure.perron_eig decomposes each diagonal block once:
 lambda1 is the largest block root, no other eigenvalue of A may lie within
-1e-9 of it, its block is the Perron block, and each block is scaled by its
-own eigenvector.  A 1x1 matrix is irreducible, in both modes, and takes the
+1e-9 max(|lambda1|, max |a_ij|) of it, its block is the Perron block, and
+each block is scaled by its own eigenvector; every float tolerance is
+relative to that scale, so c A normalizes like A for every c > 0.  A 1x1 matrix is irreducible, in both modes, and takes the
 irreducible branch.  Each mode verifies its result before returning it:
 exactly over the integers, or to the float tolerance.
 
 Exact and float mode run the same absorb loop and the same steps.  Each
 step is a diagonal scaling or a shear, a module function on plain lists of
-rows (Fractions in exact mode, Python floats in float mode), and each
-touches only a few rows and columns: the loop updates those rows and
-columns of the working matrix and of S in place, in O(n k) for a block of
-size k, and multiplies no n x n matrices.  A small backend class supplies
-only what differs: the field's zero and one, the zero test, the linear
+rows: in exact mode integer rows over one positive denominator (_Ints,
+started from A.num and A.den and put back in lowest terms after every
+step), in float mode Python floats.  A vector reaches a step in the same
+form, integer numerators over one denominator in exact mode, so no
+Fraction is made on the way.  The loop updates the working matrix and S in
+place and multiplies no n x n matrices: in float mode each step touches
+only the rows and columns of its block, in O(n k) for a block of size k,
+while on integer rows a step rescales the whole form to its new
+denominator.  A small backend class supplies only what differs: the
+field's zero and one, the form of its rows, the zero test, the linear
 solves and the Perron vector of a component, read from the component
 pass.  The transcript is the one record of the steps.
 """
@@ -68,6 +74,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -168,17 +175,17 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
         raise DomainError("A2 must be irreducible")
     if A3.rows != A2.rows or A3.cols != A1.cols:
         raise DimensionError("A3 must be (order A2) x (order A1)")
-    if all(v == 0 for row in A3.entries() for v in row):
+    if not any(map(any, A3.num)):
         raise DomainError("coupling block A3 is zero; use the lemma2 coupling path")
     n1, n = A1.rows, A1.rows + A2.rows
     blocks = RationalMatrix.from_blocks([[A1, RationalMatrix.zeros(n1, A2.rows)], [A3, A2]])
-    M = [list(row) for row in blocks.entries()]
+    M = _Ints(map(list, blocks.num), blocks.den)
     y = _lift_factor(_ExactOps, M, n1, n, n1, lam)
-    _scale(M, [], n1, y)
-    B = RationalMatrix._of(M)
+    _scale(M, _Ints(), n1, y)
+    B = _ExactOps.matrix(M)
     if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
         raise CertificationError("lift produced a matrix outside CS form")
-    return (_ExactOps.one,) * n1 + tuple(y), B
+    return (Fraction(1),) * n1 + tuple(Fraction(v, y.den) for v in y), B
 
 
 def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
@@ -206,42 +213,48 @@ def lemma2_coupling(A1: RationalMatrix, A2: RationalMatrix, z=None):
         raise SpectralDominanceError("rho(A2) exceeds lambda1")
     if z is None:
         z = _left_eigenvector_exact(A1, lam)
-    z = tuple(rat(v) for v in z)
-    if len(z) != A1.rows:
-        raise DimensionError("z has wrong length")
-    if any(v < 0 for v in z):
-        raise DomainError("z has a negative entry")
-    if all(v == 0 for v in z):
-        raise DomainError("z is zero")
-    resid = tuple(a - lam * b for a, b in zip(A1.transpose().mat_vec(z), z))
-    if any(v != 0 for v in resid):
-        raise DomainError("z is not a left eigenvector of A1 at lambda1")
-    z = [v / max(z) for v in z]
-    n1, n2, zero = A1.rows, A2.rows, _ExactOps.zero
-    rows = [r + (zero,) * n2 for r in A1.entries()] + [(zero,) * n1 + r for r in A2.entries()]
-    M, S = _start(rows, range(n1 + n2), _ExactOps.one, zero)
+    else:
+        z = tuple(rat(v) for v in z)
+        if len(z) != A1.rows:
+            raise DimensionError("z has wrong length")
+        if any(v < 0 for v in z):
+            raise DomainError("z has a negative entry")
+        if all(v == 0 for v in z):
+            raise DomainError("z is zero")
+        resid = tuple(a - lam * b for a, b in zip(A1.transpose().mat_vec(z), z))
+        if any(v != 0 for v in resid):
+            raise DomainError("z is not a left eigenvector of A1 at lambda1")
+        Z = RationalMatrix([[v / max(z) for v in z]])
+        z = _Ints(Z.num[0], Z.den)
+    n1, n2 = A1.rows, A2.rows
+    blocks = RationalMatrix.from_blocks(
+        [[A1, RationalMatrix.zeros(n1, n2)], [RationalMatrix.zeros(n2, n1), A2]]
+    )
+    M, S = _start(_ExactOps, _Ints(blocks.num, blocks.den), range(n1 + n2))
     _shear(M, S, n1, n1 + n2, z)
-    return RationalMatrix._of(S), RationalMatrix._of([row[:n1] for row in M[n1:]])
+    return _ExactOps.matrix(S), _ExactOps.matrix(_Ints([row[:n1] for row in M[n1:]], M.den))
 
 
 def _left_eigenvector_exact(B, lam):
-    """Nonnegative left eigenvector of B at lam, normalized to max entry 1."""
-    basis = kernel(_shifted(lam, B.transpose()))
+    """Nonnegative left eigenvector of B at lam, normalized to max entry 1,
+    as integers over one denominator: the primitive kernel vector over its
+    largest entry, already in lowest terms."""
+    basis = kernel(_shifted(lam, B.transpose()), primitive=True)
     if len(basis) != 1:
         raise DomainError(
             "left eigenspace at %s is %d-dimensional; supply z explicitly"
             % (format_rational(lam), len(basis))
         )
-    z = basis[0]  # 1 at its free column, so a negative entry means mixed signs
+    z = basis[0]  # positive at its free column, so a negative entry means mixed signs
     if any(v < 0 for v in z):
         raise SpectraError("internal invariant violation: mixed-sign left eigenvector")
-    zmax = max(z)
-    return tuple(v / zmax for v in z)
+    return _Ints(z, max(z))
 
 
 def _right_eigenvector_exact(B, lam):
     """Positive eigenvector of B at lam, as the primitive integer vector of
-    the kernel: readable in transcripts, and D^-1 B D stays on integers."""
+    the kernel (over 1): readable in transcripts, and D^-1 B D stays on
+    integers."""
     basis = kernel(_shifted(lam, B), primitive=True)
     if len(basis) != 1:
         raise SpectraError(
@@ -250,7 +263,7 @@ def _right_eigenvector_exact(B, lam):
     x = basis[0]  # positive at its free column
     if any(v <= 0 for v in x):
         raise SpectraError("internal invariant violation: eigenvector not positive")
-    return x
+    return _Ints(x)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +422,18 @@ def _sylvester_decoupling(ops, rows, q, r):
     entries set to 0, hence nonnegative, and T is I with W in those entries.
     """
     m, zero = len(r), ops.zero
+    # Q, R and Y share the rows' denominator, which cancels from the system
     system = _sylvester_system(
         [[rows[i][j] for j in q] for i in q], [[rows[i][j] for j in r] for i in r], zero
     )
-    w = ops.solve_linear(ops.matrix(system), [-rows[qi][rj] for qi in q for rj in r])
+    w = ops.solve_linear(
+        ops.matrix(ops.form(system)), ops.form([-rows[qi][rj] for qi in q for rj in r])
+    )
     if w is None:
         return None
-    n = len(rows)
-    D = [list(row) for row in rows]
-    T = [[ops.one if i == j else zero for j in range(n)] for i in range(n)]
+    n, unit = len(rows), ops.one * _den(w)  # 1, over W's denominator
+    D = ops.form([list(row) for row in rows], _den(rows))
+    T = ops.form([[unit if i == j else zero for j in range(n)] for i in range(n)], _den(w))
     for i, qi in enumerate(q):
         for j, rj in enumerate(r):
             D[qi][rj] = zero
@@ -454,22 +470,70 @@ def _reduce(ops, rows, comps, edges, perron, lam, transcript):
 # ---------------------------------------------------------------------------
 
 
-def _start(rows, perm, one, zero, T=None):
-    """Mutable rows of M = P^T A P and of S = T P, for A and T given by
-    their rows, P the permutation of perm and T the identity when None."""
-    M = [[rows[i][j] for j in perm] for i in perm]
+class _Ints(list):
+    """Integers, or rows of integers, over one positive denominator den:
+    the form exact mode's working matrices and vectors take.  Float mode
+    passes plain lists of Python floats, which are over 1."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, items=(), den=1):
+        super().__init__(items)
+        self.den = den
+
+
+def _den(X):
+    """The denominator of a form: den for integers, 1 for float lists."""
+    return X.den if isinstance(X, _Ints) else 1
+
+
+def _lowest(X):
+    """Put the integer form X in lowest terms, in place."""
+    if X.den == 1:
+        return
+    g = math.gcd(X.den, *chain.from_iterable(X))
+    if g > 1:
+        X[:] = [[v // g for v in row] for row in X]
+        X.den //= g
+
+
+def _start(ops, rows, perm, T=None):
+    """Mutable forms of M = P^T A P and of S = T P, for A and T given as
+    forms, P the permutation of perm and T the identity when None."""
+    M = ops.form([[row[j] for j in perm] for row in map(rows.__getitem__, perm)], _den(rows))
     if T is None:
-        S = [[one if i == j else zero for j in perm] for i in range(len(perm))]
+        S = ops.form([[ops.zero] * len(perm) for _ in perm])
+        for k, i in enumerate(perm):
+            S[i][k] = ops.one
     else:
-        S = [[row[j] for j in perm] for row in T]
+        S = ops.form([[row[j] for j in perm] for row in T], _den(T))
     return M, S
 
 
 def _scale(M, S, a, vec):
     """M <- D^-1 M D, S <- S D in place, for D = diag(1,...,1, vec, 1,...,1)
-    with vec from index a: rows [a, a+k) of M are divided by vec, and the
-    same columns of M and S are multiplied by it."""
+    with vec from index a.
+
+    On float rows, rows [a, a+k) of M are divided by vec, and the same
+    columns of M and S are multiplied by it.  On integer forms, with
+    vec = x / m and L = lcm(x), numerator (i, j) of M is multiplied by
+    r_i c_j and its denominator by L m, where r_i = L m / x_i in the block
+    and L outside it, and c_j = x_j in the block and m outside it; S's
+    columns are multiplied by c and its denominator by m.
+    """
     cols = range(a, a + len(vec))
+    if isinstance(M, _Ints):
+        m, lcm = vec.den, math.lcm(*vec)
+        r, c = [lcm] * len(M), [m] * len(M)
+        for i, x in zip(cols, vec):
+            r[i], c[i] = lcm * m // x, x
+        M[:] = [[v * ri * cj if v else 0 for v, cj in zip(row, c)] for row, ri in zip(M, r)]
+        S[:] = [[v * cj if v else 0 for v, cj in zip(row, c)] for row in S]
+        M.den *= lcm * m
+        S.den *= m
+        _lowest(M)
+        _lowest(S)
+        return
     for i, v in zip(cols, vec):
         M[i] = [x / v if x else x for x in M[i]]
     for row in M + S:
@@ -482,31 +546,52 @@ def _shear(M, S, a, b, z):
     """M <- T^-1 M T, S <- S T in place, for T = I - u z^T with u the
     indicator of rows [a, b) and z padded with zeros; a >= k = len(z),
     so T^-1 = I + u z^T.  Rows [a, b) of M gain z^T M[:k]; then the first
-    k columns of M and of S lose (the sum of their columns [a, b)) z^T."""
-    w = [sum(v * x for v, x in zip(z, col) if v and x) for col in zip(*M[: len(z)])]
+    k columns of M and of S lose (the sum of their columns [a, b)) z^T.
+
+    On integer forms, with z = z' / d, the numerators are multiplied by d
+    before each half, and t is taken before the second: M ends over its
+    denominator times d^2 and S over its own times d.
+    """
+    k, d = len(z), _den(z)
+    w = [sum(v * x for v, x in zip(z, col) if v and x) for col in zip(*M[:k])]
+    if d != 1:
+        M[:] = [[x * d for x in row] for row in M]
+        M.den *= d
     for i in range(a, b):
         M[i] = [x + y if y else x for x, y in zip(M[i], w)]
-    for row in M + S:
-        t = sum(row[a:b])
-        if t:
-            row[: len(z)] = [x - t * v if v else x for x, v in zip(row, z)]
+    for X in (M, S):
+        for i, row in enumerate(X):
+            t = sum(row[a:b])
+            if d != 1:
+                X[i] = row = [x * d for x in row]
+            if t:
+                row[:k] = [x - t * v if v else x for x, v in zip(row, z)]
+        if d != 1:
+            X.den *= d
+    if isinstance(M, _Ints):
+        _lowest(M)
+        _lowest(S)
 
 
 def _sub(ops, M, a, b):
     """The diagonal block M[a:b, a:b] as a backend matrix."""
-    return ops.matrix([row[a:b] for row in M[a:b]])
+    return ops.matrix(ops.form([row[a:b] for row in M[a:b]], _den(M)))
 
 
 class _ExactOps:
-    """Fraction arithmetic for the absorb loop; blocks are the diagonal
-    blocks of the component pass and radii their spectral radii, by
-    component index, None where irrational."""
+    """Integer forms for the absorb loop, over one denominator each; blocks
+    are the diagonal blocks of the component pass and radii their spectral
+    radii, by component index, None where irrational."""
 
-    zero, one = Fraction(0), Fraction(1)
-    matrix = staticmethod(RationalMatrix._of)
+    zero, one = 0, 1
+    form = _Ints
 
     def __init__(self, blocks, radii):
         self.blocks, self.radii = blocks, radii
+
+    @staticmethod
+    def matrix(rows):
+        return RationalMatrix._of_ints(rows, rows.den)
 
     @staticmethod
     def nonzero(rows):
@@ -514,12 +599,13 @@ class _ExactOps:
 
     @staticmethod
     def solve_linear(K, rhs):
-        """x with K x = rhs, or None when K is singular."""
+        """x with K x = rhs, or None when K is singular; rhs and x are
+        integer forms."""
         try:
-            x = solve(K, RationalMatrix._of([v] for v in rhs))
+            x = solve(K, RationalMatrix._of_ints([[v] for v in rhs], rhs.den))
         except SingularMatrixError:
             return None
-        return list(x.column_entries(0))
+        return _Ints([v for v, in x.num], x.den)
 
     @classmethod
     def solve_shifted(cls, lam, K, rhs):
@@ -539,18 +625,23 @@ class _ExactOps:
 
 class _FloatOps:
     """float64 solves and eigenvectors for the absorb loop, on numpy arrays,
-    returned as lists of Python floats (tolerance 1e-13 on zero tests);
-    vectors are the blocks' Perron vectors, by component index."""
+    returned as lists of Python floats; vectors are the blocks' Perron
+    vectors, by component index, and scale = max(|lambda1|, max |a_ij|)
+    sets the zero test's tolerance, 1e-13 scale."""
 
     zero, one = 0.0, 1.0
     matrix = staticmethod(np.array)
 
-    def __init__(self, vectors):
-        self.vectors = vectors
+    def __init__(self, vectors, scale):
+        self.vectors, self.scale = vectors, scale
 
     @staticmethod
-    def nonzero(rows):
-        return any(v > 1e-13 for row in rows for v in row)
+    def form(items, den=1):
+        """Float rows and vectors are plain lists, over 1."""
+        return items
+
+    def nonzero(self, rows):
+        return any(v > 1e-13 * self.scale for row in rows for v in row)
 
     @staticmethod
     def solve_linear(K, rhs):
@@ -572,25 +663,12 @@ class _FloatOps:
     @staticmethod
     def left_vector(B, lam):
         """Left Perron vector of the irreducible block B, max entry 1, by
-        perron_eig on B^T, checked against lam."""
+        perron_eig on B^T, checked against lam, the scale of B's entries."""
         z = perron_eig(B.T)[2]
         resid = float(np.max(np.abs(B.T @ z - lam * z)))
-        if resid > 1e-8 * max(1.0, abs(lam)):
+        if resid > 1e-8 * abs(lam):
             raise SpectraError("left eigenvector residual %.3e" % resid)
         return z.tolist()
-
-
-def _integer_diagonal_similarity(A, x):
-    """(D^-1 A D, D) for D = diag(x), x a positive integer vector, on A's
-    integer form: with A = A'/a and m the lcm of x, entry (i, j) of
-    D^-1 A D is A'_ij x_j (m / x_i) / (a m)."""
-    m, n = math.lcm(*x), len(x)
-    B = RationalMatrix._of_ints(
-        [[v * xj * (m // xi) for v, xj in zip(row, x)] for row, xi in zip(A.num, x)],
-        A.den * m,
-    )
-    D = RationalMatrix._of_ints([[xi if i == j else 0 for j in range(n)] for i, xi in enumerate(x)])
-    return B, D
 
 
 def _dominated_solution(ops, K, lam, rhs, what):
@@ -617,16 +695,18 @@ def _lift_factor(ops, M, a, b, bound, lam):
     in CS_lam form), returns the y that solves (lam I - A2) y = A3 e; the
     factor is diag(1,...,1, y, 1,...,1), applied by a scale step at a.
     """
-    A3e = [sum(row[:bound]) for row in M[a:b]]
+    A3e = ops.form([sum(row[:bound]) for row in M[a:b]], _den(M))
     return _dominated_solution(ops, _sub(ops, M, a, b), lam, A3e, "lift")
 
 
 def _absorb(ops, rows, lam, plan, transcript, T=None):
-    """Scale, couple and lift the planned blocks of A, given by its rows,
-    into CS_lam form.
+    """Scale, couple and lift the planned blocks of A, given by its rows
+    in the backend's form, into CS_lam form.
 
     Returns (B, S).  M starts as the permuted A and S as T (the identity
-    when None) times the permutation, so S^-1 (T A T^-1) S = B.
+    when None) times the permutation, so S^-1 (T A T^-1) S = B; in exact
+    mode both are integer forms from start to end, and leave as matrices
+    through RationalMatrix._of_ints.
     A scale step divides the rows of one block of M by a positive vector and
     multiplies the same columns of M and S by it; a shear step adds a
     combination of the leading rows to the rows of one block, then takes the
@@ -635,7 +715,7 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
     step.
     """
     perm, ranges = plan
-    M, S = _start(rows, perm, ops.one, ops.zero, T)
+    M, S = _start(ops, rows, perm, T)
     transcript.append(RowSumStep("permutation", {"order": list(perm)}))
 
     def apply(step, args, kind, detail):
@@ -658,7 +738,7 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
     for kind, payload, a, b in ranges[1:]:
         suffix = ""
         if kind == "cluster":
-            ones = [ops.one] * (b - a)
+            ones = ops.form([ops.one] * (b - a))
             d = _dominated_solution(ops, _sub(ops, M, a, b), lam, ones, "cluster")
             apply(
                 _scale,
@@ -730,7 +810,8 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
     caller gets a similarity A S = S B that holds exactly.
     """
     comps, edges = _components(A)
-    blocks, radii, perron = None, None, 0
+    # an irreducible A with a certified lam is its own block and radius
+    blocks, radii, perron = [A], [lam], 0
     if lam is None or len(comps) > 1:
         blocks = [A.submatrix(c, c) for c in comps]
         polys = [char_poly(B) for B in blocks]
@@ -742,16 +823,19 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         perron = _perron_block(radii, lam)
 
     transcript = []
+    ops = _ExactOps(blocks, radii)
+    rows = _Ints(A.num, A.den)
     if len(comps) == 1:
-        x = _right_eigenvector_exact(A, lam)
-        B, S = _integer_diagonal_similarity(A, x)
+        M, S = _start(ops, rows, range(A.rows))
+        x = ops.perron_vector(0)
+        _scale(M, S, 0, x)
+        B, S = ops.matrix(M), ops.matrix(S)
         transcript.append(
             RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
         )
     else:
         # A^T when the Perron side shares an eigenvalue with a block it feeds
-        ops = _ExactOps(blocks, radii)
-        result = _reduce(ops, A.entries(), comps, edges, perron, lam, transcript)
+        result = _reduce(ops, rows, comps, edges, perron, lam, transcript)
         B, S = result or _via_transpose(A, comps, edges, perron, ops, lam, transcript)
     _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam)
@@ -785,7 +869,8 @@ def _via_transpose(A, comps, edges, perron, ops, lam, transcript):
     )
     ops_t = _ExactOps([B.transpose() for B in ops.blocks], ops.radii)
     edges_t = {(w, u) for u, w in edges}
-    result = _reduce(ops_t, A.transpose().entries(), comps, edges_t, perron, lam, transcript)
+    At = A.transpose()
+    result = _reduce(ops_t, _Ints(At.num, At.den), comps, edges_t, perron, lam, transcript)
     if result is None:
         raise UnsupportedLayoutError(
             "the Perron side shares an eigenvalue with the blocks it feeds, "
@@ -862,18 +947,21 @@ def _to_cs_float(arr) -> RowSumResult:
     ]
     comps, edges = _components(FloatMatrix(arr))
     # one eigendecomposition per diagonal block: lambda1 = rho(A) must be the
-    # only eigenvalue within 1e-9 of rho, and its block is the Perron block
+    # only eigenvalue within 1e-9 scale of rho, and its block is the Perron
+    # block; scale = max(|lambda1|, max |a_ij|) has no floor, so the tests
+    # read the same on c A for every c > 0
     eigs = [perron_eig(arr[np.ix_(c, c)]) for c in comps]
     lam = max(rho for _, rho, _ in eigs)
-    close = [int(np.sum(np.abs(ev - lam) <= _FLOAT_TOL * max(1.0, lam))) for ev, _, _ in eigs]
+    scale = _float_scale(arr, lam)
+    close = [int(np.sum(np.abs(ev - lam) <= _FLOAT_TOL * scale)) for ev, _, _ in eigs]
     if sum(close) != 1:
         raise PerronNotSimple(
             "Perron root %.12g is not numerically simple (%d eigenvalues within "
             "1e-9)" % (lam, sum(close))
         )
-    ops = _FloatOps([x.tolist() for _, _, x in eigs])
+    ops = _FloatOps([x.tolist() for _, _, x in eigs], scale)
     if len(comps) == 1:
-        M, S = _start(arr.tolist(), range(len(arr)), ops.one, ops.zero)
+        M, S = _start(ops, arr.tolist(), range(len(arr)))
         _scale(M, S, 0, ops.vectors[0])
         B, S = ops.matrix(M), ops.matrix(S)
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
@@ -891,8 +979,13 @@ def _to_cs_float(arr) -> RowSumResult:
     return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam)
 
 
+def _float_scale(arr, lam):
+    """max(|lambda1|, max |a_ij|): the scale of every float tolerance."""
+    return max(abs(lam), float(np.max(np.abs(arr))))
+
+
 def _verify_float(arr, B, S, lam):
-    scale = max(1.0, float(np.max(np.abs(arr))), abs(lam))
+    scale = _float_scale(arr, lam)
     if np.min(B) < -_FLOAT_TOL * scale:
         raise CertificationError("float result has a significantly negative entry")
     if np.max(np.abs(B @ np.ones(B.shape[0]) - lam)) > _FLOAT_TOL * scale:

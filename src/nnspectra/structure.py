@@ -132,7 +132,8 @@ def perron_eig(arr):
     has modulus at most rho, and those on the spectral circle of an
     imprimitive block have a smaller real part.  x is the absolute value of
     its (real) eigenvector, scaled to max entry 1, and must satisfy
-    ||A x - rho x||_inf <= 10 _PERRON_TOL max(1, rho).
+    ||A x - rho x||_inf <= 10 _PERRON_TOL max(|rho|, max |a_ij|), a bound
+    that scales with A.
     """
     values, vectors = np.linalg.eig(arr)
     k = int(np.argmax(values.real))
@@ -140,7 +141,7 @@ def perron_eig(arr):
     x = np.abs(vectors[:, k].real)
     x /= np.max(x)
     residual = float(np.max(np.abs(arr @ x - rho * x)))
-    if residual > 10 * _PERRON_TOL * max(1.0, abs(rho)):
+    if residual > 10 * _PERRON_TOL * max(abs(rho), float(np.max(np.abs(arr)))):
         raise CertificationError("Perron residual %.3e exceeds tolerance" % residual)
     return values, rho, x
 

@@ -360,14 +360,14 @@ class TestDerivedCertificate:
         # it is put in place of B inside the reduction, so the check that
         # refuses it is the one the reduction runs before it returns
         A = RationalMatrix([[1, 2], [3, 0]])
-        real = rowsum._integer_diagonal_similarity
+        real = rowsum._scale
 
-        def perturbed(M, x):
-            B, D = real(M, x)
-            assert B == A
-            return RationalMatrix([[2, 1], [3, 0]]), D
+        def perturbed(M, S, a, vec):
+            real(M, S, a, vec)
+            assert (M, M.den) == ([[1, 2], [3, 0]], 1)
+            M[:] = [[2, 1], [3, 0]]
 
-        monkeypatch.setattr(rowsum, "_integer_diagonal_similarity", perturbed)
+        monkeypatch.setattr(rowsum, "_scale", perturbed)
         with pytest.raises(CertificationError, match="similarity verification failed"):
             ur_shift(A, Spectrum.from_values([3, -2]), F(1, 3))
 

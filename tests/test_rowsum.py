@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -669,9 +670,10 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
     real_shear = rowsum._shear
 
     def shear_spy(M, S, a, b, z):
-        # the working matrix as the shear finds it: its leading part [0, a)
-        # is what the block [a, b) couples into
-        used.append((RationalMatrix([row[:a] for row in M[:a]]), z))
+        # the working matrix as the shear finds it, integer rows over M.den:
+        # its leading part [0, a) is what the block [a, b) couples into
+        leading = RationalMatrix._of_ints([row[:a] for row in M[:a]], M.den)
+        used.append((leading, (list(z), z.den)))
         return real_shear(M, S, a, b, z)
 
     monkeypatch.setattr(rowsum, "_shear", shear_spy)
@@ -683,8 +685,8 @@ def test_coupling_vector_is_left_vector_of_the_leading_part(monkeypatch):
         assert len(couplings) == len(used)
         for step, (leading, z) in zip(couplings, used):
             assert leading.rows == step.detail["coupled-into"][1] == step.detail["range"][0]
-            padded = tuple(z) + (F(0),) * (leading.rows - len(z))
-            assert padded == rowsum._left_eigenvector_exact(leading, result.lam)
+            want = rowsum._left_eigenvector_exact(leading, result.lam)
+            assert (z[0] + [0] * (leading.rows - len(z[0])), z[1]) == (want, want.den)
             checked += 1
     assert checked >= 20
 
@@ -703,9 +705,8 @@ _STEP_OF_KIND = {
 
 def test_both_modes_run_the_same_steps(monkeypatch):
     # one _scale or _shear call per scale or shear transcript step, in both
-    # modes; float mode passes Python floats only, never numpy scalars.
-    # Exact mode scales an irreducible input on its integer form instead
-    # (_integer_diagonal_similarity), so its diagonal-scaling calls nothing
+    # modes; float mode passes Python floats only, never numpy scalars, and
+    # exact mode integers over one denominator, never Fractions
     calls = []
     for name in ("scale", "shear"):
         real = getattr(rowsum, "_" + name)
@@ -723,14 +724,12 @@ def test_both_modes_run_the_same_steps(monkeypatch):
             calls.clear()
             result = to_constant_row_sums(A, mode=mode)
             steps = [_STEP_OF_KIND[s.kind] for s in result.transcript if s.kind in _STEP_OF_KIND]
-            if mode == "exact" and layout == "irreducible":
-                assert steps == ["scale"]
-                steps = []
             assert [name for name, _ in calls] == steps
             runs[mode] = (steps, [vec for _, vec in calls])
-        if layout != "irreducible":
-            assert runs["float"][0] == runs["exact"][0]
+        assert runs["float"][0] == runs["exact"][0]
         assert all(type(v) is float for vec in runs["float"][1] for v in vec)
+        assert all(type(v) is int for vec in runs["exact"][1] for v in vec)
+        assert all(type(vec.den) is int and vec.den > 0 for vec in runs["exact"][1])
         seen.add((layout, "shear" in runs["float"][0]))
     assert {layout for layout, _ in seen} == layouts
     assert {shear for _, shear in seen} == {False, True}
@@ -770,11 +769,25 @@ def _dense_step(n, op, args):
     return Tinv, T
 
 
+def _integer_form(rows, factor=1):
+    """Fraction rows, or one Fraction vector, as exact mode's integer form,
+    with numerators and denominator times factor."""
+    vector = not isinstance(rows[0], list)
+    A = RationalMatrix([rows] if vector else rows)
+    num = [[v * factor for v in row] for row in A.num]
+    return rowsum._Ints(num[0] if vector else num, A.den * factor)
+
+
+def _in_lowest_terms(X):
+    return X.den > 0 and math.gcd(X.den, *(v for row in X for v in row)) == 1
+
+
 def test_structured_steps_match_dense_products():
     # scale and shear update M and S in place; the dense route is
     # M <- T^-1 M T and S <- S T.  The one pair of steps serves both modes:
-    # on Fraction rows it agrees exactly, on float rows to 1e-15 of the
-    # largest entry
+    # on integer rows over one denominator (exact mode) it agrees exactly
+    # and leaves both forms in lowest terms, also from a frame that is not;
+    # on float rows it agrees to 1e-15 of the largest entry
     rng = random.Random(2039)
     steps = {"scale": rowsum._scale, "shear": rowsum._shear}
     kinds = set()
@@ -785,11 +798,14 @@ def test_structured_steps_match_dense_products():
         op, args = _random_step(rng, n)
         kinds.add((op, op == "shear" and args[0] == len(args[2]), op == "shear" and args[1] - args[0] > 1))
 
-        M, S = [list(r) for r in M0], [list(r) for r in S0]
-        steps[op](M, S, *args)
+        M, S = (_integer_form(X, rng.choice([1, 1, 2, 6])) for X in (M0, S0))
+        iargs = tuple(_integer_form(x) if isinstance(x, list) else x for x in args)
+        steps[op](M, S, *iargs)
         Tinv, T = (RationalMatrix(X) for X in _dense_step(n, op, args))
-        assert RationalMatrix(M) == Tinv @ RationalMatrix(M0) @ T
-        assert RationalMatrix(S) == RationalMatrix(S0) @ T
+        assert RationalMatrix._of_ints(M, M.den) == Tinv @ RationalMatrix(M0) @ T
+        assert RationalMatrix._of_ints(S, S.den) == RationalMatrix(S0) @ T
+        assert _in_lowest_terms(M) and _in_lowest_terms(S)
+        assert all(type(v) is int for X in (M, S) for r in X for v in r)
 
         fargs = tuple([float(v) for v in x] if isinstance(x, list) else x for x in args)
         Mf, Sf = ([[float(v) for v in r] for r in X] for X in (M0, S0))
@@ -836,6 +852,62 @@ def test_exact_results_hold_fractions():
     matrices.append(lemma1_lift(A1, RationalMatrix([[1]]), RationalMatrix([[1, 3]]))[1])
     matrices += lemma2_coupling(A1, A2)
     assert all(type(v) is F for M in matrices for row in M.entries() for v in row)
+
+
+def test_exact_reduction_builds_no_fraction_rows(monkeypatch):
+    # exact mode runs on integer rows over one denominator from A.num to
+    # the result: off the transpose path nothing builds a matrix from
+    # Fraction rows or reads one as Fractions
+    calls = []
+    real_of, real_entries = RationalMatrix._of.__func__, RationalMatrix.entries
+
+    def of_spy(cls, rows):
+        calls.append("_of")
+        return real_of(cls, rows)
+
+    def entries_spy(self):
+        calls.append("entries")
+        return real_entries(self)
+
+    monkeypatch.setattr(RationalMatrix, "_of", classmethod(of_spy))
+    monkeypatch.setattr(RationalMatrix, "entries", entries_spy)
+    layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+    seen = set()
+    for layout, A in _layout_inputs(layouts, 60):
+        calls.clear()
+        result = to_constant_row_sums(A, mode="exact")
+        if result.transcript[0].kind != "transpose-similarity":
+            assert calls == []
+            seen.add(layout)
+    assert seen == layouts
+
+
+@pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+def test_float_mode_does_not_depend_on_the_input_scale(c):
+    # every float tolerance is relative to max(|lambda1|, max |a_ij|), with
+    # no floor of 1: on c A, B is c times A's and S is A's, up to rounding,
+    # for irreducible inputs (irrational Perron roots) and planted layouts.
+    # A cluster scaling solves (lambda1 I - K) d = e, whose right side does
+    # not scale with A, so where one runs only B is compared
+    rng = random.Random(2053)
+    inputs = [
+        RationalMatrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+        for n in (2, 3, 4, 5)
+    ]
+    inputs += [A for _, A in _layout_inputs({"chain", "isolated", "mixed", "cluster", "bottom"}, 20)]
+    unchanged = 0
+    for A in inputs:
+        arr = to_float(A).array
+        base = to_constant_row_sums(FloatMatrix(arr), mode="float")
+        scaled = to_constant_row_sums(FloatMatrix(c * arr), mode="float")
+        assert [s.to_json() for s in scaled.transcript] == [s.to_json() for s in base.transcript]
+        B, S = base.B.array, base.S.array
+        assert np.max(np.abs(scaled.B.array - c * B)) <= 1e-9 * c * np.max(np.abs(B))
+        if all(s.kind != "cluster-scaling" for s in base.transcript):
+            assert np.max(np.abs(scaled.S.array - S)) <= 1e-9 * np.max(np.abs(S))
+            unchanged += 1
+        assert abs(scaled.lam - c * base.lam) <= 1e-12 * c * base.lam
+    assert unchanged >= 18
 
 
 def _sympy_certifies(A, result):
@@ -1150,12 +1222,13 @@ def test_one_by_one_takes_the_irreducible_branch(mode, entry):
 def test_exact_driver_refuses_an_unverified_result(monkeypatch, lam):
     # B corrupted inside the reduction: right row sums, no negative entry,
     # but [[2, 1], [3, 0]] is not similar to A
-    real = rowsum._integer_diagonal_similarity
-    monkeypatch.setattr(
-        rowsum,
-        "_integer_diagonal_similarity",
-        lambda A, x: (RationalMatrix([[2, 1], [3, 0]]), real(A, x)[1]),
-    )
+    real = rowsum._scale
+
+    def perturbed(M, S, a, vec):
+        real(M, S, a, vec)
+        M[:] = [[2 * M.den, M.den], [3 * M.den, 0]]
+
+    monkeypatch.setattr(rowsum, "_scale", perturbed)
     with pytest.raises(CertificationError, match="similarity verification failed"):
         rowsum._to_cs_exact(RationalMatrix([[1, 2], [3, 0]]), lam)
 
