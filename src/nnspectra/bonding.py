@@ -16,6 +16,7 @@ characteristic identity when they do not.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
@@ -111,14 +112,21 @@ def smigoc_bond(
             )
         u = tuple(x / pairing for x in u)
 
-    # [[A1, a u^T], [v b^T, B]], row by row from A's and B's entries; for
-    # A = [c] that is B's rows
-    rows = A.entries()
-    b_row = rows[n - 1][: n - 1]
-    return RationalMatrix._of(
-        [row[: n - 1] + tuple(row[n - 1] * x for x in u) for row in rows[: n - 1]]
-        + [tuple(y * x for x in b_row) + row for y, row in zip(v, B.entries())]
-    )
+    # [[A1, a u^T], [v b^T, B]] on integer rows: with A = A'/a, B = B'/b
+    # and u, v = U/w, V/w over the lcm w of their denominators, every block
+    # is an integer form over D = lcm(a w, b); for A = [c] that is B's rows
+    w = math.lcm(*(x.denominator for x in u + v))
+    U, V = ([x.numerator * (w // x.denominator) for x in vec] for vec in (u, v))
+    a, b = A.den, B.den
+    D = math.lcm(a * w, b)
+    sa, sw, sb = D // a, D // (a * w), D // b
+    top = [
+        [x * sa for x in row[: n - 1]] + [row[n - 1] * sw * y for y in U]
+        for row in A.num[: n - 1]
+    ]
+    b_row = [x * sw for x in A.num[n - 1][: n - 1]]
+    bottom = [[y * x for x in b_row] + [x * sb for x in row] for y, row in zip(V, B.num)]
+    return RationalMatrix._of_ints(top + bottom, D)
 
 
 def bonded_jordan_claim(

@@ -4,9 +4,9 @@ Exact scalars are `fractions.Fraction`.  A RationalMatrix is stored once,
 as integer numerator rows over one common denominator, and the exact
 kernels (char poly, elimination, rank, determinant, solve, kernel) and
 their callers read those integer rows: no matrix is cleared of its
-denominators twice, and its Fraction rows are only a view.  Floating point
-exists only as a mirror (`FloatMatrix`) for float mode and region
-sampling.  Decimal strings such as "2.52" are parsed as exact rationals
+denominators twice, and its Fractions are built from that form on request.
+Floating point exists only as a mirror (`FloatMatrix`) for float mode and
+region sampling.  Decimal strings such as "2.52" are parsed as exact rationals
 (63/25), never as floats, so file and CLI inputs reproduce bit-exactly.
 """
 
@@ -68,10 +68,17 @@ def rat(value) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """x, an int or a Fraction, as "p" or "p/q" in lowest terms; DomainError
     past the interpreter's int/str digit limit."""
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(p, q) -> str:
+    """The rational p/q, for integers p and q > 0, as format_rational
+    writes it."""
+    g = math.gcd(p, q)
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
+        if q == g:
+            return str(p // g)
+        return "%d/%d" % (p // g, q // g)
     except ValueError:
         raise DomainError(
             "an output number has more than %d digits, past the interpreter's "
@@ -86,25 +93,14 @@ class RationalMatrix:
     integer numerators, over one common denominator `den`, the lcm of the
     entries' denominators in lowest terms, so that entry (i, j) is
     num[i][j] / den.  The form is built once, when the matrix is built, and
-    equality, hashing and the exact kernels read it.  The Fraction rows of
-    entries() are a view: kept when the matrix is built from Fractions, and
-    made on first use when it is built from integers by _of_ints.
+    it is all a matrix stores: equality, hashing and the exact kernels read
+    it, and the accessors build their Fractions from it on each call.
     """
 
-    __slots__ = ("rows", "cols", "num", "den", "_data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data):
-        rows = tuple(tuple(rat(v) for v in row) for row in data)
-        self._fill(*_clear(rows), rows)
-
-    @classmethod
-    def _of(cls, rows) -> "RationalMatrix":
-        """A matrix of rows of Fractions, which are already exact: internal
-        results are built here and are not parsed again."""
-        rows = tuple(map(tuple, rows))
-        M = object.__new__(cls)
-        M._fill(*_clear(rows), rows)
-        return M
+        self._fill(*_clear([[rat(v) for v in row] for row in data]))
 
     @classmethod
     def _of_ints(cls, rows, d=1) -> "RationalMatrix":
@@ -122,15 +118,14 @@ class RationalMatrix:
         return cls._canonical(num, d)
 
     @classmethod
-    def _canonical(cls, num, d, data=None) -> "RationalMatrix":
-        """A matrix of integer rows num (tuples) over d, already canonical,
-        with its Fraction rows data when the caller has them."""
+    def _canonical(cls, num, d) -> "RationalMatrix":
+        """A matrix of integer rows num (tuples) over d, already canonical."""
         M = object.__new__(cls)
-        M._fill(num, d, data)
+        M._fill(num, d)
         return M
 
-    def _fill(self, num, d, data):
-        """Store the integer form num / d and the Fraction rows data, or None."""
+    def _fill(self, num, d):
+        """Store the integer form num / d."""
         if not num or not num[0]:
             raise DimensionError("matrix needs at least one row and one column")
         ncols = len(num[0])
@@ -141,7 +136,6 @@ class RationalMatrix:
         set_(self, "cols", ncols)
         set_(self, "num", num)
         set_(self, "den", d)
-        set_(self, "_data", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -157,9 +151,9 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, entries) -> "RationalMatrix":
-        ents = [rat(e) for e in entries]
-        n, zero = len(ents), Fraction(0)
-        return cls._of([[ents[i] if i == j else zero for j in range(n)] for i in range(n)])
+        ents = list(entries)
+        n = len(ents)
+        return cls([[ents[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_blocks(cls, grid) -> "RationalMatrix":
@@ -185,22 +179,19 @@ class RationalMatrix:
     # -- access ------------------------------------------------------------
     def __getitem__(self, key):
         i, j = key
-        return self.entries()[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i):
-        return self.entries()[i]
+        d = self.den
+        return tuple(Fraction(v, d) for v in self.num[i])
 
     def column_entries(self, j):
-        return tuple(r[j] for r in self.entries())
+        d = self.den
+        return tuple(Fraction(r[j], d) for r in self.num)
 
     def entries(self):
-        """The rows as tuples of Fractions."""
-        data = self._data
-        if data is None:
-            d = self.den
-            data = tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
-            object.__setattr__(self, "_data", data)
-        return data
+        """The rows as tuples of Fractions, built from num / den."""
+        return tuple(map(self.row, range(self.rows)))
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
         num = self.num
@@ -265,12 +256,7 @@ class RationalMatrix:
         )
 
     def transpose(self) -> "RationalMatrix":
-        data = None if self._data is None else tuple(zip(*self._data))
-        return RationalMatrix._canonical(tuple(zip(*self.num)), self.den, data)
-
-    @property
-    def T(self) -> "RationalMatrix":
-        return self.transpose()
+        return RationalMatrix._canonical(tuple(zip(*self.num)), self.den)
 
     def row_sums(self):
         d = self.den
@@ -279,7 +265,9 @@ class RationalMatrix:
     def mat_vec(self, v):
         if len(v) != self.cols:
             raise DimensionError("vector length %d != cols %d" % (len(v), self.cols))
-        return tuple(_dot(row, v) for row in self.entries())
+        (x,), w = _clear([v])
+        d = self.den * w
+        return tuple(Fraction(sum(map(operator.mul, row, x)), d) for row in self.num)
 
     def __repr__(self):
         body = "; ".join(
@@ -294,14 +282,6 @@ def _clear(rows):
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     d = math.lcm(*[q for row in ratios for _, q in row])
     return tuple(tuple([p * (d // q) for p, q in row]) for row in ratios), d
-
-
-def _dot(u, v):
-    acc = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            acc += a * b
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +307,6 @@ class FloatMatrix:
         raise AttributeError("FloatMatrix is immutable")
 
     @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
-    @property
     def is_square(self):
         return self.array.shape[0] == self.array.shape[1]
 
@@ -347,14 +319,21 @@ class FloatMatrix:
 
 
 def to_float(A: RationalMatrix) -> FloatMatrix:
-    """A in float64; DomainError names an entry beyond the float range."""
-    rows = A.entries()
+    """A in float64, each entry num / den rounded once (int / int is
+    correctly rounded, as float() of a Fraction is); DomainError names an
+    entry beyond or below the float range."""
+    num, d = A.num, A.den
     try:
-        return FloatMatrix([[float(v) for v in row] for row in rows])
+        rows = [[v / d for v in row] for row in num]
     except OverflowError:
-        # float() overflows on the entry of largest modulus first
-        _, i, j = max((abs(v), i, j) for i, row in enumerate(rows) for j, v in enumerate(row))
+        # the entry of largest modulus overflows first
+        _, i, j = max((abs(v), i, j) for i, row in enumerate(num) for j, v in enumerate(row))
         raise DomainError("entry (%d,%d) is beyond the float64 range" % (i, j)) from None
+    for i, (row, floats) in enumerate(zip(num, rows)):
+        for j, (v, x) in enumerate(zip(row, floats)):
+            if v and not x:
+                raise DomainError("entry (%d,%d) is below the float64 range" % (i, j))
+    return FloatMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +834,7 @@ def matrix_to_json(A: RationalMatrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[format_rational(v) for v in row] for row in A.entries()],
+        "entries": [[_format_ratio(v, A.den) for v in row] for row in A.num],
     }
 
 

@@ -528,7 +528,7 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
         histogram[key] = histogram.get(key, 0) + 1
         if w_plus == (2,):
             diag_perron += 1
-            if any(v != 0 for row in C.entries() for v in row):
+            if any(map(any, C.num)):
                 diag_perron_coupled += 1
             if w_minus != (2,):
                 forbidden += 1
@@ -573,8 +573,8 @@ def demo_forced_coupling(samples: int = 5, seed: int = 1) -> ForcedCouplingDemo:
                 "CB+DC": matrix_to_json(term1)["entries"],
                 "DCB": matrix_to_json(term2)["entries"],
                 "sum": matrix_to_json(residual)["entries"],
-                "sum_is_zero": all(v == 0 for row in residual.entries() for v in row),
-                "C_is_zero": all(v == 0 for row in C.entries() for v in row),
+                "sum_is_zero": not any(map(any, residual.num)),
+                "C_is_zero": not any(map(any, C.num)),
             }
         )
     return ForcedCouplingDemo(instances=instances)

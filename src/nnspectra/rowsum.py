@@ -48,9 +48,10 @@ In float mode structure.perron_eig decomposes each diagonal block once:
 lambda1 is the largest block root, no other eigenvalue of A may lie within
 1e-9 max(|lambda1|, max |a_ij|) of it, its block is the Perron block, and
 each block is scaled by its own eigenvector; every float tolerance is
-relative to that scale, so c A normalizes like A for every c > 0.  A 1x1 matrix is irreducible, in both modes, and takes the
-irreducible branch.  Each mode verifies its result before returning it:
-exactly over the integers, or to the float tolerance.
+relative to that scale, so c A normalizes like A for every c > 0.  A 1x1
+matrix is irreducible, in both modes, and takes the irreducible branch.
+Each mode verifies its result before returning it: exactly over the
+integers, or to the float tolerance.
 
 Exact and float mode run the same absorb loop and the same steps.  Each
 step is a diagonal scaling or a shear, a module function on plain lists of
@@ -915,7 +916,7 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
         raise SpectraError("internal error: empty Sylvester kernel")
 
     def as_matrix(vec):
-        return RationalMatrix._of([vec[i * n : (i + 1) * n] for i in range(n)])
+        return RationalMatrix([vec[i * n : (i + 1) * n] for i in range(n)])
 
     for v in basis:
         X = as_matrix(v)

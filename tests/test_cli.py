@@ -59,6 +59,17 @@ class TestNormalize:
         err = capsys.readouterr().err
         assert err == "error: entry (0,0) is beyond the float64 range\n"
 
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    def test_entry_below_float_range_is_domain_error(self, workdir, capsys, mode):
+        # the Perron root sqrt(2) 10^-400 is simple, but both entries round
+        # to 0.0 in float64: the refusal names the first of them
+        tmp, write = workdir
+        entries = [["0", "2e-400"], ["1e-400", "0"]]
+        infile = write("tiny.json", {"rows": 2, "cols": 2, "entries": entries})
+        assert dispatch(["normalize", "--in", infile, "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: entry (0,1) is below the float64 range\n"
+
     def test_entry_beyond_float_range_in_exact_mode(self, workdir):
         tmp, write = workdir
         infile = write("big.json", {"rows": 2, "cols": 2, "entries": [["1e4000", "0"], ["1", "1"]]})

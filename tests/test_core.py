@@ -25,6 +25,7 @@ from nnspectra.core import (
     rational_sqrt,
     solve,
     synthetic_div,
+    to_float,
 )
 from nnspectra.errors import (
     DimensionError,
@@ -357,6 +358,67 @@ class TestFloatBridge:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             FloatMatrix([[float("nan")]])
+
+    def test_to_float_rounds_each_entry_as_float_of_its_fraction(self):
+        # to_float divides num by den; float() of the entry's Fraction is the
+        # reference, bit for bit, for numerators and denominators past 2^1100
+        # and quotients across the whole float64 range and just beyond it
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        boundary = [-1076, -1075, -1074, -1023, -1022, -1021, 1021, 1022, 1023]
+        exponents = [
+            st.integers(-60, 60),
+            st.one_of(st.integers(-1080, 1024), st.sampled_from(boundary)),
+        ]
+
+        @st.composite
+        def entry(draw, exponent):
+            # sign (1 + f/k) 2^s, in [2^s, 2^(s+1)) in modulus, or zero
+            if draw(st.integers(0, 5)) == 0:
+                return F(0)
+            bits = draw(st.one_of(st.integers(1, 70), st.integers(1100, 1200)))
+            k = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+            f, s = draw(st.integers(0, k - 1)), draw(exponent)
+            sign = draw(st.sampled_from((1, -1)))
+            return sign * F(k + f, k) * F(2) ** s
+
+        @st.composite
+        def matrix(draw):
+            # one range of exponents per matrix: moderate quotients, or
+            # quotients up to and past both ends of the float64 range
+            r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            exponent = draw(st.sampled_from(exponents))
+            return [[draw(entry(exponent)) for _ in range(c)] for _ in range(r)]
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(rows=matrix())
+        def check(rows):
+            A = RationalMatrix(rows)
+            values = sum(rows, [])
+            try:
+                expected = [[float(F(v, A.den)) for v in row] for row in A.num]
+            except OverflowError:
+                with pytest.raises(DomainError, match="beyond the float64 range"):
+                    to_float(A)
+                return
+            if any(v and not x for v, x in zip(values, sum(expected, []))):
+                with pytest.raises(DomainError, match="below the float64 range"):
+                    to_float(A)
+                return
+            got = to_float(A).array.tolist()
+            assert [[x.hex() for x in row] for row in got] == [
+                [x.hex() for x in row] for row in expected
+            ]
+
+        check()
+
+    def test_entries_below_the_float_range_are_refused_by_position(self):
+        A = RationalMatrix([["1", "1e-400"], ["-1e-400", "0"]])
+        with pytest.raises(DomainError, match=r"^entry \(0,1\) is below the float64 range$"):
+            to_float(A)
+        # a subnormal result is a float64, not an underflow
+        B = RationalMatrix([["1e-320", "0"], ["0", "-5e-324"]])
+        assert to_float(B).array.tolist() == [[1e-320, 0.0], [0.0, -5e-324]]
 
 
 class TestLinearAlgebra:

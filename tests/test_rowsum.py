@@ -30,6 +30,16 @@ from nnspectra.errors import (
     UnsupportedLayoutError,
 )
 from nnspectra import rowsum
+from nnspectra.bonding import smigoc_bond
+from nnspectra.family5 import (
+    GAMMA2_LEFT,
+    GAMMA2_REALIZATION,
+    GAMMA2_RIGHT,
+    _auto_d1,
+    companion4,
+    diagonalizable_realization,
+    make_point,
+)
 from nnspectra.jcfcert import jordan_spec
 from nnspectra.structure import _components
 from nnspectra.rowsum import (
@@ -857,29 +867,49 @@ def test_exact_results_hold_fractions():
 def test_exact_reduction_builds_no_fraction_rows(monkeypatch):
     # exact mode runs on integer rows over one denominator from A.num to
     # the result: off the transpose path nothing builds a matrix from
-    # Fraction rows or reads one as Fractions
+    # Fraction rows or reads one as Fractions.  Bonding assembles C from
+    # A.num, B.num and the cleared eigenvectors, so a family5 realization
+    # builds only its input A(d1) from Fractions
     calls = []
-    real_of, real_entries = RationalMatrix._of.__func__, RationalMatrix.entries
+    real_init, real_entries = RationalMatrix.__init__, RationalMatrix.entries
 
-    def of_spy(cls, rows):
-        calls.append("_of")
-        return real_of(cls, rows)
+    def init_spy(self, data):
+        calls.append("__init__")
+        real_init(self, data)
 
     def entries_spy(self):
         calls.append("entries")
         return real_entries(self)
 
-    monkeypatch.setattr(RationalMatrix, "_of", classmethod(of_spy))
-    monkeypatch.setattr(RationalMatrix, "entries", entries_spy)
     layouts = {"irreducible", "chain", "isolated", "mixed", "cluster", "bottom"}
+    inputs = list(_layout_inputs(layouts, 60))
+    points = [
+        make_point("t", 1, "4/5"),
+        make_point("t", "3/4", "6/5"),
+        make_point("tprime", "1/2", "3/10"),
+        make_point("tprime", 1, "1/5"),
+    ]
+    factors = [
+        companion4(p.gamma1_coeffs(), _auto_d1(p.gamma1_coeffs(), p.d1_interval))
+        for p in points
+    ]
+    monkeypatch.setattr(RationalMatrix, "__init__", init_spy)
+    monkeypatch.setattr(RationalMatrix, "entries", entries_spy)
     seen = set()
-    for layout, A in _layout_inputs(layouts, 60):
+    for layout, A in inputs:
         calls.clear()
         result = to_constant_row_sums(A, mode="exact")
         if result.transcript[0].kind != "transpose-similarity":
             assert calls == []
             seen.add(layout)
     assert seen == layouts
+    for point, A in zip(points, factors):
+        calls.clear()
+        smigoc_bond(A, GAMMA2_REALIZATION, 2, GAMMA2_LEFT, GAMMA2_RIGHT)
+        smigoc_bond(A, GAMMA2_REALIZATION, 2)
+        assert calls == []
+        diagonalizable_realization(point)
+        assert calls == ["__init__"]
 
 
 @pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
