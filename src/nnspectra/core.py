@@ -407,9 +407,43 @@ def _bareiss(m, pivot_cols):
     return pivots, sign
 
 
+# the word-size prime of _nonzero_mod_prime: the Mersenne prime 2^61 - 1
+_PRIME = 2**61 - 1
+
+
+def _nonzero_mod_prime(rows) -> bool:
+    """Whether det of the square integer rows is nonzero modulo _PRIME, by
+    fraction-free elimination over GF(_PRIME).
+
+    True proves det != 0 over Z; False proves nothing, since a nonzero
+    determinant may be a multiple of the prime.  A row is updated as
+    pivot * row - f * pivot row, which scales det by the pivot, a unit
+    modulo the prime, so no inverse is taken; a row that is already 0 in the
+    pivot column is skipped, so a triangular or diagonal matrix costs O(n^2).
+    """
+    p = _PRIME
+    m = [[v % p for v in row] for row in rows]
+    n = len(m)
+    for c in range(n):
+        for r in range(c, n):
+            if m[r][c]:
+                break
+        else:
+            return False
+        m[c], m[r] = m[r], m[c]
+        pivot, tail = m[c][c], m[c][c + 1 :]
+        for row in m[c + 1 :]:
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(v * pivot - f * w) % p for v, w in zip(row[c + 1 :], tail)]
+    return True
+
+
 def _is_singular(A: RationalMatrix) -> bool:
-    """det A == 0, by the elimination of A's integer rows."""
-    return len(_eliminate(A.num, A.cols)[1]) < A.rows
+    """det A == 0: a determinant of A's integer rows that is nonzero modulo
+    _PRIME settles it at once, and only a zero residue takes the
+    fraction-free elimination."""
+    return not _nonzero_mod_prime(A.num) and len(_eliminate(A.num, A.cols)[1]) < A.rows
 
 
 def _back_substitute(m, pivots, col):

@@ -9,20 +9,28 @@ simple eigenvalue, at most one per eigenvalue of a nonderogatory matrix.
 Everything here certifies matrices with rational spectra, which
 rational_spectrum_of tells apart exactly; irrational spectra are not certified.
 
-This module computes the spectral facts that certificates rest on:
-jordan_spec and verify_certificate share one char-poly residual (Berkowitz
-over the integers) and one Weyr sequence per claimed eigenvalue (ranks by the
-fraction-free elimination), and _certificate words every certificate's
-records from such facts.  Constructions certified here (the degree-5
-realization, bonding) do not check those facts again.  The Perron shift
-(perturb.ur_shift) proves its output's facts from a verified similarity
-instead and hands them to _certificate; verify_certificate, which recomputes
-them, stays the independent oracle for that derivation.
+This module computes the spectral facts that certificates rest on.
+jordan_spec first tries a cyclic certificate: one Krylov basis
+v, N v, ..., N^(n-1) v of A's integer form N from the fixed vector
+v = (1, 2, ..., n), whose determinant is nonzero modulo one word-size prime,
+and q(N) v = 0 for the claim's polynomial q.  That proves A nonderogatory
+with the claimed char poly, so its form is one Jordan block per eigenvalue,
+with no char poly and no rank.  When the basis cannot conclude (a zero
+residue, q(N) v != 0, a derogatory A), jordan_spec and verify_certificate
+share one char-poly residual (Berkowitz over the integers) and one Weyr
+sequence per claimed eigenvalue (ranks by the fraction-free elimination),
+and _certificate words every certificate's records from such facts.
+Constructions certified here (the degree-5 realization, bonding) do not
+check those facts again.  The Perron shift (perturb.ur_shift) proves its
+output's facts from a verified similarity instead and hands them to
+_certificate; verify_certificate, which recomputes them, stays the
+independent oracle for that derivation.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,12 +40,14 @@ from .core import (
     Spectrum,
     _integer_poly,
     _integer_product,
+    _nonzero_mod_prime,
     _root_ceiling,
     _shifted,
     char_poly,
     exact_rank,
     format_rational,
     matrix_to_json,
+    poly_from_roots,
     poly_sub,
     poly_to_string,
     rat,
@@ -144,12 +154,56 @@ def _match_spectrum(A: RationalMatrix, spectrum: Spectrum):
     return p
 
 
+def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
+    """A's Jordan form, one block per claimed eigenvalue, when one Krylov
+    basis proves A nonderogatory with the claimed char poly; None when it
+    cannot conclude.
+
+    N = d A is A's integer form, v = (1, 2, ..., n) and q(x) =
+    prod (x - d lam_i) the claim's polynomial over Z.  v is neither e, an
+    eigenvector of every CS-form matrix, nor a unit vector, which stays in
+    its block's invariant subspace when A is block triangular.  If
+    q(N) v = 0 and det[v, N v, ..., N^(n-1) v] is nonzero modulo _PRIME, the
+    minimal polynomial of v under N has degree n and divides q, so
+    char_poly(N) = minpoly(N) = q: char_poly(A) is the claim's, and each
+    eigenvalue has one Jordan block of its full multiplicity.  Only integer
+    mat-vecs are taken.  A claim of another order, a non-integral q (a wrong
+    claim, as the rational roots of a monic integer poly are integers),
+    q(N) v != 0, a zero residue and a derogatory A give None.
+    """
+    n = A.rows
+    if not A.is_square or spectrum.order != n:
+        return None
+    N, d = A.num, A.den
+    roots = [value * d for value in spectrum.values()]
+    if any(root.denominator != 1 for root in roots):
+        return None
+    q = [c.numerator for c in poly_from_roots(roots)]  # highest first
+    krylov = [list(range(1, n + 1))]
+    for _ in range(n):
+        x = krylov[-1]
+        krylov.append([sum(map(operator.mul, row, x)) for row in N])
+    # entry i of q(N) v = sum_k q_k N^(n-k) v
+    if any(sum(map(operator.mul, q, reversed(powers))) for powers in zip(*krylov)):
+        return None
+    # the rows of the Krylov matrix's transpose, whose determinant is the same
+    if not _nonzero_mod_prime(krylov[:n]):
+        return None
+    return JordanSpec.from_map([(value, (m,)) for value, m in spectrum.pairs])
+
+
 def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     """Exact Jordan structure of A, given its (rational) spectrum.
 
-    Raises SpectrumMismatchError when char_poly(A) does not split exactly
-    over the supplied spectrum.
+    When _cyclic_jordan's Krylov basis proves A nonderogatory, the form
+    follows with no char poly and no rank.  Otherwise char_poly(A) is matched
+    exactly against the spectrum and the Weyr ranks give the block sizes;
+    SpectrumMismatchError, with the char poly's residual, is raised when it
+    does not split over the supplied spectrum.
     """
+    cyclic = _cyclic_jordan(A, spectrum)
+    if cyclic is not None:
+        return cyclic
     _match_spectrum(A, spectrum)
     return _jordan_of(A, spectrum)
 

@@ -129,8 +129,9 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     nonnegative in CS_(lambda1+eps) with the Perron root moved and every
     other Jordan block unchanged.
 
-    The input is certified once, by jordan_spec (char poly against the
-    spectrum, then Weyr ranks); lambda1 is read from that certified spectrum,
+    The input is certified once, by jordan_spec (a Krylov basis for a
+    nonderogatory A, else the char poly against the spectrum and Weyr
+    ranks); lambda1 is read from that certified spectrum,
     and the radius of every other diagonal block the reduction scales comes
     from the reduction's own exact routine, never from floats.  The reduction
     checks the CS form B exactly against A (A S = S B, det S != 0, B >= 0,

@@ -592,7 +592,15 @@ class _ExactOps:
 
     @staticmethod
     def matrix(rows):
+        """The matrix of a form, reduced: a block of a reduced form need
+        not be reduced itself."""
         return RationalMatrix._of_ints(rows, rows.den)
+
+    @staticmethod
+    def result(rows):
+        """The matrix of a form that _lowest has just reduced (B or S at the
+        end of a reduction), built as it stands, with no second gcd."""
+        return RationalMatrix._canonical(tuple(map(tuple, rows)), rows.den)
 
     @staticmethod
     def nonzero(rows):
@@ -616,9 +624,7 @@ class _ExactOps:
     def perron_vector(self, ci):
         """Positive eigenvector of component ci's block at its spectral radius."""
         if self.radii[ci] is None:
-            raise ModeError(
-                "a diagonal block has an irrational spectral radius; rerun in float mode"
-            )
+            raise ModeError("a diagonal block has an irrational spectral radius")
         return _right_eigenvector_exact(self.blocks[ci], self.radii[ci])
 
     left_vector = staticmethod(_left_eigenvector_exact)
@@ -631,7 +637,7 @@ class _FloatOps:
     sets the zero test's tolerance, 1e-13 scale."""
 
     zero, one = 0.0, 1.0
-    matrix = staticmethod(np.array)
+    matrix = result = staticmethod(np.array)
 
     def __init__(self, vectors, scale):
         self.vectors, self.scale = vectors, scale
@@ -706,8 +712,8 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
 
     Returns (B, S).  M starts as the permuted A and S as T (the identity
     when None) times the permutation, so S^-1 (T A T^-1) S = B; in exact
-    mode both are integer forms from start to end, and leave as matrices
-    through RationalMatrix._of_ints.
+    mode both are integer forms from start to end, in lowest terms after
+    every step, and leave as matrices through ops.result with no second gcd.
     A scale step divides the rows of one block of M by a positive vector and
     multiplies the same columns of M and S by it; a shear step adds a
     combination of the leading rows to the rows of one block, then takes the
@@ -764,7 +770,7 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
             {"range": [a, b], "absorbed-into": [0, bound]},
         )
         bound = b
-    return ops.matrix(M), ops.matrix(S)
+    return ops.result(M), ops.result(S)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +784,8 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
     Exact mode needs the Perron root (and the spectral radius of every
     irreducible diagonal block it scales) to be rational; float mode runs
     the same construction in doubles with verification tolerance 1e-9.
-    Auto mode runs exact mode and falls back to float mode on ModeError.
+    Auto mode runs exact mode and falls back to float mode on ModeError;
+    exact mode raises it, with _float_advice appended.
     """
     if mode not in ("exact", "float", "auto"):
         raise DomainError("mode must be 'exact', 'float' or 'auto'")
@@ -792,10 +799,20 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
     if exact and mode != "float":
         try:
             return _to_cs_exact(A)
-        except ModeError:
+        except ModeError as exc:
             if mode == "exact":
-                raise
+                raise ModeError("%s; %s" % (exc, _float_advice(A))) from exc
     return _to_cs_float(np.asarray((to_float(A) if exact else A).array, dtype=float))
+
+
+def _float_advice(A: RationalMatrix) -> str:
+    """The advice of exact mode's ModeError: float mode, unless float64
+    cannot hold A, and then the entry that to_float refuses."""
+    try:
+        to_float(A)
+    except DomainError as exc:
+        return "%s, so floating point cannot take this input either" % exc
+    return "rerun in float mode"
 
 
 def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
@@ -819,7 +836,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         rho, radii = perron_root_exact(blocks, polys)
         if lam is None:
             if rho is None:
-                raise ModeError("the Perron root appears irrational; rerun in float mode")
+                raise ModeError("the Perron root appears irrational")
             lam = rho
         perron = _perron_block(radii, lam)
 
@@ -830,7 +847,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         M, S = _start(ops, rows, range(A.rows))
         x = ops.perron_vector(0)
         _scale(M, S, 0, x)
-        B, S = ops.matrix(M), ops.matrix(S)
+        B, S = ops.result(M), ops.result(S)
         transcript.append(
             RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
         )
@@ -964,7 +981,7 @@ def _to_cs_float(arr) -> RowSumResult:
     if len(comps) == 1:
         M, S = _start(ops, arr.tolist(), range(len(arr)))
         _scale(M, S, 0, ops.vectors[0])
-        B, S = ops.matrix(M), ops.matrix(S)
+        B, S = ops.result(M), ops.result(S)
         transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
     else:
         # float mode has no transpose fallback for a shared eigenvalue

@@ -70,6 +70,33 @@ class TestNormalize:
         err = capsys.readouterr().err
         assert err == "error: entry (0,1) is below the float64 range\n"
 
+    @pytest.mark.parametrize(
+        "entries, advice",
+        [
+            ([["0", "2"], ["1", "0"]], "rerun in float mode"),
+            (
+                [["0", "2e-400"], ["1e-400", "0"]],
+                "entry (0,1) is below the float64 range, so floating point cannot "
+                "take this input either",
+            ),
+        ],
+        ids=["sqrt2", "underflow"],
+    )
+    def test_exact_mode_advises_float_mode_only_where_it_runs(
+        self, workdir, capsys, entries, advice
+    ):
+        # both Perron roots are irrational; float mode refuses the second
+        # input, so exact mode must not send the user there
+        tmp, write = workdir
+        infile = write("irrational.json", {"rows": 2, "cols": 2, "entries": entries})
+        assert dispatch(["normalize", "--in", infile, "--mode", "exact"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the Perron root appears irrational; %s\n" % advice
+        if "float64" in advice:
+            assert "float mode" not in err
+            assert dispatch(["normalize", "--in", infile, "--mode", "float"]) == 1
+            assert capsys.readouterr().err == "error: entry (0,1) is below the float64 range\n"
+
     def test_entry_beyond_float_range_in_exact_mode(self, workdir):
         tmp, write = workdir
         infile = write("big.json", {"rows": 2, "cols": 2, "entries": [["1e4000", "0"], ["1", "1"]]})

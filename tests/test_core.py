@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nnspectra import core
 from nnspectra.core import (
     FloatMatrix,
     JordanSpec,
@@ -446,6 +447,49 @@ class TestLinearAlgebra:
     def test_rational_sqrt(self):
         assert rational_sqrt(F(9, 4)) == F(3, 2)
         assert rational_sqrt(F(2)) is None
+
+
+class TestOnePrime:
+    """det != 0 from one residue modulo the word-size prime _PRIME; the
+    Bareiss elimination runs only on a zero residue."""
+
+    def test_nonzero_exactly_when_the_determinant_is_nonzero_modulo_the_prime(self):
+        rng = random.Random(61)
+        for n in range(1, 8):
+            for _ in range(20):
+                span = rng.choice([3, 10**30])
+                rows = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+                if n > 2 and rng.random() < 0.3:  # a dependent last row
+                    rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+                det = determinant(RationalMatrix(rows))
+                assert core._nonzero_mod_prime(rows) == (int(det) % core._PRIME != 0)
+
+    def _bareiss_calls(self, monkeypatch):
+        calls, bareiss = [], core._bareiss
+
+        def spy(m, pivot_cols):
+            calls.append(len(m))
+            return bareiss(m, pivot_cols)
+
+        monkeypatch.setattr(core, "_bareiss", spy)
+        return calls
+
+    def test_nonzero_residue_takes_no_elimination(self, monkeypatch):
+        calls = self._bareiss_calls(monkeypatch)
+        S = RationalMatrix.diagonal([F(2, 3), F(7), F(1, 5)])
+        assert not core._is_singular(S)
+        assert not core._is_singular(RationalMatrix([[2, 1], [1, 1]]))
+        assert calls == []
+
+    def test_determinant_a_multiple_of_the_prime_falls_back_to_bareiss(self, monkeypatch):
+        calls = self._bareiss_calls(monkeypatch)
+        p = core._PRIME
+        A = RationalMatrix([[p, 1], [0, 1]])  # det p: residue 0, yet invertible
+        assert not core._nonzero_mod_prime(A.num)
+        assert not core._is_singular(A)
+        assert calls == [2]
+        assert core._is_singular(RationalMatrix([[p, 2 * p], [1, 2]]))
+        assert calls == [2, 2]
 
 
 class TestInternalResults:

@@ -38,6 +38,15 @@ from conftest import (
 from test_core import _from_sympy, _random_entry, _to_sympy
 
 
+def _direct_sum(*blocks):
+    return RationalMatrix.from_blocks(
+        [
+            [B if i == j else RationalMatrix.zeros(B.rows, C.cols) for j, C in enumerate(blocks)]
+            for i, B in enumerate(blocks)
+        ]
+    )
+
+
 class TestWeyr:
     def test_single_j2(self):
         A = RationalMatrix([[1, 0], [1, 1]])
@@ -82,13 +91,19 @@ class TestWeyr:
                 assert weyr_sequence(A, value, m) == weyr_sequence(A, value)
                 assert weyr_sequence(A, value, m) == spec.weyr_at(value)
 
-    @pytest.mark.parametrize("values, ranks", [([9, -1, -2, -3], 0), ([9, -1, -2, -2], 1)])
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [([[9, -1, -2, -3]], 0), ([[9, -1, -2, -2]], 0), ([[9, -1, -2], [-2]], 1)],
+    )
     def test_checked_companion_ranks_once_per_repeated_eigenvalue(
         self, monkeypatch, values, ranks
     ):
-        # a scrambled companion is nonderogatory: a simple eigenvalue needs no
-        # rank, a repeated one needs rank(A - lam I) only
-        C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
+        # values lists the roots of each companion block.  A scrambled
+        # companion is nonderogatory, and its Krylov basis proves it with no
+        # rank; two blocks sharing -2 make A derogatory, so the char poly is
+        # matched and rank(A + 2 I) alone shows the nullity 2 = multiplicity
+        blocks = [companion_matrix(poly_from_roots(roots)) for roots in values]
+        A = scramble(random.Random(5), _direct_sum(*blocks))
         calls = []
 
         def spy(M):
@@ -96,7 +111,8 @@ class TestWeyr:
             return exact_rank(M)
 
         monkeypatch.setattr(jcfcert, "exact_rank", spy)
-        jordan_spec(C, Spectrum.from_values(values))
+        spec = jordan_spec(A, Spectrum.from_values([v for roots in values for v in roots]))
+        assert len(spec.sizes_at(-2)) == len(values)
         assert len(calls) == ranks
 
 
@@ -215,6 +231,151 @@ class TestJordanSpecOf:
         with pytest.raises(SpectrumMismatchError) as err:
             jordan_spec(A, Spectrum.from_values([1, 2]))
         assert err.value.residual is not None
+
+
+def _nonderogatory_spec(rng, n):
+    """A JordanSpec of order n with one block per eigenvalue, over small
+    fractions."""
+    pool = sorted({F(a, b) for a in range(-4, 6) for b in (1, 2, 3)})
+    rng.shuffle(pool)
+    blocks, left = [], n
+    while left:
+        m = rng.randint(1, min(3, left))
+        blocks.append((pool.pop(), [m]))
+        left -= m
+    return JordanSpec.from_map(blocks)
+
+
+def _nonderogatory_inputs(rng, count):
+    """(A, spectrum): scrambled Suleimanova companions (n = 2..8) and planted
+    S^-1 J S with one block per value (n = 1..7), in turn; both have
+    fractional entries."""
+    out = []
+    for i in range(count):
+        if i % 2:
+            C, values = suleimanova_companion(rng, rng.randint(2, 8))
+            out.append((scramble(rng, C), Spectrum.from_values(values)))
+        else:
+            spec = _nonderogatory_spec(rng, rng.randint(1, 7))
+            S = random_invertible(rng, spec.order)
+            out.append((solve(S, spec.jordan_matrix() @ S), spec.spectrum()))
+    return out
+
+
+def _krylov_determinant(A):
+    """det[v, N v, ..., N^(n-1) v] for N = A's integer form, v = (1, ..., n)."""
+    vectors = [tuple(range(1, A.rows + 1))]
+    for _ in range(A.rows - 1):
+        vectors.append(RationalMatrix._of_ints(A.num).mat_vec(vectors[-1]))
+    return core.determinant(RationalMatrix(vectors))
+
+
+def _char_poly_route(A, spectrum):
+    jcfcert._match_spectrum(A, spectrum)
+    return jcfcert._jordan_of(A, spectrum)
+
+
+class TestCyclicRoute:
+    """jordan_spec's cyclic certificate against the char-poly + Weyr route
+    that it replaces on nonderogatory inputs, and its fallbacks."""
+
+    def test_equals_the_char_poly_route_on_nonderogatory_inputs(self):
+        concluded = 0
+        for A, spectrum in _nonderogatory_inputs(random.Random(3101), 220):
+            cyclic, reference = jcfcert._cyclic_jordan(A, spectrum), _char_poly_route(A, spectrum)
+            assert jordan_spec(A, spectrum) == reference
+            if cyclic is None:
+                # v lies in a proper invariant subspace: the fallback is due
+                # to a singular Krylov matrix, not to an unlucky residue
+                assert _krylov_determinant(A) == 0
+            else:
+                assert cyclic == reference
+                assert all(len(sizes) == 1 for _, sizes in cyclic.blocks)
+                concluded += 1
+        assert concluded >= 200
+
+    def test_sympy_jordan_form_agrees(self):
+        sympy = pytest.importorskip("sympy")
+        for A, spectrum in _nonderogatory_inputs(random.Random(3102), 12):
+            cyclic = jcfcert._cyclic_jordan(A, spectrum)
+            if cyclic is None:
+                continue
+            _, J = _to_sympy(A).jordan_form()
+            n = J.rows
+            sizes, run = {}, 1
+            for i in range(n):
+                if i + 1 < n and J[i, i + 1] == 1:
+                    run += 1
+                    continue
+                sizes.setdefault(_from_sympy(J[i, i]), []).append(run)
+                run = 1
+            assert cyclic == JordanSpec.from_map(sizes)
+
+    def test_derogatory_and_wrong_claims_fall_back(self):
+        rng = random.Random(3103)
+        derogatory = 0
+        while derogatory < 20:
+            spec = random_jordan_spec(rng, rng.randint(2, 7))
+            if all(len(sizes) == 1 for _, sizes in spec.blocks):
+                continue
+            derogatory += 1
+            S = random_invertible(rng, spec.order)
+            A = solve(S, spec.jordan_matrix() @ S)
+            assert jcfcert._cyclic_jordan(A, spec.spectrum()) is None
+            assert jordan_spec(A, spec.spectrum()) == spec
+            for claim in _wrong_claims(rng, spec):
+                assert jcfcert._cyclic_jordan(A, claim.spectrum()) is None
+
+    @pytest.mark.parametrize(
+        "values",
+        [[F(1, 2)], [9, F(-1, 3)], [3, 3], [9, -1, -2]],
+        ids=["non-integral", "non-integral-root", "wrong", "short"],
+    )
+    def test_mismatch_keeps_its_message(self, values):
+        C = scramble(random.Random(7), companion_matrix(poly_from_roots([9, -1, -2, -2])))
+        claim = Spectrum.from_values(values)
+        assert jcfcert._cyclic_jordan(C, claim) is None
+        with pytest.raises(SpectrumMismatchError) as err:
+            jordan_spec(C, claim)
+        residual = jcfcert._residual(char_poly(C), claim)
+        assert err.value.residual == residual
+        assert str(err.value).endswith("residual: %s" % core.poly_to_string(residual))
+
+    def test_scrambled_companion_takes_no_char_poly_and_no_rank(self, monkeypatch):
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError("%s called" % name)
+
+            return call
+
+        monkeypatch.setattr(jcfcert, "char_poly", forbidden("char_poly"))
+        monkeypatch.setattr(jcfcert, "exact_rank", forbidden("exact_rank"))
+        monkeypatch.setattr(core, "_bareiss", forbidden("_bareiss"))
+        values = [9, -1, -2, -2, F(-1, 3), F(-1, 3), F(-1, 3)]
+        C = scramble(random.Random(5), companion_matrix(poly_from_roots(values)))
+        spec = jordan_spec(C, Spectrum.from_values(values))
+        assert spec == JordanSpec.from_map({9: [1], -1: [1], -2: [2], F(-1, 3): [3]})
+
+    def test_krylov_determinant_a_multiple_of_the_prime_falls_back(self, monkeypatch):
+        # N = [[0, 0], [c, 0]] is J2(0), and v = (1, 2) gives the Krylov
+        # determinant c: c = _PRIME has residue 0, so the char poly and the
+        # Bareiss rank of N decide; c = _PRIME + 1 concludes at once
+        calls, bareiss = [], core._bareiss
+
+        def spy(m, pivot_cols):
+            calls.append(len(m))
+            return bareiss(m, pivot_cols)
+
+        monkeypatch.setattr(core, "_bareiss", spy)
+        claim, expected = Spectrum.from_values([0, 0]), JordanSpec.from_map({0: [2]})
+        for c, eliminations in ((core._PRIME + 1, []), (core._PRIME, [2])):
+            A = RationalMatrix([[0, 0], [c, 0]])
+            assert _krylov_determinant(A) == c
+            calls.clear()
+            concluded = jcfcert._cyclic_jordan(A, claim)
+            assert jordan_spec(A, claim) == expected
+            assert calls == eliminations
+            assert (concluded is None) == bool(eliminations)
 
 
 class TestEnumerate:

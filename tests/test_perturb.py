@@ -354,6 +354,36 @@ class TestDerivedCertificate:
         with pytest.raises(CertificationError, match=r"not B \+ \(eps/n\) e e\^T"):
             _shift_certificate(B, RationalMatrix(rows), spectrum, jordan_spec(A, spectrum), eps)
 
+    @staticmethod
+    def _shift(B, eps):
+        return RationalMatrix([[v + eps / B.rows for v in row] for row in B.entries()])
+
+    @staticmethod
+    def _diagonal_form(spectrum):
+        return JordanSpec.from_map([(v, [1] * m) for v, m in spectrum.pairs])
+
+    def test_row_sums_off_lambda1_refused(self):
+        # B = diag(2, 1) is not in CS form: the shift differs from B by
+        # exactly (eps/2) e e^T, but its second row sums to 1 + eps
+        B, spectrum, eps = RationalMatrix([[2, 0], [0, 1]]), Spectrum.from_values([2, 1]), F(1, 3)
+        with pytest.raises(CertificationError, match="a row of the shifted matrix does not sum to 7/3"):
+            _shift_certificate(B, self._shift(B, eps), spectrum, self._diagonal_form(spectrum), eps)
+
+    def test_collision_refused(self):
+        # the claim {3, -4} has the Perron value -4 (the largest modulus),
+        # and eps = 7 moves it onto 3; B's rows sum to -4, as the checks
+        # before the collision test need
+        B, spectrum, eps = RationalMatrix([[-2, -2], [-2, -2]]), Spectrum.from_values([3, -4]), F(7)
+        with pytest.raises(CertificationError, match="shifted Perron root 3 collides"):
+            _shift_certificate(B, self._shift(B, eps), spectrum, self._diagonal_form(spectrum), eps)
+
+    def test_failed_certificate_refused(self):
+        # every row of [[-1, 4], [4, -1]] sums to 3, and its shift by
+        # (1/6) e e^T keeps the entry -5/6: the nonnegativity record fails
+        B, spectrum, eps = RationalMatrix([[-1, 4], [4, -1]]), Spectrum.from_values([3, -1]), F(1, 3)
+        with pytest.raises(CertificationError, match="Perron shift failed certification"):
+            _shift_certificate(B, self._shift(B, eps), spectrum, self._diagonal_form(spectrum), eps)
+
     def test_unverified_similarity_refused(self, monkeypatch):
         # a CS form with the right row sums and no negative entry, but not
         # similar to A: [[2, 1], [3, 0]] has spectrum {3, -1}, not {3, -2}
@@ -374,8 +404,9 @@ class TestDerivedCertificate:
 
 def test_certified_ur_shift_multiplies_no_matrices(monkeypatch):
     # on scrambled companions (irreducible, so no transpose path) the CS
-    # verification multiplies integer rows, jordan_spec ranks integer powers
-    # and the output's certificate is derived: no RationalMatrix product is left
+    # verification multiplies integer rows, jordan_spec takes integer
+    # mat-vecs and the output's certificate is derived: no RationalMatrix
+    # product is left
     rng = random.Random(83)
     cases = []
     for i in range(12):

@@ -44,6 +44,7 @@ from nnspectra.jcfcert import jordan_spec
 from nnspectra.structure import _components
 from nnspectra.rowsum import (
     _verify_exact,
+    _verify_float,
     lemma1_lift,
     lemma2_coupling,
     similarity_to_transpose,
@@ -473,6 +474,19 @@ def test_exact_results_match_golden_digest():
     assert digest.hexdigest() == EXACT_GOLDEN_SHA256
 
 
+def test_results_are_built_in_lowest_terms_without_a_second_gcd():
+    # B and S leave the loop through ops.result, as _lowest left them;
+    # _of_ints of the same rows, which reduces again, finds nothing to reduce
+    rng = random.Random(2024)
+    inputs = [random_realization_with_rational_spectrum(rng)[0] for _ in range(60)]
+    inputs += _transpose_path_inputs()[-2:]
+    for A in inputs:
+        result = to_constant_row_sums(A, mode="exact")
+        for M in (result.B, result.S):
+            again = RationalMatrix._of_ints(M.num, M.den)
+            assert (again.num, again.den) == (M.num, M.den)
+
+
 def test_verify_exact_rejects_singular_similarity():
     # S = 0 satisfies A S = S B for every B, so the check must also ask det S != 0
     B = RationalMatrix([[1, 2], [3, 0]])
@@ -490,6 +504,47 @@ def test_verify_exact_rejects_negative_and_non_cs_results():
         A = S @ B @ inverse(S)
         with pytest.raises(CertificationError, match=message):
             _verify_exact(A, B, S, F(3))
+
+
+class TestVerifyFloat:
+    """Each of _verify_float's three refusals, on a result corrupted in the
+    one way it checks; A = [[1, 2], [3, 0]] is in CS_3 form, spectrum {3, -2}."""
+
+    A = np.array([[1.0, 2.0], [3.0, 0.0]])
+
+    def test_the_true_result_passes(self):
+        _verify_float(self.A, self.A, np.eye(2), 3.0)
+
+    def test_negative_entry_refused(self):
+        # B = S^-1 A S for S = [[2, -1], [0, 1]], with S e = e: similar to A,
+        # rows summing to 3, and the entries -1 and -3
+        S = np.array([[2.0, -1.0], [0.0, 1.0]])
+        B = np.linalg.solve(S, self.A @ S)
+        assert np.allclose(B, [[4.0, -1.0], [6.0, -3.0]])
+        with pytest.raises(CertificationError, match="significantly negative entry"):
+            _verify_float(self.A, B, S, 3.0)
+
+    def test_row_sums_off_lambda_refused(self):
+        # B = S^-1 A S = [[1, 4], [3/2, 0]] for S = diag(1, 2): similar to A
+        # and nonnegative, with rows summing to 5 and 3/2
+        S = np.diag([1.0, 2.0])
+        B = np.array([[1.0, 4.0], [1.5, 0.0]])
+        with pytest.raises(CertificationError, match="float row sums deviate beyond 1e-9"):
+            _verify_float(self.A, B, S, 3.0)
+
+    def test_similarity_residual_refused(self):
+        # [[2, 1], [3, 0]] is nonnegative in CS_3 form, with spectrum {3, -1}
+        B = np.array([[2.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(CertificationError, match="float similarity residual"):
+            _verify_float(self.A, B, np.eye(2), 3.0)
+
+    @pytest.mark.parametrize("mode", ["float", "auto"])
+    def test_strongly_graded_input_refused(self, mode):
+        # the Perron vector is about (1, 1e-18, 1e-9); perron_eig is only
+        # normwise accurate, so the scaled rows miss lambda1 by more than 1e-9
+        A = RationalMatrix([["2", "1", "0"], ["0", "1", "1e-9"], ["1e-9", "0", "1"]])
+        with pytest.raises(CertificationError, match="float row sums deviate beyond 1e-9"):
+            to_constant_row_sums(A, mode=mode)
 
 
 def _verify_outcome(A, B, S, lam):
@@ -1073,7 +1128,8 @@ def test_perron_block_from_radii_matches_taylor_multiplicities():
 def test_float_scaling_builds_no_block_array(monkeypatch):
     # a scaled block's Perron vector comes from the component pass, so float
     # mode builds arrays only for the lifts, the cluster scalings, the one
-    # left vector, the Sylvester system and the result's B and S
+    # left vector, the Sylvester system (all through matrix) and the
+    # result's B and S (through result)
     built = []
 
     def matrix_spy(rows):
@@ -1081,6 +1137,7 @@ def test_float_scaling_builds_no_block_array(monkeypatch):
         return np.array(rows)
 
     monkeypatch.setattr(rowsum._FloatOps, "matrix", staticmethod(matrix_spy))
+    monkeypatch.setattr(rowsum._FloatOps, "result", staticmethod(matrix_spy))
     solves = ("lemma1-lift", "cluster-scaling", "sylvester-decoupling")
     scaled = 0
     for _, A in _layout_inputs(
