@@ -33,8 +33,8 @@ from .core import (
     vector_from_json,
 )
 from .errors import DomainError, SpectraError
-from .jcfcert import _match_spectrum, enumerate_jordan_forms, verify_certificate
-from .perturb import _rank_one_shift
+from .jcfcert import _cyclic_jordan, _match_spectrum, enumerate_jordan_forms, verify_certificate
+from .perturb import rank_one_shift
 from .rowsum import constant_row_sum_value, to_constant_row_sums
 
 SCHEMA_VERSION = 1
@@ -109,14 +109,15 @@ def cmd_guo_shift(args) -> int:
     else:
         eps = rat(args.eps)
         q = tuple(eps / B.rows for _ in range(B.rows))
-    # the claim must be char_poly(B), which the shift then reuses; the
-    # shifted matrix gets no char poly of its own
-    coeffs = None
+    # the claim must be B's spectrum: one Krylov basis proves it for a
+    # nonderogatory B, and only otherwise is it matched against char_poly(B);
+    # the shift itself takes no char poly
     if args.spectrum:
         spectrum = _spectrum_arg(args.spectrum)
         _require_order(B, spectrum, "spectrum")
-        coeffs = _match_spectrum(B, spectrum)
-    shifted = _rank_one_shift(B, q, coeffs)
+        if _cyclic_jordan(B, spectrum) is None:
+            _match_spectrum(B, spectrum)
+    shifted = rank_one_shift(B, q)
     out = {
         "schema": SCHEMA_VERSION,
         "lambda": format_rational(lam),

@@ -12,7 +12,8 @@ ur_shift certifies its result from that argument rather than from scratch:
 the CS form's similarity to the certified input is checked exactly, and the
 shifted matrix's certificate follows from it and O(n^2) entry checks, with
 no char poly or rank of its own.  rank_one_shift builds and checks B + e q^T
-the same way, and the tests recompute the factor swap.
+the same way, after two one-prime singularity tests (core._is_singular), and
+the tests recompute the factor swap and the char-poly quotient behind both.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
-    char_poly,
+    _is_singular,
+    _shifted,
     format_rational,
-    poly_eval,
     rat,
-    synthetic_div,
 )
 from .errors import (
     CertificationError,
@@ -47,16 +47,15 @@ def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
 
     The characteristic polynomial changes exactly by replacing the factor
     (x - lambda1) with (x - lambda1 - sum(q)); all other elementary divisors
-    survive.  Raises CollisionError when the shifted root hits another
-    eigenvalue, and NonnegativityLossError (with the result attached) when
-    a negative entry appears: nonnegativity is only guaranteed for suitable
-    q, e.g. the uniform nonnegative one.
+    survive (Brauer 1952).  So B - e e^T has the eigenvalues lambda1 - n,
+    lambda2, ..., lambda_n, and lambda1 is simple iff
+    det(lambda1 I - B + e e^T) != 0; a shifted root other than lambda1
+    collides iff (lambda1 + sum(q)) I - B is singular.  Both are one-prime
+    singularity tests, with no char poly.  Raises PerronNotSimple or
+    CollisionError when one fails, and NonnegativityLossError (with the
+    result attached) when a negative entry appears: nonnegativity is only
+    guaranteed for suitable q, e.g. the uniform nonnegative one.
     """
-    return _rank_one_shift(B, q, None)
-
-
-def _rank_one_shift(B: RationalMatrix, q, coeffs):
-    """rank_one_shift, with coeffs = char_poly(B) when the caller has it."""
     if not B.is_square:
         raise DimensionError("B must be square")
     lam = constant_row_sum_value(B)
@@ -66,15 +65,13 @@ def _rank_one_shift(B: RationalMatrix, q, coeffs):
     if len(q) != B.rows:
         raise DimensionError("q must have length %d" % B.rows)
 
-    # B e = lambda1 e, so lambda1 is a root; Brauer's theorem is the factor swap
-    quotient, _ = synthetic_div(char_poly(B) if coeffs is None else coeffs, lam)
-    if poly_eval(quotient, lam) == 0:
+    if _is_singular(_add_rank_one(_shifted(lam, B), (Fraction(1),) * B.rows)):
         raise PerronNotSimple(
             "Perron root %s of B is not simple" % format_rational(lam)
         )
 
     shifted = lam + sum(q, Fraction(0))
-    if shifted != lam and poly_eval(quotient, shifted) == 0:
+    if shifted != lam and _is_singular(_shifted(shifted, B)):
         raise CollisionError(
             "shifted Perron root %s collides with another eigenvalue"
             % format_rational(shifted)

@@ -447,10 +447,21 @@ def _reduce(ops, rows, comps, edges, perron, lam, transcript):
     None when the Perron side feeds other blocks and shares an eigenvalue
     with them.
 
-    When the Perron side (of _reach) feeds other blocks, _sylvester_decoupling
-    first sets those entries to 0 and starts S at its T; the plan is then
-    that of the graph without those edges.
+    An irreducible A is diagonally scaled by its Perron vector; the step
+    names the vector when it is an integer form.  When the Perron side (of
+    _reach) feeds other blocks, _sylvester_decoupling first sets those
+    entries to 0 and starts S at its T; the plan is then that of the graph
+    without those edges.
     """
+    if len(comps) == 1:
+        M, S = _start(ops, rows, range(len(rows)))
+        x = ops.perron_vector(0)
+        _scale(M, S, 0, x)
+        detail = {"scope": "global"}
+        if isinstance(x, _Ints):
+            detail["vector"] = [str(v) for v in x]
+        transcript.append(RowSumStep("diagonal-scaling", detail))
+        return ops.result(M), ops.result(S)
     reach = _reach(len(comps), edges, perron)
     leaks = {(u, w) for u, w in edges if u in reach and w not in reach}
     T = None
@@ -806,11 +817,11 @@ def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
 
 
 def _float_advice(A: RationalMatrix) -> str:
-    """The advice of exact mode's ModeError: float mode, unless float64
-    cannot hold A, and then the entry that to_float refuses."""
+    """The advice of exact mode's ModeError: float mode, unless float mode
+    refuses A too, and then float mode's own reason."""
     try:
-        to_float(A)
-    except DomainError as exc:
+        to_constant_row_sums(A, mode="float")
+    except SpectraError as exc:
         return "%s, so floating point cannot take this input either" % exc
     return "rerun in float mode"
 
@@ -842,19 +853,9 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
 
     transcript = []
     ops = _ExactOps(blocks, radii)
-    rows = _Ints(A.num, A.den)
-    if len(comps) == 1:
-        M, S = _start(ops, rows, range(A.rows))
-        x = ops.perron_vector(0)
-        _scale(M, S, 0, x)
-        B, S = ops.result(M), ops.result(S)
-        transcript.append(
-            RowSumStep("diagonal-scaling", {"scope": "global", "vector": [str(v) for v in x]})
-        )
-    else:
-        # A^T when the Perron side shares an eigenvalue with a block it feeds
-        result = _reduce(ops, rows, comps, edges, perron, lam, transcript)
-        B, S = result or _via_transpose(A, comps, edges, perron, ops, lam, transcript)
+    # A^T when the Perron side shares an eigenvalue with a block it feeds
+    result = _reduce(ops, _Ints(A.num, A.den), comps, edges, perron, lam, transcript)
+    B, S = result or _via_transpose(A, comps, edges, perron, ops, lam, transcript)
     _verify_exact(A, B, S, lam)
     return RowSumResult(B, S, transcript, "exact", lam)
 
@@ -978,21 +979,15 @@ def _to_cs_float(arr) -> RowSumResult:
             "1e-9)" % (lam, sum(close))
         )
     ops = _FloatOps([x.tolist() for _, _, x in eigs], scale)
-    if len(comps) == 1:
-        M, S = _start(ops, arr.tolist(), range(len(arr)))
-        _scale(M, S, 0, ops.vectors[0])
-        B, S = ops.result(M), ops.result(S)
-        transcript.append(RowSumStep("diagonal-scaling", {"scope": "global"}))
-    else:
-        # float mode has no transpose fallback for a shared eigenvalue
-        result = _reduce(ops, arr.tolist(), comps, edges, close.index(1), lam, transcript)
-        if result is None:
-            raise UnsupportedLayoutError(
-                "float mode needs the Perron side and the blocks it feeds "
-                "to have disjoint spectra; this input has a singular "
-                "Sylvester system"
-            )
-        B, S = result
+    # float mode has no transpose fallback for a shared eigenvalue
+    result = _reduce(ops, arr.tolist(), comps, edges, close.index(1), lam, transcript)
+    if result is None:
+        raise UnsupportedLayoutError(
+            "float mode needs the Perron side and the blocks it feeds "
+            "to have disjoint spectra; this input has a singular "
+            "Sylvester system"
+        )
+    B, S = result
     _verify_float(arr, B, S, lam)
     return RowSumResult(FloatMatrix(B), FloatMatrix(S), transcript, "float", lam)
 

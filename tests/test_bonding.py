@@ -19,6 +19,7 @@ from nnspectra.core import (
 from nnspectra.errors import (
     CertificationError,
     CornerMismatchError,
+    DimensionError,
     DomainError,
     NormalizationError,
 )
@@ -118,6 +119,22 @@ class TestHypothesisChecks:
         A = RationalMatrix([[1, 1], [2, 2]])
         with pytest.raises(DomainError):
             smigoc_bond(A, B2, 2, (F(1), F(0)), V2)
+
+    @pytest.mark.parametrize(
+        "A, B, u, v, error, message",
+        [
+            ([[1, 2]], [[0, 2], [2, 0]], U2, V2, DimensionError, "A and B must be square"),
+            ([[1, 1], [2, 2]], [[2, 0, 0], [0, 2, 0]], U2, V2, DimensionError, "A and B must be square"),
+            ([[1, 1], [2, 2]], [[0, 2], [2, 0]], U2 + (0,), V2, DimensionError, "u and v must have length 2"),
+            ([[1, 1], [2, 2]], [[0, 2], [2, 0]], U2, V2 + (0,), DimensionError, "u and v must have length 2"),
+            # u^T v = 1, so only the eigenvector check refuses (2, 0)
+            ([[1, 1], [2, 2]], [[0, 2], [2, 0]], U2, (2, 0), DomainError, "v is not a right eigenvector"),
+        ],
+        ids=["non-square-a", "non-square-b", "long-u", "long-v", "v-not-eigenvector"],
+    )
+    def test_refusals(self, A, B, u, v, error, message):
+        with pytest.raises(error, match=message):
+            smigoc_bond(RationalMatrix(A), RationalMatrix(B), 2, u, v)
 
     def test_one_by_one_a_gives_b(self):
         # A = [c]: the general row construction leaves B's rows alone

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nnspectra import cli, family5, jcfcert, perturb
+from nnspectra import bonding, cli, core, family5, jcfcert, rowsum
 from nnspectra.cli import dispatch
 from nnspectra.core import RationalMatrix, matrix_from_json, matrix_to_json
 
@@ -79,23 +79,32 @@ class TestNormalize:
                 "entry (0,1) is below the float64 range, so floating point cannot "
                 "take this input either",
             ),
+            (
+                # a strongly graded Perron vector, about (1, 1e-18, 1e-9)
+                [["2", "1", "0"], ["0", "1", "1e-9"], ["1e-9", "0", "1"]],
+                "float row sums deviate beyond 1e-9, so floating point cannot "
+                "take this input either",
+            ),
         ],
-        ids=["sqrt2", "underflow"],
+        ids=["sqrt2", "underflow", "graded"],
     )
     def test_exact_mode_advises_float_mode_only_where_it_runs(
         self, workdir, capsys, entries, advice
     ):
-        # both Perron roots are irrational; float mode refuses the second
-        # input, so exact mode must not send the user there
+        # every Perron root is irrational; float mode refuses the last two
+        # inputs, so exact mode must not send the user there, and it gives
+        # float mode's own reason instead
         tmp, write = workdir
-        infile = write("irrational.json", {"rows": 2, "cols": 2, "entries": entries})
+        n = len(entries)
+        infile = write("irrational.json", {"rows": n, "cols": n, "entries": entries})
         assert dispatch(["normalize", "--in", infile, "--mode", "exact"]) == 1
         err = capsys.readouterr().err
         assert err == "error: the Perron root appears irrational; %s\n" % advice
-        if "float64" in advice:
+        if advice != "rerun in float mode":
             assert "float mode" not in err
             assert dispatch(["normalize", "--in", infile, "--mode", "float"]) == 1
-            assert capsys.readouterr().err == "error: entry (0,1) is below the float64 range\n"
+            reason = advice.split(", so floating point")[0]
+            assert capsys.readouterr().err == "error: %s\n" % reason
 
     def test_entry_beyond_float_range_in_exact_mode(self, workdir):
         tmp, write = workdir
@@ -148,34 +157,41 @@ class TestGuoShift:
         assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
         assert calls == []
 
-    def test_spectrum_claim_shares_the_char_poly_of_b(self, workdir, monkeypatch):
-        # char_poly runs once, on B: the claim and the shift share it, and
-        # the shifted result's check is derived (Brauer), not recomputed
+    @staticmethod
+    def _char_poly_spy(monkeypatch):
+        """The matrices char_poly runs on, from every module that holds it."""
         seen = []
-        real = jcfcert.char_poly
+        real = core.char_poly
+        for module in (core, jcfcert, rowsum, bonding, family5):
+            monkeypatch.setattr(module, "char_poly", lambda M: seen.append(M) or real(M))
+        return seen
 
-        def spy(M):
-            seen.append(M)
-            return real(M)
-
-        for module in (jcfcert, perturb):
-            monkeypatch.setattr(module, "char_poly", spy)
-        tmp, write = workdir
-        infile = write("B.json", CIRC)
-        spectrum = write("s.json", CIRC_SPECTRUM)
-        argv = ["guo-shift", "--in", infile, "--eps", "1", "--spectrum", spectrum]
-        assert dispatch(argv + ["--out", str(tmp / "g.json")]) == 0
-        assert seen == [matrix_from_json(CIRC)]
-
-    def test_no_claim_takes_one_char_poly(self, workdir, monkeypatch):
-        seen = []
-        real = perturb.char_poly
-        monkeypatch.setattr(perturb, "char_poly", lambda M: seen.append(M) or real(M))
+    @pytest.mark.parametrize("claim", [False, True], ids=["no-claim", "claim"])
+    def test_shift_takes_no_char_poly(self, workdir, monkeypatch, claim):
+        # the shift's preconditions are two one-prime singularity tests, and
+        # the Krylov basis proves a claim on the nonderogatory CIRC
+        seen = self._char_poly_spy(monkeypatch)
         tmp, write = workdir
         out = tmp / "g.json"
-        assert dispatch(["guo-shift", "--in", write("B.json", CIRC), "--eps", "1", "--out", str(out)]) == 0
-        assert seen == [matrix_from_json(CIRC)]
+        argv = ["guo-shift", "--in", write("B.json", CIRC), "--eps", "1", "--out", str(out)]
+        if claim:
+            argv += ["--spectrum", write("s.json", CIRC_SPECTRUM)]
+        assert dispatch(argv) == 0
+        assert seen == []
         assert json.loads(out.read_text())["result"]["entries"] == [["1/2", "5/2"], ["5/2", "1/2"]]
+
+    def test_derogatory_claim_takes_one_char_poly(self, workdir, monkeypatch):
+        # the all-ones 3x3 has 0 in two Jordan blocks, so no Krylov basis
+        # exists: _match_spectrum's char poly of B is the only one
+        seen = self._char_poly_spy(monkeypatch)
+        tmp, write = workdir
+        ones = {"rows": 3, "cols": 3, "entries": [["1"] * 3] * 3}
+        out = tmp / "g.json"
+        argv = ["guo-shift", "--in", write("B.json", ones), "--eps", "1", "--out", str(out)]
+        argv += ["--spectrum", write("s.json", {"values": ["3", "0", "0"]})]
+        assert dispatch(argv) == 0
+        assert seen == [matrix_from_json(ones)]
+        assert json.loads(out.read_text())["result"]["entries"] == [["4/3"] * 3] * 3
 
     def test_result_beyond_the_digit_limit_is_one_error_line(self, workdir, capsys):
         # every entry of B and eps fit the interpreter's int/str limit, but

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from nnspectra.core import (
     poly_from_roots,
     solve,
 )
-from nnspectra.errors import DomainError, SpectrumMismatchError
+from nnspectra.errors import DimensionError, DomainError, SpectrumMismatchError
 from nnspectra.jcfcert import (
     enumerate_jordan_forms,
     integer_partitions,
@@ -63,6 +64,10 @@ class TestWeyr:
 
     def test_non_eigenvalue_is_empty(self):
         assert weyr_sequence(RationalMatrix.identity(2), 5) == ()
+
+    def test_non_square_refused(self):
+        with pytest.raises(DimensionError, match="Weyr sequence needs a square matrix"):
+            weyr_sequence(RationalMatrix([[1, 0]]), 1)
 
     def test_weakly_increasing_and_stabilizes_at_multiplicity(self):
         rng = random.Random(2)
@@ -340,6 +345,25 @@ class TestCyclicRoute:
         residual = jcfcert._residual(char_poly(C), claim)
         assert err.value.residual == residual
         assert str(err.value).endswith("residual: %s" % core.poly_to_string(residual))
+
+    def test_non_integral_claim_takes_no_krylov_product(self, monkeypatch):
+        # d lam = -5/2 is no integer, so the claim is wrong (the rational
+        # roots of a monic integer poly are integers): _cyclic_jordan gives
+        # up before its first mat-vec, and the char poly words the mismatch
+        products = []
+        monkeypatch.setattr(
+            jcfcert, "operator", types.SimpleNamespace(mul=lambda a, b: products.append(1) or a * b)
+        )
+        A = companion_matrix(poly_from_roots([9, -1, -2, -2]))
+        claim = Spectrum.from_values([9, -1, -2, F(-5, 2)])
+        assert jcfcert._cyclic_jordan(A, claim) is None
+        with pytest.raises(SpectrumMismatchError) as err:
+            jordan_spec(A, claim)
+        assert products == []
+        assert str(err.value) == (
+            "characteristic polynomial does not match the claimed spectrum; "
+            "residual: -1/2*x^3 + 3*x^2 + 25/2*x + 9"
+        )
 
     def test_scrambled_companion_takes_no_char_poly_and_no_rank(self, monkeypatch):
         def forbidden(name):

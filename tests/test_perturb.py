@@ -12,6 +12,7 @@ from nnspectra.core import (
     Spectrum,
     char_poly,
     companion_matrix,
+    inverse,
     poly_eval,
     poly_from_roots,
     poly_mul,
@@ -153,6 +154,80 @@ class TestRankOneShift:
             for v in set(values):
                 if v != lam:
                     assert weyr_sequence(shifted, v) == weyr_sequence(B, v)
+
+
+def _planted_cs(rng, lam, diagonal, chain=False):
+    """B = P M P^-1 in CS_lam form with the eigenvalues lam, *diagonal.
+
+    M is upper triangular with that diagonal and small integer entries
+    above it, and M[0][1] = 1 when chain is set (with diagonal[0] = lam,
+    lam then sits in a Jordan block of size 2).  P = L U, L unit lower
+    triangular with first column e, U unit upper triangular, so P e_1 = e
+    and B e = lam e.
+    """
+    n = len(diagonal) + 1
+    d = [lam] + list(diagonal)
+    M = [[d[i] if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    if chain:
+        M[0][1] = 1
+    L = [[1 if i == j or j == 0 else rng.randint(-1, 1) if j < i else 0 for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(n)] for i in range(n)]
+    P = RationalMatrix(L) @ RationalMatrix(U)
+    return P @ RationalMatrix(M) @ inverse(P)
+
+
+class TestShiftPreconditions:
+    """rank_one_shift's two one-prime singularity tests against the
+    char-poly quotient Q(x) = char_poly(B) / (x - lambda1): lambda1 is
+    simple iff Q(lambda1) != 0, and lambda1 + sum(q) != lambda1 collides iff
+    Q(lambda1 + sum(q)) = 0."""
+
+    def test_agree_with_the_char_poly_quotient(self):
+        rng = random.Random(3203)
+        counts = {}
+        for trial in range(1200):
+            kind = trial % 4
+            n = rng.randint(2, 6)
+            lam = F(rng.randint(-3, 6), rng.choice([1, 1, 2]))
+            values = [F(rng.randint(-4, 6), rng.choice([1, 2])) for _ in range(n - 1)]
+            if kind == 0:  # lambda1 twice, in two diagonal blocks
+                k = rng.randint(1, n - 1)
+                zeros = RationalMatrix.zeros
+                B1, B2 = _planted_cs(rng, lam, values[: k - 1]), _planted_cs(rng, lam, values[k:])
+                B = RationalMatrix.from_blocks([[B1, zeros(k, n - k)], [zeros(n - k, k), B2]])
+            elif kind == 1:  # lambda1 inside a Jordan block of size 2
+                B = _planted_cs(rng, lam, [lam] + values[1:], chain=True)
+            else:
+                B = _planted_cs(rng, lam, values)
+            q = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            others = [v for v in values if v != lam]
+            if kind == 2 and others:  # sum(q) moves lambda1 onto another eigenvalue
+                q[-1] += rng.choice(others) - lam - sum(q)
+            elif kind == 3 and trial % 8 == 3:  # sum(q) = 0
+                q[-1] -= sum(q)
+            quotient, rem = synthetic_div(char_poly(B), lam)
+            assert rem == 0
+            moved = lam + sum(q)
+            if poly_eval(quotient, lam) == 0:
+                expected = "not simple"
+            elif moved != lam and poly_eval(quotient, moved) == 0:
+                expected = "collision"
+            else:
+                expected = "shifted" if moved != lam else "unmoved"
+            try:
+                rank_one_shift(B, q)
+                got = "shifted" if moved != lam else "unmoved"
+            except NonnegativityLossError:
+                got = "shifted" if moved != lam else "unmoved"
+            except PerronNotSimple:
+                got = "not simple"
+            except CollisionError:
+                got = "collision"
+            assert got == expected, (trial, B, q)
+            counts[expected] = counts.get(expected, 0) + 1
+        assert sum(counts.values()) >= 1000
+        # every branch is exercised often: both refusals and both passes
+        assert min(counts.values()) >= 50 and len(counts) == 4, counts
 
 
 class TestShiftCertification:

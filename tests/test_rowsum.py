@@ -124,6 +124,18 @@ class TestLemma1Lift:
                 RationalMatrix([[1]]),
             )
 
+    def test_corrupted_lift_refused(self, monkeypatch):
+        # a lift factor twice the solution y leaves the lifted rows off lambda1
+        real = rowsum._lift_factor
+
+        def doubled(*args):
+            y = real(*args)
+            return rowsum._Ints([2 * v for v in y], y.den)
+
+        monkeypatch.setattr(rowsum, "_lift_factor", doubled)
+        with pytest.raises(CertificationError, match="lift produced a matrix outside CS form"):
+            lemma1_lift(RationalMatrix([[2]]), RationalMatrix([[1]]), RationalMatrix([[2]]))
+
     @pytest.mark.parametrize(
         "A1, A2, A3, error, message",
         [
