@@ -33,7 +33,7 @@ from .core import (
     vector_from_json,
 )
 from .errors import DomainError, SpectraError
-from .jcfcert import _cyclic_jordan, _match_spectrum, enumerate_jordan_forms, verify_certificate
+from .jcfcert import _prove_spectrum, enumerate_jordan_forms, verify_certificate
 from .perturb import rank_one_shift
 from .rowsum import constant_row_sum_value, to_constant_row_sums
 
@@ -115,8 +115,7 @@ def cmd_guo_shift(args) -> int:
     if args.spectrum:
         spectrum = _spectrum_arg(args.spectrum)
         _require_order(B, spectrum, "spectrum")
-        if _cyclic_jordan(B, spectrum) is None:
-            _match_spectrum(B, spectrum)
+        _prove_spectrum(B, spectrum)
     shifted = rank_one_shift(B, q)
     out = {
         "schema": SCHEMA_VERSION,

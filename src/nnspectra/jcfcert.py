@@ -12,24 +12,30 @@ rational_spectrum_of tells apart exactly; irrational spectra are not certified.
 This module computes the spectral facts that certificates rest on.
 jordan_spec first tries a cyclic certificate: one Krylov basis
 v, N v, ..., N^(n-1) v of A's integer form N from the fixed vector
-v = (1, 2, ..., n), whose determinant is nonzero modulo one word-size prime,
-and q(N) v = 0 for the claim's polynomial q.  That proves A nonderogatory
-with the claimed char poly, so its form is one Jordan block per eigenvalue,
-with no char poly and no rank.  When the basis cannot conclude (a zero
-residue, q(N) v != 0, a derogatory A), jordan_spec and verify_certificate
-share one char-poly residual (Berkowitz over the integers) and one Weyr
-sequence per claimed eigenvalue (ranks by the fraction-free elimination),
-and _certificate words every certificate's records from such facts.
-Constructions certified here (the degree-5 realization, bonding) do not
-check those facts again.  The Perron shift (perturb.ur_shift) proves its
-output's facts from a verified similarity instead and hands them to
-_certificate; verify_certificate, which recomputes them, stays the
+v = (1, 2, ..., n), with q(N) v = 0 for the claim's polynomial q over Z
+and r(N) v != 0 for the quotient r of q by each of its distinct linear
+factors.  That proves, exactly and with no prime, that v's minimal
+polynomial is q, so A is nonderogatory with the claimed char poly and its
+form is one Jordan block per eigenvalue, with no char poly and no rank.
+The quotient's vector r(N) v at the Perron value spans that eigenspace,
+and the Perron shift's reduction takes it in place of a kernel.  When the
+basis cannot conclude (q(N) v != 0, a vanishing quotient, a derogatory
+A), the claim is matched against char_poly(A) (Berkowitz over the
+integers); _prove_spectrum is that Krylov-first order, for every caller
+that proves a claim.  jordan_spec and verify_certificate then share one
+Weyr sequence per claimed eigenvalue (ranks by the fraction-free
+elimination), and _certificate words every certificate's records from such
+facts.  Constructions certified here (the degree-5 realization, bonding)
+do not check those facts again.  The Perron shift (perturb.ur_shift)
+proves its output's facts from a verified similarity instead and hands
+them to _certificate; verify_certificate, which recomputes them, stays the
 independent oracle for that derivation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,14 +46,12 @@ from .core import (
     Spectrum,
     _integer_poly,
     _integer_product,
-    _nonzero_mod_prime,
     _root_ceiling,
     _shifted,
     char_poly,
     exact_rank,
     format_rational,
     matrix_to_json,
-    poly_from_roots,
     poly_sub,
     poly_to_string,
     rat,
@@ -155,57 +159,95 @@ def _match_spectrum(A: RationalMatrix, spectrum: Spectrum):
 
 
 def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
-    """A's Jordan form, one block per claimed eigenvalue, when one Krylov
-    basis proves A nonderogatory with the claimed char poly; None when it
-    cannot conclude.
+    """(form, x) when one Krylov basis proves A nonderogatory with the
+    claimed char poly, the form having one block per claimed eigenvalue;
+    None when it cannot conclude.
 
-    N = d A is A's integer form, v = (1, 2, ..., n) and q(x) =
-    prod (x - d lam_i) the claim's polynomial over Z.  v is neither e, an
-    eigenvector of every CS-form matrix, nor a unit vector, which stays in
-    its block's invariant subspace when A is block triangular.  If
-    q(N) v = 0 and det[v, N v, ..., N^(n-1) v] is nonzero modulo _PRIME, the
-    minimal polynomial of v under N has degree n and divides q, so
-    char_poly(N) = minpoly(N) = q: char_poly(A) is the claim's, and each
-    eigenvalue has one Jordan block of its full multiplicity.  Only integer
-    mat-vecs are taken.  A claim of another order, a non-integral q (a wrong
-    claim, as the rational roots of a monic integer poly are integers),
-    q(N) v != 0, a zero residue and a derogatory A give None.
+    N = d A is A's integer form, v = (1, 2, ..., n) and
+    q(y) = prod (y - mu_i)^(m_i), mu_i = d lam_i, the claim's polynomial
+    over Z.  v is neither e, an eigenvector of every CS-form matrix, nor a
+    unit vector, which stays in its block's invariant subspace when A is
+    block triangular.  If q(N) v = 0, the minimal polynomial of v under N divides
+    q, and it is q itself iff no quotient r_i = q / (y - mu_i) of a distinct
+    root has r_i(N) v = 0.  Each r_i(N) v is a combination of the Krylov
+    vectors v, N v, ..., N^(n-1) v, tested up to its first nonzero entry.
+    Then char_poly(N) = minpoly(N) = q: char_poly(A) is the claim's, and
+    each eigenvalue has one Jordan block of its full multiplicity.  Only
+    integer mat-vecs are taken, and the proof is exact over Z.
+
+    As (N - mu I) r(N) v = q(N) v = 0 for the quotient r at mu = d
+    spectrum.perron, x = r(N) v spans that eigenvalue's one-dimensional
+    eigenspace; it is returned primitive, with its first nonzero entry
+    positive: for an irreducible A >= 0 it is the positive Perron vector.
+    A claim of another order, a non-integral root (a wrong claim, as the
+    rational roots of a monic integer poly are integers), q(N) v != 0, a
+    vanishing quotient and a derogatory A give None.
     """
     n = A.rows
     if not A.is_square or spectrum.order != n:
         return None
     N, d = A.num, A.den
-    roots = [value * d for value in spectrum.values()]
-    if any(root.denominator != 1 for root in roots):
+    roots = [(value * d, m) for value, m in spectrum.pairs]
+    if any(mu.denominator != 1 for mu, _ in roots):
         return None
-    q = [c.numerator for c in poly_from_roots(roots)]  # highest first
+    roots = [(mu.numerator, m) for mu, m in roots]
+    q = [1]  # highest first
+    for mu, m in roots:
+        for _ in range(m):
+            q = [a - mu * b for a, b in zip(q + [0], [0] + q)]
     krylov = [list(range(1, n + 1))]
     for _ in range(n):
-        x = krylov[-1]
-        krylov.append([sum(map(operator.mul, row, x)) for row in N])
-    # entry i of q(N) v = sum_k q_k N^(n-k) v
-    if any(sum(map(operator.mul, q, reversed(powers))) for powers in zip(*krylov)):
+        w = krylov[-1]
+        krylov.append([sum(map(operator.mul, row, w)) for row in N])
+    # entry i of every Krylov vector, N^n v first; entry i of q(N) v is
+    # sum_k q_k (N^(n-k) v)_i, and that of r(N) v, r of degree n - 1,
+    # sum_k r_k (N^(n-1-k) v)_i
+    entries = [powers[::-1] for powers in zip(*krylov)]
+    if any(sum(map(operator.mul, q, powers)) for powers in entries):
         return None
-    # the rows of the Krylov matrix's transpose, whose determinant is the same
-    if not _nonzero_mod_prime(krylov[:n]):
-        return None
-    return JordanSpec.from_map([(value, (m,)) for value, m in spectrum.pairs])
+    perron = (spectrum.perron * d).numerator
+    for mu, _ in roots:
+        r = synthetic_div(q, mu)[0]
+        # r(N) v, up to its first nonzero entry; in full at the Perron value
+        quotient = (sum(map(operator.mul, r, powers[1:])) for powers in entries)
+        if mu == perron:
+            quotient = x = list(quotient)
+        if not any(quotient):
+            return None
+    g = math.gcd(*x) if next(filter(None, x)) > 0 else -math.gcd(*x)
+    form = JordanSpec.from_map([(value, (m,)) for value, m in spectrum.pairs])
+    return form, tuple(v // g for v in x)
+
+
+def _prove_spectrum(A: RationalMatrix, spectrum: Spectrum):
+    """Prove that spectrum is A's, Krylov basis first: _cyclic_jordan's
+    (form, x) when it concludes, else None once char_poly(A) has matched the
+    spectrum exactly; SpectrumMismatchError when it does not."""
+    cyclic = _cyclic_jordan(A, spectrum)
+    if cyclic is None:
+        _match_spectrum(A, spectrum)
+    return cyclic
+
+
+def _certified_jordan(A: RationalMatrix, spectrum: Spectrum):
+    """(jordan_spec(A, spectrum), x): x is _cyclic_jordan's eigenvector at
+    spectrum.perron when the Krylov basis concluded, else None."""
+    cyclic = _prove_spectrum(A, spectrum)
+    if cyclic is not None:
+        return cyclic
+    return _jordan_of(A, spectrum), None
 
 
 def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
     """Exact Jordan structure of A, given its (rational) spectrum.
 
-    When _cyclic_jordan's Krylov basis proves A nonderogatory, the form
-    follows with no char poly and no rank.  Otherwise char_poly(A) is matched
+    When _cyclic_jordan's Krylov basis proves A nonderogatory (its quotient
+    test, exact over Z), the form follows with no char poly and no rank.  Otherwise char_poly(A) is matched
     exactly against the spectrum and the Weyr ranks give the block sizes;
     SpectrumMismatchError, with the char poly's residual, is raised when it
     does not split over the supplied spectrum.
     """
-    cyclic = _cyclic_jordan(A, spectrum)
-    if cyclic is not None:
-        return cyclic
-    _match_spectrum(A, spectrum)
-    return _jordan_of(A, spectrum)
+    return _certified_jordan(A, spectrum)[0]
 
 
 def rational_spectrum_of(A: RationalMatrix):

@@ -38,7 +38,7 @@ from .errors import (
     NonnegativityLossError,
     PerronNotSimple,
 )
-from .jcfcert import _certificate, jordan_spec
+from .jcfcert import _certificate, _certified_jordan
 from .rowsum import _to_cs_exact, constant_row_sum_value
 
 
@@ -126,29 +126,32 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     nonnegative in CS_(lambda1+eps) with the Perron root moved and every
     other Jordan block unchanged.
 
-    The input is certified once, by jordan_spec (a Krylov basis for a
-    nonderogatory A, else the char poly against the spectrum and Weyr
-    ranks); lambda1 is read from that certified spectrum,
-    and the radius of every other diagonal block the reduction scales comes
-    from the reduction's own exact routine, never from floats.  The reduction
-    checks the CS form B exactly against A (A S = S B, det S != 0, B >= 0,
-    rows summing to lambda1) before it returns it.  The output's certificate
-    is derived from these facts by _shift_certificate with O(n^2) further
-    checks, and no char poly or rank.
+    The input is certified once, by jordan_spec's two routes (a Krylov
+    basis for a nonderogatory A, else the char poly against the spectrum
+    and Weyr ranks); lambda1 is read from that certified spectrum, and the
+    radius of every other diagonal block the reduction scales comes from
+    the reduction's own exact routine, never from floats.  The Krylov
+    route also yields the eigenvector at lambda1, which the reduction of an
+    irreducible A takes as its Perron vector in place of a kernel.  The
+    reduction checks the CS form B exactly against A (A S = S B,
+    det S != 0, B >= 0, rows summing to lambda1) before it returns it, so
+    a wrong vector is refused.  The output's certificate is derived from
+    these facts by _shift_certificate with O(n^2) further checks, and no
+    char poly or rank.
     """
     eps = rat(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     if not A.is_nonnegative:
         raise DomainError("A must be nonnegative")
-    jordan_before = jordan_spec(A, spectrum)
+    jordan_before, x = _certified_jordan(A, spectrum)
     lam1 = spectrum.perron
     # algebraic simplicity is all the shift needs; a modulus tie with a
     # negative eigenvalue (e.g. {2, -2}) is fine
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    B = _to_cs_exact(A, lam1).B
+    B = _to_cs_exact(A, lam1, x).B
     shifted = _add_rank_one(B, (eps / B.rows,) * B.rows)
     return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 

@@ -40,7 +40,8 @@ the caller).  As det(xI - A) is the product of the block polys and an
 irreducible block carries its radius as a simple root and no root of larger
 modulus, lambda1 is simple iff exactly one block has radius lambda1, and
 that block is the Perron block.  Each block is scaled by a kernel vector
-of the block that pass built, at the block's own radius.  The transpose
+of the block that pass built, at the block's own radius, except an
+irreducible A whose Perron vector a certified caller hands in.  The transpose
 path reuses the same pass: A^T has A's components, the condensation edges
 reversed, the transposed blocks and the same radii, so its transcript
 names A's components.
@@ -592,14 +593,15 @@ def _sub(ops, M, a, b):
 
 class _ExactOps:
     """Integer forms for the absorb loop, over one denominator each; blocks
-    are the diagonal blocks of the component pass and radii their spectral
-    radii, by component index, None where irrational."""
+    are the diagonal blocks of the component pass, radii their spectral
+    radii (None where irrational) and vectors their Perron vectors where
+    already known (None elsewhere), by component index."""
 
     zero, one = 0, 1
     form = _Ints
 
-    def __init__(self, blocks, radii):
-        self.blocks, self.radii = blocks, radii
+    def __init__(self, blocks, radii, vectors):
+        self.blocks, self.radii, self.vectors = blocks, radii, vectors
 
     @staticmethod
     def matrix(rows):
@@ -633,7 +635,10 @@ class _ExactOps:
         return cls.solve_linear(_shifted(lam, K), rhs)
 
     def perron_vector(self, ci):
-        """Positive eigenvector of component ci's block at its spectral radius."""
+        """Positive eigenvector of component ci's block at its spectral
+        radius: the known one, else the block's kernel."""
+        if self.vectors[ci] is not None:
+            return self.vectors[ci]
         if self.radii[ci] is None:
             raise ModeError("a diagonal block has an irrational spectral radius")
         return _right_eigenvector_exact(self.blocks[ci], self.radii[ci])
@@ -826,23 +831,29 @@ def _float_advice(A: RationalMatrix) -> str:
     return "rerun in float mode"
 
 
-def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
+def _to_cs_exact(A: RationalMatrix, lam=None, x=None) -> RowSumResult:
     """Exact CS form of A from one pass over its diagonal blocks, verified.
 
     lam is given when the caller has certified lambda1 = rho(A) as a simple
-    eigenvalue; an irreducible A then needs no char poly at all.  Otherwise,
-    and for every block the reduction scales, perron_root_exact finds the
-    radius exactly from the block char polys.  The blocks, their radii and
-    the condensation edges serve the reduction of A and that of A^T.
+    eigenvalue; an irreducible A then needs no char poly at all, and x, when
+    given, is its certified eigenvector at lam (the positive, primitive
+    integer Perron vector), so it needs no kernel either.  Otherwise, and
+    for every block the reduction scales, perron_root_exact finds the
+    radius exactly from the block char polys, and the block's kernel gives
+    its Perron vector.  The blocks, their radii and the condensation edges
+    serve the reduction of A and that of A^T.
 
     The result is checked by _verify_exact before it is returned, so every
-    caller gets a similarity A S = S B that holds exactly.
+    caller gets a similarity A S = S B that holds exactly, and a wrong x is
+    refused there.
     """
     comps, edges = _components(A)
     # an irreducible A with a certified lam is its own block and radius
     blocks, radii, perron = [A], [lam], 0
+    vectors = [None if x is None else _Ints(x)]
     if lam is None or len(comps) > 1:
         blocks = [A.submatrix(c, c) for c in comps]
+        vectors = [None] * len(comps)
         polys = [char_poly(B) for B in blocks]
         rho, radii = perron_root_exact(blocks, polys)
         if lam is None:
@@ -852,7 +863,7 @@ def _to_cs_exact(A: RationalMatrix, lam=None) -> RowSumResult:
         perron = _perron_block(radii, lam)
 
     transcript = []
-    ops = _ExactOps(blocks, radii)
+    ops = _ExactOps(blocks, radii, vectors)
     # A^T when the Perron side shares an eigenvalue with a block it feeds
     result = _reduce(ops, _Ints(A.num, A.den), comps, edges, perron, lam, transcript)
     B, S = result or _via_transpose(A, comps, edges, perron, ops, lam, transcript)
@@ -886,7 +897,7 @@ def _via_transpose(A, comps, edges, perron, ops, lam, transcript):
     transcript.append(
         RowSumStep("transpose-similarity", {"note": "reduction ran on the transpose"})
     )
-    ops_t = _ExactOps([B.transpose() for B in ops.blocks], ops.radii)
+    ops_t = _ExactOps([B.transpose() for B in ops.blocks], ops.radii, [None] * len(comps))
     edges_t = {(w, u) for u, w in edges}
     At = A.transpose()
     result = _reduce(ops_t, _Ints(At.num, At.den), comps, edges_t, perron, lam, transcript)

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import json
+import math
 import random
 import time
 import types
@@ -294,8 +296,8 @@ class TestCyclicRoute:
                 # to a singular Krylov matrix, not to an unlucky residue
                 assert _krylov_determinant(A) == 0
             else:
-                assert cyclic == reference
-                assert all(len(sizes) == 1 for _, sizes in cyclic.blocks)
+                assert cyclic[0] == reference
+                assert all(len(sizes) == 1 for _, sizes in cyclic[0].blocks)
                 concluded += 1
         assert concluded >= 200
 
@@ -314,7 +316,7 @@ class TestCyclicRoute:
                     continue
                 sizes.setdefault(_from_sympy(J[i, i]), []).append(run)
                 run = 1
-            assert cyclic == JordanSpec.from_map(sizes)
+            assert cyclic[0] == JordanSpec.from_map(sizes)
 
     def test_derogatory_and_wrong_claims_fall_back(self):
         rng = random.Random(3103)
@@ -380,26 +382,66 @@ class TestCyclicRoute:
         spec = jordan_spec(C, Spectrum.from_values(values))
         assert spec == JordanSpec.from_map({9: [1], -1: [1], -2: [2], F(-1, 3): [3]})
 
-    def test_krylov_determinant_a_multiple_of_the_prime_falls_back(self, monkeypatch):
+    def test_krylov_determinant_a_multiple_of_the_prime_concludes(self, monkeypatch):
         # N = [[0, 0], [c, 0]] is J2(0), and v = (1, 2) gives the Krylov
-        # determinant c: c = _PRIME has residue 0, so the char poly and the
-        # Bareiss rank of N decide; c = _PRIME + 1 concludes at once
-        calls, bareiss = [], core._bareiss
-
-        def spy(m, pivot_cols):
-            calls.append(len(m))
-            return bareiss(m, pivot_cols)
-
-        monkeypatch.setattr(core, "_bareiss", spy)
+        # determinant c: the quotient y of q = y^2 has N v = (0, c) != 0,
+        # so c = _PRIME, a zero residue modulo the prime, concludes like
+        # c = _PRIME + 1, with no char poly and no elimination
+        inputs = [RationalMatrix([[0, 0], [c, 0]]) for c in (core._PRIME, core._PRIME + 1)]
+        assert [_krylov_determinant(A) for A in inputs] == [core._PRIME, core._PRIME + 1]
+        calls = []
+        monkeypatch.setattr(core, "_bareiss", lambda *args: calls.append("_bareiss"))
+        monkeypatch.setattr(jcfcert, "char_poly", lambda *args: calls.append("char_poly"))
         claim, expected = Spectrum.from_values([0, 0]), JordanSpec.from_map({0: [2]})
-        for c, eliminations in ((core._PRIME + 1, []), (core._PRIME, [2])):
-            A = RationalMatrix([[0, 0], [c, 0]])
-            assert _krylov_determinant(A) == c
-            calls.clear()
-            concluded = jcfcert._cyclic_jordan(A, claim)
+        for A in inputs:
+            assert jcfcert._cyclic_jordan(A, claim) == (expected, (0, 1))
             assert jordan_spec(A, claim) == expected
-            assert calls == eliminations
-            assert (concluded is None) == bool(eliminations)
+        assert calls == []
+
+    def test_concludes_iff_q_annihilates_v_and_the_krylov_determinant_is_nonzero(self):
+        # the exact Krylov determinant (core.determinant) and p(A) v by
+        # Horner over Fractions are the reference, on claims of A's order:
+        # right and wrong claims of nonderogatory, derogatory and diagonal
+        # inputs, and rank-one inputs with v itself an eigenvector
+        rng = random.Random(3104)
+        cases = _nonderogatory_inputs(random.Random(3101), 220)
+        for _ in range(40):
+            spec = random_jordan_spec(rng, rng.randint(2, 7))
+            S = random_invertible(rng, spec.order)
+            A = solve(S, spec.jordan_matrix() @ S)
+            cases += [(A, claim.spectrum()) for claim in [spec] + _wrong_claims(rng, spec)]
+        for _ in range(30):
+            values = [F(rng.randint(-3, 4), rng.randint(1, 2)) for _ in range(rng.randint(2, 6))]
+            cases.append((RationalMatrix.diagonal(values), Spectrum.from_values(values)))
+        for n in range(2, 7):
+            # (1, ..., n) u^T has v = (1, ..., n) as its eigenvector at u.v,
+            # so the quotient at 0 vanishes; its negative puts 0 first
+            u = [rng.randint(1, 3) for _ in range(n)]
+            for sign in (1, -1):
+                A = RationalMatrix([[sign * i * c for c in u] for i in range(1, n + 1)])
+                dot = sum(i * c for i, c in enumerate(u, 1))
+                cases.append((A, Spectrum.from_values([sign * dot] + [0] * (n - 1))))
+        seen = collections.Counter()
+        for A, claim in cases:
+            n = A.rows
+            v = [F(i) for i in range(1, n + 1)]
+            w = [F(0)] * n
+            for c in claim.char_poly():
+                w = [a + c * b for a, b in zip(A.mat_vec(w), v)]
+            annihilated, det = not any(w), _krylov_determinant(A)
+            cyclic = jcfcert._cyclic_jordan(A, claim)
+            assert (cyclic is not None) == (annihilated and det != 0)
+            seen[annihilated, det != 0] += 1
+            if cyclic is None:
+                continue
+            form, x = cyclic
+            assert form == JordanSpec.from_map([(value, [m]) for value, m in claim.pairs])
+            # x spans the eigenspace at the Perron value: primitive, first nonzero entry > 0
+            assert any(x) and A.mat_vec(x) == tuple(claim.perron * v for v in x)
+            assert math.gcd(*x) == 1 and next(filter(None, x)) > 0
+        # concluded, a vanishing quotient, q(N) v != 0 with det != 0 and with det = 0
+        assert seen[True, True] >= 240 and seen[True, False] >= 60
+        assert seen[False, True] >= 10 and seen[False, False] >= 20
 
 
 class TestEnumerate:

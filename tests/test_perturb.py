@@ -18,7 +18,7 @@ from nnspectra.core import (
     poly_mul,
     synthetic_div,
 )
-from nnspectra import rowsum
+from nnspectra import jcfcert, rowsum
 from nnspectra.errors import (
     CertificationError,
     CollisionError,
@@ -498,6 +498,64 @@ def test_certified_ur_shift_multiplies_no_matrices(monkeypatch):
     for A, spectrum in cases:
         assert ur_shift(A, spectrum, F(1, 3))[1].verdict
     assert products == []
+
+
+class TestPerronVectorHandOff:
+    """ur_shift hands the reduction of an irreducible A the eigenvector that
+    jcfcert's Krylov proof computes; the kernel stays the reference."""
+
+    @staticmethod
+    def _companions():
+        rng = random.Random(89)
+        for n in range(6, 13):
+            for _ in range(3):
+                C, values = suleimanova_companion(rng, n)
+                yield scramble(rng, C), Spectrum.from_values(values)
+
+    def test_handed_vector_is_the_kernel_vector(self, monkeypatch):
+        cases = list(self._companions())
+        for A, spectrum in cases:
+            _form, x = jcfcert._certified_jordan(A, spectrum)
+            assert list(x) == rowsum._right_eigenvector_exact(A, spectrum.perron)
+        # so ur_shift takes no kernel, and its output is the kernel route's
+        # CS form plus (eps/n) e e^T
+        expected = [rowsum._to_cs_exact(A, spectrum.perron).B for A, spectrum in cases]
+        kernels = []
+        monkeypatch.setattr(rowsum, "kernel", lambda *args, **kw: kernels.append(args))
+        for (A, spectrum), B in zip(cases, expected):
+            shifted, cert = ur_shift(A, spectrum, F(1, 3))
+            assert cert.verdict
+            step = F(1, 3 * A.rows)
+            assert shifted.entries() == tuple(tuple(b + step for b in row) for row in B.entries())
+        assert kernels == []
+
+    def test_a_wrong_vector_is_refused(self):
+        for k, (A, spectrum) in enumerate(self._companions()):
+            x = list(jcfcert._certified_jordan(A, spectrum)[1])
+            x[k % A.rows] += 1
+            with pytest.raises(CertificationError, match="not in CS form"):
+                rowsum._to_cs_exact(A, spectrum.perron, x)
+
+    def test_derogatory_input_takes_the_kernel(self, monkeypatch):
+        # (1, 2, 3) (1, 1, 1)^T is irreducible with spectrum {6, 0, 0} and 0
+        # in two blocks: no Krylov basis exists, and the kernel finds the
+        # Perron vector (1, 2, 3)
+        A = RationalMatrix([[1, 1, 1], [2, 2, 2], [3, 3, 3]])
+        spectrum = Spectrum.from_values([6, 0, 0])
+        assert jcfcert._certified_jordan(A, spectrum) == (
+            JordanSpec.from_map({6: [1], 0: [1, 1]}),
+            None,
+        )
+        expected = rowsum._to_cs_exact(A, F(6))
+        assert expected.transcript[0].detail["vector"] == ["1", "2", "3"]
+        vectors, real = [], rowsum._right_eigenvector_exact
+        monkeypatch.setattr(
+            rowsum, "_right_eigenvector_exact", lambda B, lam: vectors.append(B) or real(B, lam)
+        )
+        shifted, cert = ur_shift(A, spectrum, 3)
+        assert vectors == [A]
+        assert cert.verdict and cert.claimed_spectrum == Spectrum.from_values([9, 0, 0])
+        assert shifted.entries() == tuple(tuple(b + 1 for b in row) for row in expected.B.entries())
 
 
 def test_shift_properties_hypothesis():
