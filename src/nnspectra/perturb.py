@@ -102,8 +102,8 @@ def _check_rank_one(B, shifted, q, moved, what):
     """CertificationError unless shifted - B = e q^T (named `what`) entry by
     entry and every row of shifted sums to moved.  With B = Bi/b and
     shifted = Si/s, column j of shifted - B is q_j iff
-    q_j.den (b Si - s Bi) = q_j.num s b, and a row sums to moved iff its
-    integer sum times moved.den is moved.num s."""
+    q_j.den (b Si - s Bi) = q_j.num s b; the row sums are
+    constant_row_sum_value's test."""
     (Bi, b), (Si, s) = (B.num, B.den), (shifted.num, shifted.den)
     dens, gaps = [v.denominator for v in q], [v.numerator * s * b for v in q]
     if any(
@@ -112,7 +112,7 @@ def _check_rank_one(B, shifted, q, moved, what):
         for x, y, d, g in zip(rx, ry, dens, gaps)
     ):
         raise CertificationError("the shifted matrix is not %s" % what)
-    if any(sum(row) * moved.denominator != moved.numerator * s for row in Si):
+    if constant_row_sum_value(shifted) != moved:
         raise CertificationError(
             "a row of the shifted matrix does not sum to %s" % format_rational(moved)
         )
@@ -128,16 +128,16 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
 
     The input is certified once, by jordan_spec's two routes (a Krylov
     basis for a nonderogatory A, else the char poly against the spectrum
-    and Weyr ranks); lambda1 is read from that certified spectrum, and the
-    radius of every other diagonal block the reduction scales comes from
-    the reduction's own exact routine, never from floats.  The Krylov
-    route also yields the eigenvector at lambda1, which the reduction of an
-    irreducible A takes as its Perron vector in place of a kernel.  The
-    reduction checks the CS form B exactly against A (A S = S B,
-    det S != 0, B >= 0, rows summing to lambda1) before it returns it, so
-    a wrong vector is refused.  The output's certificate is derived from
-    these facts by _shift_certificate with O(n^2) further checks, and no
-    char poly or rank.
+    and Weyr ranks), and lambda1 is read from that certified spectrum.  The
+    Krylov route also yields the eigenvector x at lambda1, and the pair
+    (lambda1, x) is the reduction's Perron data for an irreducible A, with
+    no char poly and no kernel.  Without x, and for a reducible A, the
+    reduction's component pass finds every block's radius exactly, never
+    from floats, and lambda1 = rho(A) is the largest.  The reduction checks
+    the CS form B exactly against A (A S = S B, det S != 0, B >= 0, rows
+    summing to lambda1) before it returns it, so a wrong vector is refused.
+    The output's certificate is derived from these facts by
+    _shift_certificate with O(n^2) further checks, and no char poly or rank.
     """
     eps = rat(eps)
     if eps < 0:
@@ -151,7 +151,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    B = _to_cs_exact(A, lam1, x).B
+    B = _to_cs_exact(A, None if x is None else (lam1, x)).B
     shifted = _add_rank_one(B, (eps / B.rows,) * B.rows)
     return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 

@@ -35,14 +35,15 @@ Both modes start from one pass over the strongly connected components of
 A, and it is the one source of per-block data.  In exact mode it builds
 each diagonal block and its char poly once, and perron_root_exact finds
 every block's spectral radius from it exactly, by a bisection over the
-integers with no float anywhere; lambda1 is the largest (or certified by
-the caller).  As det(xI - A) is the product of the block polys and an
-irreducible block carries its radius as a simple root and no root of larger
-modulus, lambda1 is simple iff exactly one block has radius lambda1, and
-that block is the Perron block.  Each block is scaled by a kernel vector
-of the block that pass built, at the block's own radius, except an
-irreducible A whose Perron vector a certified caller hands in.  The transpose
-path reuses the same pass: A^T has A's components, the condensation edges
+integers with no float anywhere; lambda1 is the largest.  As det(xI - A)
+is the product of the block polys and an irreducible block carries its
+radius as a simple root and no root of larger modulus, lambda1 is simple
+iff exactly one block has radius lambda1, and that block is the Perron
+block.  Each block is scaled by a kernel vector of the block that pass
+built, at the block's own radius.  An irreducible A whose certified pair
+(lambda1, x) a caller hands in needs no char poly and no kernel: it is its
+own block, with radius lambda1 and Perron vector x.  The transpose path
+reuses the same pass: A^T has A's components, the condensation edges
 reversed, the transposed blocks and the same radii, so its transcript
 names A's components.
 In float mode structure.perron_eig decomposes each diagonal block once:
@@ -130,29 +131,27 @@ class RowSumResult:
     lam: object
 
     def to_json(self):
-        if self.mode == "exact":
-            return {
-                "schema": 1,
-                "mode": self.mode,
-                "lambda": format_rational(self.lam),
-                "B": matrix_to_json(self.B),
-                "S": matrix_to_json(self.S),
-                "transcript": [s.to_json() for s in self.transcript],
-            }
+        exact = self.mode == "exact"
+        number = format_rational if exact else (lambda v: repr(float(v)))
+        matrix = matrix_to_json if exact else (
+            lambda M: [list(map(number, row)) for row in M.array.tolist()]
+        )
         return {
             "schema": 1,
             "mode": self.mode,
-            "lambda": repr(float(self.lam)),
-            "B": [[repr(float(v)) for v in row] for row in self.B.array.tolist()],
-            "S": [[repr(float(v)) for v in row] for row in self.S.array.tolist()],
+            "lambda": number(self.lam),
+            "B": matrix(self.B),
+            "S": matrix(self.S),
             "transcript": [s.to_json() for s in self.transcript],
         }
 
 
 def constant_row_sum_value(A: RationalMatrix):
-    """The common row sum when A is in CS form, else None."""
-    sums = A.row_sums()
-    return sums[0] if all(s == sums[0] for s in sums) else None
+    """The common row sum when A (square or not) is in CS form, else None:
+    the one CS test.  A = A'/a is in CS form iff A' is, so the integer row
+    sums are compared and one Fraction, the common sum over a, is built."""
+    first, *rest = map(sum, A.num)
+    return Fraction(first, A.den) if all(s == first for s in rest) else None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def lemma1_lift(A1: RationalMatrix, A2: RationalMatrix, A3: RationalMatrix):
     y = _lift_factor(_ExactOps, M, n1, n, n1, lam)
     _scale(M, _Ints(), n1, y)
     B = _ExactOps.matrix(M)
-    if not B.is_nonnegative or any(s != lam for s in B.row_sums()):
+    if not B.is_nonnegative or constant_row_sum_value(B) != lam:
         raise CertificationError("lift produced a matrix outside CS form")
     return (Fraction(1),) * n1 + tuple(Fraction(v, y.den) for v in y), B
 
@@ -831,35 +830,32 @@ def _float_advice(A: RationalMatrix) -> str:
     return "rerun in float mode"
 
 
-def _to_cs_exact(A: RationalMatrix, lam=None, x=None) -> RowSumResult:
+def _to_cs_exact(A: RationalMatrix, certified=None) -> RowSumResult:
     """Exact CS form of A from one pass over its diagonal blocks, verified.
 
-    lam is given when the caller has certified lambda1 = rho(A) as a simple
-    eigenvalue; an irreducible A then needs no char poly at all, and x, when
-    given, is its certified eigenvector at lam (the positive, primitive
-    integer Perron vector), so it needs no kernel either.  Otherwise, and
-    for every block the reduction scales, perron_root_exact finds the
-    radius exactly from the block char polys, and the block's kernel gives
-    its Perron vector.  The blocks, their radii and the condensation edges
-    serve the reduction of A and that of A^T.
+    certified is a caller's proved pair (lambda1, x): lambda1 = rho(A) a
+    simple eigenvalue, x its positive, primitive integer eigenvector.  An
+    irreducible A with the pair is its own block, with radius lambda1 and
+    Perron vector x: no char poly, no kernel.  Otherwise (a reducible A
+    ignores the pair) perron_root_exact finds every block's radius from the
+    block char polys, lambda1 = rho(A) is the largest, and each block's
+    kernel gives its Perron vector.  The blocks, their radii and the
+    condensation edges serve the reduction of A and that of A^T.
 
     The result is checked by _verify_exact before it is returned, so every
     caller gets a similarity A S = S B that holds exactly, and a wrong x is
     refused there.
     """
     comps, edges = _components(A)
-    # an irreducible A with a certified lam is its own block and radius
-    blocks, radii, perron = [A], [lam], 0
-    vectors = [None if x is None else _Ints(x)]
-    if lam is None or len(comps) > 1:
+    if certified is not None and len(comps) == 1:
+        lam, x = certified
+        blocks, radii, vectors, perron = [A], [lam], [_Ints(x)], 0
+    else:
         blocks = [A.submatrix(c, c) for c in comps]
         vectors = [None] * len(comps)
-        polys = [char_poly(B) for B in blocks]
-        rho, radii = perron_root_exact(blocks, polys)
+        lam, radii = perron_root_exact(blocks, [char_poly(B) for B in blocks])
         if lam is None:
-            if rho is None:
-                raise ModeError("the Perron root appears irrational")
-            lam = rho
+            raise ModeError("the Perron root appears irrational")
         perron = _perron_block(radii, lam)
 
     transcript = []
@@ -913,16 +909,16 @@ def _verify_exact(A, B, S, lam):
     """B >= 0 in CS_lam form, and S invertible with A S = S B.
 
     Everything is read from the integer forms A = A'/a, S = S'/s and
-    B = B'/b: A S = S B iff b A' S' = a S' B', and a row of B sums to lam
-    iff the same row of B' sums to lam b; both are checked over the
-    integers, and det S != 0 iff the elimination of S' finds a pivot in
-    every row.
+    B = B'/b: constant_row_sum_value compares B's integer row sums, and
+    A S = S B iff b A' S' = a S' B', checked by integer multiply-adds;
+    det S != 0 is _is_singular's one-prime test, with Bareiss only on a
+    zero residue.
     """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
-    (Ai, a), Si, (Bi, b) = (A.num, A.den), S.num, (B.num, B.den)
-    if any(sum(row) * lam.denominator != lam.numerator * b for row in Bi):
+    if constant_row_sum_value(B) != lam:
         raise CertificationError("result is not in CS form")
+    (Ai, a), Si, (Bi, b) = (A.num, A.den), S.num, (B.num, B.den)
     AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
     if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")
@@ -943,22 +939,16 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
     basis = kernel(RationalMatrix._of_ints(_sylvester_system(A.num, list(zip(*A.num)), 0)))
     if not basis:
         raise SpectraError("internal error: empty Sylvester kernel")
-
-    def as_matrix(vec):
-        return RationalMatrix([vec[i * n : (i + 1) * n] for i in range(n)])
-
-    for v in basis:
-        X = as_matrix(v)
-        if not _is_singular(X):
-            return X
+    # the basis first; the seeded combinations are drawn only once every
+    # basis vector has proved singular, so X depends on A alone
     rng = random.Random(0)
-    for _ in range(200):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        vec = [
-            sum(c * bv[k] for c, bv in zip(coeffs, basis))
-            for k in range(n * n)
-        ]
-        X = as_matrix(vec)
+    draws = ([rng.randint(-3, 3) for _ in basis] for _ in range(200))
+    combinations = (
+        [sum(c * bv[k] for c, bv in zip(coeffs, basis)) for k in range(n * n)]
+        for coeffs in draws
+    )
+    for vec in chain(basis, combinations):
+        X = RationalMatrix([vec[i * n : (i + 1) * n] for i in range(n)])
         if not _is_singular(X):
             return X
     raise SpectraError("internal error: no invertible transpose similarity found")

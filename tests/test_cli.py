@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 import os
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -677,3 +681,186 @@ class TestParserReuse:
         assert capsys.readouterr().out.startswith("usage: nnspectra")
         assert dispatch(["realize5", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: nnspectra realize5")
+
+
+class TestContract:
+    """normalize and guo-shift on generated command lines, with well-formed
+    and malformed JSON and flags, run in-process through dispatch: exit 0
+    with an artifact that an independent Fraction check accepts, or exit 1
+    with one "error:" line and no --out file; two runs write the same bytes."""
+
+    @staticmethod
+    def _run(argv, out):
+        """(exit code, stdout, stderr, the --out file's bytes or None)."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = dispatch(argv)
+        written = None
+        if os.path.exists(out):
+            written = Path(out).read_bytes()
+            os.remove(out)
+        return rc, stdout.getvalue(), stderr.getvalue(), written
+
+    def _check(self, argv, out, artifact_check):
+        first = self._run(argv, out)
+        assert self._run(argv, out) == first
+        rc, _, err, written = first
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
+            assert written is None
+        else:
+            assert err == ""
+            artifact_check(json.loads(written))
+        return rc
+
+    @staticmethod
+    def _strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        number = st.integers(0, 6).map(str) | st.builds(
+            "{}/{}".format, st.integers(-2, 9), st.integers(1, 4)
+        )
+        bad_entry = st.sampled_from(
+            ["abc", "1/0", "", "2e-400", "1e4000", True, 1.5, None, 3, [1]]
+        )
+
+        @st.composite
+        def matrix_file(draw, cs):
+            """(file bytes, the entries as Fractions or None): a CS matrix
+            when cs, else one that is diagonally similar to a CS matrix (a
+            rational Perron root) or arbitrary, as drawn."""
+            kind = draw(st.sampled_from(["good"] * 5 + ["entry", "shape", "structure", "text"]))
+            if kind == "text":
+                return draw(st.sampled_from([b"not json", b"{", b"", b"\xff\xfe"])), None
+            if kind == "structure":
+                doc = draw(
+                    st.sampled_from([5, [], "x", {"entries": 5}, {"entries": [5]}, {"entries": []}])
+                )
+                return json.dumps(doc).encode(), None
+            n = draw(st.sampled_from([3, 2, 1]))
+            rows = [[F(draw(number)) for _ in range(n)] for _ in range(n)]
+            planted = cs or draw(st.booleans())
+            if planted:
+                top = max(sum(row) for row in rows)
+                for row in rows:
+                    row[-1] += top - sum(row)
+            if planted and not cs:
+                d = [F(draw(st.integers(1, 4))) for _ in range(n)]
+                rows = [[v * d[j] / d[i] for j, v in enumerate(row)] for i, row in enumerate(rows)]
+            doc = {"rows": n, "cols": n, "entries": [[str(v) for v in row] for row in rows]}
+            if kind == "entry":
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                doc["entries"][i][j] = draw(bad_entry)
+                rows = None
+            elif kind == "shape":
+                doc[draw(st.sampled_from(["rows", "cols"]))] = draw(
+                    st.sampled_from([n + 1, 0, True, 1.0, "1", None])
+                )
+                rows = None
+            return json.dumps(doc).encode(), rows
+
+        return hypothesis, st, number, matrix_file
+
+    @staticmethod
+    def _fractions(matrix_doc):
+        return [[F(v) for v in row] for row in matrix_doc["entries"]]
+
+    def test_normalize(self, tmp_path):
+        hypothesis, st, _number, matrix_file = self._strategies()
+        modes = [[], ["--mode", "exact"], ["--mode", "float"], ["--mode", "auto"]]
+        bad_flags = st.sampled_from([["--mode", "fast"], ["--bogus"], ["--mode"], ["--in"]])
+        seen = set()
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(matrix=matrix_file(cs=False), bad=st.none() | bad_flags)
+        def check(matrix, bad):
+            (text, A), path, out = matrix, tmp_path / "A.json", str(tmp_path / "out.json")
+            path.write_bytes(text)
+
+            def artifact(blob):
+                assert A is not None
+                assert set(blob) == {"schema", "mode", "lambda", "B", "S", "transcript"}
+                n = len(A)
+                if blob["mode"] == "float":
+                    for name in "BS":
+                        assert [len(row) for row in blob[name]] == [n] * n
+                        assert all(math.isfinite(float(v)) for row in blob[name] for v in row)
+                    seen.add("float")
+                    return
+                assert blob["mode"] == "exact" and flags != ["--mode", "float"]
+                seen.add("exact" if n > 1 else "exact 1x1")
+                B, S = self._fractions(blob["B"]), self._fractions(blob["S"])
+                lam = F(blob["lambda"])
+                assert self._product(A, S) == self._product(S, B)
+                assert all(v >= 0 for row in B for v in row)
+                assert all(sum(row) == lam for row in B)
+
+            for flags in modes + ([bad] if bad else []):
+                argv = ["normalize", "--in", str(path)] + flags + ["--out", out]
+                seen.add(self._check(argv, out, artifact))
+
+        check()
+        assert {0, 1, "exact", "float"} <= seen
+
+    @staticmethod
+    def _product(X, Y):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    def test_guo_shift(self, tmp_path):
+        hypothesis, st, number, matrix_file = self._strategies()
+        malformed_q = st.sampled_from([{"values": 5}, {"values": [True]}, [1], {}])
+        bad = st.sampled_from(
+            ["eps-text", "eps-zero-den", "eps-negative", "both", "neither", "bad-q"]
+        )
+        seen = set()
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            data=st.data(), matrix=matrix_file(cs=True), bad=st.none() | bad,
+            spectrum=st.none() | st.lists(number, min_size=1, max_size=3),
+        )
+        def check(data, matrix, bad, spectrum):
+            (text, B), out = matrix, str(tmp_path / "out.json")
+            n = 2 if B is None else len(B)
+            eps = data.draw(number)
+            q = data.draw(st.lists(number, min_size=n, max_size=n) | st.lists(number, max_size=4))
+            paths = {name: str(tmp_path / (name + ".json")) for name in ("B", "q", "bad", "claim")}
+            Path(paths["B"]).write_bytes(text)
+            Path(paths["q"]).write_text(json.dumps({"values": q}))
+            Path(paths["bad"]).write_text(json.dumps(data.draw(malformed_q)))
+            claim = []
+            if spectrum is not None:
+                Path(paths["claim"]).write_text(json.dumps({"values": spectrum}))
+                claim = ["--spectrum", paths["claim"]]
+            variants = {
+                "eps": ["--eps", eps],
+                "q": ["--q", paths["q"]],
+                "eps-text": ["--eps", "abc"],
+                "eps-zero-den": ["--eps", "1/0"],
+                "eps-negative": ["--eps", "-1"],
+                "both": ["--eps", eps, "--q", paths["q"]],
+                "neither": [],
+                "bad-q": ["--q", paths["bad"]],
+            }
+
+            def artifact(blob):
+                assert B is not None and set(blob) == {"schema", "lambda", "shift", "result"}
+                if flags[0] == "--q":
+                    steps = [F(v) for v in q]
+                else:
+                    steps = [F(flags[1]) / n] * n
+                result = self._fractions(blob["result"])
+                assert len(result) == n and all(len(row) == n for row in result)
+                for row, brow in zip(result, B):
+                    assert [r - b for r, b in zip(row, brow)] == steps
+                assert F(blob["shift"]) == sum(steps)
+                assert all(sum(row) == F(blob["lambda"]) for row in B)
+
+            for key in ["eps", "q"] + ([bad] if bad else []):
+                flags = variants[key]
+                argv = ["guo-shift", "--in", paths["B"]] + flags + claim + ["--out", out]
+                seen.add(self._check(argv, out, artifact))
+
+        check()
+        assert seen == {0, 1}

@@ -519,7 +519,7 @@ class TestPerronVectorHandOff:
             assert list(x) == rowsum._right_eigenvector_exact(A, spectrum.perron)
         # so ur_shift takes no kernel, and its output is the kernel route's
         # CS form plus (eps/n) e e^T
-        expected = [rowsum._to_cs_exact(A, spectrum.perron).B for A, spectrum in cases]
+        expected = [rowsum._to_cs_exact(A).B for A, spectrum in cases]
         kernels = []
         monkeypatch.setattr(rowsum, "kernel", lambda *args, **kw: kernels.append(args))
         for (A, spectrum), B in zip(cases, expected):
@@ -534,7 +534,7 @@ class TestPerronVectorHandOff:
             x = list(jcfcert._certified_jordan(A, spectrum)[1])
             x[k % A.rows] += 1
             with pytest.raises(CertificationError, match="not in CS form"):
-                rowsum._to_cs_exact(A, spectrum.perron, x)
+                rowsum._to_cs_exact(A, (spectrum.perron, x))
 
     def test_derogatory_input_takes_the_kernel(self, monkeypatch):
         # (1, 2, 3) (1, 1, 1)^T is irreducible with spectrum {6, 0, 0} and 0
@@ -546,7 +546,7 @@ class TestPerronVectorHandOff:
             JordanSpec.from_map({6: [1], 0: [1, 1]}),
             None,
         )
-        expected = rowsum._to_cs_exact(A, F(6))
+        expected = rowsum._to_cs_exact(A)
         assert expected.transcript[0].detail["vector"] == ["1", "2", "3"]
         vectors, real = [], rowsum._right_eigenvector_exact
         monkeypatch.setattr(
@@ -556,6 +556,12 @@ class TestPerronVectorHandOff:
         assert vectors == [A]
         assert cert.verdict and cert.claimed_spectrum == Spectrum.from_values([9, 0, 0])
         assert shifted.entries() == tuple(tuple(b + 1 for b in row) for row in expected.B.entries())
+        # the certificate's bytes, pinned: the reduction's component pass finds
+        # lambda1 = 6 itself when no Krylov vector is handed in
+        text = json.dumps(cert.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "b8828a4b069c9c943f2a10702229930dead596ccb124879dc4821d089b611720"
+        )
 
 
 def test_shift_properties_hypothesis():

@@ -15,6 +15,7 @@ from nnspectra.core import (
     char_poly,
     determinant,
     inverse,
+    kernel,
     matrix_to_json,
     solve,
     to_float,
@@ -42,9 +43,11 @@ from nnspectra.family5 import (
 )
 from nnspectra.jcfcert import jordan_spec
 from nnspectra.structure import _components
+from nnspectra.perturb import _add_rank_one, _check_rank_one, rank_one_shift
 from nnspectra.rowsum import (
     _verify_exact,
     _verify_float,
+    constant_row_sum_value,
     lemma1_lift,
     lemma2_coupling,
     similarity_to_transpose,
@@ -150,6 +153,86 @@ class TestLemma1Lift:
     def test_refusals(self, A1, A2, A3, error, message):
         with pytest.raises(error, match=message):
             lemma1_lift(RationalMatrix(A1), RationalMatrix(A2), RationalMatrix(A3))
+
+
+class TestConstantRowSum:
+    """constant_row_sum_value is the one CS test: it agrees with the Fraction
+    rule, and each site that asks "does every row sum to lambda?" refuses a
+    matrix with one middle row off by the smallest step of its denominator."""
+
+    # a circulant in CS_(6/d) form, d = 2^107 - 1, with a simple Perron root
+    D = 2**107 - 1
+    B = RationalMatrix([[1, 2, 3], [3, 1, 2], [2, 3, 1]]).scale(F(1, D))
+
+    @staticmethod
+    def _off_by_one_step(X):
+        """X with entry (1, 1) raised by 1 / X.den."""
+        rows = [list(row) for row in X.entries()]
+        rows[1][1] += F(1, X.den)
+        return RationalMatrix(rows)
+
+    def test_agrees_with_the_fraction_rule(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        den = st.sampled_from([1, 2, 6, 2**101 + 1, 3**70]) | st.integers(1, 2**120)
+        entry = st.builds(F, st.integers(-(10**40), 10**40), den)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(
+            data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5),
+            shape=st.sampled_from(["free", "cs", "off"]),
+        )
+        def check(data, rows, cols, shape):
+            entries = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+            if shape != "free":
+                # the last column completes each row to the first row's sum
+                for row in entries[1:]:
+                    row[-1] += sum(entries[0]) - sum(row)
+            if shape == "off":
+                # one row moved by the smallest step of the denominator
+                i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+                entries[i][j] += F(1, math.lcm(*(v.denominator for row in entries for v in row)))
+            sums = [sum(row, F(0)) for row in entries]
+            want = sums[0] if all(x == sums[0] for x in sums) else None
+            got = constant_row_sum_value(RationalMatrix(entries))
+            assert got == want and type(got) is type(want)
+
+        check()
+
+    def test_verify_exact(self):
+        S = RationalMatrix.identity(3)
+        _verify_exact(self.B, self.B, S, F(6, self.D))
+        with pytest.raises(CertificationError, match="result is not in CS form"):
+            _verify_exact(self.B, self._off_by_one_step(self.B), S, F(6, self.D))
+
+    def test_lemma1_lift(self, monkeypatch):
+        # [[A1, 0], [A3, A2]] with A1 = B (CS_(6/d)), A2 = [[0]], A3 = [[1/d, 0, 0]]
+        A2, A3 = RationalMatrix([[0]]), RationalMatrix([[F(1, self.D), 0, 0]])
+        lemma1_lift(self.B, A2, A3)
+        real = rowsum._scale
+
+        def bumped(M, S, a, vec):
+            real(M, S, a, vec)
+            M[1][1] += 1  # 1 / M.den
+
+        monkeypatch.setattr(rowsum, "_scale", bumped)
+        with pytest.raises(CertificationError, match="lift produced a matrix outside CS form"):
+            lemma1_lift(self.B, A2, A3)
+
+    def test_rank_one_shift(self):
+        q = (F(1, 3),) * 3
+        assert constant_row_sum_value(rank_one_shift(self.B, q)) == F(6, self.D) + 1
+        with pytest.raises(DomainError, match="B is not in constant-row-sum form"):
+            rank_one_shift(self._off_by_one_step(self.B), q)
+
+    def test_check_rank_one(self):
+        # the shifted matrix differs from B by exactly e q^T, so when a middle
+        # row of B is off, the same row of the shifted matrix is off too
+        q, moved = (F(1, 3),) * 3, F(6, self.D) + 1
+        _check_rank_one(self.B, _add_rank_one(self.B, q), q, moved, "B + e q^T")
+        B = self._off_by_one_step(self.B)
+        with pytest.raises(CertificationError, match="a row of the shifted matrix does not sum to"):
+            _check_rank_one(B, _add_rank_one(B, q), q, moved, "B + e q^T")
 
 
 def _random_cs_block(rng, n, lam):
@@ -1194,15 +1277,7 @@ class TestSimilarityToTranspose:
             n = A.rows
             bases.clear()
             X = similarity_to_transpose(A)
-            rows = []
-            for i in range(n):
-                for j in range(n):
-                    row = [F(0)] * (n * n)
-                    for k in range(n):
-                        row[k * n + j] += A[i, k]
-                        row[i * n + k] -= A[j, k]
-                    rows.append(row)
-            basis = real_kernel(RationalMatrix(rows))
+            basis = real_kernel(RationalMatrix(_fraction_sylvester_rows(A)))
             assert bases == [basis]
             candidates = [RationalMatrix([v[i * n : (i + 1) * n] for i in range(n)]) for v in basis]
             invertible = [M for M in candidates if determinant(M) != 0]
@@ -1213,6 +1288,47 @@ class TestSimilarityToTranspose:
             assert As * Xs == Xs * As.T
             assert Xs.det() != 0
         assert 0 < from_basis < 12  # both ways of picking X occur
+
+    def test_one_candidate_loop_picks_the_two_loop_choice(self):
+        # the two-loop search it replaced, with Fraction determinants: every
+        # kernel basis vector first, then 200 seeded combinations of them
+        def two_loop(A):
+            n = A.rows
+            basis = kernel(RationalMatrix(_fraction_sylvester_rows(A)))
+            candidates = [RationalMatrix([v[i * n : (i + 1) * n] for i in range(n)]) for v in basis]
+            for X in candidates:
+                if determinant(X) != 0:
+                    return X, True
+            rng = random.Random(0)
+            for _ in range(200):
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                X = sum((M.scale(c) for c, M in zip(coeffs, candidates)), RationalMatrix.zeros(n, n))
+                if determinant(X) != 0:
+                    return X, False
+            raise AssertionError("no invertible X")
+
+        from_basis = []
+        for A in _transpose_path_inputs():
+            X, found = two_loop(A)
+            assert similarity_to_transpose(A) == X
+            from_basis.append(found)
+        # both loops decide: 11 inputs take a basis vector, and on 61 every
+        # basis vector is singular
+        assert from_basis.count(True) == 11 and from_basis.count(False) == 61
+
+
+def _fraction_sylvester_rows(A):
+    """The rows of X -> A X - X A^T over Fractions; X[k][j] is unknown k n + j."""
+    n = A.rows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [F(0)] * (n * n)
+            for k in range(n):
+                row[k * n + j] += A[i, k]
+                row[i * n + k] -= A[j, k]
+            rows.append(row)
+    return rows
 
 
 def _shared_eigenvalue_layout(rng, k=None):
@@ -1317,8 +1433,8 @@ def test_one_by_one_takes_the_irreducible_branch(mode, entry):
         assert steps == [{"kind": "diagonal-scaling", "detail": detail}]
 
 
-@pytest.mark.parametrize("lam", [None, F(3)])
-def test_exact_driver_refuses_an_unverified_result(monkeypatch, lam):
+@pytest.mark.parametrize("certified", [None, (F(3), (1, 1))], ids=["None", "lam1"])
+def test_exact_driver_refuses_an_unverified_result(monkeypatch, certified):
     # B corrupted inside the reduction: right row sums, no negative entry,
     # but [[2, 1], [3, 0]] is not similar to A
     real = rowsum._scale
@@ -1329,7 +1445,7 @@ def test_exact_driver_refuses_an_unverified_result(monkeypatch, lam):
 
     monkeypatch.setattr(rowsum, "_scale", perturbed)
     with pytest.raises(CertificationError, match="similarity verification failed"):
-        rowsum._to_cs_exact(RationalMatrix([[1, 2], [3, 0]]), lam)
+        rowsum._to_cs_exact(RationalMatrix([[1, 2], [3, 0]]), certified)
 
 
 class TestTransposeBound:
