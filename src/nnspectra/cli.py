@@ -16,7 +16,9 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -35,7 +37,7 @@ from .core import (
 from .errors import DomainError, SpectraError
 from .jcfcert import _prove_spectrum, enumerate_jordan_forms, verify_certificate
 from .perturb import rank_one_shift
-from .rowsum import constant_row_sum_value, to_constant_row_sums
+from .rowsum import to_constant_row_sums
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +59,55 @@ def _write_text(text, path):
             fh.write(text)
 
 
+_escape = json.encoder.encode_basestring_ascii  # json's C escaper, ensure_ascii=True
+
+
+def _json_text(obj, newline="\n"):
+    """obj in the text that json.dumps writes with indent=2 and
+    sort_keys=True, byte for byte, with newline the line break and indent of
+    obj's own level.  json writes an indented document with its pure-Python
+    encoder; this builds each container level with one join and escapes
+    strings with json's C escaper.  Types are tested in json's order (bool
+    before int), a tuple is written as a list, and any other type, or a key
+    that is not a string, raises TypeError."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_escape(v) if type(v) is str else _json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _escape raises TypeError on a key that is not a string
+        items = [
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_text(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _dump_json(obj, path):
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    _write_text(_json_text(obj) + "\n", path)
 
 
 def _demo_artifact(result):
@@ -103,7 +152,6 @@ def cmd_normalize(args) -> int:
 
 def cmd_guo_shift(args) -> int:
     B = _matrix_arg(args.infile)
-    lam = constant_row_sum_value(B)
     if args.qfile is not None:
         q = vector_from_json(_load_json(args.qfile))
     else:
@@ -117,6 +165,8 @@ def cmd_guo_shift(args) -> int:
         _require_order(B, spectrum, "spectrum")
         _prove_spectrum(B, spectrum)
     shifted = rank_one_shift(B, q)
+    # rank_one_shift has proved B's rows sum to one value: read it off row 0
+    lam = Fraction(sum(B.num[0]), B.den)
     out = {
         "schema": SCHEMA_VERSION,
         "lambda": format_rational(lam),
@@ -319,7 +369,16 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that refuses a malformed command line with a
     DomainError, so that dispatch words it as it words every typed refusal:
     one "error:" line, exit code 1, no usage block.  Subcommand parsers are
-    made of the same class."""
+    made of the same class.
+
+    argparse takes only "-1" and "-0.5" for negative numbers, so "--t -1/2"
+    would lose its value; here "-" before a digit, or before "." and a digit,
+    starts a value, which covers every negative form rat parses.  No option
+    of this parser starts so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise DomainError(message)

@@ -301,4 +301,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     for name in files1:
         p1, p2 = os.path.join(root1, name), os.path.join(root2, name)
         assert filecmp.cmp(p1, p2, shallow=False), "artifact %s differs" % name
+        if name.endswith(".json"):
+            # every JSON artifact is the text json.dumps(indent=2, sort_keys=True) writes
+            text = Path(p1).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
     _report(10, "all 8 subcommands byte-identical across repeated runs (%d artifacts)" % len(files1))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -243,6 +244,69 @@ class TestGuoShift:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: argument --q: not allowed with argument --eps"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--eps", "1"], "99973dfe58428d2317af1a961db11303dd928ff9734258c535025edaaee1e0c9"),
+            (["--q", "q"], "850bd2fc11a8a89026aa4080773ff1ea9006ad333c8396a822fa76d9cac95bea"),
+        ],
+        ids=["eps", "q"],
+    )
+    def test_one_cs_test_of_b(self, workdir, monkeypatch, flags, digest):
+        # rank_one_shift proves B's CS form, and the artifact's lambda is read
+        # off B's first row: B is tested once, the shifted result once
+        seen = []
+        real = rowsum.constant_row_sum_value
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("nnspectra"):
+                continue
+            if getattr(module, "constant_row_sum_value", None) is real:
+                monkeypatch.setattr(
+                    module, "constant_row_sum_value", lambda M: seen.append(M) or real(M)
+                )
+        tmp, write = workdir
+        half = {"rows": 2, "cols": 2, "entries": [["1/2", "1"], ["1", "1/2"]]}
+        flags = [write("q.json", {"values": ["1/4", "-1/4"]}) if f == "q" else f for f in flags]
+        out = tmp / "g.json"
+        argv = ["guo-shift", "--in", write("B.json", half)] + flags + ["--out", str(out)]
+        assert dispatch(argv) == 0
+        result = matrix_from_json(json.loads(out.read_text())["result"])
+        assert seen == [matrix_from_json(half), result]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestNegativeValues:
+    """A negative rational reaches rat in every spelling: "-1/2" is a value,
+    as "-0.5" and "--t=-1/2" are, not an unknown option."""
+
+    POSITIVE = {"rows": 2, "cols": 2, "entries": [["1", "2"], ["2", "1"]]}
+
+    @pytest.mark.parametrize(
+        "command, flag, spellings",
+        [
+            (["realize5", "--family", "tprime", "--t0", "3/2"], "--t", ["-1/2", "-0.5", "-.5"]),
+            (["guo-shift", "--in", "B.json"], "--eps", ["-1/4", "-0.25", "-25e-2"]),
+            # -1/3 has no decimal spelling; "--eps=-1/3" parsed before
+            (["guo-shift", "--in", "B.json"], "--eps", ["-1/3"]),
+        ],
+        ids=["realize5", "guo-shift", "guo-shift-third"],
+    )
+    def test_fraction_spelling_matches_decimal(self, workdir, command, flag, spellings):
+        tmp, write = workdir
+        command = [write("B.json", self.POSITIVE) if a == "B.json" else a for a in command]
+        results = []
+        for value in spellings:
+            for argv in (command + [flag, value], command + ["%s=%s" % (flag, value)]):
+                out = tmp / ("out%d.json" % len(results))
+                results.append((dispatch(argv + ["--out", str(out)]), out.read_bytes()))
+        assert results[0][0] == 0
+        assert results == [results[0]] * len(results)
+
+    def test_option_names_still_parse(self, capsys):
+        # a dash before a letter still starts an option
+        assert dispatch(["realize5", "--family", "t", "--t", "-x"]) == 1
+        assert capsys.readouterr().err == "error: argument --t: expected one argument\n"
 
 
 class TestBond:
@@ -864,3 +928,87 @@ class TestContract:
 
         check()
         assert seen == {0, 1}
+
+
+class TestArtifactWriter:
+    """cli._json_text against json.dumps(obj, indent=2, sort_keys=True), on
+    generated documents: the same text, or TypeError from both."""
+
+    @staticmethod
+    def _strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text() | st.text(
+            alphabet=st.sampled_from('"\\/\x00\x08\n\t\x1f\x7f é€ \ud800\U0001f600')
+        )
+        integer = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -1)
+        leaf = st.none() | st.booleans() | integer | st.floats() | text
+
+        def documents(leaves):
+            return st.recursive(
+                leaves,
+                lambda children: st.lists(children, max_size=4)
+                | st.lists(children, max_size=4).map(tuple)
+                | st.dictionaries(text, children, max_size=4),
+                max_leaves=20,
+            )
+
+        unsupported = st.sampled_from([{1, 2}, frozenset(), b"1", F(1, 2), object()])
+        return hypothesis, documents(leaf), documents(leaf | unsupported)
+
+    @staticmethod
+    def _agree(obj):
+        """The writer writes json.dumps's text, or raises TypeError where it does."""
+        try:
+            expected = json.dumps(obj, indent=2, sort_keys=True)
+        except TypeError:
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+        else:
+            assert cli._json_text(obj) == expected
+
+    def test_same_text_as_json_dumps(self):
+        hypothesis, documents, _ = self._strategies()
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(documents)
+        def check(obj):
+            assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+        check()
+
+    def test_unsupported_types_raise_in_both(self):
+        hypothesis, _, documents = self._strategies()
+        settings = hypothesis.settings(
+            max_examples=200, deadline=None, database=None, derandomize=True
+        )
+        settings(hypothesis.given(documents)(self._agree))()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [True, 1, False, 0, 2**64, -(2**70)],
+            {"b": float("nan"), "a": [float("inf"), -float("inf"), -0.0, 1e-320]},
+            ("tuple", ("nested",), [], {}, (), [[]], {"": {}}),
+            {"\x00\"\\": "\U0001f600é\ud800", "schema": None},
+            {1, 2},
+            b"1",
+            [0, {"a": {"b": F(1, 2)}}],
+        ],
+        ids=[
+            "bool-next-to-int", "non-finite", "tuples-and-empties", "escapes",
+            "set", "bytes", "nested-fraction",
+        ],
+    )
+    def test_pinned_cases(self, obj):
+        self._agree(obj)
+
+    def test_key_must_be_a_string(self):
+        # json.dumps would write the key 1 as "1"; no artifact has one
+        with pytest.raises(TypeError):
+            cli._json_text({1: "a"})
+
+    def test_dump_ends_with_one_newline(self, tmp_path):
+        out = tmp_path / "a.json"
+        cli._dump_json({"b": [1, "x"], "a": {}}, str(out))
+        assert out.read_bytes() == b'{\n  "a": {},\n  "b": [\n    1,\n    "x"\n  ]\n}\n'
