@@ -534,18 +534,24 @@ def kernel(A: RationalMatrix, primitive=False):
 
 
 def char_poly(A: RationalMatrix):
-    """Coefficients of det(xI - A), monic, descending powers.
-
-    Berkowitz's division-free algorithm on N = d A, A's integer form over
-    its denominator d: bordering the leading r x r block M by the column s,
-    the row rho and the corner a multiplies its char poly by the
-    lower-triangular Toeplitz matrix with first column (1, -a, -rho s,
-    -rho M s, ..., -rho M^(r-1) s).  Coefficient k of det(xI - N) is d^k
-    times that of A.
-    """
+    """Coefficients of det(xI - A), monic, descending powers: with N = d A,
+    A's integer form over its denominator d, coefficient k of det(xI - N)
+    is d^k times that of A."""
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    N, d = A.num, A.den
+    d = A.den
+    return [Fraction(ck, d**k) for k, ck in enumerate(_char_poly_int(A.num))]
+
+
+def _char_poly_int(N):
+    """Integer coefficients of det(yI - N) for square integer rows N, monic,
+    descending powers.
+
+    Berkowitz's division-free algorithm: bordering the leading r x r block M
+    by the column s, the row rho and the corner a multiplies its char poly
+    by the lower-triangular Toeplitz matrix with first column (1, -a,
+    -rho s, -rho M s, ..., -rho M^(r-1) s).
+    """
     c = [1]
     for r, row in enumerate(N):
         t, v = [1, -row[r]], [N[i][r] for i in range(r)]
@@ -554,7 +560,7 @@ def char_poly(A: RationalMatrix):
             if k < r - 1:
                 v = [sum(map(operator.mul, N[i], v)) for i in range(r)]
         c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return [Fraction(ck, d**k) for k, ck in enumerate(c)]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +615,70 @@ def _taylor(q, m):
         yield acc
 
 
+def _value_and_slope(q, x):
+    """(q(x), q'(x)) by one Horner pass."""
+    value = slope = 0
+    for c in q:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
 def _root_ceiling(q, lo, hi):
     """The least integer m in [lo, hi] at which all Taylor coefficients of q
-    are >= 0, by bisection: the test is monotone in m.  It is ceil(r) when
-    the root r of q of largest real part is real (and ceil(r) in [lo, hi]):
-    for m >= r each factor y + m - z of q(y + m), or conjugate pair, has
-    coefficients >= 0, and for m < r q(y + m) has the positive root r - m."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if all(t >= 0 for t in _taylor(q, mid)):
-            hi = mid
+    are >= 0, or hi when none is.  It is ceil(r) when the root r of q of
+    largest real part is real (and ceil(r) in [lo, hi]): for m >= r each
+    factor y + m - z of q(y + m), or conjugate pair, has coefficients >= 0,
+    and for m < r q(y + m) has the positive root r - m.
+
+    The test is monotone in m, so any order of probes that keeps every m
+    below the bracket failing and its top passing (or the given hi) returns
+    the same m: Newton probes decided by the Taylor test, with bisection as
+    the bounded fallback.  Newton's integer step x <- x - floor(q(x) /
+    q'(x)) from hi takes one Horner pass; for a real r, q is increasing and
+    convex on (r, oo) (Gauss-Lucas), so the steps never drop below ceil(r).
+    Where a step rounds to 0, x - 1 is tested before x (or, when x - 1
+    passes, x - 2): below a simple root it fails at once on q(x - 1) < 0,
+    so a ceiling costs one passing test.  At most (hi - lo).bit_length()
+    steps are taken; when they run out, or a step fails (q(x) < 0, q'(x) <=
+    0 or x at lo), x is tested once instead.  The bisection of [lo, hi]
+    then settles what is left, and tests only the midpoints the probes left
+    open: at most two tests more than the bisection alone.
+    """
+
+    def passes(m):
+        return all(t >= 0 for t in _taylor(q, m))
+
+    a, b = lo, hi
+    x, probes = hi, 1
+    for _ in range((hi - lo).bit_length()):
+        value, slope = _value_and_slope(q, x)
+        if value == 0 or 0 < value < slope:
+            x, probes = x - 1, 2
+            break
+        if value < 0 or slope <= 0:
+            break
+        x -= value // slope
+        if x <= lo:
+            break
+    for _ in range(probes):
+        x = max(x, lo)
+        if x >= hi:
+            break
+        if passes(x):
+            hi, x = x, x - 1
         else:
-            lo = mid + 1
+            lo, x = x + 1, x + 1
+    while lo < hi:
+        mid = (a + b) // 2
+        if mid < lo:
+            a = mid + 1
+        elif mid >= hi:
+            b = mid
+        elif passes(mid):
+            b = hi = mid
+        else:
+            a = lo = mid + 1
     return lo
 
 

@@ -255,8 +255,10 @@ def rational_spectrum_of(A: RationalMatrix):
 
     q(y) = d^n p(y/d) = det(yI - dA), d the lcm of A's denominators, is monic
     over Z, so p splits over Q iff q has n integer roots.  Such a q is
-    real-rooted, so _root_ceiling from the Cauchy bound finds its largest
-    root m; q(m) = 0 is checked, y - m divided out, and the next root sought <= m.
+    real-rooted, so _root_ceiling from the Cauchy bound (Newton probes
+    decided by the Taylor test, with bisection as the bounded fallback)
+    finds its largest root m; q(m) = 0 is checked, y - m divided out, and
+    the next root sought <= m.
     """
     return _spectrum_from_poly(A, char_poly(A))
 

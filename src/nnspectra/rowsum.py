@@ -33,9 +33,10 @@ cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
 A, and it is the one source of per-block data.  In exact mode it builds
-each diagonal block and its char poly once, and perron_root_exact finds
-every block's spectral radius from it exactly, by a bisection over the
-integers with no float anywhere; lambda1 is the largest.  As det(xI - A)
+each diagonal block and its integer char poly once, and perron_root_exact
+finds every block's spectral radius from it exactly, by Newton probes
+decided by the Taylor test, with bisection as the bounded fallback, over
+the integers with no float anywhere; lambda1 is the largest.  As det(xI - A)
 is the product of the block polys and an irreducible block carries its
 radius as a simple root and no root of larger modulus, lambda1 is simple
 iff exactly one block has radius lambda1, and that block is the Perron
@@ -84,13 +85,12 @@ import numpy as np
 from .core import (
     FloatMatrix,
     RationalMatrix,
-    _integer_poly,
+    _char_poly_int,
     _integer_product,
     _is_singular,
     _root_ceiling,
     _shifted,
     _taylor,
-    char_poly,
     format_rational,
     kernel,
     matrix_to_json,
@@ -271,23 +271,25 @@ def _right_eigenvector_exact(B, lam):
 # the component pass: lambda1, its simplicity and its block
 # ---------------------------------------------------------------------------
 
-def perron_root_exact(blocks, polys):
+def perron_root_exact(blocks):
     """(lambda1, radii): the spectral radius of each irreducible nonnegative
     block, and of the matrix with these diagonal blocks; None where irrational.
 
     With d the lcm of the blocks' denominators, q(y) = d^n p(d^-1 y) is monic
-    over Z for each block poly p, so rho is rational iff d rho is an integer.
-    Every root z of q has Re z <= d rho (Perron-Frobenius), and rho lies
-    between the larger of the smallest row sum and the largest diagonal
-    entry, and the largest row sum; so _root_ceiling over d times that range
-    finds m = ceil(d rho), and rho = m / d iff q(m) = 0.  lambda1 is the
-    largest rho.
+    over Z for each block poly p: coefficient k of det(yI - B.num) times
+    (d / B.den)^k, so no Fraction is made.  rho is rational iff d rho is an
+    integer.  Every root z of q has Re z <= d rho (Perron-Frobenius), and
+    rho lies between the larger of the smallest row sum and the largest
+    diagonal entry, and the largest row sum; so _root_ceiling over d times
+    that range (Newton probes decided by the Taylor test, with bisection as
+    the bounded fallback) finds m = ceil(d rho), and rho = m / d iff q(m) =
+    0.  lambda1 is the largest rho.
     """
     d = math.lcm(*(B.den for B in blocks))
     radii, ceilings = [], []
-    for B, p in zip(blocks, polys):
-        q = _integer_poly(p, d)
+    for B in blocks:
         s = d // B.den
+        q = [c * s**k for k, c in enumerate(_char_poly_int(B.num))]
         sums = [s * sum(row) for row in B.num]
         lo = max(min(sums), s * max(row[i] for i, row in enumerate(B.num)))
         m = _root_ceiling(q, lo, max(sums))
@@ -838,8 +840,8 @@ def _to_cs_exact(A: RationalMatrix, certified=None) -> RowSumResult:
     irreducible A with the pair is its own block, with radius lambda1 and
     Perron vector x: no char poly, no kernel.  Otherwise (a reducible A
     ignores the pair) perron_root_exact finds every block's radius from the
-    block char polys, lambda1 = rho(A) is the largest, and each block's
-    kernel gives its Perron vector.  The blocks, their radii and the
+    blocks' integer char polys, lambda1 = rho(A) is the largest, and each
+    block's kernel gives its Perron vector.  The blocks, their radii and the
     condensation edges serve the reduction of A and that of A^T.
 
     The result is checked by _verify_exact before it is returned, so every
@@ -853,7 +855,7 @@ def _to_cs_exact(A: RationalMatrix, certified=None) -> RowSumResult:
     else:
         blocks = [A.submatrix(c, c) for c in comps]
         vectors = [None] * len(comps)
-        lam, radii = perron_root_exact(blocks, [char_poly(B) for B in blocks])
+        lam, radii = perron_root_exact(blocks)
         if lam is None:
             raise ModeError("the Perron root appears irrational")
         perron = _perron_block(radii, lam)

@@ -13,10 +13,26 @@ from fractions import Fraction
 from nnspectra.core import (
     RationalMatrix,
     Spectrum,
+    _taylor,
     companion_matrix,
     poly_from_roots,
 )
 from nnspectra.rowsum import to_constant_row_sums
+
+
+def bisect_root_ceiling(q, lo, hi):
+    """(m, tests): core._root_ceiling's m by plain bisection on the Taylor
+    test, and the number of tests it took; the reference for the Newton
+    probes."""
+    tests = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        tests += 1
+        if all(t >= 0 for t in _taylor(q, mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, tests
 
 
 def suleimanova_values(rng: random.Random, n: int, allow_repeats: bool = True):

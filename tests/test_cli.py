@@ -164,11 +164,13 @@ class TestGuoShift:
 
     @staticmethod
     def _char_poly_spy(monkeypatch):
-        """The matrices char_poly runs on, from every module that holds it."""
+        """The matrices char_poly runs on, from every module that holds it,
+        and the integer rows of rowsum's radius pass."""
         seen = []
-        real = core.char_poly
-        for module in (core, jcfcert, rowsum, bonding, family5):
+        real, real_int = core.char_poly, core._char_poly_int
+        for module in (core, jcfcert, bonding, family5):
             monkeypatch.setattr(module, "char_poly", lambda M: seen.append(M) or real(M))
+        monkeypatch.setattr(rowsum, "_char_poly_int", lambda N: seen.append(N) or real_int(N))
         return seen
 
     @pytest.mark.parametrize("claim", [False, True], ids=["no-claim", "claim"])

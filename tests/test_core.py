@@ -34,7 +34,7 @@ from nnspectra.errors import (
     SingularMatrixError,
 )
 
-from conftest import random_invertible
+from conftest import bisect_root_ceiling, random_invertible
 
 
 def brute_force_char_poly(A):
@@ -144,6 +144,19 @@ class TestCharPoly:
             S = random_invertible(rng, n)
             B = solve(S, A @ S)
             assert char_poly(B) == char_poly(A)
+
+    def test_integer_char_poly_matches_sympy(self):
+        # det(yI - N) over Z, negative entries and zeros, n = 1..9
+        sympy = pytest.importorskip("sympy")
+        y = sympy.symbols("y")
+        rng = random.Random(36)
+        for n in range(1, 10):
+            for _ in range(3):
+                N = [[rng.choice((0, rng.randint(-40, 40))) for _ in range(n)] for _ in range(n)]
+                expected = sympy.Matrix(N).charpoly(y).all_coeffs()
+                got = core._char_poly_int(N)
+                assert got == [int(c) for c in expected]
+                assert all(type(c) is int for c in got)
 
 
 class TestExactRank:
@@ -644,3 +657,155 @@ class TestJordanSpec:
 class TestPolySub:
     def test_residual_zero(self):
         assert poly_sub([F(1), F(2)], [F(1), F(2)]) == [F(0)]
+
+
+def _times_linear(q, r):
+    """q(y) (y - r)."""
+    return [a - r * b for a, b in zip(q + [0], [0] + q)]
+
+
+def _from_roots(roots):
+    q = [1]
+    for r in roots:
+        q = _times_linear(q, r)
+    return q
+
+
+def _ceiling_inputs():
+    """(q, lo, hi) for the differential of core._root_ceiling: monic integer
+    q of degree 1..9, real-rooted with integer or irrational largest roots,
+    with complex roots (lists that do not split), or clustered as (y - r)^k
+    (y - r - 1); brackets from the Cauchy bound, lo == hi, lo above every
+    root, brackets with no passing m, and huge ones."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    integer_roots = st.lists(st.integers(-60, 60), min_size=1, max_size=9).map(_from_roots)
+
+    @st.composite
+    def irrational_top(draw):
+        # (y - a)^2 - s with k^2 < s < (k + 1)^2, over integer roots <= a
+        a, k = draw(st.integers(-30, 30)), draw(st.integers(1, 30))
+        s = k * k + draw(st.integers(1, 2 * k))
+        q = [1, -2 * a, a * a - s]
+        for r in draw(st.lists(st.integers(0, 40), max_size=7)):
+            q = _times_linear(q, a - r)
+        return q
+
+    @st.composite
+    def complex_roots(draw):
+        if draw(st.booleans()):
+            return [1] + draw(st.lists(st.integers(-200, 200), min_size=1, max_size=9))
+        q = [1]
+        for _ in range(draw(st.integers(1, 4))):
+            a, b = draw(st.integers(-30, 30)), draw(st.integers(1, 900))
+            q = poly_mul(q, [1, -2 * a, a * a + b])
+        for r in draw(st.lists(st.integers(-40, 40), max_size=9 - (len(q) - 1))):
+            q = _times_linear(q, r)
+        return [int(c) for c in q]
+
+    @st.composite
+    def clustered(draw):
+        r, k = draw(st.integers(-40, 40)), draw(st.integers(1, 8))
+        return _from_roots([r] * k + [r + 1])
+
+    @st.composite
+    def triple(draw):
+        q = draw(st.one_of(integer_roots, irrational_top(), complex_roots(), clustered()))
+        bound = 1 + max(map(abs, q))
+        kind = draw(st.sampled_from(("cauchy", "point", "above", "none", "any", "huge")))
+        if kind == "cauchy":
+            return q, -bound, bound
+        if kind == "point":
+            m = draw(st.integers(-bound - 3, bound + 3))
+            return q, m, m
+        if kind == "above":
+            lo = bound + draw(st.integers(0, 5))
+            return q, lo, lo + draw(st.integers(0, 2**20))
+        if kind == "none":
+            # hi below the least passing m: the answer is hi
+            top, _ = bisect_root_ceiling(q, -bound, bound)
+            hi = top - 1 - draw(st.integers(0, 5))
+            return q, hi - draw(st.integers(0, 2**12)), hi
+        if kind == "any":
+            lo, hi = sorted(draw(st.integers(-bound - 5, bound + 5)) for _ in range(2))
+            return q, lo, hi
+        lo = draw(st.integers(-bound, bound))
+        return q, lo, lo + draw(st.integers(0, 2**80))
+
+    return hypothesis, triple()
+
+
+class TestRootCeiling:
+    """core._root_ceiling against the bisection it replaced, kept here as
+    the reference (conftest.bisect_root_ceiling)."""
+
+    def test_same_m_as_the_bisection(self):
+        hypothesis, triples = _ceiling_inputs()
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(triples)
+        def check(args):
+            assert core._root_ceiling(*args) == bisect_root_ceiling(*args)[0]
+
+        check()
+
+    def test_work_within_the_bisections(self, monkeypatch):
+        # at most two Taylor tests more than the bisection, and at most
+        # (hi - lo).bit_length() Horner steps
+        hypothesis, triples = _ceiling_inputs()
+        tests, steps = [0], [0]
+        taylor, horner = core._taylor, core._value_and_slope
+
+        def taylor_spy(q, m):
+            tests[0] += 1
+            return taylor(q, m)
+
+        def horner_spy(q, x):
+            steps[0] += 1
+            return horner(q, x)
+
+        monkeypatch.setattr(core, "_taylor", taylor_spy)
+        monkeypatch.setattr(core, "_value_and_slope", horner_spy)
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(triples)
+        # a cluster below the settled x: x - 1 and x - 2 both pass, and the
+        # bracket they leave is most of [lo, hi]
+        @hypothesis.example((_from_roots([19] + [18] * 6), -29, 22))
+        def check(args):
+            q, lo, hi = args
+            tests[0] = steps[0] = 0
+            core._root_ceiling(q, lo, hi)
+            assert tests[0] <= bisect_root_ceiling(q, lo, hi)[1] + 2
+            assert steps[0] <= (hi - lo).bit_length()
+
+        check()
+
+    def test_pinned_brackets(self):
+        # (y - 7)(y - 3): the ceiling 7, from a huge bracket too; lo == hi
+        # returns lo untested; lo above every root; no passing m gives hi
+        q = _from_roots([7, 3])
+        assert core._root_ceiling(q, -100, 100) == 7
+        assert core._root_ceiling(q, 0, 2**200) == 7
+        assert core._root_ceiling(q, 5, 5) == 5
+        assert core._root_ceiling(q, 9, 40) == 9
+        assert core._root_ceiling(q, -50, 4) == 4
+        # y^2 - 2: ceil(sqrt 2); y^2 + 1: ceil of the real part 0
+        assert core._root_ceiling([1, 0, -2], -3, 3) == 2
+        assert core._root_ceiling([1, 0, 1], -3, 3) == 0
+
+    def test_a_simple_root_costs_one_passing_test(self, monkeypatch):
+        # Newton settles next to the root: one test fails at its first
+        # coefficient and one passes
+        seen = []
+        taylor = core._taylor
+
+        def spy(q, m):
+            seen.append(m)
+            return taylor(q, m)
+
+        monkeypatch.setattr(core, "_taylor", spy)
+        q = [1, 0, -2 * 10**12]  # sqrt(2) 10^6, irrational
+        assert core._root_ceiling(q, 10**6, 2 * 10**6) == 1414214
+        assert seen == [1414213, 1414214]

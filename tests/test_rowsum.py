@@ -11,12 +11,14 @@ from nnspectra.cli import dispatch
 from nnspectra.core import (
     FloatMatrix,
     RationalMatrix,
+    _integer_poly,
     _taylor,
     char_poly,
     determinant,
     inverse,
     kernel,
     matrix_to_json,
+    poly_eval,
     solve,
     to_float,
 )
@@ -30,7 +32,7 @@ from nnspectra.errors import (
     SpectralDominanceError,
     UnsupportedLayoutError,
 )
-from nnspectra import rowsum
+from nnspectra import core, rowsum
 from nnspectra.bonding import smigoc_bond
 from nnspectra.family5 import (
     GAMMA2_LEFT,
@@ -56,6 +58,7 @@ from nnspectra.rowsum import (
 
 from test_core import _from_sympy, _to_sympy
 from conftest import (
+    bisect_root_ceiling,
     diag_conjugate,
     entangled_transposed,
     random_layout_realization,
@@ -1174,12 +1177,12 @@ def test_perron_root_exact_against_sympy():
         if not _is_irreducible_safe(A):
             continue
         top = sympy.real_roots(_to_sympy(A).charpoly(x).as_expr())[-1]
-        lam, radii = rowsum.perron_root_exact([A], [char_poly(A)])
+        lam, radii = rowsum.perron_root_exact([A])
         assert radii == [lam]
         assert lam == (_from_sympy(top) if top.is_Rational else None)
         if tops:
             P, top_p = tops[-1]
-            pair, _ = rowsum.perron_root_exact([P, A], [char_poly(P), char_poly(A)])
+            pair, _ = rowsum.perron_root_exact([P, A])
             high = max(top, top_p)
             assert pair == (_from_sympy(high) if high.is_Rational else None)
         tops.append((A, top))
@@ -1209,7 +1212,7 @@ def test_perron_block_from_radii_matches_taylor_multiplicities():
         comps, _ = _components(A)
         blocks = [A.submatrix(c, c) for c in comps]
         polys = [char_poly(B) for B in blocks]
-        lam, radii = rowsum.perron_root_exact(blocks, polys)
+        lam, radii = rowsum.perron_root_exact(blocks)
         mults = _taylor_multiplicities(polys, lam)
         if sum(mults) == 1:
             assert rowsum._perron_block(radii, lam) == mults.index(1)
@@ -1218,6 +1221,95 @@ def test_perron_block_from_radii_matches_taylor_multiplicities():
             with pytest.raises(PerronNotSimple, match="algebraic multiplicity >= 2"):
                 rowsum._perron_block(radii, lam)
     assert refused == 4
+
+
+def _perron_reference(blocks):
+    """perron_root_exact's (lambda1, radii) the way it was derived before
+    the integer char poly and the Newton probes: each block's Fraction char
+    poly cleared to Z and the bounds read off its Fraction row sums, then
+    the bisection."""
+    d = math.lcm(*(B.den for B in blocks))
+    radii, ceilings = [], []
+    for B in blocks:
+        p = char_poly(B)
+        sums = B.row_sums()
+        lo = max(min(sums), max(B[i, i] for i in range(B.rows)))
+        m, _ = bisect_root_ceiling(_integer_poly(p, d), int(d * lo), int(d * max(sums)))
+        ceilings.append(m)
+        radii.append(F(m, d) if poly_eval(p, F(m, d)) == 0 else None)
+    top = max(ceilings)
+    lam = next((r for r, m in zip(radii, ceilings) if m == top and r is not None), None)
+    return lam, radii
+
+
+def _perron_differential_blocks(rng, i):
+    """Irreducible blocks for the perron_root_exact differential, by i mod 3:
+    mostly irrational radii under a diagonal conjugation with denominators
+    up to 10^6; a constant-row-sum block at a radius over 10^6 next to one
+    at the same or a neighbouring radius; sqrt(a b) of [[0, a], [b, 0]]
+    next to a rational radius within 10^-6 of it."""
+    def big():
+        return F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+    if i % 3 == 0:
+        blocks = []
+        for k in range(rng.randint(1, 3)):
+            A = _irreducible_sample(rng, 3 * k + 1)
+            blocks.append(diag_conjugate(A, [big() for _ in range(A.rows)]))
+        return blocks
+    D = rng.choice((10**6, 999983, 7 * 10**5))
+    if i % 3 == 1:
+        lam = F(rng.randint(D, 40 * D), D)
+        other = lam + F(rng.choice((-1, 0, 1)), rng.choice((D, 10**6)))
+        pair = [_random_cs_block(rng, rng.randint(1, 4), r) for r in (lam, other)]
+    else:
+        a, b = rng.randint(1, 40), rng.randint(1, 40)
+        near = F(math.isqrt(a * b * D * D) + rng.randint(0, 1), D)
+        pair = [RationalMatrix([[0, a], [b, 0]]), _random_cs_block(rng, rng.randint(1, 4), near)]
+    pair = [diag_conjugate(B, [big() for _ in range(B.rows)]) for B in pair]
+    rng.shuffle(pair)
+    return pair
+
+
+def test_perron_root_exact_against_the_bisection():
+    rng = random.Random(3607)
+    kinds, done = {"irrational": 0, "rational": 0, "tie": 0}, 0
+    while done < 240:
+        blocks = _perron_differential_blocks(rng, done)
+        if not all(_is_irreducible_safe(B) for B in blocks):
+            continue
+        got = rowsum.perron_root_exact(blocks)
+        assert got == _perron_reference(blocks)
+        lam, radii = got
+        kinds["irrational"] += None in radii
+        kinds["rational"] += lam is not None
+        kinds["tie"] += len(set(radii)) < len(radii)
+        done += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_exact_radius_pass_takes_the_integer_char_poly(monkeypatch):
+    # criterion-5 layouts: _to_cs_exact builds no Fraction char poly and
+    # clears none back to the integers
+    def forbidden(name):
+        def fail(*args):
+            raise AssertionError("_to_cs_exact called %s" % name)
+
+        return fail
+
+    for module in (core, rowsum):
+        for name in ("char_poly", "_integer_poly"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    seen = []
+    real = core._char_poly_int
+    monkeypatch.setattr(rowsum, "_char_poly_int", lambda N: seen.append(N) or real(N))
+    rng = random.Random(2024)
+    for _ in range(60):
+        A, spectrum = random_realization_with_rational_spectrum(rng)
+        result = rowsum._to_cs_exact(A)
+        assert result.lam == spectrum.perron
+    assert seen
 
 
 def test_float_scaling_builds_no_block_array(monkeypatch):
