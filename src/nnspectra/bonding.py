@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .core import (
     RationalMatrix,
-    Spectrum,
     _shifted,
     char_poly,
     format_rational,
@@ -157,6 +156,8 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
     CertificationError is raised.  Each factor's char poly is computed once
     and serves both the split test and the identity; the split test has
     matched it exactly, so only the factors' Weyr sequences are computed.
+    The claimed spectrum is read off the bonded Jordan claim: its
+    multiplicity at a value is the sum of the claim's block sizes there.
     """
     c = rat(c)
     poly_a, poly_b = char_poly(A), char_poly(B)
@@ -169,6 +170,4 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
             raise CertificationError("bond failed the exact characteristic identity")
         return None
     claim = bonded_jordan_claim(_jordan_of(A, spec_a), _jordan_of(B, spec_b), c)
-    values = list(spec_a.values()) + list(spec_b.values())
-    values.remove(c)
-    return verify_certificate(C, Spectrum.from_values(values), claim)
+    return verify_certificate(C, claim.spectrum(), claim)

@@ -747,9 +747,10 @@ def rational_sqrt(x: Fraction):
 class Spectrum:
     """Multiset of exact rational eigenvalues with multiplicities.
 
-    `pairs` is sorted with the Perron candidate first (descending value);
-    `perron_simple` holds iff exactly one eigenvalue attains the maximum
-    modulus, with multiplicity one, and is positive.
+    `pairs` lists the distinct values in descending order.  `perron` is the
+    one Perron rule; whether it is simple is its multiplicity, which
+    perturb.ur_shift reads.  A certified claim's spectrum is read off its
+    Jordan form (JordanSpec.spectrum).
     """
 
     pairs: tuple
@@ -773,24 +774,9 @@ class Spectrum:
         return sum(m for _, m in self.pairs)
 
     @cached_property
-    def max_modulus(self) -> Fraction:
-        return max(abs(v) for v, _ in self.pairs)
-
-    @cached_property
     def perron(self) -> Fraction:
-        """Value attaining the maximum modulus (positive representative preferred)."""
-        mm = self.max_modulus
-        attaining = [v for v, _ in self.pairs if abs(v) == mm]
-        return max(attaining)
-
-    @cached_property
-    def perron_simple(self) -> bool:
-        mm = self.max_modulus
-        attaining = [(v, m) for v, m in self.pairs if abs(v) == mm]
-        if len(attaining) != 1:
-            return False
-        v, m = attaining[0]
-        return m == 1 and v > 0
+        """The value of largest modulus; of two that tie, the positive one."""
+        return max((abs(v), v) for v, _ in self.pairs)[1]
 
     def multiplicity(self, value) -> int:
         value = rat(value)
@@ -801,14 +787,6 @@ class Spectrum:
 
     def char_poly(self):
         return poly_from_roots(self.values())
-
-    def replace_perron(self, new_value) -> "Spectrum":
-        """One copy of the Perron value moved to new_value, on the distinct
-        pairs: no value is parsed again."""
-        counts, new = dict(self.pairs), rat(new_value)
-        counts[self.perron] -= 1
-        counts[new] = counts.get(new, 0) + 1
-        return Spectrum(tuple(sorted(((v, m) for v, m in counts.items() if m), reverse=True)))
 
     def to_json(self):
         return {"values": [format_rational(v) for v in self.values()]}

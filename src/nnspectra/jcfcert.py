@@ -17,12 +17,14 @@ and r(N) v != 0 for the quotient r of q by each of its distinct linear
 factors.  That proves, exactly and with no prime, that v's minimal
 polynomial is q, so A is nonderogatory with the claimed char poly and its
 form is one Jordan block per eigenvalue, with no char poly and no rank.
+A quotient that vanishes on (1, 2, ..., n) only puts v in a proper
+invariant subspace, so one fixed scrambled integer vector is tried next.
 The quotient's vector r(N) v at the Perron value spans that eigenspace,
 and the Perron shift's reduction takes it in place of a kernel.  When the
-basis cannot conclude (q(N) v != 0, a vanishing quotient, a derogatory
-A), the claim is matched against char_poly(A) (Berkowitz over the
-integers); _prove_spectrum is that Krylov-first order, for every caller
-that proves a claim.  jordan_spec and verify_certificate then share one
+basis cannot conclude (q(N) v != 0, a quotient vanishing on both vectors,
+a derogatory A), the claim is matched against char_poly(A) (Berkowitz
+over the integers); _prove_spectrum is that Krylov-first order, for every
+caller that proves a claim.  jordan_spec and verify_certificate then share one
 Weyr sequence per claimed eigenvalue (ranks by the fraction-free
 elimination), and _certificate words every certificate's records from such
 facts.  Constructions certified here (the degree-5 realization, bonding)
@@ -159,7 +161,7 @@ def _match_spectrum(A: RationalMatrix, spectrum: Spectrum):
 
 
 def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
-    """(form, x) when one Krylov basis proves A nonderogatory with the
+    """(form, x) when a Krylov basis proves A nonderogatory with the
     claimed char poly, the form having one block per claimed eigenvalue;
     None when it cannot conclude.
 
@@ -175,13 +177,20 @@ def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
     each eigenvalue has one Jordan block of its full multiplicity.  Only
     integer mat-vecs are taken, and the proof is exact over Z.
 
+    A vanishing quotient only says that v lies in a proper invariant
+    subspace, so the basis is built once more from the fixed scrambled
+    vector v_i = (31 i^2 + 17 i + 5) mod 97 + 1 before giving up.
+    q(N) v != 0 on either vector gives None at once: by Cayley-Hamilton the
+    claim is then wrong.
+
     As (N - mu I) r(N) v = q(N) v = 0 for the quotient r at mu = d
     spectrum.perron, x = r(N) v spans that eigenvalue's one-dimensional
     eigenspace; it is returned primitive, with its first nonzero entry
-    positive: for an irreducible A >= 0 it is the positive Perron vector.
-    A claim of another order, a non-integral root (a wrong claim, as the
-    rational roots of a monic integer poly are integers), q(N) v != 0, a
-    vanishing quotient and a derogatory A give None.
+    positive, whichever vector concluded: for an irreducible A >= 0 it is
+    the positive Perron vector.  A claim of another order, a non-integral
+    root (a wrong claim, as the rational roots of a monic integer poly are
+    integers), q(N) v != 0, a quotient vanishing on both vectors and a
+    derogatory A give None.
     """
     n = A.rows
     if not A.is_square or spectrum.order != n:
@@ -195,28 +204,31 @@ def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
     for mu, m in roots:
         for _ in range(m):
             q = [a - mu * b for a, b in zip(q + [0], [0] + q)]
-    krylov = [list(range(1, n + 1))]
-    for _ in range(n):
-        w = krylov[-1]
-        krylov.append([sum(map(operator.mul, row, w)) for row in N])
-    # entry i of every Krylov vector, N^n v first; entry i of q(N) v is
-    # sum_k q_k (N^(n-k) v)_i, and that of r(N) v, r of degree n - 1,
-    # sum_k r_k (N^(n-1-k) v)_i
-    entries = [powers[::-1] for powers in zip(*krylov)]
-    if any(sum(map(operator.mul, q, powers)) for powers in entries):
-        return None
+    quotients = [(mu, synthetic_div(q, mu)[0]) for mu, _ in roots]
     perron = (spectrum.perron * d).numerator
-    for mu, _ in roots:
-        r = synthetic_div(q, mu)[0]
-        # r(N) v, up to its first nonzero entry; in full at the Perron value
-        quotient = (sum(map(operator.mul, r, powers[1:])) for powers in entries)
-        if mu == perron:
-            quotient = x = list(quotient)
-        if not any(quotient):
+    for v in (range(1, n + 1), [(31 * i * i + 17 * i + 5) % 97 + 1 for i in range(1, n + 1)]):
+        krylov = [list(v)]
+        for _ in range(n):
+            w = krylov[-1]
+            krylov.append([sum(map(operator.mul, row, w)) for row in N])
+        # entry i of every Krylov vector, N^n v first; entry i of q(N) v is
+        # sum_k q_k (N^(n-k) v)_i, and that of r(N) v, r of degree n - 1,
+        # sum_k r_k (N^(n-1-k) v)_i
+        entries = [powers[::-1] for powers in zip(*krylov)]
+        if any(sum(map(operator.mul, q, powers)) for powers in entries):
             return None
-    g = math.gcd(*x) if next(filter(None, x)) > 0 else -math.gcd(*x)
-    form = JordanSpec.from_map([(value, (m,)) for value, m in spectrum.pairs])
-    return form, tuple(v // g for v in x)
+        for mu, r in quotients:
+            # r(N) v, up to its first nonzero entry; in full at the Perron value
+            quotient = (sum(map(operator.mul, r, powers[1:])) for powers in entries)
+            if mu == perron:
+                quotient = x = list(quotient)
+            if not any(quotient):
+                break
+        else:
+            g = math.gcd(*x) if next(filter(None, x)) > 0 else -math.gcd(*x)
+            form = JordanSpec.from_map([(value, (m,)) for value, m in spectrum.pairs])
+            return form, tuple(entry // g for entry in x)
+    return None
 
 
 def _prove_spectrum(A: RationalMatrix, spectrum: Spectrum):

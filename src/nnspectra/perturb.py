@@ -168,7 +168,8 @@ def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
     1952).  When lambda1 + eps is none of the other eigenvalues,
     the Jordan form of B' is that of A with lambda1 moved to lambda1 + eps,
     so its char poly is the claimed spectrum's and each Weyr sequence the
-    claimed one.  What is left to check is O(n^2): B' - B = (eps/n) e e^T
+    claimed one.  The claimed spectrum is read off that moved form, as every
+    claim's is.  What is left to check is O(n^2): B' - B = (eps/n) e e^T
     entry by entry, every row of B' summing to lambda1 + eps, the moved root
     colliding with no other claimed value, and B' >= 0 (the certificate's
     nonnegativity record).  A failed check raises CertificationError.
@@ -180,10 +181,10 @@ def _shift_certificate(B, shifted, spectrum, jordan_before, eps):
         raise CertificationError(
             "shifted Perron root %s collides with another eigenvalue" % format_rational(moved)
         )
-    claimed_spectrum = spectrum.replace_perron(moved)
     claimed_jordan = JordanSpec.from_map(
         [(moved if v == lam1 else v, sizes) for v, sizes in jordan_before.blocks]
     )
+    claimed_spectrum = claimed_jordan.spectrum()
     weyrs = [(v, claimed_jordan.weyr_at(v)) for v, _ in claimed_spectrum.pairs]
     certificate = _certificate(
         shifted, claimed_spectrum, claimed_jordan, [Fraction(0)], weyrs

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -25,7 +26,7 @@ from nnspectra.errors import (
 )
 from nnspectra.jcfcert import jordan_spec
 
-from conftest import random_invertible
+from conftest import random_invertible, random_jordan_spec
 
 B2 = RationalMatrix([[0, 2], [2, 0]])
 U2 = (F(1, 2), F(1, 2))
@@ -334,3 +335,101 @@ def test_realize5_and_bond_certificates_match_golden_digest():
         cert = bond_certificate(A, B, c, smigoc_bond(A, B, c, u, v))
         digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == REALIZE5_BOND_GOLDEN_SHA256
+
+
+def _planted(rng, spec):
+    """S^-1 J S for the Jordan matrix J of spec and a random invertible S."""
+    S = random_invertible(rng, spec.order)
+    return solve(S, spec.jordan_matrix() @ S)
+
+
+def _jordan_bond_instance(rng):
+    """(A, B, c): A = [[A1, a], [0, c]] or its transpose, A1 with a planted
+    Jordan form, and B with a planted form that has one block at c, of size
+    1; c is often an eigenvalue of A1 and the two forms share values, so the
+    bonded claim merges blocks."""
+    spec_a = random_jordan_spec(rng, rng.randint(1, 4))
+    c = rng.choice([v for v, _ in spec_a.blocks] + [F(rng.randint(-3, 4), rng.randint(1, 2))])
+    A1 = _planted(rng, spec_a)
+    k = A1.rows
+    rows = [list(row) + [F(rng.randint(-2, 2))] for row in A1.entries()]
+    A = RationalMatrix(rows + [[F(0)] * k + [c]])
+    if rng.random() < 0.5:
+        A = A.transpose()
+    spec_b = random_jordan_spec(rng, rng.randint(0, 3))
+    blocks = [(v, sizes) for v, sizes in spec_b.blocks if v != c] + [(c, [1])]
+    return A, _planted(rng, JordanSpec.from_map(blocks)), c
+
+
+def _irrational_b_instance(rng):
+    """(A, B, c): A as in _jordan_bond_instance, B similar to
+    [c] + [[0, 2], [1, 0]], whose eigenvalues +-sqrt(2) are irrational."""
+    A, _, c = _jordan_bond_instance(rng)
+    X = random_invertible(rng, 3)
+    J = RationalMatrix([[c, 0, 0], [0, 0, 2], [0, 1, 0]])
+    return A, solve(X, J @ X), c
+
+
+def bond_digest_inputs():
+    """30 seeded (A, B, c, u, v): rational factors with planted Jordan forms,
+    dense A (mostly irrational spectra) and irrational B, in turn; u and v
+    are None where B's eigenspace at c is a line."""
+    rng = random.Random(4271)
+    out = []
+    for trial in range(30):
+        if trial % 3 == 0:
+            out.append(_jordan_bond_instance(rng) + (None, None))
+        elif trial % 3 == 1:
+            out.append(_random_bond_instance(rng))
+        else:
+            out.append(_irrational_b_instance(rng) + (None, None))
+    return out
+
+
+# sha256 over bond_certificate JSON (b"null" when a factor's spectrum is
+# irrational) for bond_digest_inputs(); pins the bonded Jordan claim and the
+# claimed spectrum read off it
+BOND_GOLDEN_SHA256 = "fa32cc393f808f6a1f74a20eed79db85983d68548e0b5aed24549699e771f079"
+
+
+def test_bond_certificates_match_golden_digest():
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for A, B, c, u, v in bond_digest_inputs():
+        cert = bond_certificate(A, B, c, smigoc_bond(A, B, c, u, v))
+        if cert is None:
+            kinds["irrational"] += 1
+            digest.update(b"null")
+            continue
+        kinds["diagonal" if cert.claimed_jordan.is_diagonal else "jordan"] += 1
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    assert kinds == {"irrational": 18, "jordan": 4, "diagonal": 8}
+    assert digest.hexdigest() == BOND_GOLDEN_SHA256
+
+
+def test_claimed_spectrum_is_the_joined_values_less_one_c():
+    # the certificate reads its spectrum off the bonded Jordan claim; the
+    # reference joins the factors' values, drops one c and parses afresh
+    from nnspectra.jcfcert import rational_spectrum_of
+
+    rng = random.Random(4243)
+    cases = [
+        _random_triangular_bond_instance(rng, upper=trial % 2 == 0) for trial in range(40)
+    ] + bond_digest_inputs()
+    for coefficients in (
+        ("11/2", F(-171, 25), F(212, 25), F(308, 25)),
+        (9, F(-1399, 100), F(1367, 100), F(513, 10)),
+    ):
+        cases.append((A_of_d1(*coefficients), B2, F(2), U2, V2))
+    checked = 0
+    for A, B, c, u, v in cases:
+        cert = bond_certificate(A, B, c, smigoc_bond(A, B, c, u, v))
+        spec_a, spec_b = rational_spectrum_of(A), rational_spectrum_of(B)
+        assert (cert is None) == (spec_a is None or spec_b is None)
+        if cert is None:
+            continue
+        values = list(spec_a.values()) + list(spec_b.values())
+        values.remove(c)
+        assert cert.claimed_spectrum == Spectrum.from_values(values)
+        checked += 1
+    assert checked == 54

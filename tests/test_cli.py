@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -750,10 +751,12 @@ class TestParserReuse:
 
 
 class TestContract:
-    """normalize and guo-shift on generated command lines, with well-formed
-    and malformed JSON and flags, run in-process through dispatch: exit 0
-    with an artifact that an independent Fraction check accepts, or exit 1
-    with one "error:" line and no --out file; two runs write the same bytes."""
+    """normalize, guo-shift, verify, jordan-forms and bond on generated
+    command lines, with well-formed and malformed JSON and flags, run
+    in-process through dispatch: exit 0, or 2 for a failed or missing
+    certificate, with an artifact that an independent Fraction check
+    accepts, or exit 1 with one "error:" line and no --out file; two runs
+    write the same bytes."""
 
     @staticmethod
     def _run(argv, out):
@@ -771,13 +774,15 @@ class TestContract:
         first = self._run(argv, out)
         assert self._run(argv, out) == first
         rc, _, err, written = first
-        assert rc in (0, 1)
+        assert rc in (0, 1, 2)
         if rc == 1:
             assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
             assert written is None
         else:
-            assert err == ""
-            artifact_check(json.loads(written))
+            blob = json.loads(written)
+            # only a bond without a certificate explains itself on stderr
+            assert err == (blob["reason"] + "\n" if "reason" in blob else "")
+            artifact_check(blob, rc)
         return rc
 
     @staticmethod
@@ -844,8 +849,8 @@ class TestContract:
             (text, A), path, out = matrix, tmp_path / "A.json", str(tmp_path / "out.json")
             path.write_bytes(text)
 
-            def artifact(blob):
-                assert A is not None
+            def artifact(blob, rc):
+                assert A is not None and rc == 0
                 assert set(blob) == {"schema", "mode", "lambda", "B", "S", "transcript"}
                 n = len(A)
                 if blob["mode"] == "float":
@@ -910,8 +915,9 @@ class TestContract:
                 "bad-q": ["--q", paths["bad"]],
             }
 
-            def artifact(blob):
-                assert B is not None and set(blob) == {"schema", "lambda", "shift", "result"}
+            def artifact(blob, rc):
+                assert B is not None and rc == 0
+                assert set(blob) == {"schema", "lambda", "shift", "result"}
                 if flags[0] == "--q":
                     steps = [F(v) for v in q]
                 else:
@@ -930,6 +936,179 @@ class TestContract:
 
         check()
         assert seen == {0, 1}
+
+    @staticmethod
+    def _char_poly(X):
+        """det(x I - X), highest coefficient first, by Faddeev-LeVerrier
+        over Fractions."""
+        n = len(X)
+        coeffs, M = [F(1)], [[F(0)] * n for _ in range(n)]
+        for k in range(1, n + 1):
+            M = TestContract._product(X, M)
+            for i in range(n):
+                M[i][i] += coeffs[-1]
+            AM = TestContract._product(X, M)
+            coeffs.append(-sum(AM[i][i] for i in range(n)) / k)
+        return coeffs
+
+    @staticmethod
+    def _poly_mul(p, q):
+        out = [F(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def test_verify(self, tmp_path):
+        hypothesis, st, number, matrix_file = self._strategies()
+        seen = set()
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            data=st.data(), matrix=matrix_file(cs=False), triangular=st.booleans(),
+            claim=st.sampled_from(["diagonal", "drawn", "bad", "single-blocks", "bad-jordan"]),
+        )
+        def check(data, matrix, triangular, claim):
+            (text, A), out = matrix, str(tmp_path / "out.json")
+            if A is not None and triangular:
+                A = [[v if j >= i else F(0) for j, v in enumerate(row)] for i, row in enumerate(A)]
+                text = json.dumps({"entries": [[str(v) for v in row] for row in A]}).encode()
+            paths = {name: tmp_path / (name + ".json") for name in ("M", "s", "j")}
+            paths["M"].write_bytes(text)
+            n = 2 if A is None else len(A)
+            values = [F(v) for v in data.draw(st.lists(number, min_size=n, max_size=n))]
+            if A is not None and claim != "drawn":
+                values = [A[i][i] for i in range(n)]  # right for a triangular A
+            spectrum = {"values": [str(v) for v in values]}
+            if claim == "bad":
+                spectrum = data.draw(st.sampled_from([{"values": []}, {"values": 5}, {"values": [True]}, [1]]))
+            paths["s"].write_text(json.dumps(spectrum))
+            distinct = sorted(set(values))
+            paths["j"].write_text(json.dumps(
+                {"blocks": 5} if claim == "bad-jordan"
+                else {"blocks": [[str(v), [values.count(v)]] for v in distinct]}
+            ))
+            argv = ["verify", "--matrix", str(paths["M"]), "--spectrum", str(paths["s"])]
+            if claim in ("single-blocks", "bad-jordan"):
+                argv += ["--jordan", str(paths["j"])]
+
+            def artifact(blob, rc):
+                # a drawn "bad" entry such as "2e-400" may still be a rational
+                A = [[F(v) for v in row] for row in json.loads(text)["entries"]]
+                assert claim != "bad"
+                assert set(blob) == {"schema", "verdict", "matrix", "spectrum", "jordan", "checks"}
+                assert sorted(F(v) for v in blob["spectrum"]["values"]) == sorted(values)
+                checks = {c["name"]: c for c in blob["checks"]}
+                expected = [F(1)]
+                for v in values:
+                    expected = self._poly_mul(expected, [F(1), -v])
+                residual = [a - b for a, b in zip(self._char_poly(A), expected)]
+                while len(residual) > 1 and residual[0] == 0:
+                    residual.pop(0)
+                assert checks["char-poly"]["passed"] == (residual == [0])
+                if residual != [0]:
+                    assert checks["char-poly"]["detail"] == "residual: " + core.poly_to_string(residual)
+                assert checks["nonnegativity"]["passed"] == all(v >= 0 for row in A for v in row)
+                passed = all(c["passed"] for c in blob["checks"])
+                assert blob["verdict"] == ("pass" if passed else "fail")
+                assert rc == (0 if passed else 2)
+                seen.add("char-poly " + str(residual == [0]))
+
+            seen.add(self._check(argv + ["--out", out], out, artifact))
+
+        check()
+        assert {0, 1, 2, "char-poly True", "char-poly False"} <= seen
+
+    def test_jordan_forms(self, tmp_path):
+        hypothesis, st, number, _matrix_file = self._strategies()
+        partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
+        malformed = st.sampled_from(
+            [b"not json", b'{"values": []}', b'{"values": 5}', b'{"values": [true]}', b"[1]"]
+        )
+        seen = set()
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            values=st.lists(st.sampled_from(["1", "-2", "1/2", "0", "3"]), min_size=1, max_size=7)
+            | st.lists(number, min_size=1, max_size=4) | st.just(["1"] * 40),
+            bad=st.none() | malformed,
+        )
+        def check(values, bad):
+            path, out = tmp_path / "s.json", str(tmp_path / "out.json")
+            path.write_bytes(bad or json.dumps({"values": values}).encode())
+            counts = collections.Counter(F(v) for v in values)
+            count = math.prod(int(partition(m)) for m in counts.values())
+
+            def artifact(blob, rc):
+                assert bad is None and rc == 0
+                assert set(blob) == {"schema", "spectrum", "count", "forms"}
+                assert blob["count"] == count == len(blob["forms"])
+                assert sorted(F(v) for v in blob["spectrum"]["values"]) == sorted(counts.elements())
+                for form in blob["forms"]:
+                    sizes = {F(v): s for v, s in form["blocks"]}
+                    assert {v: sum(s) for v, s in sizes.items()} == counts
+
+            rc = self._check(["jordan-forms", "--spectrum", str(path), "--out", out], out, artifact)
+            # a refusal is a malformed file or more forms than the bound allows
+            assert (rc == 1) == (bad is not None or count > jcfcert.MAX_JORDAN_FORMS)
+            seen.add(rc)
+            seen.add("many" if count > jcfcert.MAX_JORDAN_FORMS else "listed")
+
+        check()
+        assert seen == {0, 1, "many", "listed"}
+
+    def test_bond(self, tmp_path):
+        hypothesis, st, number, matrix_file = self._strategies()
+        flaws = st.sampled_from([None] * 8 + ["corner", "c-text", "c-zero-den", "b-text"])
+        # a well-formed A more often than matrix_file draws one
+        a_files = matrix_file(cs=True).filter(lambda drawn: drawn[1] is not None) | matrix_file(cs=True)
+        seen = collections.Counter()
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            data=st.data(), a=a_files, m=st.sampled_from([2, 1, 3]),
+            c=number, flaw=flaws, triangular=st.booleans(),
+        )
+        def check(data, a, m, c, flaw, triangular):
+            (text_a, A), out, c = a, str(tmp_path / "out.json"), F(c)
+
+            def upper(X):  # triangular factors have rational spectra
+                return [[v if j >= i or not triangular else F(0) for j, v in enumerate(row)]
+                        for i, row in enumerate(X)]
+
+            # A's corner is c; B's rows sum to c, so e is B's eigenvector at c
+            if A is not None:
+                A = upper(A)
+                A[-1][-1] = c
+                text_a = json.dumps({"entries": [[str(v) for v in row] for row in A]}).encode()
+            B = upper([[F(data.draw(number)) for _ in range(m)] for _ in range(m)])
+            B = [row[:-1] + [row[-1] + c - sum(row)] for row in B]
+            text_b = json.dumps({"entries": [[str(v) for v in row] for row in B]}).encode()
+            (tmp_path / "a.json").write_bytes(text_a)
+            (tmp_path / "b.json").write_bytes(b"not json" if flaw == "b-text" else text_b)
+            flag = {"corner": str(c + 1), "c-text": "abc", "c-zero-den": "1/0"}.get(flaw, str(c))
+
+            def artifact(blob, rc):
+                # a drawn "bad" entry such as "2e-400" may still be a rational
+                A = [[F(v) for v in row] for row in json.loads(text_a)["entries"]]
+                assert flaw is None
+                assert set(blob) - {"reason"} == {"schema", "c", "result", "certificate"}
+                assert F(blob["c"]) == c
+                C = self._fractions(blob["result"])
+                assert len(C) == len(A) + len(B) - 1
+                lhs = self._poly_mul(self._char_poly(C), [F(1), -c])
+                assert lhs == self._poly_mul(self._char_poly(A), self._char_poly(B))
+                cert = blob["certificate"]
+                assert (cert is None) == ("reason" in blob)
+                assert rc == (0 if cert is not None and cert["verdict"] == "pass" else 2)
+                assert cert is None or self._fractions(cert["matrix"]) == C
+                seen["certified" if cert is not None else "uncertified"] += 1
+
+            argv = ["bond", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json")]
+            seen[self._check(argv + ["--c", flag, "--out", out], out, artifact)] += 1
+
+        check()
+        assert all(seen[key] for key in (0, 1, 2, "certified", "uncertified")), seen
 
 
 class TestArtifactWriter:

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction as F
@@ -583,13 +584,32 @@ class TestSpectrum:
     def test_perron_tracking(self):
         s = Spectrum.from_values(["14/5", "11/5", -1, -2, -2])
         assert s.perron == F(14, 5)
-        assert s.perron_simple
+        assert vars(s)["perron"] == F(14, 5)  # cached on first read
         assert s.order == 5
+        assert Spectrum.from_values([2, -2]).perron == 2  # modulus tie
+        assert Spectrum.from_values([-3, 1]).perron == -3  # negative max
 
-    def test_perron_not_simple_cases(self):
-        assert not Spectrum.from_values([2, 2, 1]).perron_simple
-        assert not Spectrum.from_values([2, -2]).perron_simple  # modulus tie
-        assert not Spectrum.from_values([-2, 1]).perron_simple  # negative max
+    def test_perron_is_the_two_step_rule(self):
+        # the reference takes the largest modulus, then the larger of the
+        # values that attain it
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.lists(value, min_size=1, max_size=6), st.booleans())
+        def check(values, tie):
+            if tie:  # the negation of the largest modulus joins the list
+                values = values + [-max(values, key=abs)]
+            modulus = max(abs(v) for v in values)
+            expected = max(v for v in values if abs(v) == modulus)
+            assert Spectrum.from_values(values).perron == expected
+            seen["tie"] += tie and modulus != 0
+            seen["negative"] += max(values) < modulus
+
+        seen = collections.Counter()
+        check()
+        assert seen["tie"] >= 50 and seen["negative"] >= 50, seen
 
     def test_char_poly_match(self):
         s = Spectrum.from_values([1, 1, -1, -1])
@@ -602,23 +622,6 @@ class TestSpectrum:
     def test_empty_json_spectrum_refused(self):
         with pytest.raises(DomainError, match="lists no eigenvalue"):
             Spectrum.from_json({"values": []})
-
-    def test_replace_perron_matches_a_fresh_parse(self):
-        # the pairs are rebuilt from the distinct values, onto a new value,
-        # an existing one or the Perron value itself, with its multiplicity
-        # kept or dropped
-        for values, new in (
-            (["14/5", "11/5", -1, -2, -2], "17/5"),
-            (["14/5", "11/5", -1, -2, -2], -2),
-            ([3, 3, 1], 3),
-            ([3, 1], "1/2"),
-            ([2, -2, 0], 0),
-        ):
-            s = Spectrum.from_values(values)
-            moved = list(s.values())
-            moved.remove(s.perron)
-            assert s.replace_perron(new) == Spectrum.from_values(moved + [new])
-            assert vars(s)["perron"] == s.perron  # cached on first read
 
     def test_jordan_spectrum_matches_a_fresh_parse(self):
         j = JordanSpec.from_map({F(-2): [2, 1], F(1, 2): [1], F(3): [1]})

@@ -247,8 +247,10 @@ class TestShiftCertification:
                     for v, sizes in before.blocks
                 ]
             )
+            moved = list(spectrum.values())
+            moved.remove(lam)
             cert = verify_certificate(
-                shifted, spectrum.replace_perron(lam + eps), claimed
+                shifted, Spectrum.from_values(moved + [lam + eps]), claimed
             )
             assert cert.verdict
 
@@ -400,6 +402,17 @@ def test_ur_shift_matches_golden_digest():
         _shifted, cert = ur_shift(A, spectrum, EPSILONS[i % 3])
         digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == UR_SHIFT_GOLDEN_SHA256
+
+
+def test_claimed_spectrum_is_the_moved_values():
+    # the certificate reads its spectrum off the moved Jordan form; the
+    # reference moves one copy of lambda1 in the value list and parses afresh
+    for i, (A, spectrum) in enumerate(golden_inputs()):
+        eps = EPSILONS[i % 3]
+        _shifted, cert = ur_shift(A, spectrum, eps)
+        moved = list(spectrum.values())
+        moved.remove(spectrum.perron)
+        assert cert.claimed_spectrum == Spectrum.from_values(moved + [spectrum.perron + eps])
 
 
 class TestDerivedCertificate:
