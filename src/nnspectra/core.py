@@ -5,9 +5,11 @@ as integer numerator rows over one common denominator, and the exact
 kernels (char poly, elimination, rank, determinant, solve, kernel) and
 their callers read those integer rows: no matrix is cleared of its
 denominators twice, and its Fractions are built from that form on request.
-Floating point exists only as a mirror (`FloatMatrix`) for float mode and
-region sampling.  Decimal strings such as "2.52" are parsed as exact rationals
-(63/25), never as floats, so file and CLI inputs reproduce bit-exactly.
+Floating point exists only in region sampling and in float mode, whose
+working and result type `FloatMatrix` is never an input: float mode converts
+its exact input with `to_float`.  Decimal strings such as "2.52" are parsed
+as exact rationals (63/25), never as floats, so file and CLI inputs
+reproduce bit-exactly.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def _clear(rows):
 
 
 class FloatMatrix:
-    """Double-precision mirror of RationalMatrix; finite entries only."""
+    """Float mode's working and result type, never an input; finite entries only."""
 
     __slots__ = ("array",)
 
@@ -305,14 +307,6 @@ class FloatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("FloatMatrix is immutable")
-
-    @property
-    def is_square(self):
-        return self.array.shape[0] == self.array.shape[1]
-
-    @property
-    def is_nonnegative(self):
-        return bool(np.all(self.array >= 0))
 
     def __repr__(self):
         return "FloatMatrix(%r)" % (self.array.tolist(),)

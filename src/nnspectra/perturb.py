@@ -40,6 +40,7 @@ from .errors import (
 )
 from .jcfcert import _certificate, _certified_jordan
 from .rowsum import _to_cs_exact, constant_row_sum_value
+from .structure import _components
 
 
 def rank_one_shift(B: RationalMatrix, q) -> RationalMatrix:
@@ -151,7 +152,7 @@ def ur_shift(A: RationalMatrix, spectrum: Spectrum, eps):
     if lam1 <= 0 or spectrum.multiplicity(lam1) != 1:
         raise PerronNotSimple("the claimed spectrum has a non-simple Perron root")
 
-    B = _to_cs_exact(A, None if x is None else (lam1, x)).B
+    B = _to_cs_exact(A, _components(A), None if x is None else (lam1, x)).B
     shifted = _add_rank_one(B, (eps / B.rows,) * B.rows)
     return shifted, _shift_certificate(B, shifted, spectrum, jordan_before, eps)
 

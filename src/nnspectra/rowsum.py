@@ -32,21 +32,23 @@ and plans, for A and for A^T, in both modes.  The simple-root hypothesis
 cannot be dropped: [[1,0],[1,1]] has no such B.
 
 Both modes start from one pass over the strongly connected components of
-A, and it is the one source of per-block data.  In exact mode it builds
-each diagonal block and its integer char poly once, and perron_root_exact
-finds every block's spectral radius from it exactly, by Newton probes
-decided by the Taylor test, with bisection as the bounded fallback, over
-the integers with no float anywhere; lambda1 is the largest.  As det(xI - A)
-is the product of the block polys and an irreducible block carries its
-radius as a simple root and no root of larger modulus, lambda1 is simple
-iff exactly one block has radius lambda1, and that block is the Perron
-block.  Each block is scaled by a kernel vector of the block that pass
-built, at the block's own radius.  An irreducible A whose certified pair
-(lambda1, x) a caller hands in needs no char poly and no kernel: it is its
-own block, with radius lambda1 and Perron vector x.  The transpose path
+the exact input A, the one source of per-block data: to_constant_row_sums
+builds it once and hands it to whichever mode runs (to_float keeps exactly
+A's positive entries, so float mode reads A's digraph).  In exact mode it
+builds each diagonal block and its integer char poly once, and
+perron_root_exact finds every block's spectral radius from it exactly, by
+Newton probes decided by the Taylor test, with bisection as the bounded
+fallback, over the integers with no float anywhere; lambda1 is the largest.
+As det(xI - A) is the product of the block polys and an irreducible block
+carries its radius as a simple root and no root of larger modulus, lambda1
+is simple iff exactly one block has radius lambda1, and that block is the
+Perron block.  Each block is scaled by a kernel vector of the block that
+pass built, at the block's own radius.  An irreducible A whose certified
+pair (lambda1, x) a caller hands in needs no char poly and no kernel: it is
+its own block, with radius lambda1 and Perron vector x.  The transpose path
 reuses the same pass: A^T has A's components, the condensation edges
-reversed, the transposed blocks and the same radii, so its transcript
-names A's components.
+reversed, the transposed blocks and the same radii, so its transcript names
+A's components.
 In float mode structure.perron_eig decomposes each diagonal block once:
 lambda1 is the largest block root, no other eigenvalue of A may lie within
 1e-9 max(|lambda1|, max |a_ij|) of it, its block is the Perron block, and
@@ -796,47 +798,50 @@ def _absorb(ops, rows, lam, plan, transcript, T=None):
 
 
 def to_constant_row_sums(A: RationalMatrix, mode="auto") -> RowSumResult:
-    """Similarity-transform A into nonnegative constant-row-sum form.
+    """Similarity-transform the RationalMatrix A into nonnegative
+    constant-row-sum form; any other input is refused with a DomainError.
 
     Exact mode needs the Perron root (and the spectral radius of every
     irreducible diagonal block it scales) to be rational; float mode runs
-    the same construction in doubles with verification tolerance 1e-9.
+    the same construction on to_float(A) with verification tolerance 1e-9.
     Auto mode runs exact mode and falls back to float mode on ModeError;
-    exact mode raises it, with _float_advice appended.
+    exact mode raises it, with _float_advice appended.  Each reads the one
+    component pass of A built here.
     """
     if mode not in ("exact", "float", "auto"):
         raise DomainError("mode must be 'exact', 'float' or 'auto'")
+    if not isinstance(A, RationalMatrix):
+        raise DomainError("input must be a RationalMatrix")
     if not A.is_square:
         raise DimensionError("input must be square")
     if not A.is_nonnegative:
         raise DomainError("input has a negative entry")
-    exact = isinstance(A, RationalMatrix)
-    if mode == "exact" and not exact:
-        raise ModeError("exact mode needs a RationalMatrix input")
-    if exact and mode != "float":
+    graph = _components(A)
+    if mode != "float":
         try:
-            return _to_cs_exact(A)
+            return _to_cs_exact(A, graph)
         except ModeError as exc:
             if mode == "exact":
-                raise ModeError("%s; %s" % (exc, _float_advice(A))) from exc
-    return _to_cs_float(np.asarray((to_float(A) if exact else A).array, dtype=float))
+                raise ModeError("%s; %s" % (exc, _float_advice(A, graph))) from exc
+    return _to_cs_float(to_float(A).array, graph)
 
 
-def _float_advice(A: RationalMatrix) -> str:
+def _float_advice(A: RationalMatrix, graph) -> str:
     """The advice of exact mode's ModeError: float mode, unless float mode
     refuses A too, and then float mode's own reason."""
     try:
-        to_constant_row_sums(A, mode="float")
+        _to_cs_float(to_float(A).array, graph)
     except SpectraError as exc:
         return "%s, so floating point cannot take this input either" % exc
     return "rerun in float mode"
 
 
-def _to_cs_exact(A: RationalMatrix, certified=None) -> RowSumResult:
+def _to_cs_exact(A: RationalMatrix, graph, certified=None) -> RowSumResult:
     """Exact CS form of A from one pass over its diagonal blocks, verified.
 
-    certified is a caller's proved pair (lambda1, x): lambda1 = rho(A) a
-    simple eigenvalue, x its positive, primitive integer eigenvector.  An
+    graph is the caller's _components(A).  certified is a caller's proved
+    pair (lambda1, x): lambda1 = rho(A) a simple eigenvalue, x its
+    positive, primitive integer eigenvector.  An
     irreducible A with the pair is its own block, with radius lambda1 and
     Perron vector x: no char poly, no kernel.  Otherwise (a reducible A
     ignores the pair) perron_root_exact finds every block's radius from the
@@ -848,7 +853,7 @@ def _to_cs_exact(A: RationalMatrix, certified=None) -> RowSumResult:
     caller gets a similarity A S = S B that holds exactly, and a wrong x is
     refused there.
     """
-    comps, edges = _components(A)
+    comps, edges = graph
     if certified is not None and len(comps) == 1:
         lam, x = certified
         blocks, radii, vectors, perron = [A], [lam], [_Ints(x)], 0
@@ -963,11 +968,12 @@ def similarity_to_transpose(A: RationalMatrix) -> RationalMatrix:
 _FLOAT_TOL = 1e-9
 
 
-def _to_cs_float(arr) -> RowSumResult:
+def _to_cs_float(arr, graph) -> RowSumResult:
+    """Float CS form of arr = to_float(A), on graph = _components(A)."""
     transcript = [
         RowSumStep("float-mode", {"note": "floating arithmetic; tolerance 1e-9"})
     ]
-    comps, edges = _components(FloatMatrix(arr))
+    comps, edges = graph
     # one eigendecomposition per diagonal block: lambda1 = rho(A) must be the
     # only eigenvalue within 1e-9 scale of rho, and its block is the Perron
     # block; scale = max(|lambda1|, max |a_ij|) has no floor, so the tests

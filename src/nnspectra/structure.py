@@ -1,31 +1,23 @@
-"""Digraph structure of a nonnegative matrix.
+"""Digraph structure of a nonnegative exact matrix.
 
 Irreducibility, strongly connected components with the edges of their
-condensation, and float Perron eigendata from one eigendecomposition.  The
-block ordering built on the components lives in rowsum, next to the
-normalization that uses it.
+condensation, and float Perron eigendata from one eigendecomposition of
+to_float(A); every entry point takes a RationalMatrix A.  The block ordering
+built on the components lives in rowsum, next to the normalization that
+uses it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FloatMatrix, RationalMatrix, to_float
+from .core import RationalMatrix, to_float
 from .errors import CertificationError, DimensionError, DomainError
 
 
-def _check_nonnegative_square(A):
-    if not A.is_square:
-        raise DimensionError("digraph structure needs a square matrix")
-    if not A.is_nonnegative:
-        raise DomainError("matrix has a negative entry")
-
-
-def adjacency(A) -> list:
-    """Boolean adjacency rows: edge i -> j iff A[i][j] > 0."""
-    if isinstance(A, RationalMatrix):
-        return [[v > 0 for v in row] for row in A.num]
-    return [[bool(x > 0) for x in row] for row in A.array.tolist()]
+def adjacency(A: RationalMatrix) -> list:
+    """Boolean adjacency rows: edge i -> j iff A.num[i][j] > 0 (A.den > 0)."""
+    return [[v > 0 for v in row] for row in A.num]
 
 
 def strongly_connected_components(adj) -> list:
@@ -83,14 +75,20 @@ def strongly_connected_components(adj) -> list:
     return components
 
 
-def is_irreducible(A) -> bool:
-    """True iff the adjacency digraph is strongly connected.
+def is_irreducible(A: RationalMatrix) -> bool:
+    """True iff the digraph of the nonnegative square RationalMatrix A is
+    strongly connected; any other input is refused.
 
     A 1x1 matrix counts as irreducible even when its entry is zero: it is
     one strongly connected component, like every diagonal block the
     normalization plans with.
     """
-    _check_nonnegative_square(A)
+    if not isinstance(A, RationalMatrix):
+        raise DomainError("digraph structure needs a RationalMatrix")
+    if not A.is_square:
+        raise DimensionError("digraph structure needs a square matrix")
+    if not A.is_nonnegative:
+        raise DomainError("matrix has a negative entry")
     return len(strongly_connected_components(adjacency(A))) == 1
 
 
@@ -146,13 +144,11 @@ def perron_eig(arr):
     return values, rho, x
 
 
-def perron_data(A: FloatMatrix):
-    """Spectral radius and positive right eigenvector, max entry 1, of an
-    irreducible matrix: perron_eig after the irreducibility check."""
-    if isinstance(A, RationalMatrix):
-        A = to_float(A)
-    _check_nonnegative_square(A)
+def perron_data(A: RationalMatrix):
+    """Float spectral radius and positive right eigenvector, max entry 1, of
+    an irreducible nonnegative RationalMatrix: perron_eig of to_float(A)
+    after the exact irreducibility check."""
     if not is_irreducible(A):
         raise DomainError("perron_data needs an irreducible matrix")
-    _, rho, x = perron_eig(A.array)
+    _, rho, x = perron_eig(to_float(A).array)
     return rho, x

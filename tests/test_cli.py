@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from fractions import Fraction as F
@@ -751,26 +752,31 @@ class TestParserReuse:
 
 
 class TestContract:
-    """normalize, guo-shift, verify, jordan-forms and bond on generated
-    command lines, with well-formed and malformed JSON and flags, run
-    in-process through dispatch: exit 0, or 2 for a failed or missing
-    certificate, with an artifact that an independent Fraction check
-    accepts, or exit 1 with one "error:" line and no --out file; two runs
-    write the same bytes."""
+    """All eight subcommands (normalize, guo-shift, verify, jordan-forms,
+    bond, realize5, region and demo) on generated command lines, with
+    well-formed and malformed JSON and flags, run in-process through
+    dispatch: exit 0, or 2 for a failed or missing certificate, with an
+    artifact that an independent Fraction check accepts, or exit 1 with one
+    "error:" line and no --out file (no --out-dir for demo); two runs write
+    the same bytes."""
 
     @staticmethod
     def _run(argv, out):
-        """(exit code, stdout, stderr, the --out file's bytes or None)."""
+        """(exit code, stdout, stderr, what was written at out: a file's
+        bytes, a directory's {name: bytes}, or None)."""
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = dispatch(argv)
         written = None
-        if os.path.exists(out):
+        if os.path.isdir(out):
+            written = {name: (Path(out) / name).read_bytes() for name in sorted(os.listdir(out))}
+            shutil.rmtree(out)
+        elif os.path.exists(out):
             written = Path(out).read_bytes()
             os.remove(out)
         return rc, stdout.getvalue(), stderr.getvalue(), written
 
-    def _check(self, argv, out, artifact_check):
+    def _check(self, argv, out, artifact_check, parse=json.loads):
         first = self._run(argv, out)
         assert self._run(argv, out) == first
         rc, _, err, written = first
@@ -779,9 +785,10 @@ class TestContract:
             assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
             assert written is None
         else:
-            blob = json.loads(written)
+            blob = parse(written)
             # only a bond without a certificate explains itself on stderr
-            assert err == (blob["reason"] + "\n" if "reason" in blob else "")
+            reason = blob.get("reason") if isinstance(blob, dict) else None
+            assert err == ("" if reason is None else reason + "\n")
             artifact_check(blob, rc)
         return rc
 
@@ -792,15 +799,20 @@ class TestContract:
         number = st.integers(0, 6).map(str) | st.builds(
             "{}/{}".format, st.integers(-2, 9), st.integers(1, 4)
         )
-        bad_entry = st.sampled_from(
-            ["abc", "1/0", "", "2e-400", "1e4000", True, 1.5, None, 3, [1]]
+        # (JSON entry, its Fraction or None): exact rationals beyond and
+        # below the float64 range and a JSON integer are well formed
+        odd_entry = st.sampled_from(
+            [("2e-400", F(2, 10**400)), ("1e4000", F(10**4000)), (3, F(3))]
+            + [(v, None) for v in ["abc", "1/0", "", True, 1.5, None, [1]]]
         )
 
         @st.composite
         def matrix_file(draw, cs):
             """(file bytes, the entries as Fractions or None): a CS matrix
             when cs, else one that is diagonally similar to a CS matrix (a
-            rational Perron root) or arbitrary, as drawn."""
+            rational Perron root) or arbitrary, as drawn.  An "entry" draw
+            puts one odd entry in: a malformed one, or a well-formed one that
+            may break the CS form."""
             kind = draw(st.sampled_from(["good"] * 5 + ["entry", "shape", "structure", "text"]))
             if kind == "text":
                 return draw(st.sampled_from([b"not json", b"{", b"", b"\xff\xfe"])), None
@@ -822,8 +834,10 @@ class TestContract:
             doc = {"rows": n, "cols": n, "entries": [[str(v) for v in row] for row in rows]}
             if kind == "entry":
                 i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-                doc["entries"][i][j] = draw(bad_entry)
-                rows = None
+                doc["entries"][i][j], exact = draw(odd_entry)
+                rows[i][j] = exact
+                if exact is None:
+                    rows = None
             elif kind == "shape":
                 doc[draw(st.sampled_from(["rows", "cols"]))] = draw(
                     st.sampled_from([n + 1, 0, True, 1.0, "1", None])
@@ -843,8 +857,14 @@ class TestContract:
         bad_flags = st.sampled_from([["--mode", "fast"], ["--bogus"], ["--mode"], ["--in"]])
         seen = set()
 
+        def one_by_one(entry, exact):
+            return json.dumps({"entries": [[entry]]}).encode(), [[exact]]
+
         @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
         @hypothesis.given(matrix=matrix_file(cs=False), bad=st.none() | bad_flags)
+        @hypothesis.example(matrix=one_by_one("2e-400", F(2, 10**400)), bad=None)
+        @hypothesis.example(matrix=one_by_one("1e4000", F(10**4000)), bad=None)
+        @hypothesis.example(matrix=one_by_one(3, F(3)), bad=None)
         def check(matrix, bad):
             (text, A), path, out = matrix, tmp_path / "A.json", str(tmp_path / "out.json")
             path.write_bytes(text)
@@ -861,18 +881,28 @@ class TestContract:
                     return
                 assert blob["mode"] == "exact" and flags != ["--mode", "float"]
                 seen.add("exact" if n > 1 else "exact 1x1")
+                if beyond_float:
+                    seen.add("exact beyond float64")
                 B, S = self._fractions(blob["B"]), self._fractions(blob["S"])
                 lam = F(blob["lambda"])
                 assert self._product(A, S) == self._product(S, B)
                 assert all(v >= 0 for row in B for v in row)
                 assert all(sum(row) == lam for row in B)
 
+            # an entry beyond or below the float64 range is exact, and only
+            # float mode refuses it
+            beyond_float = A is not None and any(
+                v and not F(1, 2**1000) < abs(v) < 2**1000 for row in A for v in row
+            )
             for flags in modes + ([bad] if bad else []):
                 argv = ["normalize", "--in", str(path)] + flags + ["--out", out]
-                seen.add(self._check(argv, out, artifact))
+                rc = self._check(argv, out, artifact)
+                seen.add(rc)
+                if beyond_float and flags == ["--mode", "float"]:
+                    assert rc == 1
 
         check()
-        assert {0, 1, "exact", "float"} <= seen
+        assert {0, 1, "exact", "float", "exact beyond float64"} <= seen
 
     @staticmethod
     def _product(X, Y):
@@ -993,9 +1023,7 @@ class TestContract:
                 argv += ["--jordan", str(paths["j"])]
 
             def artifact(blob, rc):
-                # a drawn "bad" entry such as "2e-400" may still be a rational
-                A = [[F(v) for v in row] for row in json.loads(text)["entries"]]
-                assert claim != "bad"
+                assert A is not None and claim != "bad"
                 assert set(blob) == {"schema", "verdict", "matrix", "spectrum", "jordan", "checks"}
                 assert sorted(F(v) for v in blob["spectrum"]["values"]) == sorted(values)
                 checks = {c["name"]: c for c in blob["checks"]}
@@ -1089,9 +1117,7 @@ class TestContract:
             flag = {"corner": str(c + 1), "c-text": "abc", "c-zero-den": "1/0"}.get(flaw, str(c))
 
             def artifact(blob, rc):
-                # a drawn "bad" entry such as "2e-400" may still be a rational
-                A = [[F(v) for v in row] for row in json.loads(text_a)["entries"]]
-                assert flaw is None
+                assert A is not None and flaw is None
                 assert set(blob) - {"reason"} == {"schema", "c", "result", "certificate"}
                 assert F(blob["c"]) == c
                 C = self._fractions(blob["result"])
@@ -1109,6 +1135,122 @@ class TestContract:
 
         check()
         assert all(seen[key] for key in (0, 1, 2, "certified", "uncertified")), seen
+
+
+    def test_realize5(self, tmp_path):
+        hypothesis, st, number, _matrix_file = self._strategies()
+        # step multiples of 1/5 and 1/10, inside and outside each family's domain
+        point = st.builds("{}/{}".format, st.integers(-4, 30), st.sampled_from([5, 10]))
+        bad = st.sampled_from(
+            [["--t", "abc"], ["--t", "1/0"], ["--family", "x"], ["--d1", "abc"], ["--t0"]]
+        )
+        seen = collections.Counter()
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            family=st.sampled_from(family5.FAMILIES), t0=point, t=point,
+            d1=st.none() | number, bad=st.none() | bad,
+        )
+        def check(family, t0, t, d1, bad):
+            out = str(tmp_path / "out.json")
+            t0 = "0" if family == "pm" else t0
+            argv = ["realize5", "--family", family, "--t0", t0, "--t", t]
+            argv += [] if d1 is None else ["--d1", d1]
+
+            def artifact(blob, rc):
+                assert not flags
+                assert set(blob) == {
+                    "schema", "family", "t0", "t", "list", "coefficients", "d1_interval",
+                    "certificate",
+                }
+                assert (blob["family"], F(blob["t0"]), F(blob["t"])) == (family, F(t0), F(t))
+                cert = blob["certificate"]
+                assert rc == (0 if cert["verdict"] == "pass" else 2)
+                if rc:
+                    return
+                # a nonnegative matrix whose char poly is the listed values' product
+                M = self._fractions(cert["matrix"])
+                assert all(v >= 0 for row in M for v in row)
+                expected = [F(1)]
+                for v in blob["list"]:
+                    expected = self._poly_mul(expected, [F(1), -F(v)])
+                assert self._char_poly(M) == expected
+                seen["certified"] += 1
+
+            for flags in [[]] + ([bad] if bad else []):
+                seen[self._check(argv + flags + ["--out", out], out, artifact)] += 1
+
+        check()
+        assert seen[0] and seen[1] and seen["certified"] == seen[0], seen
+
+    def test_region(self, tmp_path):
+        hypothesis, st, _number, _matrix_file = self._strategies()
+        steps = st.sampled_from(["1", "1/2", "1/3", "2/5", "1/4", "3/10", "1/6", "0.2", "7/2"])
+        bad = st.sampled_from(["0", "-1/4", "1/100000", "abc", "1/0", "family"])
+        # each family's open region in the (t0, t) plane; the box t0 <= 2,
+        # t <= 3 holds all three
+        regions = {
+            "t": lambda t0, t: 0 < t0 < 2 * t < 2,
+            "tprime": lambda t0, t: t0 > 0 and t > 0 and t0 + t < 1,
+            "pm": lambda t0, t: t0 == 0 and 0 < t <= 3,
+        }
+        seen = collections.Counter()
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            family=st.sampled_from(family5.FAMILIES), step=steps, bad=st.none() | bad
+        )
+        def check(family, step, bad):
+            out = str(tmp_path / "out.csv")
+
+            def artifact(text, rc):
+                assert rc == 0 and flags == [family, step]
+                lines = text.decode("ascii").split("\n")
+                assert lines[0] == "t0,t,torre,boundary_member,symmetric" and lines[-1] == ""
+                rows = [line.split(",") for line in lines[1:-1]]
+                # every step multiple of the box in the region, t0 outer, t inner
+                h = F(step)
+                grid = [(i * h, j * h) for i in range(int(2 / h) + 1) for j in range(int(3 / h) + 1)]
+                assert [(F(t0), F(t)) for t0, t, *_ in rows] == [p for p in grid if regions[family](*p)]
+                for _t0, t, torre, member, symmetric in rows:
+                    assert torre in ("0", "1") and member in ("0", "1")
+                    assert symmetric == ("1" if F(t) >= 1 else "0")
+                seen["rows"] += len(rows)
+
+            variants = [[family, step]]
+            if bad:
+                variants.append(["x", step] if bad == "family" else [family, bad])
+            for flags in variants:
+                argv = ["region", "--family", flags[0], "--grid-step", flags[1], "--out", out]
+                seen[self._check(argv, out, artifact, parse=bytes)] += 1
+
+        check()
+        assert seen[0] and seen[1] and seen["rows"], seen
+
+    def test_demo(self, tmp_path):
+        hypothesis, st, _number, _matrix_file = self._strategies()
+        samples = st.integers(-1, 4).map(str) | st.sampled_from(["abc", "1000001", "1.5", "1/2"])
+        seen = collections.Counter()
+
+        @hypothesis.settings(max_examples=10, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(samples=samples, seed=st.integers(0, 3))
+        def check(samples, seed):
+            out = str(tmp_path / "demo")
+            argv = ["demo", "--out-dir", out, "--samples", samples, "--seed", str(seed)]
+
+            def artifact(files, rc):
+                assert rc == 0 and "report.md" in files
+                docs = {name: json.loads(data) for name, data in files.items() if name.endswith(".json")}
+                union = docs["demo_union_search.json"]
+                assert union["forbidden_jordan_hits"] == 0
+                assert union["samples"] == int(samples)
+                seen["artifacts"] += len(docs)
+
+            # a refused --samples creates no output directory
+            seen[self._check(argv, out, artifact, parse=dict)] += 1
+
+        check()
+        assert seen[0] and seen[1] and seen["artifacts"], seen
 
 
 class TestArtifactWriter:

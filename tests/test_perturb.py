@@ -30,6 +30,7 @@ from nnspectra.errors import (
 from nnspectra.jcfcert import jordan_spec, verify_certificate, weyr_sequence
 from nnspectra.perturb import _shift_certificate, rank_one_shift, ur_shift
 from nnspectra.rowsum import to_constant_row_sums
+from nnspectra.structure import _components
 
 from conftest import (
     random_cs_matrix,
@@ -532,7 +533,7 @@ class TestPerronVectorHandOff:
             assert list(x) == rowsum._right_eigenvector_exact(A, spectrum.perron)
         # so ur_shift takes no kernel, and its output is the kernel route's
         # CS form plus (eps/n) e e^T
-        expected = [rowsum._to_cs_exact(A).B for A, spectrum in cases]
+        expected = [rowsum._to_cs_exact(A, _components(A)).B for A, _ in cases]
         kernels = []
         monkeypatch.setattr(rowsum, "kernel", lambda *args, **kw: kernels.append(args))
         for (A, spectrum), B in zip(cases, expected):
@@ -547,7 +548,7 @@ class TestPerronVectorHandOff:
             x = list(jcfcert._certified_jordan(A, spectrum)[1])
             x[k % A.rows] += 1
             with pytest.raises(CertificationError, match="not in CS form"):
-                rowsum._to_cs_exact(A, (spectrum.perron, x))
+                rowsum._to_cs_exact(A, _components(A), (spectrum.perron, x))
 
     def test_derogatory_input_takes_the_kernel(self, monkeypatch):
         # (1, 2, 3) (1, 1, 1)^T is irreducible with spectrum {6, 0, 0} and 0
@@ -559,7 +560,7 @@ class TestPerronVectorHandOff:
             JordanSpec.from_map({6: [1], 0: [1, 1]}),
             None,
         )
-        expected = rowsum._to_cs_exact(A)
+        expected = rowsum._to_cs_exact(A, _components(A))
         assert expected.transcript[0].detail["vector"] == ["1", "2", "3"]
         vectors, real = [], rowsum._right_eigenvector_exact
         monkeypatch.setattr(

@@ -11,6 +11,7 @@ from nnspectra.cli import dispatch
 from nnspectra.core import (
     FloatMatrix,
     RationalMatrix,
+    Spectrum,
     _integer_poly,
     _taylor,
     char_poly,
@@ -32,7 +33,7 @@ from nnspectra.errors import (
     SpectralDominanceError,
     UnsupportedLayoutError,
 )
-from nnspectra import core, rowsum
+from nnspectra import core, perturb, rowsum
 from nnspectra.bonding import smigoc_bond
 from nnspectra.family5 import (
     GAMMA2_LEFT,
@@ -44,8 +45,8 @@ from nnspectra.family5 import (
     make_point,
 )
 from nnspectra.jcfcert import jordan_spec
-from nnspectra.structure import _components
-from nnspectra.perturb import _add_rank_one, _check_rank_one, rank_one_shift
+from nnspectra.structure import _components, is_irreducible, perron_data
+from nnspectra.perturb import _add_rank_one, _check_rank_one, rank_one_shift, ur_shift
 from nnspectra.rowsum import (
     _verify_exact,
     _verify_float,
@@ -516,14 +517,21 @@ class TestToConstantRowSums:
         assert blob["B"] == [["5.0"]] and blob["S"] == [["1.0"]]
         assert [s["kind"] for s in blob["transcript"]] == ["float-mode", "diagonal-scaling"]
 
-    def test_float_matrix_input(self):
-        A = FloatMatrix(np.array([[0.0, 2.0], [1.0, 0.0]]))  # rho = sqrt(2)
-        for mode in ("auto", "float"):
-            result = to_constant_row_sums(A, mode=mode)
-            assert result.mode == "float"
-            assert np.max(np.abs(result.B.array.sum(axis=1) - np.sqrt(2))) <= 1e-12
-        with pytest.raises(ModeError, match="exact mode needs a RationalMatrix input"):
-            to_constant_row_sums(A, mode="exact")
+    @pytest.mark.parametrize(
+        "A",
+        [FloatMatrix(np.array([[0.0, 2.0], [1.0, 0.0]])), [[0, 2], [1, 0]]],
+        ids=["FloatMatrix", "list"],
+    )
+    def test_only_exact_matrices_are_taken(self, A):
+        # float mode converts its exact input itself: no normalization or
+        # digraph entry point takes a FloatMatrix, or rows that are not a
+        # RationalMatrix
+        for mode in ("exact", "float", "auto"):
+            with pytest.raises(DomainError, match="input must be a RationalMatrix"):
+                to_constant_row_sums(A, mode=mode)
+        for entry in (perron_data, is_irreducible):
+            with pytest.raises(DomainError, match="digraph structure needs a RationalMatrix"):
+                entry(A)
 
     @pytest.mark.parametrize(
         "witness, rho",
@@ -536,12 +544,6 @@ class TestToConstantRowSums:
         assert str(info.value) == (
             "Perron root %d is not numerically simple (2 eigenvalues within 1e-9)" % rho
         )
-
-    def test_float_input_validated(self):
-        with pytest.raises(DomainError):
-            to_constant_row_sums(FloatMatrix(np.array([[-1.0]])))
-        with pytest.raises(DimensionError):
-            to_constant_row_sums(FloatMatrix(np.ones((2, 3))))
 
     def test_spectra_mode_env_default(self, monkeypatch, tmp_path):
         # no environment variable chooses the mode: the default is auto
@@ -1065,6 +1067,11 @@ def test_exact_reduction_builds_no_fraction_rows(monkeypatch):
         assert calls == ["__init__"]
 
 
+def _from_floats(arr):
+    """The RationalMatrix with the float entries of arr, each exactly."""
+    return RationalMatrix([[F(x) for x in row] for row in arr.tolist()])
+
+
 @pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
 def test_float_mode_does_not_depend_on_the_input_scale(c):
     # every float tolerance is relative to max(|lambda1|, max |a_ij|), with
@@ -1080,9 +1087,10 @@ def test_float_mode_does_not_depend_on_the_input_scale(c):
     inputs += [A for _, A in _layout_inputs({"chain", "isolated", "mixed", "cluster", "bottom"}, 20)]
     unchanged = 0
     for A in inputs:
+        # exact inputs whose to_float is arr and c arr, entry for entry
         arr = to_float(A).array
-        base = to_constant_row_sums(FloatMatrix(arr), mode="float")
-        scaled = to_constant_row_sums(FloatMatrix(c * arr), mode="float")
+        base = to_constant_row_sums(_from_floats(arr), mode="float")
+        scaled = to_constant_row_sums(_from_floats(c * arr), mode="float")
         assert [s.to_json() for s in scaled.transcript] == [s.to_json() for s in base.transcript]
         B, S = base.B.array, base.S.array
         assert np.max(np.abs(scaled.B.array - c * B)) <= 1e-9 * c * np.max(np.abs(B))
@@ -1307,7 +1315,7 @@ def test_exact_radius_pass_takes_the_integer_char_poly(monkeypatch):
     rng = random.Random(2024)
     for _ in range(60):
         A, spectrum = random_realization_with_rational_spectrum(rng)
-        result = rowsum._to_cs_exact(A)
+        result = rowsum._to_cs_exact(A, _components(A))
         assert result.lam == spectrum.perron
     assert seen
 
@@ -1473,18 +1481,55 @@ def test_transpose_path_labels_name_components_of_A():
 
 
 def test_one_component_pass_per_exact_normalization(monkeypatch):
+    # to_constant_row_sums builds A's component pass once and hands it to
+    # whichever mode runs, and ur_shift builds one for its reduction
     calls = []
     real = rowsum._components
-    monkeypatch.setattr(rowsum, "_components", lambda A: calls.append(A) or real(A))
-    inputs = [A for _, A in _layout_inputs({"chain", "mixed", "bottom"}, 12)]
-    inputs += _transpose_path_inputs()[::6]
-    paths = set()
-    for A in inputs:
+
+    def spy(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(rowsum, "_components", spy)
+    monkeypatch.setattr(perturb, "_components", spy)
+
+    def one_pass(run, A):
+        # counted when run returns and when it raises
         calls.clear()
-        result = to_constant_row_sums(A, mode="exact")
-        paths.add(result.transcript[0].kind)
-        assert calls == [A]
-    assert "transpose-similarity" in paths and "permutation" in paths
+        try:
+            return run()
+        finally:
+            assert calls == [A]
+
+    # float mode has no transpose fallback: the transpose path runs in exact
+    # and auto mode only
+    layouts = _layout_inputs({"chain", "mixed", "bottom"}, 12)
+    inputs = [(A, ("exact", "float", "auto")) for _, A in layouts]
+    inputs += [(A, ("exact", "auto")) for A in _transpose_path_inputs()[::6]]
+    paths = set()
+    for A, modes in inputs:
+        for mode in modes:
+            result = one_pass(lambda: to_constant_row_sums(A, mode=mode), A)
+            paths.add((mode, result.transcript[0].kind))
+    assert {("exact", "transpose-similarity"), ("exact", "permutation")} <= paths
+    assert ("float", "float-mode") in paths
+    # irrational Perron roots: auto mode falls back to float mode, and exact
+    # mode refuses with its float advice, whether float mode runs or not
+    sqrt2 = RationalMatrix([[0, 2], [1, 0]])
+    graded = RationalMatrix([["2", "1", "0"], ["0", "1", "1e-9"], ["1e-9", "0", "1"]])
+    assert one_pass(lambda: to_constant_row_sums(sqrt2, mode="auto"), sqrt2).mode == "float"
+    for A, advice in ((sqrt2, "rerun in float mode"), (graded, "cannot take this input")):
+        with pytest.raises(ModeError, match=advice):
+            one_pass(lambda: to_constant_row_sums(A, mode="exact"), A)
+    # ur_shift: a Krylov-certified companion and a derogatory input
+    rng = random.Random(2027)
+    C, values = suleimanova_companion(rng, 4)
+    shifts = [
+        (scramble(rng, C), Spectrum.from_values(values)),
+        (RationalMatrix([[1, 1, 1], [2, 2, 2], [3, 3, 3]]), Spectrum.from_values([6, 0, 0])),
+    ]
+    for A, spectrum in shifts:
+        assert one_pass(lambda: ur_shift(A, spectrum, F(1, 3)), A)[1].verdict
 
 
 def test_exact_block_scalings_use_the_component_pass_blocks(monkeypatch):
@@ -1537,7 +1582,8 @@ def test_exact_driver_refuses_an_unverified_result(monkeypatch, certified):
 
     monkeypatch.setattr(rowsum, "_scale", perturbed)
     with pytest.raises(CertificationError, match="similarity verification failed"):
-        rowsum._to_cs_exact(RationalMatrix([[1, 2], [3, 0]]), certified)
+        A = RationalMatrix([[1, 2], [3, 0]])
+        rowsum._to_cs_exact(A, _components(A), certified)
 
 
 class TestTransposeBound:

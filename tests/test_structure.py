@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nnspectra.core import (
-    FloatMatrix,
     RationalMatrix,
     char_poly,
     poly_eval,
@@ -102,14 +101,14 @@ def bisect_largest_root(coeffs, lo, hi, iters=80):
 
 class TestPerronData:
     def test_symmetric_circulant(self):
-        rho, vec = perron_data(to_float(RationalMatrix([[0, 2], [2, 0]])))
+        rho, vec = perron_data(RationalMatrix([[0, 2], [2, 0]]))
         assert abs(rho - 2.0) <= 1e-9
         assert np.max(np.abs(vec - 1.0)) <= 1e-9
 
     def test_reducible_rejected(self):
         A = RationalMatrix([[2, 0, 0], [0, 2, 0], [2, 0, 1]])
         with pytest.raises(DomainError):
-            perron_data(to_float(A))
+            perron_data(A)
 
     def test_against_bisection_oracle(self):
         rng = random.Random(23)
@@ -117,7 +116,7 @@ class TestPerronData:
             A = RationalMatrix(
                 [[F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(4)] for _ in range(4)]
             )
-            rho, _ = perron_data(to_float(A))
+            rho, _ = perron_data(A)
             coeffs = char_poly(A)
             sums = [float(s) for s in A.row_sums()]
             oracle = bisect_largest_root(coeffs, min(sums) - 1.0, max(sums))
@@ -130,7 +129,8 @@ class TestPerronData:
                 [[F(rng.randint(1, 5), 2) for _ in range(3)] for _ in range(3)]
             )
             arr = to_float(A).array
-            rho, z = perron_data(FloatMatrix(arr.T))
+            # the exact matrix whose to_float is arr^T
+            rho, z = perron_data(RationalMatrix([[F(x) for x in row] for row in arr.T.tolist()]))
             assert np.max(np.abs(arr.T @ z - rho * z)) <= 1e-9 * max(1.0, rho)
 
     def test_residual_bound(self, monkeypatch):
@@ -138,7 +138,7 @@ class TestPerronData:
         # (1, 1 - off) leaves ||A x - 3 x||_inf = off, against the bound
         # 10 * _PERRON_TOL * 3 = 3e-11
         assert structure._PERRON_TOL == 1e-12
-        A = to_float(RationalMatrix([[2, 1], [1, 2]]))
+        A = RationalMatrix([[2, 1], [1, 2]])
         for off, passes in ((1.5e-11, True), (6e-11, False)):
             vectors = np.array([[1.0, 1.0], [1.0 - off, -1.0]])
             monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array([3.0, 1.0]), vectors))
@@ -154,5 +154,5 @@ class TestPerronAgreesWithExactRoot:
         rng = random.Random(31)
         for _ in range(5):
             A, values = suleimanova_companion(rng, 4)
-            rho, _ = perron_data(to_float(A))
+            rho, _ = perron_data(A)
             assert abs(rho - float(max(values))) <= 1e-9
