@@ -5,6 +5,9 @@ as integer numerator rows over one common denominator, and the exact
 kernels (char poly, elimination, rank, determinant, solve, kernel) and
 their callers read those integer rows: no matrix is cleared of its
 denominators twice, and its Fractions are built from that form on request.
+One integer matrix product, behind `@`, the Weyr powers and the
+similarity check that ends every exact normalization, takes both factors by
+rows and pays per nonzero entry, not per entry of the result.
 Floating point exists only in region sampling and in float mode, whose
 working and result type `FloatMatrix` is never an input: float mode converts
 its exact input with `to_float`.  Decimal strings such as "2.52" are parsed
@@ -21,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -253,9 +256,7 @@ class RationalMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.rows, self.cols, other.rows, other.cols)
             )
-        return RationalMatrix._of_ints(
-            _integer_product(self.num, list(zip(*other.num))), self.den * other.den
-        )
+        return RationalMatrix._of_ints(_integer_product(self.num, other.num), self.den * other.den)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._canonical(tuple(zip(*self.num)), self.den)
@@ -346,9 +347,27 @@ def _shifted(lam, K: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._of_ints(rows, k * q)
 
 
-def _integer_product(X, columns):
-    """The integer matrix product X Y, Y given by its columns."""
-    return [[sum(map(operator.mul, row, col)) for col in columns] for row in X]
+def _integer_product(X, Y):
+    """The integer matrix product X Y, both factors given by their rows.
+
+    Row i of X Y is the combination of Y's rows weighted by the nonzero
+    entries of row i of X (Gustavson's row-by-row product), so the cost is
+    one C-level map over a row of Y per nonzero of X, not one dot product
+    per entry: the terms are summed column-wise by `sum` over their zip, a
+    single term is copied, and an all-zero row of X gives a row of zeros.
+    Every output row is a new list.
+    """
+    width = len(Y[0])
+    out = []
+    for row in X:
+        terms = [map(operator.mul, y, repeat(x)) for x, y in zip(row, Y) if x]
+        if len(terms) > 1:
+            out.append(list(map(sum, zip(*terms))))
+        elif terms:
+            out.append(list(terms[0]))
+        else:
+            out.append([0] * width)
+    return out
 
 
 def _eliminate(rows, pivot_cols):
@@ -629,14 +648,20 @@ def _root_ceiling(q, lo, hi):
     below the bracket failing and its top passing (or the given hi) returns
     the same m: Newton probes decided by the Taylor test, with bisection as
     the bounded fallback.  Newton's integer step x <- x - floor(q(x) /
-    q'(x)) from hi takes one Horner pass; for a real r, q is increasing and
-    convex on (r, oo) (Gauss-Lucas), so the steps never drop below ceil(r).
-    Where a step rounds to 0, x - 1 is tested before x (or, when x - 1
-    passes, x - 2): below a simple root it fails at once on q(x - 1) < 0,
-    so a ceiling costs one passing test.  At most (hi - lo).bit_length()
-    steps are taken; when they run out, or a step fails (q(x) < 0, q'(x) <=
-    0 or x at lo), x is tested once instead.  The bisection of [lo, hi]
-    then settles what is left, and tests only the midpoints the probes left
+    q'(x)) takes one Horner pass; for a real r, q is increasing and convex
+    on (r, oo) (Gauss-Lucas), so the steps never drop below ceil(r).  Where
+    a step rounds to 0, x - 1 is tested before x (or, when x - 1 passes,
+    x - 2): below a simple root it fails at once on q(x - 1) < 0, so a
+    ceiling costs one passing test.  Far above every root, a step cuts
+    x - r only by about a factor 1 - 1/deg.  So the steps start at hi or,
+    when it is lower, at a power of 2 no smaller than Fujiwara's bound
+    2 max_k |q_k / q_0|^(1/k) on every |z|, which exceeds the largest |z|
+    by a factor of order deg at most: a loose hi (a large row sum, the
+    Cauchy bound) costs no long descent.  The budget is deg times
+    (hi - lo).bit_length() steps, each one O(deg) Horner pass that lowers x
+    by at least 1; when they run out, or a step fails (q(x) < 0, q'(x) <= 0
+    or x at lo), x is tested once instead.  The bisection of [lo, hi] then
+    settles what is left, and tests only the midpoints the probes left
     open: at most two tests more than the bisection alone.
     """
 
@@ -644,8 +669,11 @@ def _root_ceiling(q, lo, hi):
         return all(t >= 0 for t in _taylor(q, m))
 
     a, b = lo, hi
-    x, probes = hi, 1
-    for _ in range((hi - lo).bit_length()):
+    # 2 << shift is at least Fujiwara's bound 2 max_k |q_k / q_0|^(1/k)
+    top = q[0].bit_length()
+    shift = max([0] + [-((top - c.bit_length() - 1) // k) for k, c in enumerate(q) if k and c])
+    x, probes = min(hi, max(lo, 2 << shift)), 1
+    for _ in range((len(q) - 1) * (hi - lo).bit_length()):
         value, slope = _value_and_slope(q, x)
         if value == 0 or 0 < value < slope:
             x, probes = x - 1, 2

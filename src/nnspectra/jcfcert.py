@@ -91,7 +91,6 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
     n = A.rows
     # the integer rows of lam I - A, whose powers have the ranks of (A - lam I)^k
     N = _shifted(lam, A).num
-    columns = list(zip(*N))
     out = []
     P = N
     prev = 0
@@ -106,7 +105,7 @@ def weyr_sequence(A: RationalMatrix, lam, multiplicity=None) -> tuple:
         prev = nullity
         if nullity == n:
             break
-        P = _integer_product(P, columns)
+        P = _integer_product(P, N)
     return tuple(out)
 
 

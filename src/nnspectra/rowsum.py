@@ -917,16 +917,19 @@ def _verify_exact(A, B, S, lam):
 
     Everything is read from the integer forms A = A'/a, S = S'/s and
     B = B'/b: constant_row_sum_value compares B's integer row sums, and
-    A S = S B iff b A' S' = a S' B', checked by integer multiply-adds;
-    det S != 0 is _is_singular's one-prime test, with Bareiss only on a
-    zero residue.
+    A S = S B iff b A' S' = a S' B'.  Both products are core's
+    _integer_product on the integer rows, as they are stored: each row of
+    A' S' (of S' B') combines the rows of S' (of B') at the nonzero
+    entries of a row of A' (of S'), so a diagonal S' costs one scaled row
+    per row.  det S != 0 is _is_singular's one-prime test, with Bareiss
+    only on a zero residue.
     """
     if not B.is_nonnegative:
         raise CertificationError("result has a negative entry")
     if constant_row_sum_value(B) != lam:
         raise CertificationError("result is not in CS form")
     (Ai, a), Si, (Bi, b) = (A.num, A.den), S.num, (B.num, B.den)
-    AS, SB = _integer_product(Ai, list(zip(*Si))), _integer_product(Si, list(zip(*Bi)))
+    AS, SB = _integer_product(Ai, Si), _integer_product(Si, Bi)
     if any(b * x != a * y for ra, rb in zip(AS, SB) for x, y in zip(ra, rb)):
         raise CertificationError("similarity verification failed")
     if _is_singular(S):

@@ -195,6 +195,42 @@ def planted_reducible(rng: random.Random, layout: str):
     return A, values
 
 
+def block_layout(rng: random.Random, n: int, layout: str):
+    """(matrix, spectrum values) of n / 3 Suleimanova companion blocks of
+    order 3, diagonally scrambled, in a 'chain' or 'bottom' layout.
+
+    'chain': the Perron block first, and each later block coupled into a
+    random earlier one.  'bottom': the Perron block last, coupled into every
+    other block; every other block's spectrum is disjoint from the Perron
+    block's, so the reduction decouples them by one Sylvester solve.  The
+    Perron root is simple and strictly dominant.  A separate generator, so
+    that random_layout_realization's stream stays as it is; it reaches the
+    orders (n up to 96) that the small layouts do not.
+    """
+    count = n // 3
+    values = [suleimanova_values(rng, 3, allow_repeats=False) for _ in range(count)]
+    for i in range(1, count):
+        while not set(values[i]).isdisjoint(values[0][1:]):
+            values[i] = suleimanova_values(rng, 3, allow_repeats=False)
+    values[0][0] = max(abs(v) for vals in values for v in vals) + rng.randint(1, 4)
+    blocks = [companion_matrix(poly_from_roots(vals)) for vals in values]
+    coupled = [(i, rng.randrange(i)) for i in range(1, count)]
+    if layout == "bottom":
+        blocks = blocks[1:] + blocks[:1]
+        values = values[1:] + values[:1]
+        coupled = [(count - 1, j) for j in range(count - 1)]
+    grid = [
+        [blocks[i] if i == j else RationalMatrix.zeros(3, 3) for j in range(count)]
+        for i in range(count)
+    ]
+    for i, j in coupled:
+        grid[i][j] = _random_coupling_block(rng, 3, 3)
+    A = RationalMatrix.from_blocks(grid)
+    return diag_conjugate(A, random_positive_diagonal(rng, A.rows)), [
+        v for vals in values for v in vals
+    ]
+
+
 def entangled_transposed(rng: random.Random):
     """(matrix, spectrum values) of a planted layout X -> P -> Z plus an
     isolated Y, with P the Perron block, fed by X and feeding Z.

@@ -566,6 +566,103 @@ class TestInternalResults:
             matrix_from_json({"entries": entries})
 
 
+def _fraction_product(X, Y):
+    """The reference product: Fraction triple loops over full rows and
+    columns, with no sparsity and no integer form."""
+    return [
+        [sum((F(X[i][t]) * F(Y[t][j]) for t in range(len(Y))), F(0)) for j in range(len(Y[0]))]
+        for i in range(len(X))
+    ]
+
+
+class TestIntegerProduct:
+    """core._integer_product and RationalMatrix.__matmul__ against
+    Fraction triple loops."""
+
+    @staticmethod
+    def _factors():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # zero-heavy, negative, and beyond 2^64
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2]) | st.integers(-(2**70), 2**70)
+
+        @st.composite
+        def matrix(draw, rows, cols, pattern):
+            if pattern == "zero":
+                return [[0] * cols for _ in range(rows)]
+            if pattern == "diagonal":
+                return [[draw(entry) if i == j else 0 for j in range(cols)] for i in range(rows)]
+            if pattern == "companion":
+                # superdiagonal entries and a full last row
+                return [
+                    [draw(entry) if j == i + 1 or i == rows - 1 else 0 for j in range(cols)]
+                    for i in range(rows)
+                ]
+            if pattern == "single":
+                # exactly one nonzero entry per row
+                rows_ = []
+                for _ in range(rows):
+                    row = [0] * cols
+                    row[draw(st.integers(0, cols - 1))] = draw(st.integers(-(2**70), 2**70).filter(bool))
+                    rows_.append(row)
+                return rows_
+            M = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+            if pattern == "zero rows":
+                for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+                    M[i] = [0] * cols
+            return M
+
+        patterns = st.sampled_from(("dense", "zero rows", "zero", "single", "diagonal", "companion"))
+
+        @st.composite
+        def pair(draw):
+            r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+            X = draw(matrix(r, k, draw(patterns)))
+            Y = draw(matrix(k, c, draw(patterns)))
+            return X, Y
+
+        return hypothesis, st, pair()
+
+    @staticmethod
+    def _assert_fresh_rows(out, Y):
+        # a shared zero row, or a row of Y handed back, is the easy mistake
+        assert len({id(row) for row in out}) == len(out)
+        assert not any(row is y for row in out for y in Y)
+
+    def test_integer_product_against_fraction_loops(self):
+        hypothesis, _, pairs = self._factors()
+
+        @hypothesis.settings(max_examples=250, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(pairs)
+        @hypothesis.example(([[0, 0], [0, 0], [0, 0]], [[1, 2], [3, 4]]))
+        @hypothesis.example(([[0, 3], [5, 0]], [[1, 2], [3, 4]]))
+        def check(args):
+            X, Y = args
+            for rows in (X, [tuple(r) for r in X]):
+                out = core._integer_product(rows, Y)
+                assert out == _fraction_product(X, Y)
+                assert all(type(v) is int for row in out for v in row)
+                self._assert_fresh_rows(out, Y)
+
+        check()
+
+    def test_matmul_against_fraction_loops(self):
+        hypothesis, st, pairs = self._factors()
+        den = st.sampled_from([1, 2, 6, 10**9 + 7, 2**64 + 13])
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(pairs, den, den)
+        def check(args, p, q):
+            X, Y = args
+            A = RationalMatrix([[F(v, p) for v in row] for row in X])
+            B = RationalMatrix([[F(v, q) for v in row] for row in Y])
+            C = A @ B
+            assert [list(row) for row in C.entries()] == _fraction_product(A.entries(), B.entries())
+            assert C == RationalMatrix([[str(v) for v in row] for row in C.entries()])
+
+        check()
+
+
 class TestJson:
     def test_roundtrip(self):
         A = RationalMatrix([["11/2", "2.52"], ["0", "-3"]])
@@ -755,7 +852,7 @@ class TestRootCeiling:
 
     def test_work_within_the_bisections(self, monkeypatch):
         # at most two Taylor tests more than the bisection, and at most
-        # (hi - lo).bit_length() Horner steps
+        # deg q times (hi - lo).bit_length() Horner steps
         hypothesis, triples = _ceiling_inputs()
         tests, steps = [0], [0]
         taylor, horner = core._taylor, core._value_and_slope
@@ -781,9 +878,63 @@ class TestRootCeiling:
             tests[0] = steps[0] = 0
             core._root_ceiling(q, lo, hi)
             assert tests[0] <= bisect_root_ceiling(q, lo, hi)[1] + 2
-            assert steps[0] <= (hi - lo).bit_length()
+            assert steps[0] <= (len(q) - 1) * (hi - lo).bit_length()
 
         check()
+
+    @pytest.mark.parametrize(
+        "roots, lo, hi",
+        [
+            ([90, 10, -20, -30, 5], 30, 39072),
+            ([300, -100, 7, 1, -250], 30, 109475),
+            ([16920, 100, -3000, 5, -16000, 2], 648, 3569165),
+        ],
+    )
+    def test_far_above_the_root_newton_still_settles_it(self, monkeypatch, roots, lo, hi):
+        # far above every root a Newton step cuts x - r only by about a
+        # factor 1 - 1/deg; a budget of (hi - lo).bit_length() steps ran
+        # out on these radius brackets, and the bisection took 11 to 18
+        # Taylor tests
+        tests = [0]
+        taylor = core._taylor
+
+        def spy(q, m):
+            tests[0] += 1
+            return taylor(q, m)
+
+        monkeypatch.setattr(core, "_taylor", spy)
+        q = _from_roots(roots)
+        assert core._root_ceiling(q, lo, hi) == max(roots)
+        assert tests[0] <= 3
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [40, -5, -5, -4, -3, -2, -1, -1, -6, -2, -3, -4],
+            [90, 10, -20, -30, 5],
+            [300, -100, 7, 1, -250],
+            [16920, 100, -3000, 5, -16000, 2],
+            list(range(-10, 11)),
+        ],
+    )
+    def test_a_loose_bracket_costs_no_long_descent(self, monkeypatch, roots):
+        # from the Cauchy bound, as rational_spectrum_of starts: Newton
+        # starts at the power-of-2 Fujiwara bound, within a factor of order
+        # deg of the largest |root|, so it takes O(deg log deg) Horner steps,
+        # not the deg * log(hi / r) that a start at hi costs (50 to 578 here)
+        steps = [0]
+        horner = core._value_and_slope
+
+        def spy(q, x):
+            steps[0] += 1
+            return horner(q, x)
+
+        monkeypatch.setattr(core, "_value_and_slope", spy)
+        q = _from_roots(roots)
+        bound = 1 + max(map(abs, q))
+        assert core._root_ceiling(q, -bound, bound) == max(roots)
+        deg = len(q) - 1
+        assert steps[0] <= 2 * deg * deg.bit_length()
 
     def test_pinned_brackets(self):
         # (y - 7)(y - 3): the ceiling 7, from a huge bracket too; lo == hi

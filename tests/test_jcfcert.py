@@ -99,6 +99,44 @@ class TestWeyr:
                 assert weyr_sequence(A, value, m) == spec.weyr_at(value)
 
     @pytest.mark.parametrize(
+        "blocks",
+        [
+            {F(2): [3, 2], F(-1): [2, 1], F(5): [1]},
+            {F(1, 2): [4, 2, 1], F(3): [3], F(-2): [1, 1]},
+        ],
+    )
+    def test_dense_powers_are_the_powers_of_n(self, monkeypatch, blocks):
+        # planted S^-1 J S with every entry of S nonzero, so the powers fill
+        # in: each matrix ranked is N^k for N = d (lam I - A), d the lcm of
+        # the entries' denominators, checked by Fraction loops, and the
+        # sequence is the planted one
+        spec = JordanSpec.from_map(blocks)
+        n, rng = spec.order, random.Random(39)
+        S = RationalMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)])
+        A = solve(S, spec.jordan_matrix() @ S)
+        ranked = []
+
+        def spy(M):
+            ranked.append(M)
+            return exact_rank(M)
+
+        monkeypatch.setattr(jcfcert, "exact_rank", spy)
+        for value, m in spec.spectrum().pairs:
+            shifted = [[(value if i == j else 0) - A[i, j] for j in range(n)] for i in range(n)]
+            d = math.lcm(*(v.denominator for row in shifted for v in row))
+            N = [[d * v for v in row] for row in shifted]
+            for multiplicity in (None, m):
+                ranked.clear()
+                assert weyr_sequence(A, value, multiplicity) == spec.weyr_at(value)
+                P = N
+                if multiplicity is None:
+                    # unchecked, the tower reaches N^s for the largest block size s
+                    assert len(ranked) >= max(spec.sizes_at(value))
+                for M in ranked:
+                    assert [list(row) for row in M.entries()] == P
+                    P = [[sum(x * y[j] for x, y in zip(row, N)) for j in range(n)] for row in P]
+
+    @pytest.mark.parametrize(
         "values, ranks",
         [([[9, -1, -2, -3]], 0), ([[9, -1, -2, -2]], 0), ([[9, -1, -2], [-2]], 1)],
     )

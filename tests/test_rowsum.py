@@ -60,6 +60,7 @@ from nnspectra.rowsum import (
 from test_core import _from_sympy, _to_sympy
 from conftest import (
     bisect_root_ceiling,
+    block_layout,
     diag_conjugate,
     entangled_transposed,
     random_layout_realization,
@@ -695,6 +696,27 @@ def test_verify_exact_integer_form_hypothesis():
             )
 
     check()
+
+
+@pytest.mark.parametrize(
+    "layout, n, first", [("chain", 48, "permutation"), ("bottom", 36, "sylvester-decoupling")]
+)
+def test_exact_normalization_at_scale(layout, n, first):
+    # orders past the small layouts: A S = S B by Fraction loops over the
+    # Fraction entries, independent of _verify_exact's integer rows (a zero
+    # term is skipped, which changes no sum)
+    A, values = block_layout(random.Random(39), n, layout)
+    result = to_constant_row_sums(A, mode="exact")
+    assert result.mode == "exact" and result.transcript[0].kind == first
+    lam = max(values)
+    assert result.lam == lam
+    a, s, b = A.entries(), result.S.entries(), result.B.entries()
+    assert all(v >= 0 for row in b for v in row) and all(sum(row) == lam for row in b)
+
+    def product(X, Y):
+        return [[sum((x * y[j] for x, y in zip(row, Y) if x), F(0)) for j in range(n)] for row in X]
+
+    assert product(a, s) == product(s, b)
 
 
 def test_float_mode_follows_exact_mode():
