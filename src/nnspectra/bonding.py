@@ -17,10 +17,12 @@ characteristic identity when they do not.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .core import (
     RationalMatrix,
+    _integer_product,
     _shifted,
     char_poly,
     format_rational,
@@ -74,12 +76,20 @@ def smigoc_bond(
     right eigenvectors at c pair to nonzero only through a 1x1 Jordan block,
     the one the bond consumes.  C itself is not checked here; that is
     bond_certificate's job.
+
+    Every check runs on integer forms: with c = p/q, A = A'/a, B = B'/b
+    and u, v = U/w_u, V/w_v, the eigenvector checks are
+    q U^T B' = p b U^T (U^T B' being one row combination of B's rows) and
+    q B' V = p b V, the pairing is U.V over w_u w_v, and A's corner must
+    have q A'_nn = p a.
     """
     if not A.is_square or not B.is_square:
         raise DimensionError("A and B must be square")
     c = rat(c)
+    p, q = c.numerator, c.denominator
     n, m = A.rows, B.rows
-    if A[n - 1, n - 1] != c:
+    a, b = A.den, B.den
+    if A.num[n - 1][n - 1] * q != p * a:
         raise CornerMismatchError(
             "A's corner entry %s does not equal c = %s"
             % (format_rational(A[n - 1, n - 1]), format_rational(c))
@@ -93,13 +103,19 @@ def smigoc_bond(
     v = tuple(rat(x) for x in v)
     if len(u) != m or len(v) != m:
         raise DimensionError("u and v must have length %d" % m)
-    if B.transpose().mat_vec(u) != tuple(c * x for x in u):
+    # u, v = U/w_u, V/w_v over the lcm of each vector's denominators
+    w_u = math.lcm(*(x.denominator for x in u))
+    w_v = math.lcm(*(x.denominator for x in v))
+    U = [x.numerator * (w_u // x.denominator) for x in u]
+    V = [x.numerator * (w_v // x.denominator) for x in v]
+    pb = p * b
+    if [q * x for x in _integer_product([U], B.num)[0]] != [pb * y for y in U]:
         raise DomainError("u is not a left eigenvector of B at c")
-    if B.mat_vec(v) != tuple(c * x for x in v):
+    if [q * sum(map(operator.mul, row, V)) for row in B.num] != [pb * y for y in V]:
         raise DomainError("v is not a right eigenvector of B at c")
-    pairing = sum((a * b for a, b in zip(u, v)), Fraction(0))
-    if pairing != 1:
-        if pairing == 0:
+    dot = sum(map(operator.mul, U, V))
+    if dot != w_u * w_v:
+        if dot == 0:
             raise DomainError(
                 "u^T v = 0: these eigenvectors meet no 1x1 Jordan block of B at "
                 "%s, and B needs one" % format_rational(c)
@@ -107,16 +123,18 @@ def smigoc_bond(
         if not (auto_normalize or internal):
             raise NormalizationError(
                 "u^T v = %s, not 1; pass auto_normalize=True to rescale u"
-                % format_rational(pairing)
+                % format_rational(Fraction(dot, w_u * w_v))
             )
-        u = tuple(x / pairing for x in u)
+        # u / (u^T v) = U w_v / dot
+        sign = 1 if dot > 0 else -1
+        U, w_u = [sign * w_v * x for x in U], sign * dot
 
     # [[A1, a u^T], [v b^T, B]] on integer rows: with A = A'/a, B = B'/b
-    # and u, v = U/w, V/w over the lcm w of their denominators, every block
-    # is an integer form over D = lcm(a w, b); for A = [c] that is B's rows
-    w = math.lcm(*(x.denominator for x in u + v))
-    U, V = ([x.numerator * (w // x.denominator) for x in vec] for vec in (u, v))
-    a, b = A.den, B.den
+    # and u, v = U/w, V/w over w = lcm(w_u, w_v), every block is an integer
+    # form over D = lcm(a w, b); for A = [c] that is B's rows
+    w = math.lcm(w_u, w_v)
+    U = [x * (w // w_u) for x in U]
+    V = [y * (w // w_v) for y in V]
     D = math.lcm(a * w, b)
     sa, sw, sb = D // a, D // (a * w), D // b
     top = [

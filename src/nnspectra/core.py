@@ -552,8 +552,13 @@ def char_poly(A: RationalMatrix):
     is d^k times that of A."""
     if not A.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    d = A.den
-    return [Fraction(ck, d**k) for k, ck in enumerate(_char_poly_int(A.num))]
+    return _rational_poly(_char_poly_int(A.num), A.den)
+
+
+def _rational_poly(c, d):
+    """The rational poly whose integer form over d is c: coefficient k is
+    c_k / d^k (the inverse of _integer_poly)."""
+    return [Fraction(ck, d**k) for k, ck in enumerate(c)]
 
 
 def _char_poly_int(N):
@@ -614,6 +619,24 @@ def _integer_poly(p, d):
     """q(y) = d^n p(y/d) over Z, for a monic rational poly p (highest
     coefficient first) whose k-th coefficient has a denominator dividing d^k."""
     return [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
+
+
+def _claim_poly_int(spectrum, d):
+    """prod (y - d lam)^m over Z for the pairs (lam, m) of spectrum, highest
+    coefficient first: d^n times the spectrum's char poly at y/d, so it
+    equals _char_poly_int(N) for N = d A iff the spectrum is A's.  None when
+    some d lam is not an integer: such a claim is no matrix's with integer
+    form N over d, as the rational roots of a monic integer poly are
+    integers.  No Fraction is made."""
+    q = [1]
+    for lam, m in spectrum.pairs:
+        p, r = lam.numerator, lam.denominator
+        if d % r:
+            return None
+        mu = p * (d // r)
+        for _ in range(m):
+            q = [a - mu * b for a, b in zip(q + [0], [0] + q)]
+    return q
 
 
 def _taylor(q, m):

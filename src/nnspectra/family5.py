@@ -336,7 +336,10 @@ def companion4(gamma_coeffs, d1) -> RationalMatrix:
              [-d1^2+(4-k2)d1-2k3-k4, 0, -k2-d1, 2]]
     with char poly exactly the input quartic and diagonal (0,0,0,2).  The
     entries are checked for sign only; diagonalizable_realization certifies
-    the bonded 5x5 result, which would expose a wrong char poly here.
+    the bonded 5x5 result, which would expose a wrong char poly here.  The
+    matrix is built on its integer form: the numerators of the four
+    parametric entries over their lcm L, and the constants 1 and 2 as L and
+    2L.
     """
     d1 = rat(d1)
     e = _entries(*_quartic_coeffs(gamma_coeffs), d1)
@@ -346,13 +349,16 @@ def companion4(gamma_coeffs, d1) -> RationalMatrix:
                 "entry %s = %s is negative for d1 = %s"
                 % (name, format_rational(value), format_rational(d1))
             )
-    return RationalMatrix(
+    L = math.lcm(*(value.denominator for value in e.values()))
+    x1, b, a, d3 = (value.numerator * (L // value.denominator) for value in e.values())
+    return RationalMatrix._of_ints(
         [
-            [0, 1, 0, 0],
-            [d1, 0, 1, 0],
-            [e["b"], 0, 0, 1],
-            [e["a"], 0, e["d3"], 2],
-        ]
+            [0, L, 0, 0],
+            [x1, 0, L, 0],
+            [b, 0, 0, L],
+            [a, 0, d3, 2 * L],
+        ],
+        L,
     )
 
 

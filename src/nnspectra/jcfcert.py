@@ -22,9 +22,11 @@ invariant subspace, so one fixed scrambled integer vector is tried next.
 The quotient's vector r(N) v at the Perron value spans that eigenspace,
 and the Perron shift's reduction takes it in place of a kernel.  When the
 basis cannot conclude (q(N) v != 0, a quotient vanishing on both vectors,
-a derogatory A), the claim is matched against char_poly(A) (Berkowitz
-over the integers); _prove_spectrum is that Krylov-first order, for every
-caller that proves a claim.  jordan_spec and verify_certificate then share one
+a derogatory A), the same q is compared over Z with the char poly of N
+(Berkowitz over the integers); _prove_spectrum is that Krylov-first
+order, for every caller that proves a claim, and verify_certificate makes
+the same comparison.  Only a failing claim builds the Fraction residual
+that words its refusal.  jordan_spec and verify_certificate then share one
 Weyr sequence per claimed eigenvalue (ranks by the fraction-free
 elimination), and _certificate words every certificate's records from such
 facts.  Constructions certified here (the degree-5 realization, bonding)
@@ -46,8 +48,11 @@ from .core import (
     JordanSpec,
     RationalMatrix,
     Spectrum,
+    _char_poly_int,
+    _claim_poly_int,
     _integer_poly,
     _integer_product,
+    _rational_poly,
     _root_ceiling,
     _shifted,
     char_poly,
@@ -124,6 +129,23 @@ def _residual(p, spectrum: Spectrum):
     return poly_sub(p, spectrum.char_poly())
 
 
+def _claim_residual(A: RationalMatrix, spectrum: Spectrum):
+    """char_poly(A) minus the claimed spectrum's polynomial, compared over Z.
+
+    With N = d A, A's integer form, the claim matches iff _char_poly_int(N)
+    (one Berkowitz) equals _claim_poly_int(spectrum, d): the same char poly
+    after the substitution y = d x.  A match gives [Fraction(0)] with no
+    Fraction poly; a mismatch builds char_poly(A)'s Fraction view of the same
+    integer coefficients and returns _residual, which words the refusal.
+    """
+    if not A.is_square:
+        raise DimensionError("characteristic polynomial of non-square matrix")
+    c, d = _char_poly_int(A.num), A.den
+    if c == _claim_poly_int(spectrum, d):
+        return [Fraction(0)]
+    return _residual(_rational_poly(c, d), spectrum)
+
+
 def _weyr_pass(A: RationalMatrix, spectrum: Spectrum, checked: bool):
     """One Weyr sequence of A per claimed eigenvalue, in the spectrum's order.
 
@@ -146,17 +168,15 @@ def _jordan_of(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
 
 
 def _match_spectrum(A: RationalMatrix, spectrum: Spectrum):
-    """char_poly(A), which must split exactly over spectrum, or
-    SpectrumMismatchError."""
-    p = char_poly(A)
-    residual = _residual(p, spectrum)
+    """SpectrumMismatchError, with _claim_residual's residual, unless A's
+    char poly is the claimed spectrum's, compared over Z."""
+    residual = _claim_residual(A, spectrum)
     if residual != [Fraction(0)]:
         raise SpectrumMismatchError(
             "characteristic polynomial does not match the claimed spectrum; "
             "residual: %s" % poly_to_string(residual),
             residual=residual,
         )
-    return p
 
 
 def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
@@ -166,9 +186,10 @@ def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
 
     N = d A is A's integer form, v = (1, 2, ..., n) and
     q(y) = prod (y - mu_i)^(m_i), mu_i = d lam_i, the claim's polynomial
-    over Z.  v is neither e, an eigenvector of every CS-form matrix, nor a
-    unit vector, which stays in its block's invariant subspace when A is
-    block triangular.  If q(N) v = 0, the minimal polynomial of v under N divides
+    over Z (_claim_poly_int, the polynomial the char-poly route compares).
+    v is neither e, an eigenvector of every CS-form matrix, nor a unit
+    vector, which stays in its block's invariant subspace when A is block
+    triangular.  If q(N) v = 0, the minimal polynomial of v under N divides
     q, and it is q itself iff no quotient r_i = q / (y - mu_i) of a distinct
     root has r_i(N) v = 0.  Each r_i(N) v is a combination of the Krylov
     vectors v, N v, ..., N^(n-1) v, tested up to its first nonzero entry.
@@ -195,16 +216,15 @@ def _cyclic_jordan(A: RationalMatrix, spectrum: Spectrum):
     if not A.is_square or spectrum.order != n:
         return None
     N, d = A.num, A.den
-    roots = [(value * d, m) for value, m in spectrum.pairs]
-    if any(mu.denominator != 1 for mu, _ in roots):
+    q = _claim_poly_int(spectrum, d)  # highest first
+    if q is None:
         return None
-    roots = [(mu.numerator, m) for mu, m in roots]
-    q = [1]  # highest first
-    for mu, m in roots:
-        for _ in range(m):
-            q = [a - mu * b for a, b in zip(q + [0], [0] + q)]
-    quotients = [(mu, synthetic_div(q, mu)[0]) for mu, _ in roots]
-    perron = (spectrum.perron * d).numerator
+    # every d lam is now an integer
+    quotients = [
+        (mu, synthetic_div(q, mu)[0])
+        for mu in (value.numerator * d // value.denominator for value, _ in spectrum.pairs)
+    ]
+    perron = spectrum.perron.numerator * d // spectrum.perron.denominator
     for v in (range(1, n + 1), [(31 * i * i + 17 * i + 5) % 97 + 1 for i in range(1, n + 1)]):
         krylov = [list(v)]
         for _ in range(n):
@@ -369,8 +389,13 @@ class RealizationCertificate:
 def verify_certificate(
     matrix: RationalMatrix, claimed_spectrum: Spectrum, claimed_jordan: JordanSpec
 ) -> RealizationCertificate:
-    """Run the full exact check suite; failures are verdicts, never errors."""
-    residual = _residual(char_poly(matrix), claimed_spectrum)
+    """Run the full exact check suite; failures are verdicts, never errors.
+
+    The char-poly check compares one integer char poly with the claim's over
+    Z (_claim_residual); only a failing claim builds the Fraction residual
+    that its record prints.
+    """
+    residual = _claim_residual(matrix, claimed_spectrum)
     # a failing char poly keeps the full towers, and with them the details
     weyrs = _weyr_pass(matrix, claimed_spectrum, residual == [Fraction(0)])
     return _certificate(matrix, claimed_spectrum, claimed_jordan, residual, weyrs)

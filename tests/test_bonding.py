@@ -13,6 +13,7 @@ from nnspectra.core import (
     RationalMatrix,
     Spectrum,
     char_poly,
+    format_rational,
     poly_mul,
     poly_sub,
     solve,
@@ -118,7 +119,7 @@ class TestHypothesisChecks:
 
     def test_wrong_eigenvector_rejected(self):
         A = RationalMatrix([[1, 1], [2, 2]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="u is not a left eigenvector"):
             smigoc_bond(A, B2, 2, (F(1), F(0)), V2)
 
     @pytest.mark.parametrize(
@@ -148,6 +149,82 @@ class TestHypothesisChecks:
         A = RationalMatrix([[1, 1], [2, 2]])
         C = smigoc_bond(A, B2, 2)  # u, v computed and normalized internally
         assert C == smigoc_bond(A, B2, 2, U2, V2)
+
+
+def _bond_reference(A, B, u, v):
+    """[[A1, a u^T], [v b^T, B]] entry by entry over Fractions."""
+    n, m = A.rows, B.rows
+    rows = [
+        [A[i, j] for j in range(n - 1)] + [A[i, n - 1] * x for x in u] for i in range(n - 1)
+    ]
+    rows += [[y * A[n - 1, j] for j in range(n - 1)] + list(B.row(i)) for i, y in enumerate(v)]
+    return RationalMatrix(rows)
+
+
+# c = 1/2 with B = B'/6 not symmetric: q = 2 and b = 6 enter the integer
+# checks, and the left and right eigenvectors (1, 6) and (1, 0) differ
+A_HALF = RationalMatrix([[1, 2], [3, F(1, 2)]])
+B_HALF = RationalMatrix([[F(1, 2), 1], [0, F(1, 3)]])
+U_HALF, V_HALF = (F(1), F(6)), (F(1), F(0))
+
+
+class TestIntegerChecks:
+    """smigoc_bond checks B^T u = c u, B v = c v and u^T v = 1 on integer
+    forms; the Fraction formula is the reference for the matrix it builds."""
+
+    @pytest.mark.parametrize(
+        "A, B, c, u, v",
+        [
+            (RationalMatrix([[1, 1], [1, 1]]), RationalMatrix([[F(1, 2)] * 2] * 2), 1, U2, V2),
+            (A_HALF, B_HALF, F(1, 2), U_HALF, V_HALF),
+            (
+                RationalMatrix([[F(1, 3), F(2, 3)], [1, F(-2, 3)]]),
+                RationalMatrix([[F(-2, 3), 1], [0, 1]]),
+                F(-2, 3),
+                (F(5, 3), F(-1)),
+                (F(3, 5), 0),
+            ),
+        ],
+        ids=["b-denominator", "c-and-b-denominators", "negative-c"],
+    )
+    def test_denominators_in_c_and_b(self, A, B, c, u, v):
+        assert B.transpose().mat_vec(u) == tuple(F(c) * x for x in u)
+        assert B.mat_vec(v) == tuple(F(c) * x for x in v)
+        assert sum(x * y for x, y in zip(u, v)) == 1
+        C = smigoc_bond(A, B, c, u, v)
+        assert C == _bond_reference(A, B, u, v)
+        lhs = poly_mul(char_poly(C), [F(1), -F(c)])
+        assert poly_sub(lhs, poly_mul(char_poly(A), char_poly(B))) == [F(0)]
+
+    def test_row_and_column_checks_are_not_swapped(self):
+        # B_HALF is not symmetric: (1, 6) is a left eigenvector only and
+        # (1, 0) a right one only
+        with pytest.raises(DomainError, match="u is not a left eigenvector"):
+            smigoc_bond(A_HALF, B_HALF, F(1, 2), V_HALF, V_HALF)
+        with pytest.raises(DomainError, match="v is not a right eigenvector"):
+            smigoc_bond(A_HALF, B_HALF, F(1, 2), U_HALF, U_HALF)
+        with pytest.raises(DomainError, match="u is not a left eigenvector"):
+            smigoc_bond(A_HALF, B_HALF, F(1, 2), (F(1), F(5)), V_HALF)
+        with pytest.raises(DomainError, match="v is not a right eigenvector"):
+            smigoc_bond(A_HALF, B_HALF, F(1, 2), U_HALF, (F(1), F(1, 2)))
+
+    @pytest.mark.parametrize("scale", [F(3, 2), F(-2, 5), F(7)], ids=["3/2", "-2/5", "7"])
+    def test_rescaled_pairing_equals_the_prescaled_call(self, scale):
+        u = tuple(scale * x for x in U_HALF)
+        with pytest.raises(NormalizationError, match="u\\^T v = %s, not 1" % format_rational(scale)):
+            smigoc_bond(A_HALF, B_HALF, F(1, 2), u, V_HALF)
+        C = smigoc_bond(A_HALF, B_HALF, F(1, 2), u, V_HALF, auto_normalize=True)
+        assert C == smigoc_bond(A_HALF, B_HALF, F(1, 2), U_HALF, V_HALF)
+        # v scaled by 1/scale pairs to 1 with no rescaling
+        v = tuple(x / scale for x in V_HALF)
+        assert smigoc_bond(A_HALF, B_HALF, F(1, 2), u, v) == _bond_reference(A_HALF, B_HALF, u, v)
+
+    def test_corner_compared_with_c_on_integers(self):
+        with pytest.raises(CornerMismatchError, match="corner entry 1/2 does not equal c = 1/3"):
+            smigoc_bond(A_HALF, B_HALF, F(1, 3), U_HALF, V_HALF)
+        # 3/6 is the corner 1/2
+        C = smigoc_bond(A_HALF, B_HALF, "3/6", U_HALF, V_HALF)
+        assert C == _bond_reference(A_HALF, B_HALF, U_HALF, V_HALF)
 
 
 def _planted_b(rng, m, c):

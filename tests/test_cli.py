@@ -167,12 +167,14 @@ class TestGuoShift:
     @staticmethod
     def _char_poly_spy(monkeypatch):
         """The matrices char_poly runs on, from every module that holds it,
-        and the integer rows of rowsum's radius pass."""
+        and the integer rows of rowsum's radius pass and of the integer
+        claim comparison (jcfcert's Berkowitz over Z)."""
         seen = []
         real, real_int = core.char_poly, core._char_poly_int
         for module in (core, jcfcert, bonding, family5):
             monkeypatch.setattr(module, "char_poly", lambda M: seen.append(M) or real(M))
-        monkeypatch.setattr(rowsum, "_char_poly_int", lambda N: seen.append(N) or real_int(N))
+        for module in (rowsum, jcfcert):
+            monkeypatch.setattr(module, "_char_poly_int", lambda N: seen.append(N) or real_int(N))
         return seen
 
     @pytest.mark.parametrize("claim", [False, True], ids=["no-claim", "claim"])
@@ -191,7 +193,7 @@ class TestGuoShift:
 
     def test_derogatory_claim_takes_one_char_poly(self, workdir, monkeypatch):
         # the all-ones 3x3 has 0 in two Jordan blocks, so no Krylov basis
-        # exists: _match_spectrum's char poly of B is the only one
+        # exists: _match_spectrum's integer char poly of B is the only one
         seen = self._char_poly_spy(monkeypatch)
         tmp, write = workdir
         ones = {"rows": 3, "cols": 3, "entries": [["1"] * 3] * 3}
@@ -199,7 +201,7 @@ class TestGuoShift:
         argv = ["guo-shift", "--in", write("B.json", ones), "--eps", "1", "--out", str(out)]
         argv += ["--spectrum", write("s.json", {"values": ["3", "0", "0"]})]
         assert dispatch(argv) == 0
-        assert seen == [matrix_from_json(ones)]
+        assert seen == [matrix_from_json(ones).num]
         assert json.loads(out.read_text())["result"]["entries"] == [["4/3"] * 3] * 3
 
     def test_result_beyond_the_digit_limit_is_one_error_line(self, workdir, capsys):

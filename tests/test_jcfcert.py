@@ -615,6 +615,126 @@ class TestVerifyCertificate:
         assert blob["schema"] == 1
 
 
+def _check_against_the_fraction_residual(A, spectrum, jordan):
+    """verify_certificate, _match_spectrum and _claim_poly_int against the
+    Fraction residual of the same claim (char_poly(A) minus the claim's
+    polynomial, both over Q); True when the claim matched."""
+    reference = jcfcert._residual(char_poly(A), spectrum)
+    matched = reference == [F(0)]
+    assert jcfcert._claim_residual(A, spectrum) == reference
+    record = next(c for c in verify_certificate(A, spectrum, jordan).checks if c.name == "char-poly")
+    assert record.passed == matched
+    if not matched:
+        assert record.detail == "residual: %s" % core.poly_to_string(reference)
+    if matched:
+        jcfcert._match_spectrum(A, spectrum)
+    else:
+        with pytest.raises(SpectrumMismatchError) as err:
+            jcfcert._match_spectrum(A, spectrum)
+        assert err.value.residual == reference
+        assert str(err.value).endswith("residual: %s" % core.poly_to_string(reference))
+    d = A.den
+    q = core._claim_poly_int(spectrum, d)
+    if any((value * d).denominator != 1 for value, _ in spectrum.pairs):
+        assert q is None
+    else:
+        # d^n times the claim's polynomial at y / d, over Z
+        assert q == core._integer_poly(spectrum.char_poly(), d)
+        assert (q == core._char_poly_int(A.num)) == matched
+    return matched
+
+
+class TestIntegerClaimCheck:
+    """The char-poly check compares integer polys over Z; the Fraction
+    residual of char_poly(A) and the claim's polynomial is its reference."""
+
+    def test_planted_claims_against_the_fraction_residual(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = st.builds(F, st.integers(-4, 5), st.sampled_from([1, 1, 2, 3]))
+        spec = st.lists(
+            st.tuples(value, st.lists(st.integers(1, 2), min_size=1, max_size=2)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pair: pair[0],
+        ).filter(lambda blocks: sum(sum(sizes) for _, sizes in blocks) <= 6)
+        entry = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+        seen = collections.Counter()
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            blocks=spec,
+            data=st.data(),
+            wrong=st.sampled_from(["true", "off-by-one", "longer", "shorter", "non-integral"]),
+        )
+        def check(blocks, data, wrong):
+            form = JordanSpec.from_map(blocks)
+            n = form.order
+            S = RationalMatrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+            hypothesis.assume(core.determinant(S) != 0)
+            A = solve(S, form.jordan_matrix() @ S)  # S^-1 J S
+            values = list(form.spectrum().values())
+            i = data.draw(st.integers(0, n - 1))
+            if wrong == "off-by-one":
+                values[i] += 1
+            elif wrong == "longer":
+                values.append(values[i])
+            elif wrong == "shorter" and n > 1:
+                del values[i]
+            elif wrong == "non-integral":
+                # d lam + 1/2 for the integer d lam of a true claim
+                values[i] += F(1, 2 * A.den)
+            claim = Spectrum.from_values(values)
+            matched = _check_against_the_fraction_residual(A, claim, form)
+            assert matched == (claim == form.spectrum())
+            seen[wrong, matched] += 1
+
+        check()
+        assert seen["true", True] and seen["off-by-one", False] and seen["longer", False]
+        assert seen["shorter", False] and seen["non-integral", False]
+
+    def test_non_square_raises_the_char_poly_error(self):
+        A = RationalMatrix([[1, 2]])
+        with pytest.raises(DimensionError) as reference:
+            char_poly(A)
+        claim = Spectrum.from_values([1])
+        for call in (
+            lambda: verify_certificate(A, claim, JordanSpec.from_map({1: [1]})),
+            lambda: jcfcert._match_spectrum(A, claim),
+        ):
+            with pytest.raises(DimensionError) as err:
+                call()
+            assert str(err.value) == str(reference.value)
+
+    def test_non_integral_claim_fails_with_its_residual(self):
+        # d = 1 and d lam = 1/2: the claim is refused, never rounded to 0,
+        # whose y would equal the char poly of [[0]]
+        A, claim = RationalMatrix([[0]]), Spectrum.from_values([F(1, 2)])
+        assert core._claim_poly_int(claim, A.den) is None
+        cert = verify_certificate(A, claim, JordanSpec.from_map({F(1, 2): [1]}))
+        assert not cert.verdict
+        record = next(c for c in cert.checks if c.name == "char-poly")
+        assert (record.passed, record.detail) == (False, "residual: 1/2")
+        with pytest.raises(SpectrumMismatchError, match="residual: 1/2$"):
+            jcfcert._match_spectrum(A, claim)
+
+    def test_a_passing_claim_builds_no_fraction_poly(self, monkeypatch):
+        # the match runs on integers; only a mismatch builds char_poly(A)'s
+        # Fraction view and the claim's Fraction polynomial
+        calls = []
+        for name in ("char_poly", "_rational_poly", "poly_sub"):
+            real = getattr(jcfcert, name)
+            monkeypatch.setattr(jcfcert, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(Spectrum, "char_poly", lambda self: calls.append("claim") or poly_from_roots(self.values()))
+        C = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 3]])
+        form = JordanSpec.from_map({1: [2], 3: [1]})
+        assert verify_certificate(C, form.spectrum(), form).verdict
+        jcfcert._match_spectrum(C, form.spectrum())
+        assert calls == []
+        assert not verify_certificate(C, Spectrum.from_values([1, 2, 3]), form).verdict
+        assert calls == ["_rational_poly", "claim", "poly_sub"]
+
+
 class TestRationalSpectrumOf:
     def test_recovers_planted(self):
         values = [F(3), F(-1, 2), F(-1, 2)]
