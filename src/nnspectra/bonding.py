@@ -11,7 +11,8 @@ to u^T v = 1.  Characteristic polynomials satisfy
 char(C) * (x - c) = char(A) * char(B) exactly, and C is nonnegative whenever
 A, B, u, v are.  smigoc_bond only builds C; bond_certificate checks it:
 with a certificate when both factors have rational spectra, and with the
-characteristic identity when they do not.
+characteristic identity when they do not; both run over Z, on the integer
+char polys of the matrices' integer forms.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from fractions import Fraction
 
 from .core import (
     RationalMatrix,
+    _char_poly_int,
     _integer_product,
+    _rescaled_poly,
     _shifted,
-    char_poly,
     format_rational,
     kernel,
     poly_mul,
-    poly_sub,
     rat,
 )
 from .errors import (
@@ -171,20 +172,21 @@ def bond_certificate(A: RationalMatrix, B: RationalMatrix, c, C: RationalMatrix)
     Returns a RealizationCertificate, or None when either factor has an
     irrational spectrum (no exact certification possible); C then still has
     to satisfy char(C) * (x - c) = char(A) * char(B) exactly, or
-    CertificationError is raised.  Each factor's char poly is computed once
-    and serves both the split test and the identity; the split test has
-    matched it exactly, so only the factors' Weyr sequences are computed.
-    The claimed spectrum is read off the bonded Jordan claim: its
-    multiplicity at a value is the sum of the claim's block sizes there.
+    CertificationError is raised.  Each factor's integer char poly is
+    computed once and serves both the split test and the identity, which is
+    compared over Z after y = D x, D the lcm of the denominators of A, B, C
+    and c; the split test has matched it exactly, so only the factors' Weyr
+    sequences are computed.  The claimed spectrum is read off the bonded
+    Jordan claim: its multiplicity at a value is the sum of its block sizes.
     """
     c = rat(c)
-    poly_a, poly_b = char_poly(A), char_poly(B)
-    spec_a = _spectrum_from_poly(A, poly_a)
-    spec_b = _spectrum_from_poly(B, poly_b)
+    q_a, q_b = _char_poly_int(A.num), _char_poly_int(B.num)
+    spec_a, spec_b = _spectrum_from_poly(q_a, A.den), _spectrum_from_poly(q_b, B.den)
     if spec_a is None or spec_b is None:
-        lhs = poly_mul(char_poly(C), [Fraction(1), -c])
-        rhs = poly_mul(poly_a, poly_b)
-        if poly_sub(lhs, rhs) != [Fraction(0)]:
+        # D^k char(M)(y / D), k the order of M, is M's integer poly rescaled by D / M.den
+        D = math.lcm(A.den, B.den, C.den, c.denominator)
+        lhs = poly_mul(_rescaled_poly(_char_poly_int(C.num), D // C.den), [1, -int(D * c)])
+        if lhs != poly_mul(_rescaled_poly(q_a, D // A.den), _rescaled_poly(q_b, D // B.den)):
             raise CertificationError("bond failed the exact characteristic identity")
         return None
     claim = bonded_jordan_claim(_jordan_of(A, spec_a), _jordan_of(B, spec_b), c)

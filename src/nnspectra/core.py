@@ -549,27 +549,32 @@ def kernel(A: RationalMatrix, primitive=False):
 def char_poly(A: RationalMatrix):
     """Coefficients of det(xI - A), monic, descending powers: with N = d A,
     A's integer form over its denominator d, coefficient k of det(xI - N)
-    is d^k times that of A."""
-    if not A.is_square:
-        raise DimensionError("characteristic polynomial of non-square matrix")
+    is d^k times that of A.  The runtime reads only that integer form."""
     return _rational_poly(_char_poly_int(A.num), A.den)
 
 
 def _rational_poly(c, d):
     """The rational poly whose integer form over d is c: coefficient k is
-    c_k / d^k (the inverse of _integer_poly)."""
+    c_k / d^k."""
     return [Fraction(ck, d**k) for k, ck in enumerate(c)]
+
+
+def _rescaled_poly(c, s):
+    """det(yI - s N) from c = det(yI - N): coefficient k times s^k."""
+    return [ck * s**k for k, ck in enumerate(c)]
 
 
 def _char_poly_int(N):
     """Integer coefficients of det(yI - N) for square integer rows N, monic,
-    descending powers.
+    descending powers; ragged or non-square rows raise DimensionError.
 
     Berkowitz's division-free algorithm: bordering the leading r x r block M
     by the column s, the row rho and the corner a multiplies its char poly
     by the lower-triangular Toeplitz matrix with first column (1, -a,
     -rho s, -rho M s, ..., -rho M^(r-1) s).
     """
+    if any(len(row) != len(N) for row in N):
+        raise DimensionError("characteristic polynomial of non-square matrix")
     c = [1]
     for r, row in enumerate(N):
         t, v = [1, -row[r]], [N[i][r] for i in range(r)]
@@ -587,7 +592,7 @@ def _char_poly_int(N):
 
 
 def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -613,12 +618,6 @@ def poly_from_roots(roots):
         coeffs = [a * q - b * p for a, b in zip(coeffs + [0], [0] + coeffs)]
         scale *= q
     return [Fraction(c, scale) for c in coeffs]
-
-
-def _integer_poly(p, d):
-    """q(y) = d^n p(y/d) over Z, for a monic rational poly p (highest
-    coefficient first) whose k-th coefficient has a denominator dividing d^k."""
-    return [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
 
 
 def _claim_poly_int(spectrum, d):

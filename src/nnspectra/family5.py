@@ -30,7 +30,8 @@ from itertools import chain
 from .core import (
     RationalMatrix,
     Spectrum,
-    char_poly,
+    _char_poly_int,
+    _claim_poly_int,
     format_rational,
     matrix_to_json,
     poly_from_roots,
@@ -504,7 +505,7 @@ def _random_union_sample(rng):
     return B, D, C, RationalMatrix.from_blocks([[B, RationalMatrix.zeros(2, 2)], [C, D]])
 
 
-_UNION_POLY = poly_from_roots([1, 1, -1, -1])
+_UNION_SPECTRUM = Spectrum.from_values([1, 1, -1, -1])
 
 
 def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureDemo:
@@ -516,8 +517,8 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
     structure at +1 with a 2x2 Jordan block at -1: whenever the Weyr
     sequence at +1 is (2), the one at -1 is also (2).  (Generic coupled
     samples pair 2x2 blocks at BOTH eigenvalues, which is allowed.)
-    Each sample's char poly is checked exactly against (x-1)^2 (x+1)^2, so
-    both Weyr sequences may stop at multiplicity 2.
+    Each sample's char poly is checked exactly, over Z, against (x-1)^2
+    (x+1)^2, so both Weyr sequences may stop at multiplicity 2.
     """
     rng = random.Random(seed)
     forbidden = 0
@@ -526,7 +527,7 @@ def demo_union_obstruction(samples: int = 10000, seed: int = 0) -> UnionFailureD
     histogram = {}
     for _ in range(samples):
         _B, _D, C, A = _random_union_sample(rng)
-        if char_poly(A) != _UNION_POLY:
+        if _char_poly_int(A.num) != _claim_poly_int(_UNION_SPECTRUM, A.den):
             raise SpectraError("internal error: a sample's char poly is not (x-1)^2 (x+1)^2")
         w_plus = weyr_sequence(A, 1, 2)
         w_minus = weyr_sequence(A, -1, 2)

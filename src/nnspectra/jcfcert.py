@@ -2,12 +2,14 @@
 
 Weyr sequences are cumulative nullities w_k = dim ker (A - lambda I)^k,
 exact ranks of integer powers; the conjugate partition of their increments
-is the Segre characteristic (Jordan block sizes).  Once char_poly(A) has
+is the Segre characteristic (Jordan block sizes).  Once A's char poly has
 matched a spectrum exactly, each eigenvalue's multiplicity fixes where its
 sequence ends, and only the ranks that leaves open are computed: none at a
 simple eigenvalue, at most one per eigenvalue of a nonderogatory matrix.
 Everything here certifies matrices with rational spectra, which
-rational_spectrum_of tells apart exactly; irrational spectra are not certified.
+rational_spectrum_of tells apart exactly, over Z; irrational spectra are
+not certified.  Every char poly here is the integer Berkowitz poly of A's
+integer form; only a failing claim's residual is worded from its Fractions.
 
 This module computes the spectral facts that certificates rest on.
 jordan_spec first tries a cyclic certificate: one Krylov basis
@@ -50,12 +52,10 @@ from .core import (
     Spectrum,
     _char_poly_int,
     _claim_poly_int,
-    _integer_poly,
     _integer_product,
     _rational_poly,
     _root_ceiling,
     _shifted,
-    char_poly,
     exact_rank,
     format_rational,
     matrix_to_json,
@@ -138,8 +138,6 @@ def _claim_residual(A: RationalMatrix, spectrum: Spectrum):
     Fraction poly; a mismatch builds char_poly(A)'s Fraction view of the same
     integer coefficients and returns _residual, which words the refusal.
     """
-    if not A.is_square:
-        raise DimensionError("characteristic polynomial of non-square matrix")
     c, d = _char_poly_int(A.num), A.den
     if c == _claim_poly_int(spectrum, d):
         return [Fraction(0)]
@@ -284,20 +282,18 @@ def jordan_spec(A: RationalMatrix, spectrum: Spectrum) -> JordanSpec:
 def rational_spectrum_of(A: RationalMatrix):
     """Spectrum of A when its char poly p splits over Q, else None.
 
-    q(y) = d^n p(y/d) = det(yI - dA), d the lcm of A's denominators, is monic
-    over Z, so p splits over Q iff q has n integer roots.  Such a q is
-    real-rooted, so _root_ceiling from the Cauchy bound (Newton probes
-    decided by the Taylor test, with bisection as the bounded fallback)
-    finds its largest root m; q(m) = 0 is checked, y - m divided out, and
-    the next root sought <= m.
+    The split test runs over Z: q(y) = d^n p(y/d) = det(yI - N), the integer
+    char poly of A's integer form N = d A, is monic, so p splits over Q iff
+    q has n integer roots.  Such a q is real-rooted, so _root_ceiling from
+    the Cauchy bound (Newton probes decided by the Taylor test, with
+    bisection as the bounded fallback) finds its largest root m; q(m) = 0
+    is checked, y - m divided out, and the next root sought <= m.
     """
-    return _spectrum_from_poly(A, char_poly(A))
+    return _spectrum_from_poly(_char_poly_int(A.num), A.den)
 
 
-def _spectrum_from_poly(A: RationalMatrix, p):
-    """rational_spectrum_of(A), given its char poly p."""
-    d = A.den
-    q = _integer_poly(p, d)
+def _spectrum_from_poly(q, d):
+    """rational_spectrum_of for the integer char poly q of a form over d."""
     bound = 1 + max(map(abs, q))
     roots, m = [], bound
     while len(q) > 1:

@@ -90,6 +90,7 @@ from .core import (
     _char_poly_int,
     _integer_product,
     _is_singular,
+    _rescaled_poly,
     _root_ceiling,
     _shifted,
     _taylor,
@@ -291,7 +292,7 @@ def perron_root_exact(blocks):
     radii, ceilings = [], []
     for B in blocks:
         s = d // B.den
-        q = [c * s**k for k, c in enumerate(_char_poly_int(B.num))]
+        q = _rescaled_poly(_char_poly_int(B.num), s)
         sums = [s * sum(row) for row in B.num]
         lo = max(min(sums), s * max(row[i] for i, row in enumerate(B.num)))
         m = _root_ceiling(q, lo, max(sums))

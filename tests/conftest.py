@@ -35,6 +35,13 @@ def bisect_root_ceiling(q, lo, hi):
     return lo, tests
 
 
+def integer_poly(p, d):
+    """q(y) = d^n p(y/d) over Z, for a monic rational poly p (highest
+    coefficient first) whose k-th coefficient has a denominator dividing
+    d^k: the Fraction route to the integer polys the runtime compares."""
+    return [c.numerator * (d**k // c.denominator) for k, c in enumerate(p)]
+
+
 def suleimanova_values(rng: random.Random, n: int, allow_repeats: bool = True):
     """A rational list {lam1, -mu2, ..., -mun} with lam1 >= sum(mu) > 0.
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nnspectra import bonding, jcfcert
+from nnspectra import bonding, core, jcfcert
 from nnspectra.bonding import bond_certificate, bonded_jordan_claim, smigoc_bond
 from nnspectra.core import (
     JordanSpec,
@@ -329,15 +329,17 @@ class TestBondCertificate:
             bond_certificate(A, B2, 2, _corrupted(C))
 
     def test_identity_reuses_the_factor_char_polys(self, monkeypatch):
-        # one char poly per matrix: A and B serve the split test and the identity
+        # one integer char poly per matrix: A's and B's serve the split test
+        # and the identity
         orders = []
+        real = core._char_poly_int
 
-        def spy(M):
-            orders.append(M.rows)
-            return char_poly(M)
+        def spy(N):
+            orders.append(len(N))
+            return real(N)
 
         for module in (bonding, jcfcert):
-            monkeypatch.setattr(module, "char_poly", spy)
+            monkeypatch.setattr(module, "_char_poly_int", spy)
         A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])
         C = smigoc_bond(A, B2, 2)
         assert bond_certificate(A, B2, 2, C) is None
@@ -510,3 +512,113 @@ def test_claimed_spectrum_is_the_joined_values_less_one_c():
         assert cert.claimed_spectrum == Spectrum.from_values(values)
         checked += 1
     assert checked == 54
+
+
+def _fraction_identity(A, B, c, C):
+    """char(C) (x - c) = char(A) char(B) over Fractions: the reference for
+    bond_certificate's identity over Z."""
+    lhs = poly_mul(char_poly(C), [F(1), -c])
+    return poly_sub(lhs, poly_mul(char_poly(A), char_poly(B))) == [F(0)]
+
+
+def _bond_verdict(A, B, c, C):
+    """(verdict, irrational): on an irrational factor, whether bond_certificate
+    accepts C by its identity; on rational factors, whether its certificate's
+    char-poly check passes."""
+    try:
+        cert = bond_certificate(A, B, c, C)
+    except CertificationError:
+        return False, True
+    if cert is None:
+        return True, True
+    return next(check.passed for check in cert.checks if check.name == "char-poly"), False
+
+
+def _denominator_bond_instance(rng):
+    """Random A with denominators in its entries and in c = its corner, dense
+    (mostly irrational spectra) or triangular (rational), and B planted with
+    c in a 1x1 block, with its left and right eigenvectors there."""
+    n, m = rng.randint(2, 4), rng.randint(1, 3)
+    c = F(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+    rows = [[F(rng.randint(-3, 3), rng.choice([1, 2, 4, 7])) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.4:
+        rows = [[x if j >= i else F(0) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    rows[n - 1][n - 1] = c
+    A = RationalMatrix(rows)
+    if rng.random() < 0.5:
+        A = A.transpose()
+    B, u, v = _planted_b(rng, m, c)
+    return A, B, c, u, v
+
+
+def _off_by_a_seventh(rng, C):
+    rows = [list(row) for row in C.entries()]
+    rows[rng.randrange(C.rows)][rng.randrange(C.cols)] += F(1, 7)
+    return RationalMatrix(rows)
+
+
+class TestIntegerIdentity:
+    """bond_certificate's split test and identity run over Z; the Fraction
+    identity is the reference."""
+
+    def test_verdicts_equal_the_fraction_identity(self):
+        cases = [(A_HALF, B_HALF, F(1, 2), U_HALF, V_HALF)]
+        for coefficients in (
+            ("11/2", F(-171, 25), F(212, 25), F(308, 25)),
+            (9, F(-1399, 100), F(1367, 100), F(513, 10)),
+        ):
+            cases.append((A_of_d1(*coefficients), B2, F(2), U2, V2))
+        cases += bond_digest_inputs()
+        rng = random.Random(4243)
+        cases += [_random_triangular_bond_instance(rng, upper=trial % 2 == 0) for trial in range(40)]
+        rng = random.Random(83)
+        cases += [_random_bond_instance(rng) for _ in range(40)]
+        rng = random.Random(4409)
+        cases += [_denominator_bond_instance(rng) for _ in range(150)]
+        seen = collections.Counter()
+        for A, B, c, u, v in cases:
+            C = smigoc_bond(A, B, c, u, v)
+            for matrix in (C, _off_by_a_seventh(rng, C)):
+                verdict, irrational = _bond_verdict(A, B, c, matrix)
+                assert verdict == _fraction_identity(A, B, c, matrix)
+                seen[irrational, verdict] += 1
+        assert seen[True, True] >= 80 and seen[True, False] >= 80, seen
+        assert seen[False, True] >= 80 and seen[False, False] >= 80, seen
+
+    def test_c_off_the_corner_fails_the_identity(self):
+        # c's denominator enters D even where A, B and C do not carry it: a
+        # c just above the corner 2 must not round onto it
+        A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])  # irrational spectrum
+        C = smigoc_bond(A, B2, 2)
+        for c in (F(23, 11), 2 + F(1, 10**9)):
+            assert not _fraction_identity(A, B2, c, C)
+            with pytest.raises(CertificationError, match="^bond failed the exact characteristic identity$"):
+                bond_certificate(A, B2, c, C)
+
+    def test_no_fraction_char_poly_is_built(self, monkeypatch):
+        # a certified bond and a bond checked by its identity build neither a
+        # Fraction char poly nor a Fraction difference of polys
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError("%s called" % name)
+
+            return call
+
+        for module in (core, jcfcert, bonding):
+            for name in ("char_poly", "_rational_poly", "poly_sub"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden(name))
+        monkeypatch.setattr(Spectrum, "char_poly", forbidden("Spectrum.char_poly"))
+        A = A_of_d1("11/2", F(-171, 25), F(212, 25), F(308, 25))
+        assert bond_certificate(A, B2, 2, smigoc_bond(A, B2, 2, U2, V2)).verdict
+        A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])
+        assert bond_certificate(A, B2, 2, smigoc_bond(A, B2, 2)) is None
+
+    def test_non_square_c_raises_the_char_poly_error(self):
+        A = RationalMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 2]])  # irrational spectrum
+        for C in (RationalMatrix.zeros(4, 3), RationalMatrix([[1, 2, 3], [4, 5, 6]])):
+            with pytest.raises(DimensionError) as reference:
+                char_poly(C)
+            with pytest.raises(DimensionError) as err:
+                bond_certificate(A, B2, 2, C)
+            assert str(err.value) == str(reference.value) == "characteristic polynomial of non-square matrix"

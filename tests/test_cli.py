@@ -166,14 +166,13 @@ class TestGuoShift:
 
     @staticmethod
     def _char_poly_spy(monkeypatch):
-        """The matrices char_poly runs on, from every module that holds it,
-        and the integer rows of rowsum's radius pass and of the integer
-        claim comparison (jcfcert's Berkowitz over Z)."""
+        """The integer rows every char poly runs on (the Berkowitz over Z),
+        from every module that holds it: core's, behind char_poly's Fraction
+        view, rowsum's radius pass, jcfcert's claim comparison and split
+        test, bonding's identity and family5's union check."""
         seen = []
-        real, real_int = core.char_poly, core._char_poly_int
-        for module in (core, jcfcert, bonding, family5):
-            monkeypatch.setattr(module, "char_poly", lambda M: seen.append(M) or real(M))
-        for module in (rowsum, jcfcert):
+        real_int = core._char_poly_int
+        for module in (core, rowsum, jcfcert, bonding, family5):
             monkeypatch.setattr(module, "_char_poly_int", lambda N: seen.append(N) or real_int(N))
         return seen
 

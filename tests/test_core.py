@@ -135,6 +135,17 @@ class TestCharPoly:
         with pytest.raises(DimensionError):
             char_poly(RationalMatrix.zeros(2, 3))
 
+    @pytest.mark.parametrize(
+        "N",
+        [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1], [2, 3]], [[1, 2]]],
+        ids=["2x3", "3x2", "ragged-short", "ragged-long", "1x2"],
+    )
+    def test_integer_kernel_refuses_non_square_rows(self, N):
+        # the one non-square check, which every integer char poly passes:
+        # [[1, 2, 3], [4, 5, 6]] would otherwise give [1, -6, -3]
+        with pytest.raises(DimensionError, match="^characteristic polynomial of non-square matrix$"):
+            core._char_poly_int(N)
+
     def test_similarity_invariance(self):
         rng = random.Random(3)
         for _ in range(15):

@@ -33,6 +33,7 @@ from nnspectra.jcfcert import (
 )
 
 from conftest import (
+    integer_poly,
     random_invertible,
     random_jordan_spec,
     scramble,
@@ -416,7 +417,7 @@ class TestCyclicRoute:
 
             return call
 
-        monkeypatch.setattr(jcfcert, "char_poly", forbidden("char_poly"))
+        monkeypatch.setattr(jcfcert, "_char_poly_int", forbidden("_char_poly_int"))
         monkeypatch.setattr(jcfcert, "exact_rank", forbidden("exact_rank"))
         monkeypatch.setattr(core, "_bareiss", forbidden("_bareiss"))
         values = [9, -1, -2, -2, F(-1, 3), F(-1, 3), F(-1, 3)]
@@ -433,7 +434,7 @@ class TestCyclicRoute:
         assert [_krylov_determinant(A) for A in inputs] == [core._PRIME, core._PRIME + 1]
         calls = []
         monkeypatch.setattr(core, "_bareiss", lambda *args: calls.append("_bareiss"))
-        monkeypatch.setattr(jcfcert, "char_poly", lambda *args: calls.append("char_poly"))
+        monkeypatch.setattr(jcfcert, "_char_poly_int", lambda *args: calls.append("_char_poly_int"))
         claim, expected = Spectrum.from_values([0, 0]), JordanSpec.from_map({0: [2]})
         for A in inputs:
             assert jcfcert._cyclic_jordan(A, claim) == (expected, (0, 1))
@@ -639,7 +640,7 @@ def _check_against_the_fraction_residual(A, spectrum, jordan):
         assert q is None
     else:
         # d^n times the claim's polynomial at y / d, over Z
-        assert q == core._integer_poly(spectrum.char_poly(), d)
+        assert q == integer_poly(spectrum.char_poly(), d)
         assert (q == core._char_poly_int(A.num)) == matched
     return matched
 
@@ -719,12 +720,14 @@ class TestIntegerClaimCheck:
             jcfcert._match_spectrum(A, claim)
 
     def test_a_passing_claim_builds_no_fraction_poly(self, monkeypatch):
-        # the match runs on integers; only a mismatch builds char_poly(A)'s
-        # Fraction view and the claim's Fraction polynomial
+        # the match runs on integers; only a mismatch builds A's Fraction
+        # char poly (from the same integers) and the claim's Fraction polynomial;
+        # jcfcert holds no name of the Fraction char poly itself
+        assert not hasattr(jcfcert, "char_poly")
         calls = []
-        for name in ("char_poly", "_rational_poly", "poly_sub"):
-            real = getattr(jcfcert, name)
-            monkeypatch.setattr(jcfcert, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        for module, name in ((core, "char_poly"), (jcfcert, "_rational_poly"), (jcfcert, "poly_sub")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
         monkeypatch.setattr(Spectrum, "char_poly", lambda self: calls.append("claim") or poly_from_roots(self.values()))
         C = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 3]])
         form = JordanSpec.from_map({1: [2], 3: [1]})
@@ -744,6 +747,14 @@ class TestRationalSpectrumOf:
     def test_irrational_returns_none(self):
         A = RationalMatrix([[0, 2], [1, 0]])  # roots +-sqrt(2)
         assert rational_spectrum_of(A) is None
+
+    def test_non_square_raises_the_char_poly_error(self):
+        A = RationalMatrix([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionError) as reference:
+            char_poly(A)
+        with pytest.raises(DimensionError) as err:
+            rational_spectrum_of(A)
+        assert str(err.value) == str(reference.value) == "characteristic polynomial of non-square matrix"
 
     def test_against_sympy_factor_list(self):
         """A Spectrum comes back exactly when sympy factors the char poly

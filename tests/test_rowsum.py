@@ -12,7 +12,6 @@ from nnspectra.core import (
     FloatMatrix,
     RationalMatrix,
     Spectrum,
-    _integer_poly,
     _taylor,
     char_poly,
     determinant,
@@ -63,6 +62,7 @@ from conftest import (
     block_layout,
     diag_conjugate,
     entangled_transposed,
+    integer_poly,
     random_layout_realization,
     random_realization_with_rational_spectrum,
     scramble,
@@ -1265,7 +1265,7 @@ def _perron_reference(blocks):
         p = char_poly(B)
         sums = B.row_sums()
         lo = max(min(sums), max(B[i, i] for i in range(B.rows)))
-        m, _ = bisect_root_ceiling(_integer_poly(p, d), int(d * lo), int(d * max(sums)))
+        m, _ = bisect_root_ceiling(integer_poly(p, d), int(d * lo), int(d * max(sums)))
         ceilings.append(m)
         radii.append(F(m, d) if poly_eval(p, F(m, d)) == 0 else None)
     top = max(ceilings)
@@ -1320,8 +1320,7 @@ def test_perron_root_exact_against_the_bisection():
 
 
 def test_exact_radius_pass_takes_the_integer_char_poly(monkeypatch):
-    # criterion-5 layouts: _to_cs_exact builds no Fraction char poly and
-    # clears none back to the integers
+    # criterion-5 layouts: _to_cs_exact builds no Fraction char poly
     def forbidden(name):
         def fail(*args):
             raise AssertionError("_to_cs_exact called %s" % name)
@@ -1329,7 +1328,7 @@ def test_exact_radius_pass_takes_the_integer_char_poly(monkeypatch):
         return fail
 
     for module in (core, rowsum):
-        for name in ("char_poly", "_integer_poly"):
+        for name in ("char_poly", "_rational_poly"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
     seen = []
